@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,8 +47,12 @@ def _parse_rational(text: str) -> Fraction:
         raise ParameterError(f"bad rational {text!r}: {exc}") from None
 
 
-def _parse_complex_list(text: str):
-    return [complex(v) for v in text.split(",")]
+def _parse_list(text: str, kind):
+    """Comma-separated values, each parsed by `kind` (int or complex)."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"bad {kind.__name__} list {text!r}") from None
 
 
 def _jsonable(obj):
@@ -62,8 +67,8 @@ def _jsonable(obj):
     if hasattr(obj, "__dataclass_fields__"):
         return {k: _jsonable(getattr(obj, k))
                 for k in obj.__dataclass_fields__}
-    if isinstance(obj, float) and obj != obj:  # NaN is not valid JSON
-        return None
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # NaN and +-inf are not valid JSON
     return obj
 
 
@@ -90,8 +95,12 @@ def _emit(document: dict, fmt: str, out_path):
         writer.writerows(rows)
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {out_path!r}: "
+                                 f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -234,9 +243,9 @@ def _run(args) -> dict:
                                   "s": lab.s,
                                   "pre_interval": lab.pre_interval}})
     elif args.command == "variation":
-        vals = _parse_complex_list(args.values)
+        vals = _parse_list(args.values, complex)
         if args.indices:
-            seq = IndexedSeq([int(i) for i in args.indices.split(",")], vals)
+            seq = IndexedSeq(_parse_list(args.indices, int), vals)
         else:
             seq = IndexedSeq.from_values(vals)
         fn = {"full": variation, "long": long_variation,
@@ -250,7 +259,7 @@ def _run(args) -> dict:
     elif args.command == "average":
         import numpy as np
         P = _parse_poly(args.poly)
-        scales = [int(x) for x in args.scales.split(",")]
+        scales = _parse_list(args.scales, int)
         rng = np.random.default_rng(args.seed)
         f = CyclicSignal(args.modulus,
                          rng.standard_normal(args.modulus)
@@ -333,14 +342,28 @@ def _run(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("CIRCLELAB_THREADS")
-        threads = int(env) if env else 1
     try:
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("CIRCLELAB_THREADS")
+            try:
+                threads = int(env) if env else 1
+            except ValueError:
+                raise ParameterError(
+                    f"bad CIRCLELAB_THREADS {env!r}") from None
         if threads < 1:
             raise ParameterError("threads must be >= 1")
         body = _run(args)
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("out", "format", "threads")}
+        document = _jsonable({
+            "config": config,
+            "results": body["results"],
+            "provenance": {"seed": getattr(args, "seed", None),
+                           "threads": threads,
+                           "version": __version__},
+        })
+        _emit(document, args.format, args.out)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -350,16 +373,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("out", "format", "threads")}
-    document = _jsonable({
-        "config": config,
-        "results": body["results"],
-        "provenance": {"seed": getattr(args, "seed", None),
-                       "threads": threads,
-                       "version": __version__},
-    })
-    _emit(document, args.format, args.out)
     return 0
 
 

@@ -12,10 +12,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
-from scipy.special import fresnel
 
 from .arith import (IntPoly, ReducedFraction, congruence_data, eval_poly,
                     farey_level, fractions_near, torus_distance)
@@ -30,17 +29,34 @@ _VT_PERIOD_BUDGET = 2000.0
 # fast_dyadic_quadratic_weyl: largest tail we are willing to sum directly
 # (kept below 2^26 so squared indices stay inside int64)
 DIRECT_SUM_BUDGET = 1 << 22
+# weyl_sum / weyl_sum_prefix: most terms one call may ask for, checked
+# before any work (a 2^28-term prefix is a 4 GB array); it also keeps
+# n < 2^31, which the int64 phase kernel needs
+PHASE_TERM_BUDGET = 1 << 28
+# phases are produced and consumed in chunks of this many terms
+_PHASE_CHUNK = 1 << 16
 
 
-def _exact_phases(P: IntPoly, t: int, alpha: RealLike) -> np.ndarray:
-    """Array of frac(alpha * P(n)) for n = 1..t, reduced exactly.
+def _check_terms(t: int, name: str) -> int:
+    """t as an int, refused unless 1 <= t <= PHASE_TERM_BUDGET."""
+    t = int(t)
+    if t < 1:
+        raise ParameterError(f"{name} must be a positive integer")
+    if t > PHASE_TERM_BUDGET:
+        raise ResourceError(
+            f"{name}={t} exceeds the phase-term budget {PHASE_TERM_BUDGET}; "
+            f"lower {name}")
+    return t
+
+
+def _bigint_phase_chunks(P: IntPoly, t: int, num: int,
+                         den: int) -> Iterator[np.ndarray]:
+    """frac(num * P(n) / den) for n = 1..t, in chunks, any num and den.
 
     Uses the finite-difference table of n -> num * P(n): after d forward
     differences the increments are constant integers, so each step is a
     handful of big-int additions and one reduction mod den.
     """
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    num, den = a.numerator, a.denominator
     d = P.degree
     g = [num * eval_poly(P, n) for n in range(1, d + 2)]
     # forward differences D_0 .. D_d at n = 1
@@ -48,29 +64,75 @@ def _exact_phases(P: IntPoly, t: int, alpha: RealLike) -> np.ndarray:
     for lvl in range(1, d + 1):
         for j in range(d, lvl - 1, -1):
             diffs[j] = diffs[j] - diffs[j - 1]
-    out = np.empty(t, dtype=float)
-    for n in range(t):
-        out[n] = (diffs[0] % den) / den
-        for j in range(d):
-            diffs[j] += diffs[j + 1]
-    return out
+    for start in range(0, t, _PHASE_CHUNK):
+        out = np.empty(min(_PHASE_CHUNK, t - start), dtype=float)
+        for n in range(len(out)):
+            out[n] = (diffs[0] % den) / den
+            for j in range(d):
+                diffs[j] += diffs[j + 1]
+        yield out
+
+
+def _phase_chunks(P: IntPoly, t: int, alpha: RealLike) -> Iterator[np.ndarray]:
+    """frac(alpha * P(n)) for n = 1..t, reduced exactly, in chunks.
+
+    alpha = num/den is read as the exact rational it is, and num * P(n) is
+    reduced mod den by Horner in fixed-width integers where den allows it.
+    The residue r becomes r/den correctly rounded, bitwise as in the
+    big-int loop, which covers every other den.
+    """
+    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    num, den = a.numerator, a.denominator
+    if den & (den - 1) == 0 and den <= 1 << 64:
+        # uint64 products wrap mod 2^64, and mod den = 2^e factors through it
+        dtype, width = np.uint64, 1 << 64
+        mask = np.uint64(den - 1)
+
+        def reduce(acc):
+            np.bitwise_and(acc, mask, out=acc)
+    elif den < 1 << 31:
+        # residues and n stay below 2^31, so every product stays below 2^62
+        dtype, width = np.int64, den
+
+        def reduce(acc):
+            np.remainder(acc, den, out=acc)
+    else:
+        yield from _bigint_phase_chunks(P, t, num, den)
+        return
+    coeffs = [dtype(num * c % width) for c in reversed(P.coeffs)]
+    for start in range(1, t + 1, _PHASE_CHUNK):
+        n = np.arange(start, min(start + _PHASE_CHUNK, t + 1), dtype=dtype)
+        acc = np.full(len(n), coeffs[0], dtype=dtype)
+        for c in coeffs[1:]:
+            acc *= n
+            acc += c
+            reduce(acc)
+        # a power-of-two den scales the correctly rounded float(r) exactly;
+        # a den below 2^31 leaves r and den exact, so one rounding: either
+        # way this is r/den correctly rounded
+        yield acc / float(den)
 
 
 def weyl_sum(P: IntPoly, t: int, alpha: RealLike) -> complex:
     """The normalized exponential sum (1/t) sum_{n=1}^t e(-alpha P(n))."""
-    if t < 1:
-        raise ParameterError("t must be a positive integer")
-    ph = _exact_phases(P, int(t), alpha)
-    return complex(np.exp(-2j * math.pi * ph).sum() / t)
+    t = _check_terms(t, "t")
+    total = 0.0 + 0.0j
+    for ph in _phase_chunks(P, t, alpha):
+        total += complex(np.exp(-2j * math.pi * ph).sum())
+    return total / t
 
 
 def weyl_sum_prefix(P: IntPoly, t_max: int, alpha: RealLike) -> np.ndarray:
     """All K_hat_t for t = 1..t_max at once (index t-1), via one phase pass."""
-    if t_max < 1:
-        raise ParameterError("t_max must be a positive integer")
-    ph = _exact_phases(P, int(t_max), alpha)
-    sums = np.cumsum(np.exp(-2j * math.pi * ph))
-    return sums / np.arange(1, t_max + 1)
+    t_max = _check_terms(t_max, "t_max")
+    sums = np.empty(t_max, dtype=complex)
+    start = 0
+    for ph in _phase_chunks(P, t_max, alpha):
+        np.exp(-2j * math.pi * ph, out=sums[start:start + len(ph)])
+        start += len(ph)
+    np.cumsum(sums, out=sums)
+    sums /= np.arange(1, t_max + 1)
+    return sums
 
 
 def diff_multiplier(P: IntPoly, t: int, n: int, alpha: RealLike) -> complex:
@@ -151,6 +213,7 @@ def _vt_closed_form(cycles: float, d: int) -> complex:
         # (1 - e(-c)) / (2 pi i c)
         return (1.0 - cmath.exp(-2j * math.pi * cycles)) / (2j * math.pi * cycles)
     if d == 2:
+        from scipy.special import fresnel
         z = 2.0 * math.sqrt(cycles)
         s, c = fresnel(z)
         return complex(c, -s) / z

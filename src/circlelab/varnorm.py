@@ -9,6 +9,7 @@ floating-point rounding of |.|^r.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,6 +35,8 @@ class IndexedSeq:
             raise ParameterError("indices must be strictly increasing")
         if any(i <= 0 for i in idx):
             raise ParameterError("indices must be positive")
+        if not all(map(cmath.isfinite, vals)):
+            raise ParameterError("values must be finite")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
 

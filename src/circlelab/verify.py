@@ -16,11 +16,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc, shell_index
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 from .expsum import weyl_sum_prefix
 from .spectral import (MINOR, CyclicSignal, arc_projection_multiplier,
                        average_multiplier)
 from .varnorm import variation_values
+
+# verify_est part 2: most alpha draws per minor-arc sample before giving up
+# (major arcs cover about half the circle at n = 1, delta = 1/8, and under
+# 1 % from n = 6 on, so only a broken classifier reaches this)
+REJECTION_ATTEMPT_FACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,13 @@ def verify_est(P: IntPoly, cfg: VerifyConfig,
         params = ArcParams(n, cfg.delta, d)
         worst = 0.0
         got = 0
+        attempts = 0
         while got < cfg.samples_per_arc:
+            if attempts == REJECTION_ATTEMPT_FACTOR * cfg.samples_per_arc:
+                raise ResourceError(
+                    f"only {got} of {cfg.samples_per_arc} minor-arc samples "
+                    f"at n={n} after {attempts} draws; lower delta or raise n")
+            attempts += 1
             alpha = rng.random()
             if classify_arc(alpha, P, params).is_major:
                 continue

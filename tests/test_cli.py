@@ -98,6 +98,44 @@ class TestExitCodes:
                            "--dry-run"], capsys)
         assert code == 0
 
+    def test_phase_term_budget(self, capsys):
+        # refused before any phase is computed or any array allocated
+        code, _ = run_cli(["weyl-sum", "--t", "1000000000000000",
+                           "--alpha", "1/3"], capsys)
+        assert code == 3
+
+    def test_bad_values(self, capsys):
+        code, _ = run_cli(["variation", "--values", "1,x", "--r", "2"],
+                          capsys)
+        assert code == 2
+
+    def test_bad_indices(self, capsys):
+        code, _ = run_cli(["variation", "--values", "1,2", "--indices", "1,a",
+                           "--r", "2"], capsys)
+        assert code == 2
+
+    def test_bad_scales(self, capsys):
+        code, _ = run_cli(["average", "--modulus", "64", "--scales", "1,a"],
+                          capsys)
+        assert code == 2
+
+    def test_bad_threads_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("CIRCLELAB_THREADS", "many")
+        code, _ = run_cli(["variation", "--values", "0,1", "--r", "2"],
+                          capsys)
+        assert code == 2
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        code, _ = run_cli(["variation", "--values", "0,1", "--r", "2",
+                           "--out", str(tmp_path / "missing" / "res.json")],
+                          capsys)
+        assert code == 2
+
+    def test_nan_value_rejected(self, capsys):
+        code, _ = run_cli(["variation", "--values", "1,nan,2", "--r", "2"],
+                          capsys)
+        assert code == 2
+
 
 class TestOutput:
     def test_json_reruns_byte_identical(self, capsys):
@@ -127,6 +165,18 @@ class TestOutput:
         _, out = run_cli(["variation", "--values", "0,1", "--r", "2"], capsys)
         assert json.loads(out)["provenance"]["threads"] == 3
 
+    def test_overflow_is_valid_json(self, capsys):
+        # finite inputs whose difference overflows to inf
+        code, out = run_cli(["variation", "--values", "1e308,-1e308",
+                             "--r", "2"], capsys)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"invalid JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["results"][0]["value"] is None
+
     def test_config_echoed(self, capsys):
         _, out = run_cli(["weyl-sum", "--poly", "0,0,1", "--t", "2",
                           "--alpha", "1/2"], capsys)
@@ -140,3 +190,12 @@ class TestEntryPoint:
                                "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is imported only where the Fresnel closed form needs it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, circlelab.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

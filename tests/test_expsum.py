@@ -3,9 +3,12 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        ResourceError, approx_multiplier,
@@ -13,7 +16,9 @@ from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        fast_dyadic_quadratic_weyl, fit_power_law,
                        gauss_weight, quadratic_gauss_row, smooth_cutoff_eval,
                        vt, weyl_sum, weyl_sum_prefix)
-from circlelab.expsum import (_vt_closed_form, _vt_quadrature,
+from circlelab import expsum
+from circlelab.expsum import (PHASE_TERM_BUDGET, _bigint_phase_chunks,
+                              _phase_chunks, _vt_closed_form, _vt_quadrature,
                               complete_dyadic_gauss_direct)
 
 SQUARES = IntPoly([0, 0, 1])
@@ -62,6 +67,108 @@ class TestWeylSum:
     def test_t_validation(self):
         with pytest.raises(ParameterError):
             weyl_sum(SQUARES, 0, 0.5)
+
+
+def oracle_phases(P, t, alpha):
+    """The big-int finite-difference loop, for any alpha."""
+    a = Fraction(alpha)
+    return np.concatenate(list(_bigint_phase_chunks(P, t, a.numerator,
+                                                    a.denominator)))
+
+
+def kernel_phases(P, t, alpha):
+    """_phase_chunks, required to avoid the big-int loop where den allows."""
+    den = Fraction(alpha).denominator
+    dyadic = den & (den - 1) == 0
+    fixed_width = (dyadic and den <= 1 << 64) or den < 1 << 31
+
+    def refuse(*args):
+        raise AssertionError(f"big-int loop used for den={den}")
+
+    if fixed_width:
+        with mock.patch.object(expsum, "_bigint_phase_chunks", refuse):
+            return np.concatenate(list(_phase_chunks(P, t, alpha)))
+    return np.concatenate(list(_phase_chunks(P, t, alpha)))
+
+
+def assert_matches_oracle(P, t, alpha):
+    want = oracle_phases(P, t, alpha)
+    got = kernel_phases(P, t, alpha)
+    assert got.shape == (t,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    oracle_sum = np.exp(-2j * math.pi * want).sum()
+    assert abs(weyl_sum(P, t, alpha) - oracle_sum / t) <= 1e-12
+
+
+CHUNK = expsum._PHASE_CHUNK
+BIG = 1 << 64
+EDGE_POLYS = [SQUARES, IntPoly([0, 0, 0, 1]),
+              IntPoly([-BIG * 64 - 1, -3, BIG * 2 + 7]),
+              IntPoly([BIG, -BIG - 5, 0, 3]), IntPoly([7, 1])]
+EDGE_ALPHAS = [
+    0.123456789, -0.75, Fraction(-5, 1 << 53),            # dyadic <= 2^53
+    Fraction(BIG - 1, BIG), Fraction(-BIG * 64 + 3, BIG),  # dyadic = 2^64
+    0.3 * 2.0 ** -13, Fraction(1, BIG * 2),                # dyadic > 2^64
+    Fraction(1, 3), Fraction(-7, 3 << 20),                 # non-dyadic
+    Fraction(123456789, (1 << 31) - 1), Fraction(1, 1 << 31),
+    Fraction(5, (1 << 31) + 1), Fraction(-BIG, 10 ** 12 + 39),  # q >= 2^31
+    Fraction((1 << 32) - 1, (1 << 33) - 9),
+    0, 5, -3,                                              # integer alpha
+]
+BRANCH_ALPHAS = [0.123456789, Fraction(3, BIG), Fraction(1, BIG * 2),
+                 Fraction(123456789, (1 << 31) - 1), Fraction(5, (1 << 31) + 1)]
+
+
+class TestPhaseKernel:
+    """The fixed-width phase kernel against the big-int loop, bitwise."""
+
+    def test_oracle_is_exact(self):
+        for P, alpha in [(SQUARES, Fraction(-3, 7)),
+                         (EDGE_POLYS[2], Fraction(5, BIG * 8))]:
+            a = Fraction(alpha)
+            num, den = a.numerator, a.denominator
+            direct = [(num * P(n)) % den / den for n in range(1, 40)]
+            assert oracle_phases(P, 39, alpha).tolist() == direct
+
+    @pytest.mark.parametrize("P", EDGE_POLYS)
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
+    def test_edge_cases(self, P, alpha):
+        for t in (1, 37):
+            assert_matches_oracle(P, t, alpha)
+
+    @pytest.mark.parametrize("t", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("alpha", BRANCH_ALPHAS)
+    def test_chunk_boundaries(self, t, alpha):
+        assert_matches_oracle(IntPoly([-1, 2, 0, 1]), t, alpha)
+
+    def test_prefix_from_chunks(self):
+        t = CHUNK + 5
+        for alpha in BRANCH_ALPHAS:
+            want = np.cumsum(np.exp(-2j * math.pi * oracle_phases(
+                SQUARES, t, alpha))) / np.arange(1, t + 1)
+            assert np.array_equal(weyl_sum_prefix(SQUARES, t, alpha), want)
+
+    @given(coeffs=st.lists(st.integers(-BIG * 16, BIG * 16), min_size=1,
+                           max_size=4),
+           leading=st.integers(1, BIG * 16),
+           alpha=st.one_of(
+               st.floats(-1e6, 1e6),
+               st.builds(Fraction, st.integers(-BIG * 64, BIG * 64),
+                         st.integers(0, 70).map(lambda e: 1 << e)),
+               st.builds(Fraction, st.integers(-BIG * 64, BIG * 64),
+                         st.integers(1, (1 << 31) - 1)),
+               st.builds(Fraction, st.integers(-BIG * 64, BIG * 64),
+                         st.integers(1 << 31, 1 << 66)),
+               st.integers(-10, 10)),
+           t=st.integers(1, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_differential(self, coeffs, leading, alpha, t):
+        assert_matches_oracle(IntPoly(coeffs + [leading]), t, alpha)
+
+    def test_term_budget(self):
+        for fn in (weyl_sum, weyl_sum_prefix):
+            with pytest.raises(ResourceError):
+                fn(SQUARES, PHASE_TERM_BUDGET + 1, Fraction(1, 3))
 
 
 class TestDiffMultiplier:

@@ -1,13 +1,15 @@
 """Fit helpers and the named verification experiments at modest parameters."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from circlelab import (IntPoly, ParameterError, VerifyConfig, fit_constant,
-                       fit_power_law, verify_entropy, verify_est,
-                       verify_main_decomposition, verify_smooth)
+from circlelab import (IntPoly, ParameterError, ResourceError, VerifyConfig,
+                       fit_constant, fit_power_law, verify_entropy,
+                       verify_est, verify_main_decomposition, verify_smooth)
+from circlelab import verify
 from circlelab.verify import _clipped_walk_multipliers, _power_fit
 
 SQUARES = IntPoly([0, 0, 1])
@@ -126,6 +128,20 @@ class TestEst:
     def test_degree_one_rejected(self):
         with pytest.raises(ParameterError):
             verify_est(IntPoly([0, 1]), self.CFG)
+
+    def test_rejection_loop_capped(self, monkeypatch):
+        # a classifier that calls every alpha major never yields a sample
+        draws = []
+
+        def always_major(alpha, P, params):
+            draws.append(alpha)
+            return SimpleNamespace(is_major=True)
+
+        monkeypatch.setattr(verify, "classify_arc", always_major)
+        with pytest.raises(ResourceError):
+            verify_est(SQUARES, self.CFG, betas_per_scale=4)
+        assert len(draws) == (verify.REJECTION_ATTEMPT_FACTOR
+                              * self.CFG.samples_per_arc)
 
 
 class TestMainDecomposition:
