@@ -17,10 +17,10 @@ from .expsum import (approx_multiplier, complete_dyadic_gauss,
                      diff_multiplier, fast_dyadic_quadratic_weyl,
                      gauss_weight, quadratic_gauss_row, smooth_cutoff_eval,
                      vt, weyl_sum, weyl_sum_prefix)
-from .spectral import (Annulus, CyclicSignal, FrequencyMultiplier, MAJOR,
-                       MINOR, arc_projection_multiplier, average_multiplier,
-                       dft, idft, polynomial_average,
-                       polynomial_average_direct, variation_experiment)
+from .spectral import (Annulus, CyclicSignal, FrequencyMultiplier,
+                       arc_projection_multiplier, average_multiplier, dft,
+                       idft, polynomial_average, polynomial_average_direct,
+                       variation_experiment)
 from .torus import (CounterexampleParams, LacunaryTrigPoly, average_trigpoly,
                     build_sequences, eta_error, exact_ladder_radius,
                     partial_sum, search_coefficients, v2_partial_sums_norm)

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -121,7 +120,6 @@ def _cfg_from_args(args) -> VerifyConfig:
 def _add_common(sub, poly=True):
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--seed", type=int, default=0)
     if poly:
         sub.add_argument("--poly", default="0,0,1",
@@ -314,11 +312,14 @@ def _run(args) -> dict:
                            "closure_defects": list(closure)}}
         results.append(entry)
         if not args.dry_run:
-            from .torus import LacunaryTrigPoly, eta_error
+            from .torus import LacunaryTrigPoly, eta_error, eta_multipliers
+            # the multipliers hold the budgeted tail sums: refuse before
+            # the coefficient search, not after it
+            W = eta_multipliers(params)
             coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
             f = LacunaryTrigPoly({1 << ki: c
                                   for ki, c in zip(params.k, coeffs)})
-            sup, rms = eta_error(f, params, args.sample_count, args.seed)
+            sup, rms = eta_error(f, params, args.sample_count, args.seed, W)
             results.append({"name": "counterexample_eta",
                             "inputs": {"L": args.L, "R": args.R,
                                        "sample_count": args.sample_count},
@@ -343,24 +344,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("CIRCLELAB_THREADS")
-            try:
-                threads = int(env) if env else 1
-            except ValueError:
-                raise ParameterError(
-                    f"bad CIRCLELAB_THREADS {env!r}") from None
-        if threads < 1:
-            raise ParameterError("threads must be >= 1")
         body = _run(args)
         config = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("out", "format", "threads")}
+                  if k not in ("out", "format")}
         document = _jsonable({
             "config": config,
             "results": body["results"],
             "provenance": {"seed": getattr(args, "seed", None),
-                           "threads": threads,
                            "version": __version__},
         })
         _emit(document, args.format, args.out)

@@ -17,7 +17,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .arith import (IntPoly, ReducedFraction, congruence_data, eval_poly,
-                    farey_level, fractions_near, torus_distance)
+                    fractions_near)
 from .errors import NumericError, ParameterError, ResourceError
 
 RealLike = Union[int, float, Fraction]
@@ -315,24 +315,23 @@ def complete_dyadic_gauss_direct(m: int) -> complex:
 
 
 def _dyadic_tail_sum(tail: int, m: int) -> complex:
-    """sum_{n=1}^{tail} e(n^2 / 2^m) with tail < 2^m, vectorized in chunks."""
+    """sum_{n=1}^{tail} e(n^2 / 2^m) with tail < 2^m, vectorized in chunks.
+
+    The budget keeps tail <= 2^22, so n^2 < 2^44 is exact in int64, and
+    for m > 62 the mask capped at 62 bits leaves it unchanged.
+    """
     total = 0.0 + 0.0j
-    mask = (1 << m) - 1
+    mask = (1 << min(m, 62)) - 1
     scale = 2.0 ** (-m)
     chunk = 1 << 20
     for start in range(1, tail + 1, chunk):
         n = np.arange(start, min(start + chunk, tail + 1), dtype=np.int64)
-        if 2 * int(n[-1]).bit_length() <= 62:
-            sq = (n * n) & mask if m <= 62 else n * n
-            total += complex(np.exp(2j * math.pi * (sq * scale)).sum())
-        else:  # fall back to exact python ints (never hit under the budget)
-            total += sum(cmath.exp(2j * math.pi * (((k * k) & mask) * scale))
-                         for k in map(int, n))
+        sq = (n * n) & mask
+        total += complex(np.exp(2j * math.pi * (sq * scale)).sum())
     return total
 
 
-def fast_dyadic_quadratic_weyl(k: int, R: int, N: int,
-                               budget: int = DIRECT_SUM_BUDGET) -> complex:
+def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
     """(1/N) sum_{n=1}^N e(2^(k-R) n^2), exactly, exploiting periodicity.
 
     The summand has period 2^(R-k) in n: full periods contribute the
@@ -348,10 +347,10 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int,
         return 1.0 + 0.0j
     period = 1 << m
     full, tail = divmod(N, period)
-    if tail > budget:
+    if tail > DIRECT_SUM_BUDGET:
         raise ResourceError(
             f"tail of length {tail} exceeds the direct-summation budget "
-            f"{budget}; lower N mod 2^(R-k) or raise the budget")
+            f"{DIRECT_SUM_BUDGET}; lower N mod 2^(R-k)")
     total = 0.0 + 0.0j
     if full:
         total += float(Fraction(full * period, N)) * \

@@ -15,7 +15,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .arith import ArcParams, IntPoly, annulus_label, classify_arc, eval_poly
+from .arith import (ArcKind, ArcParams, IntPoly, annulus_label, classify_arc,
+                    eval_poly)
 from .errors import ParameterError
 from .varnorm import variation_values
 
@@ -31,6 +32,8 @@ class CyclicSignal:
         v = np.asarray(values, dtype=complex)
         if modulus < 1 or v.shape != (modulus,):
             raise ParameterError("values must have length M >= 1")
+        if not np.isfinite(v).all():
+            raise ParameterError("values must be finite")
         object.__setattr__(self, "modulus", int(modulus))
         object.__setattr__(self, "values", v)
 
@@ -70,20 +73,11 @@ def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
     """
     if N < 1:
         raise ParameterError("N must be >= 1")
-    key = (P, N, M)
-    cached = _multiplier_cache.get(key)
-    if cached is None:
-        counts = np.zeros(M, dtype=float)
-        for n in range(1, N + 1):
-            counts[eval_poly(P, n) % M] += 1.0
-        # fft gives sum_y c_y e(-jy/M); the multiplier is its conjugate / N
-        cached = np.conj(np.fft.fft(counts)) / N
-        cached.setflags(write=False)
-        _multiplier_cache[key] = cached
-    return cached
-
-
-_multiplier_cache: dict = {}
+    counts = np.zeros(M, dtype=float)
+    for n in range(1, N + 1):
+        counts[eval_poly(P, n) % M] += 1.0
+    # fft gives sum_y c_y e(-jy/M); the multiplier is its conjugate / N
+    return np.conj(np.fft.fft(counts)) / N
 
 
 def polynomial_average(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
@@ -115,8 +109,6 @@ class Annulus(NamedTuple):
     k: float
 
 
-MAJOR = "major"
-MINOR = "minor"
 Selector = Union[str, Annulus]
 
 
@@ -130,16 +122,6 @@ def _grid_labels(P: IntPoly, params: ArcParams, M: int):
     return labels
 
 
-_label_cache: dict = {}
-
-
-def _grid_labels_cached(P: IntPoly, params: ArcParams, M: int):
-    key = (P, params, M)
-    if key not in _label_cache:
-        _label_cache[key] = _grid_labels(P, params, M)
-    return _label_cache[key]
-
-
 def arc_projection_multiplier(P: IntPoly, params: ArcParams,
                               selector: Selector, M: int) -> FrequencyMultiplier:
     """0/1 multiplier selecting Major, Minor, or a single annulus R_{s,k}.
@@ -148,12 +130,12 @@ def arc_projection_multiplier(P: IntPoly, params: ArcParams,
     refines Major (frequencies whose fraction sits at level s and whose
     distance shell index is k).
     """
-    labels = _grid_labels_cached(P, params, M)
+    labels = _grid_labels(P, params, M)
     out = np.zeros(M, dtype=complex)
     for j, (lab, ann) in enumerate(labels):
-        if selector == MAJOR:
+        if selector == ArcKind.MAJOR:
             hit = lab.is_major
-        elif selector == MINOR:
+        elif selector == ArcKind.MINOR:
             hit = not lab.is_major
         elif isinstance(selector, Annulus):
             hit = lab.is_major and lab.s == selector.s and ann == selector.k

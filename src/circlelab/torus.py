@@ -126,8 +126,7 @@ def _admissible(L: int, R: int) -> bool:
         return False
 
 
-def average_trigpoly(f: LacunaryTrigPoly, R: int, N: int,
-                     budget: int = DIRECT_SUM_BUDGET) -> LacunaryTrigPoly:
+def average_trigpoly(f: LacunaryTrigPoly, R: int, N: int) -> LacunaryTrigPoly:
     """K_N * f with alpha = 2^-R: each coefficient picks up the Weyl factor.
 
     Power-of-two frequencies 2^k (k <= R) route through the fast dyadic
@@ -138,18 +137,18 @@ def average_trigpoly(f: LacunaryTrigPoly, R: int, N: int,
     for freq, coeff in f.terms:
         k = freq.bit_length() - 1
         if freq > 0 and freq == 1 << k and k <= R:
-            w = fast_dyadic_quadratic_weyl(k, R, N, budget=budget)
+            w = fast_dyadic_quadratic_weyl(k, R, N)
         else:
-            w = _direct_multiplier(freq, R, N, budget)
+            w = _direct_multiplier(freq, R, N)
         out[freq] = coeff * w
     return LacunaryTrigPoly(out)
 
 
-def _direct_multiplier(freq: int, R: int, N: int, budget: int) -> complex:
+def _direct_multiplier(freq: int, R: int, N: int) -> complex:
     """(1/N) sum_{n<=N} e(freq * 2^-R * n^2) by exact direct summation."""
-    if N > budget:
-        raise ParameterError(
-            f"direct evaluation of a non-dyadic frequency needs N <= {budget}")
+    if N > DIRECT_SUM_BUDGET:
+        raise ParameterError("direct evaluation of a non-dyadic frequency "
+                             f"needs N <= {DIRECT_SUM_BUDGET}")
     mask = (1 << R) - 1
     scale = 2.0 ** (-R)
     total = sum(np.exp(2j * math.pi * (((freq * n * n) & mask) * scale))
@@ -162,13 +161,8 @@ def partial_sum(f: LacunaryTrigPoly, params: CounterexampleParams,
     """S_m f: the terms at frequencies 2^{k_i} with i >= m."""
     if not 1 <= m <= params.L:
         raise ParameterError(f"m={m} out of [1, {params.L}]")
-    ladder = [1 << ki for ki in params.k]
-    coeffs = dict(f.terms)
-    extra = set(coeffs) - set(ladder)
-    if extra:
-        raise ParameterError(
-            f"function carries frequencies outside the ladder: {sorted(extra)}")
-    return LacunaryTrigPoly({ladder[i]: coeffs.get(ladder[i], 0.0)
+    a = _ladder_coeffs(f, params)
+    return LacunaryTrigPoly({1 << params.k[i]: a[i]
                              for i in range(m - 1, params.L)})
 
 
@@ -198,17 +192,27 @@ def _ladder_coeffs(f: LacunaryTrigPoly,
                     dtype=complex)
 
 
+def eta_multipliers(params: CounterexampleParams) -> np.ndarray:
+    """W[l, i]: the exact multiplier of K_{2^{j_l}} at frequency 2^{k_i}.
+
+    Raises ResourceError when a dyadic tail exceeds the direct-summation
+    budget, so callers can build W before any other expensive work.
+    """
+    return np.array([[fast_dyadic_quadratic_weyl(ki, params.R, 1 << jl)
+                      for ki in params.k] for jl in params.j])
+
+
 def eta_error(f: LacunaryTrigPoly, params: CounterexampleParams,
-              sample_count: int, seed: int):
+              sample_count: int, seed: int,
+              W: Optional[np.ndarray] = None):
     """Monte Carlo sup and RMS of eta(f) = sum_l |S_l f - K_{2^{j_l}} * f|.
 
-    The averaging multipliers W[l, i] are exact; only the spatial supremum
-    is estimated by sampling.
+    The averaging multipliers W[l, i] are exact (`eta_multipliers(params)`
+    unless given); only the spatial supremum is estimated by sampling.
     """
     a = _ladder_coeffs(f, params)
-    L = params.L
-    W = np.array([[fast_dyadic_quadratic_weyl(ki, params.R, 1 << jl)
-                   for ki in params.k] for jl in params.j])
+    if W is None:
+        W = eta_multipliers(params)
     phases = _ladder_phases(params, sample_count, seed)
     z = np.exp(2j * math.pi * phases)          # (samples, L)
     az = z * a[None, :]

@@ -10,7 +10,6 @@ floating-point rounding of |.|^r.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,29 +65,36 @@ def _check_r(r: float) -> float:
     return r
 
 
-def _power_sum_dp(values: Sequence[complex], r: float):
-    """Max over increasing chains of sum |f_j - f_i|^r, with backpointers.
+def _best_power_sums(values: np.ndarray, r: float) -> np.ndarray:
+    """best[..., j]: the largest sum of |f_b - f_a|^r over chains ending at j.
 
-    Returns (best power sum, chain of positions).  A singleton chain has
-    power sum 0.
+    A singleton chain has power sum 0.  Overflow to inf is a valid answer,
+    so it is not reported.
     """
-    n = len(values)
-    best = [0.0] * n
-    back = [-1] * n
-    for j in range(1, n):
-        for i in range(j):
-            cand = best[i] + abs(values[j] - values[i]) ** r
-            if cand > best[j]:
-                best[j] = cand
-                back[j] = i
-    j_opt = max(range(n), key=lambda j: best[j])
-    chain = []
-    j = j_opt
-    while j >= 0:
-        chain.append(j)
-        j = back[j]
-    chain.reverse()
-    return best[j_opt], chain
+    best = np.zeros(values.shape, dtype=float)
+    with np.errstate(over="ignore"):
+        for j in range(1, values.shape[-1]):
+            cand = best[..., :j] + np.abs(values[..., j:j + 1]
+                                          - values[..., :j]) ** r
+            best[..., j] = np.maximum(cand.max(axis=-1), 0.0)
+    return best
+
+
+def _optimal_chain(values: Sequence[complex], r: float):
+    """Max over increasing chains of sum |f_j - f_i|^r, and one such chain.
+
+    The chain is read back from `best`: the predecessor of j is the first
+    i whose candidate, recomputed with the DP's own expression, is largest.
+    """
+    v = np.asarray(values, dtype=complex)
+    best = _best_power_sums(v, r)
+    end = j = int(np.argmax(best))
+    chain = [end]
+    with np.errstate(over="ignore"):
+        while best[j] > 0:
+            j = int(np.argmax(best[:j] + np.abs(v[j:j + 1] - v[:j]) ** r))
+            chain.append(j)
+    return float(best[end]), chain[::-1]
 
 
 def variation(seq: IndexedSeq, r: float) -> VariationResult:
@@ -96,7 +102,7 @@ def variation(seq: IndexedSeq, r: float) -> VariationResult:
     r = _check_r(r)
     if len(seq) == 0:
         raise ParameterError("sequence must be non-empty")
-    power, chain = _power_sum_dp(seq.values, r)
+    power, chain = _optimal_chain(seq.values, r)
     value = power ** (1.0 / r)
     return VariationResult(value, tuple(seq.indices[j] for j in chain), r)
 
@@ -138,7 +144,7 @@ def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
     for _, members in _dyadic_blocks(seq.indices):
         if len(members) < 2:
             continue
-        power, chain = _power_sum_dp([seq.values[j] for j in members], r)
+        power, chain = _optimal_chain([seq.values[j] for j in members], r)
         if power > 0:
             total += power
             picked = tuple(seq.indices[members[j]] for j in chain)
@@ -165,10 +171,4 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     numpy operations over the leading axes.
     """
     r = _check_r(r)
-    v = np.asarray(values)
-    S = v.shape[-1]
-    best = np.zeros(v.shape, dtype=float)
-    for j in range(1, S):
-        cand = best[..., :j] + np.abs(v[..., j:j + 1] - v[..., :j]) ** r
-        best[..., j] = np.maximum(cand.max(axis=-1), 0.0)
-    return best.max(axis=-1) ** (1.0 / r)
+    return _best_power_sums(np.asarray(values), r).max(axis=-1) ** (1.0 / r)

@@ -9,17 +9,15 @@ default) rather than absolute thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc, shell_index
+from .arith import ArcKind, ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import ParameterError, ResourceError
 from .expsum import weyl_sum_prefix
-from .spectral import (MINOR, CyclicSignal, arc_projection_multiplier,
-                       average_multiplier)
+from .spectral import arc_projection_multiplier, average_multiplier
 from .varnorm import variation_values
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
@@ -365,8 +363,9 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
         params = ArcParams(n, cfg.delta, d)
         ts = sorted(set(np.linspace(1 << n, 1 << (n + 1), t_samples,
                                     dtype=int).tolist()))
-        base = average_multiplier(P, 1 << n, M)
-        cmults = np.stack([average_multiplier(P, t, M) - base for t in ts])
+        # ts[0] = 2^n: every row minus the block's base multiplier
+        cmults = np.stack([average_multiplier(P, t, M) for t in ts])
+        cmults -= cmults[0].copy()
 
         def block_norm(indicator: np.ndarray) -> float:
             spatial = np.fft.ifft(fhat[None, :] * indicator[None, :] * cmults,
@@ -374,7 +373,7 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
             return float(np.linalg.norm(variation_values(spatial, 2.0)))
 
         minor_ind = np.real(
-            arc_projection_multiplier(P, params, MINOR, M).samples)
+            arc_projection_multiplier(P, params, ArcKind.MINOR, M).samples)
         val = block_norm(minor_ind)
         minor_vals.append(val / (2.0 ** (-n * nu_hat / 2.0) * fnorm))
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -93,6 +94,15 @@ class TestExitCodes:
         code, _ = run_cli(["counterexample", "--L", "2", "--R", "60"], capsys)
         assert code == 3
 
+    def test_budget_checked_before_search(self, capsys, monkeypatch):
+        # L = 4, R = 92 has a tail over the budget: refused before the search
+        def never(*args, **kwargs):
+            raise AssertionError("coefficient search ran before the budget")
+
+        monkeypatch.setattr("circlelab.cli.search_coefficients", never)
+        code, _ = run_cli(["counterexample", "--L", "4", "--R", "92"], capsys)
+        assert code == 3
+
     def test_dry_run_never_sums(self, capsys):
         code, _ = run_cli(["counterexample", "--L", "2", "--R", "60",
                            "--dry-run"], capsys)
@@ -116,12 +126,6 @@ class TestExitCodes:
 
     def test_bad_scales(self, capsys):
         code, _ = run_cli(["average", "--modulus", "64", "--scales", "1,a"],
-                          capsys)
-        assert code == 2
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CIRCLELAB_THREADS", "many")
-        code, _ = run_cli(["variation", "--values", "0,1", "--r", "2"],
                           capsys)
         assert code == 2
 
@@ -160,16 +164,16 @@ class TestOutput:
         assert out == ""
         assert json.loads(path.read_text())["results"]
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("CIRCLELAB_THREADS", "3")
-        _, out = run_cli(["variation", "--values", "0,1", "--r", "2"], capsys)
-        assert json.loads(out)["provenance"]["threads"] == 3
-
     def test_overflow_is_valid_json(self, capsys):
-        # finite inputs whose difference overflows to inf
-        code, out = run_cli(["variation", "--values", "1e308,-1e308",
-                             "--r", "2"], capsys)
+        # finite inputs whose difference overflows to inf, silently: a
+        # numpy overflow warning would raise here and would print on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["variation", "--values", "1e308,-1e308",
+                         "--r", "2"])
+        out, err = capsys.readouterr()
         assert code == 0
+        assert err == ""
 
         def reject(constant):
             raise ValueError(f"invalid JSON constant {constant}")

@@ -351,7 +351,7 @@ class TestFastDyadic:
 
     def test_budget_enforced(self):
         with pytest.raises(ResourceError):
-            fast_dyadic_quadratic_weyl(0, 60, (1 << 23) + 1, budget=1 << 22)
+            fast_dyadic_quadratic_weyl(0, 60, (1 << 23) + 1)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circlelab import (Annulus, ArcParams, CyclicSignal, FrequencyMultiplier,
-                       IntPoly, MAJOR, MINOR, ParameterError,
+from circlelab import (Annulus, ArcKind, ArcParams, CyclicSignal,
+                       FrequencyMultiplier, IntPoly, ParameterError,
                        arc_projection_multiplier, average_multiplier,
                        classify_arc, dft, idft, polynomial_average,
                        polynomial_average_direct, variation_experiment,
@@ -35,6 +35,12 @@ class TestDFT:
         f = random_signal(12, 1)
         assert np.allclose(idft(dft(f)).values, f.values, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(0, -math.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            CyclicSignal(2, [1, bad])
+
 
 class TestAverageMultiplier:
     def test_small_example(self):
@@ -56,9 +62,11 @@ class TestAverageMultiplier:
                 pytest.approx(1.0, abs=1e-12)
 
     def test_cache_returns_readonly(self):
+        # no memo: a caller writing into its multiplier changes no later call
         mult = average_multiplier(SQUARES, 3, 8)
-        with pytest.raises(ValueError):
-            mult[0] = 5
+        expect = mult.copy()
+        mult[0] = 5
+        assert np.array_equal(average_multiplier(SQUARES, 3, 8), expect)
 
 
 class TestPolynomialAverage:
@@ -108,17 +116,21 @@ class TestArcProjections:
 
     def test_major_minor_partition(self):
         M = 512
-        maj = arc_projection_multiplier(SQUARES, self.PARAMS, MAJOR, M)
-        mino = arc_projection_multiplier(SQUARES, self.PARAMS, MINOR, M)
+        maj = arc_projection_multiplier(SQUARES, self.PARAMS,
+                                        ArcKind.MAJOR, M)
+        mino = arc_projection_multiplier(SQUARES, self.PARAMS,
+                                         ArcKind.MINOR, M)
         assert np.allclose(maj.samples + mino.samples, np.ones(M), atol=0)
 
     def test_zero_frequency_is_major(self):
-        maj = arc_projection_multiplier(SQUARES, self.PARAMS, MAJOR, 512)
+        maj = arc_projection_multiplier(SQUARES, self.PARAMS,
+                                        ArcKind.MAJOR, 512)
         assert maj.samples[0] == 1.0
 
     def test_annuli_refine_major(self):
         M = 512
-        maj = arc_projection_multiplier(SQUARES, self.PARAMS, MAJOR, M).samples
+        maj = arc_projection_multiplier(SQUARES, self.PARAMS,
+                                        ArcKind.MAJOR, M).samples
         total = np.zeros(M, dtype=complex)
         ks = set()
         for j in range(M):
@@ -135,7 +147,8 @@ class TestArcProjections:
     def test_idempotent(self):
         from circlelab.spectral import apply_multiplier
         f = random_signal(256, 6)
-        m = arc_projection_multiplier(SQUARES, self.PARAMS, MINOR, 256)
+        m = arc_projection_multiplier(SQUARES, self.PARAMS,
+                                      ArcKind.MINOR, 256)
         once = apply_multiplier(f, m)
         twice = apply_multiplier(once, m)
         assert np.allclose(once.values, twice.values, atol=1e-12)

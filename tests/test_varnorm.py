@@ -25,8 +25,20 @@ def brute_force_variation(values, r):
     return best ** (1.0 / r)
 
 
+def power_sum(f, chain, r):
+    """sum |f(b) - f(a)|^r over consecutive indices a < b of the chain."""
+    return sum(abs(f[b] - f[a]) ** r for a, b in zip(chain, chain[1:]))
+
+
 small_complex = st.complex_numbers(max_magnitude=10, allow_nan=False,
                                    allow_infinity=False)
+# (indices, values): up to 10 values at sorted distinct indices in [1, 64]
+indexed_values = st.lists(small_complex, min_size=1, max_size=10).flatmap(
+    lambda vals: st.tuples(
+        st.lists(st.integers(1, 64), min_size=len(vals), max_size=len(vals),
+                 unique=True).map(sorted),
+        st.just(vals)))
+exponents = st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0])
 
 
 class TestVariation:
@@ -53,6 +65,14 @@ class TestVariation:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             variation(IndexedSeq([], []), 2)
+
+    @pytest.mark.parametrize("fn", [variation, long_variation,
+                                    short_variation])
+    def test_power_overflow_is_inf(self, fn):
+        # |1e200|^2 overflows a double: the value is inf, not an error
+        res = fn(IndexedSeq([1, 2], [0, 1e200]), 2)
+        assert res.value == math.inf
+        assert res.optimal_subsequence == (1, 2)
 
     @given(st.lists(small_complex, min_size=2, max_size=7),
            st.sampled_from([1.0, 1.5, 2.0, 3.0]))
@@ -133,9 +153,53 @@ class TestVectorized:
         arr = np.array(rows, dtype=complex)
         vec = variation_values(arr, r)
         for i, row in enumerate(rows):
-            scalar = variation(IndexedSeq.from_values(row), r).value
-            assert vec[i] == pytest.approx(scalar, abs=1e-9, rel=1e-9)
+            # the scalar path shares this DP, so the oracle is enumeration
+            oracle = brute_force_variation(row, r)
+            assert vec[i] == pytest.approx(oracle, abs=1e-9, rel=1e-9)
 
     def test_shape_preserved(self):
         arr = np.zeros((3, 4, 5))
         assert variation_values(arr, 2).shape == (3, 4)
+
+
+class TestOptimalSubsequence:
+    """Each returned chain is increasing, drawn from the indices, and its
+    power sum is the reported value to the power r."""
+
+    @staticmethod
+    def check_chain(seq, chain):
+        assert list(chain) == sorted(set(chain))
+        assert set(chain) <= set(seq.indices)
+
+    @given(indexed_values, exponents)
+    @settings(max_examples=200, deadline=None)
+    def test_full_and_long(self, data, r):
+        seq = IndexedSeq(*data)
+        f = dict(zip(seq.indices, seq.values))
+        for fn in (variation, long_variation):
+            res = fn(seq, r)
+            self.check_chain(seq, res.optimal_subsequence)
+            assert power_sum(f, res.optimal_subsequence, r) == \
+                pytest.approx(res.value ** r, rel=1e-9)
+        chain = long_variation(seq, r).optimal_subsequence
+        assert all(i & (i - 1) == 0 for i in chain)
+
+    @given(indexed_values, exponents)
+    @settings(max_examples=200, deadline=None)
+    def test_short_per_block(self, data, r):
+        seq = IndexedSeq(*data)
+        f = dict(zip(seq.indices, seq.values))
+        res = short_variation(seq, r)
+        total = 0.0
+        for chain in res.block_subsequences:
+            self.check_chain(seq, chain)
+            n = chain[0].bit_length() - 1
+            assert len(chain) >= 2 and chain[-1] <= 1 << (n + 1)
+            # each block's chain is optimal within its dyadic block
+            block = [f[i] for i in seq.indices if 1 << n <= i <= 1 << (n + 1)]
+            power = power_sum(f, chain, r)
+            assert power == pytest.approx(
+                brute_force_variation(block, r) ** r, rel=1e-9)
+            total += power
+        assert res.optimal_subsequence == sum(res.block_subsequences, ())
+        assert total == pytest.approx(res.value ** r, rel=1e-9)
