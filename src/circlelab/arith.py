@@ -16,9 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 
 RealLike = Union[int, float, Fraction]
+
+# farey_level: largest size bound 4^s of a level we build (so s <= 9; the
+# cost grows about 4x a level, and level 9 takes seconds already); it also
+# keeps q < 2^10, which the int64 grid arc kernel in `spectral` relies on
+FAREY_LEVEL_BUDGET = 1 << 18
 
 
 def _as_fraction(x: RealLike) -> Fraction:
@@ -113,10 +118,15 @@ ZERO_FRACTION = ReducedFraction(0, 1)
 def farey_level(s: int) -> tuple:
     """All reduced a/q with q in [2^s, 2^(s+1)); level 0 is just {0/1}.
 
-    Returned sorted by value so callers can bisect for neighbours.
+    Returned sorted by value so callers can bisect for neighbours.  A level
+    whose size bound 4^s exceeds FAREY_LEVEL_BUDGET is refused.
     """
     if s < 0:
         raise ParameterError("level must be non-negative")
+    if 4 ** s > FAREY_LEVEL_BUDGET:
+        raise ResourceError(
+            f"Farey level {s} may hold up to 4^{s} fractions, over the "
+            f"budget {FAREY_LEVEL_BUDGET}; lower n * delta")
     if s == 0:
         return (ZERO_FRACTION,)
     out = []
@@ -124,7 +134,9 @@ def farey_level(s: int) -> tuple:
         for a in range(1, q):
             if math.gcd(a, q) == 1:
                 out.append(ReducedFraction(a, q))
-    out.sort(key=lambda fr: fr.value)
+    # level fractions lie over 4^-(s+1) apart, far above the rounding of
+    # a / q, so the float key sorts them exactly as their values
+    out.sort(key=lambda fr: fr.a / fr.q)
     return tuple(out)
 
 

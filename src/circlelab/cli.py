@@ -20,7 +20,7 @@ from . import __version__
 from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import NumericError, ParameterError, ResourceError
 from .expsum import gauss_weight, weyl_sum
-from .spectral import CyclicSignal, variation_experiment
+from .spectral import CyclicSignal, check_modulus, variation_experiment
 from .torus import build_sequences, search_coefficients
 from .varnorm import IndexedSeq, long_variation, short_variation, variation
 from .verify import (VerifyConfig, verify_entropy, verify_est,
@@ -258,10 +258,10 @@ def _run(args) -> dict:
         import numpy as np
         P = _parse_poly(args.poly)
         scales = _parse_list(args.scales, int)
+        M = check_modulus(args.modulus)
         rng = np.random.default_rng(args.seed)
-        f = CyclicSignal(args.modulus,
-                         rng.standard_normal(args.modulus)
-                         + 1j * rng.standard_normal(args.modulus))
+        f = CyclicSignal(M, rng.standard_normal(M)
+                         + 1j * rng.standard_normal(M))
         val = variation_experiment(f, P, scales, args.r)
         results.append({"name": "average_variation",
                         "inputs": {"poly": args.poly, "modulus": args.modulus,

@@ -27,7 +27,8 @@ _TWO_PI = 2.0 * math.pi
 # vt: switch from panel quadrature to the closed form above this many cycles
 _VT_PERIOD_BUDGET = 2000.0
 # fast_dyadic_quadratic_weyl: largest tail we are willing to sum directly
-# (kept below 2^26 so squared indices stay inside int64)
+# (kept below 2^26 so squared indices stay inside int64); `spectral` caps
+# the modulus M and the average length N with it too
 DIRECT_SUM_BUDGET = 1 << 22
 # weyl_sum / weyl_sum_prefix: most terms one call may ask for, checked
 # before any work (a 2^28-term prefix is a 4 GB array); it also keeps

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .arith import (ArcKind, ArcParams, IntPoly, annulus_label, classify_arc,
-                    eval_poly)
-from .errors import ParameterError
+from .arith import ArcKind, ArcParams, IntPoly, eval_poly, farey_level
+from .errors import ParameterError, ResourceError
+from .expsum import DIRECT_SUM_BUDGET
 from .varnorm import variation_values
 
 
@@ -56,6 +55,21 @@ class FrequencyMultiplier:
         object.__setattr__(self, "samples", v)
 
 
+def check_modulus(M: int) -> int:
+    """M as an int, refused unless 1 <= M <= DIRECT_SUM_BUDGET.
+
+    Callers check before they allocate anything of length M; the cap also
+    keeps q * M below 2^32 in `grid_arcs`.
+    """
+    M = int(M)
+    if M < 1:
+        raise ParameterError("modulus M must be >= 1")
+    if M > DIRECT_SUM_BUDGET:
+        raise ResourceError(f"modulus M={M} exceeds the budget "
+                            f"{DIRECT_SUM_BUDGET}; lower M")
+    return M
+
+
 def dft(f: CyclicSignal) -> CyclicSignal:
     """Unitary DFT: entry j is M^(-1/2) sum_x f(x) e(-jx/M)."""
     return CyclicSignal(f.modulus, np.fft.fft(f.values) / math.sqrt(f.modulus))
@@ -73,7 +87,10 @@ def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
     """
     if N < 1:
         raise ParameterError("N must be >= 1")
-    counts = np.zeros(M, dtype=float)
+    if N > DIRECT_SUM_BUDGET:
+        raise ResourceError(f"N={N} exceeds the direct-summation budget "
+                            f"{DIRECT_SUM_BUDGET}; lower N")
+    counts = np.zeros(check_modulus(M), dtype=float)
     for n in range(1, N + 1):
         counts[eval_poly(P, n) % M] += 1.0
     # fft gives sum_y c_y e(-jy/M); the multiplier is its conjugate / N
@@ -112,14 +129,59 @@ class Annulus(NamedTuple):
 Selector = Union[str, Annulus]
 
 
-def _grid_labels(P: IntPoly, params: ArcParams, M: int):
-    labels = []
-    for j in range(M):
-        lab = classify_arc(Fraction(j, M), P, params)
-        ann = annulus_label(Fraction(j, M), P, params, lab) if lab.is_major \
-            else None
-        labels.append((lab, ann))
-    return labels
+class GridArcs(NamedTuple):
+    """Arc data of every frequency j/M of a grid, indexed by j."""
+
+    major: np.ndarray  # classify_arc(j/M).is_major
+    s: np.ndarray      # level of the admitting fraction; -1 on Minor
+    k: np.ndarray      # annulus_label(j/M) on Major; nan on Minor
+    dist: np.ndarray   # distance of {b_d j/M} to the nearest admitted a/q
+
+
+def grid_arcs(P: IntPoly, params: ArcParams, M: int) -> GridArcs:
+    """`classify_arc` and `annulus_label` at all j/M at once, exactly.
+
+    With X = b_d j mod M, the torus distance of {b_d j/M} to a/q is
+    min(r, qM - r)/(qM), r = (Xq - aM) mod qM, in int64: q < 2^10 (the
+    Farey budget) and M <= 2^22 keep qM < 2^32, so the float quotient is
+    the correctly rounded distance that classify_arc compares, under the
+    same 2-ulp tie rule.  Admitted fractions lie more than 4^-(s_max+1)
+    > 2w apart (s_max >= 1 forces n >= 8 as delta <= 1/8), so at most one
+    is within w of a point: at its level, the nearer of the point's two
+    neighbours in value order, found by bisection.
+    """
+    if params.degree != P.degree:
+        raise ParameterError("params.degree must match the polynomial degree")
+    M = check_modulus(M)
+    w = params.width
+    if w >= 1.0 / (2 * P.leading):
+        raise ParameterError(
+            "scale too small for distinct pre-intervals; increase n")
+    farey_level(params.s_max)  # refuses an over-budget s_max before work
+    X = np.arange(M, dtype=np.int64) * (P.leading % M) % M
+    x = X / M
+    tie = 2 * math.ulp(w)
+    major = np.zeros(M, dtype=bool)
+    s_of = np.full(M, -1, dtype=np.int64)
+    k = np.full(M, np.nan)
+    dist = np.full(M, np.inf)
+    for s in range(params.s_max + 1):
+        level = farey_level(s)
+        a = np.array([fr.a for fr in level], dtype=np.int64)
+        q = np.array([fr.q for fr in level], dtype=np.int64)
+        right = np.searchsorted(a / q, x)
+        near = np.full(M, np.inf)
+        for c in ((right - 1) % len(level), right % len(level)):
+            qM = q[c] * M
+            r = (X * q[c] - a[c] * M) % qM
+            np.minimum(near, np.minimum(r, qM - r) / qM, out=near)
+        hit = (near < w) & (w - near > tie)
+        major |= hit
+        s_of[hit] = s
+        d = near[hit]
+        k[hit] = np.where(d == 0, np.inf, 1 - np.frexp(d)[1])
+        np.minimum(dist, near, out=dist)
+    return GridArcs(major, s_of, k, dist)
 
 
 def arc_projection_multiplier(P: IntPoly, params: ArcParams,
@@ -130,20 +192,16 @@ def arc_projection_multiplier(P: IntPoly, params: ArcParams,
     refines Major (frequencies whose fraction sits at level s and whose
     distance shell index is k).
     """
-    labels = _grid_labels(P, params, M)
-    out = np.zeros(M, dtype=complex)
-    for j, (lab, ann) in enumerate(labels):
-        if selector == ArcKind.MAJOR:
-            hit = lab.is_major
-        elif selector == ArcKind.MINOR:
-            hit = not lab.is_major
-        elif isinstance(selector, Annulus):
-            hit = lab.is_major and lab.s == selector.s and ann == selector.k
-        else:
-            raise ParameterError(f"unknown selector {selector!r}")
-        if hit:
-            out[j] = 1.0
-    return FrequencyMultiplier(M, out)
+    arcs = grid_arcs(P, params, M)
+    if selector == ArcKind.MAJOR:
+        hit = arcs.major
+    elif selector == ArcKind.MINOR:
+        hit = ~arcs.major
+    elif isinstance(selector, Annulus):
+        hit = arcs.major & (arcs.s == selector.s) & (arcs.k == selector.k)
+    else:
+        raise ParameterError(f"unknown selector {selector!r}")
+    return FrequencyMultiplier(M, hit.astype(complex))
 
 
 def variation_experiment(f: CyclicSignal, P: IntPoly,

@@ -16,8 +16,9 @@ import numpy as np
 
 from .arith import ArcKind, ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import ParameterError, ResourceError
-from .expsum import weyl_sum_prefix
-from .spectral import arc_projection_multiplier, average_multiplier
+from .expsum import DIRECT_SUM_BUDGET, weyl_sum_prefix
+from .spectral import (arc_projection_multiplier, average_multiplier,
+                       check_modulus, grid_arcs)
 from .varnorm import variation_values
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
@@ -325,18 +326,6 @@ class DecompositionReport:
     reassembly_rhs: float
 
 
-def _shell_distance_grid(P: IntPoly, params: ArcParams, M: int) -> np.ndarray:
-    """Torus distance of {b_d j/M} to the nearest admitted fraction."""
-    x = (P.leading * np.arange(M) / M) % 1.0
-    dist = np.minimum(x, 1.0 - x)  # level 0: the fraction 0/1
-    from .arith import farey_level
-    for s in range(1, params.s_max + 1):
-        for fr in farey_level(s):
-            d = np.abs(x - float(fr.value))
-            np.minimum(dist, np.minimum(d, 1.0 - d), out=dist)
-    return dist
-
-
 def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
                               nu_hat: Optional[float] = None,
                               t_samples: int = 16) -> DecompositionReport:
@@ -347,11 +336,18 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
     the admitted fractions (the multiplier bound 2^(-|l|/d) is symmetric
     in the shell offset l = k - nd, so the shells probe the same decay).
     """
+    M = check_modulus(M)
     if M & (M - 1):
         raise ParameterError("M must be a power of two")
+    d = P.degree
+    blocks = [ArcParams(n, cfg.delta, d) for n in cfg.n_range]
+    if 1 << (cfg.n_range[-1] + 1) > DIRECT_SUM_BUDGET:
+        raise ResourceError(
+            f"n_max={cfg.n_range[-1]} needs averages of length up to "
+            f"2^{cfg.n_range[-1] + 1}, over the direct-summation budget "
+            f"{DIRECT_SUM_BUDGET}; lower n_max")
     nu_hat = cfg.nu_floor if nu_hat is None else float(nu_hat)
     rng = np.random.default_rng(cfg.seed)
-    d = P.degree
     f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     fhat = np.fft.fft(f)
     fnorm = float(np.linalg.norm(f))
@@ -359,8 +355,8 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
     minor_vals = []
     ann_offsets, ann_values = [], []
     lhs_total, rhs_total = 0.0, 0.0
-    for n in cfg.n_range:
-        params = ArcParams(n, cfg.delta, d)
+    for params in blocks:
+        n = params.n
         ts = sorted(set(np.linspace(1 << n, 1 << (n + 1), t_samples,
                                     dtype=int).tolist()))
         # ts[0] = 2^n: every row minus the block's base multiplier
@@ -377,9 +373,9 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
         val = block_norm(minor_ind)
         minor_vals.append(val / (2.0 ** (-n * nu_hat / 2.0) * fnorm))
 
-        dist = _shell_distance_grid(P, params, M)
         l_n = params.critical_annulus_index
         if n == cfg.n_range[-1]:
+            dist = grid_arcs(P, params, M).dist
             shells = []
             for k in range(1, int(math.log2(M)) + 1):
                 offs = abs(k - n * d)

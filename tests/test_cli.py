@@ -114,6 +114,31 @@ class TestExitCodes:
                            "--alpha", "1/3"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("argv,expect", [
+        (["average", "--modulus", "-3", "--scales", "1,2"], 2),
+        (["main-decomp", "--modulus", "0"], 2),
+        # 2^40: refused before any array of length M is made
+        (["main-decomp", "--modulus", str(1 << 40)], 3),
+        (["average", "--modulus", "64", "--scales", "1,100000000"], 3),
+        # averages up to t = 2^202, refused before the scale grid is built
+        (["main-decomp", "--n-min", "200", "--n-max", "201"], 3),
+    ])
+    def test_size_refusals(self, argv, expect, capsys):
+        code = main(argv)
+        assert code == expect
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_farey_level_budget(self, capsys):
+        # no level up to s = 9 admits 1/3000007: refused at level 10
+        code, _ = run_cli(["arcs", "--n", "200", "--delta", "0.125",
+                           "--alpha", "1/3000007"], capsys)
+        assert code == 3
+        # a point admitted at s = 3 never asks for the refused levels
+        code, out = run_cli(["arcs", "--n", "200", "--delta", "0.125",
+                             "--alpha", "0.3"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"]["s"] == 3
+
     def test_bad_values(self, capsys):
         code, _ = run_cli(["variation", "--values", "1,x", "--r", "2"],
                           capsys)

@@ -5,13 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from circlelab import (Annulus, ArcKind, ArcParams, CyclicSignal,
                        FrequencyMultiplier, IntPoly, ParameterError,
-                       arc_projection_multiplier, average_multiplier,
-                       classify_arc, dft, idft, polynomial_average,
-                       polynomial_average_direct, variation_experiment,
-                       weyl_sum)
+                       ResourceError, arc_projection_multiplier,
+                       average_multiplier, classify_arc, dft, farey_level,
+                       idft, polynomial_average, polynomial_average_direct,
+                       variation_experiment, weyl_sum)
+from circlelab import spectral
+from circlelab.arith import annulus_label, torus_distance
+from circlelab.expsum import DIRECT_SUM_BUDGET
+from circlelab.spectral import grid_arcs
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -67,6 +73,10 @@ class TestAverageMultiplier:
         expect = mult.copy()
         mult[0] = 5
         assert np.array_equal(average_multiplier(SQUARES, 3, 8), expect)
+
+    def test_length_budget_checked_first(self):
+        with pytest.raises(ResourceError):
+            average_multiplier(SQUARES, DIRECT_SUM_BUDGET + 1, 8)
 
 
 class TestPolynomialAverage:
@@ -156,6 +166,101 @@ class TestArcProjections:
     def test_unknown_selector(self):
         with pytest.raises(ParameterError):
             arc_projection_multiplier(SQUARES, self.PARAMS, "everything", 64)
+
+
+class TestGridArcs:
+    """The int64 grid kernel against the per-point Fraction classifier."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 3), bd=st.integers(1, 7),
+           lower=st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+           n=st.integers(1, 48), delta=st.floats(0.01, 0.125),
+           M=st.one_of(st.sampled_from([1 << e for e in range(11)]),
+                       st.integers(1, 700)))
+    @example(d=1, bd=1, lower=[0, 0, 0], n=8, delta=0.125, M=768)
+    @example(d=1, bd=2, lower=[1, 0, 0], n=16, delta=0.125, M=1000)
+    @example(d=1, bd=3, lower=[0, 0, 0], n=40, delta=0.125, M=512)
+    @example(d=2, bd=1, lower=[0, 0, 0], n=24, delta=0.125, M=960)
+    def test_matches_classify_arc(self, d, bd, lower, n, delta, M):
+        P = IntPoly(lower[:d] + [bd])
+        params = ArcParams(n, delta, d)
+        assume(params.s_max <= 5)
+        if params.width >= 1.0 / (2 * bd):
+            for fn in (lambda: classify_arc(0, P, params),
+                       lambda: grid_arcs(P, params, M)):
+                with pytest.raises(ParameterError):
+                    fn()
+            return
+        arcs = grid_arcs(P, params, M)
+        for j in range(M):
+            alpha = Fraction(j, M)
+            lab = classify_arc(alpha, P, params)
+            assert arcs.major[j] == lab.is_major
+            if lab.is_major:
+                assert arcs.s[j] == lab.s
+                assert arcs.k[j] == annulus_label(alpha, P, params, lab)
+            else:
+                assert arcs.s[j] == -1 and math.isnan(arcs.k[j])
+
+    @settings(max_examples=20, deadline=None)
+    @given(bd=st.integers(1, 7), n=st.integers(8, 24),
+           delta=st.floats(0.01, 0.125),
+           M=st.one_of(st.sampled_from([1 << e for e in range(9)]),
+                       st.integers(1, 256)))
+    def test_distance_to_nearest_admitted_fraction(self, bd, n, delta, M):
+        P = IntPoly([0, bd])
+        params = ArcParams(n, delta, 1)
+        assume(params.s_max <= 2 and params.width < 1.0 / (2 * bd))
+        fracs = [fr.value for s in range(params.s_max + 1)
+                 for fr in farey_level(s)]
+        dist = grid_arcs(P, params, M).dist
+        for j in range(M):
+            x = Fraction(bd * j, M)
+            assert dist[j] == min(float(torus_distance(x - v))
+                                  for v in fracs)
+
+    def test_width_boundary_is_minor(self):
+        # n = 10, d = 2, delta = 0.1: w = 2^-19 exactly; at j = 2 the
+        # distance to 0/1 is 2/2^20 = w, a tie, which goes to Minor
+        params = ArcParams(10, 0.1, 2)
+        assert params.width == 2.0 ** -19 and params.s_max == 1
+        M = 1 << 20
+        arcs = grid_arcs(SQUARES, params, M)
+        for j in (1, 2, 3, M - 2, M - 1):
+            lab = classify_arc(Fraction(j, M), SQUARES, params)
+            assert arcs.major[j] == lab.is_major
+        assert not arcs.major[2] and not arcs.major[M - 2]
+        assert arcs.major[1] and arcs.k[1] == 20
+        assert arcs.dist[2] == 2.0 ** -19
+
+    def test_within_two_ulp_of_width_is_minor(self):
+        # this delta puts w one ulp above 17/64, the distance of j = 17
+        params = ArcParams(1, 0.08746284125033968, 2)
+        assert 0 < params.width - 17 / 64 <= 2 * math.ulp(params.width)
+        arcs = grid_arcs(SQUARES, params, 64)
+        assert not classify_arc(Fraction(17, 64), SQUARES, params).is_major
+        assert not arcs.major[17]
+        assert arcs.major[16] and arcs.k[16] == 2
+
+    def test_level_budget_checked_first(self, monkeypatch):
+        # s_max = floor(80 / 8) = 10: refused before any level is built
+        asked = []
+
+        def level(s):
+            asked.append(s)
+            return farey_level(s)
+
+        monkeypatch.setattr(spectral, "farey_level", level)
+        with pytest.raises(ResourceError):
+            grid_arcs(SQUARES, ArcParams(80, 0.125, 2), 1 << 10)
+        assert asked == [10]
+
+    def test_modulus_checked(self):
+        params = ArcParams(10, 0.05, 2)
+        with pytest.raises(ParameterError):
+            grid_arcs(SQUARES, params, 0)
+        with pytest.raises(ResourceError):
+            grid_arcs(SQUARES, params, DIRECT_SUM_BUDGET + 1)
 
 
 class TestVariationExperiment:

@@ -9,7 +9,7 @@ import pytest
 from circlelab import (IntPoly, ParameterError, ResourceError, VerifyConfig,
                        fit_constant, fit_power_law, verify_entropy,
                        verify_est, verify_main_decomposition, verify_smooth)
-from circlelab import verify
+from circlelab import arith, verify
 from circlelab.verify import _clipped_walk_multipliers, _power_fit
 
 SQUARES = IntPoly([0, 0, 1])
@@ -154,6 +154,16 @@ class TestMainDecomposition:
         assert rep.reassembly_lhs <= rep.reassembly_rhs + 1e-9
         # annulus values recorded with offsets inside the critical range
         assert len(rep.annulus_offsets) == len(rep.annulus_values)
+
+    def test_grid_never_classified_per_point(self, monkeypatch):
+        def per_point(*args, **kwargs):
+            raise AssertionError("grid point classified one at a time")
+
+        monkeypatch.setattr(arith, "classify_arc", per_point)
+        monkeypatch.setattr(arith, "fractions_near", per_point)
+        cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16, seed=0)
+        rep = verify_main_decomposition(SQUARES, cfg, 1 << 10, t_samples=6)
+        assert rep.reassembly_lhs <= rep.reassembly_rhs + 1e-9
 
     def test_power_of_two_enforced(self):
         cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16)
