@@ -11,8 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -22,13 +21,12 @@ from .errors import NumericError, ParameterError, ResourceError
 
 RealLike = Union[int, float, Fraction]
 
-_TWO_PI = 2.0 * math.pi
-
 # vt: switch from panel quadrature to the closed form above this many cycles
 _VT_PERIOD_BUDGET = 2000.0
-# fast_dyadic_quadratic_weyl: largest tail we are willing to sum directly
-# (kept below 2^26 so squared indices stay inside int64); `spectral` caps
-# the modulus M and the average length N with it too
+# the most terms or frequencies one direct evaluation may take: the tail
+# that fast_dyadic_quadratic_weyl sums term by term (~1 us a term on the
+# big-int path, m > 64), and in `spectral` the modulus M (arrays of length
+# M; q * M < 2^32 in grid_arcs) and the average length N
 DIRECT_SUM_BUDGET = 1 << 22
 # weyl_sum / weyl_sum_prefix: most terms one call may ask for, checked
 # before any work (a 2^28-term prefix is a 4 GB array); it also keeps
@@ -36,6 +34,7 @@ DIRECT_SUM_BUDGET = 1 << 22
 PHASE_TERM_BUDGET = 1 << 28
 # phases are produced and consumed in chunks of this many terms
 _PHASE_CHUNK = 1 << 16
+_SQUARES = IntPoly([0, 0, 1])
 
 
 def _check_terms(t: int, name: str) -> int:
@@ -74,53 +73,88 @@ def _bigint_phase_chunks(P: IntPoly, t: int, num: int,
         yield out
 
 
-def _phase_chunks(P: IntPoly, t: int, alpha: RealLike) -> Iterator[np.ndarray]:
-    """frac(alpha * P(n)) for n = 1..t, reduced exactly, in chunks.
+def _residue_chunks(coeffs, t: int, den: int) -> Optional[Iterator[np.ndarray]]:
+    """Q(n) mod den for n = 1..t, Q(n) = sum_j coeffs[j] n^j, in chunks.
 
-    alpha = num/den is read as the exact rational it is, and num * P(n) is
-    reduced mod den by Horner in fixed-width integers where den allows it.
-    The residue r becomes r/den correctly rounded, bitwise as in the
-    big-int loop, which covers every other den.
+    The coefficients are any Python ints (the leading one may vanish mod
+    den).  Horner runs in uint64 with wraparound and a mask for den = 2^e,
+    e <= 64, and mod den in int64 for other den < 2^31 (callers keep
+    t <= PHASE_TERM_BUDGET < 2^31, so every product stays below 2^62).
+    None for any other den: such residues need big ints.
     """
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    num, den = a.numerator, a.denominator
     if den & (den - 1) == 0 and den <= 1 << 64:
         # uint64 products wrap mod 2^64, and mod den = 2^e factors through it
-        dtype, width = np.uint64, 1 << 64
+        dtype = np.uint64
         mask = np.uint64(den - 1)
 
         def reduce(acc):
             np.bitwise_and(acc, mask, out=acc)
     elif den < 1 << 31:
-        # residues and n stay below 2^31, so every product stays below 2^62
-        dtype, width = np.int64, den
+        dtype = np.int64
 
         def reduce(acc):
             np.remainder(acc, den, out=acc)
     else:
-        yield from _bigint_phase_chunks(P, t, num, den)
-        return
-    coeffs = [dtype(num * c % width) for c in reversed(P.coeffs)]
-    for start in range(1, t + 1, _PHASE_CHUNK):
+        return None
+    cs = [dtype(c % den) for c in reversed(coeffs)]
+
+    def horner(start: int) -> np.ndarray:
         n = np.arange(start, min(start + _PHASE_CHUNK, t + 1), dtype=dtype)
-        acc = np.full(len(n), coeffs[0], dtype=dtype)
-        for c in coeffs[1:]:
+        acc = np.full(len(n), cs[0], dtype=dtype)
+        for c in cs[1:]:
             acc *= n
             acc += c
             reduce(acc)
+        return acc
+
+    return map(horner, range(1, t + 1, _PHASE_CHUNK))
+
+
+def residue_counts(coeffs, t: int, q: int) -> np.ndarray:
+    """How often Q(n) = sum_j coeffs[j] n^j hits each residue mod q, n = 1..t.
+
+    Both t and q must fit PHASE_TERM_BUDGET, which keeps q < 2^31.
+    """
+    t, q = _check_terms(t, "t"), _check_terms(q, "q")
+    counts = np.zeros(q, dtype=np.int64)
+    for r in _residue_chunks(coeffs, t, q):
+        counts += np.bincount(r.astype(np.intp), minlength=q)
+    return counts
+
+
+def _phase_chunks(P: IntPoly, t: int, alpha: RealLike) -> Iterator[np.ndarray]:
+    """frac(alpha * P(n)) for n = 1..t, reduced exactly, in chunks.
+
+    alpha = num/den is read as the exact rational it is, and num * P(n) is
+    reduced mod den by `_residue_chunks` where den allows it.  The residue
+    r becomes r/den correctly rounded, bitwise as in the big-int loop,
+    which covers every other den.
+    """
+    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    num, den = a.numerator, a.denominator
+    chunks = _residue_chunks([num * c for c in P.coeffs], t, den)
+    if chunks is None:
+        yield from _bigint_phase_chunks(P, t, num, den)
+        return
+    for r in chunks:
         # a power-of-two den scales the correctly rounded float(r) exactly;
         # a den below 2^31 leaves r and den exact, so one rounding: either
         # way this is r/den correctly rounded
-        yield acc / float(den)
+        yield r / float(den)
+
+
+def _esum(phase_chunks) -> complex:
+    """sum e(-ph) over every phase of every chunk."""
+    total = 0.0 + 0.0j
+    for ph in phase_chunks:
+        total += complex(np.exp(-2j * math.pi * ph).sum())
+    return total
 
 
 def weyl_sum(P: IntPoly, t: int, alpha: RealLike) -> complex:
     """The normalized exponential sum (1/t) sum_{n=1}^t e(-alpha P(n))."""
     t = _check_terms(t, "t")
-    total = 0.0 + 0.0j
-    for ph in _phase_chunks(P, t, alpha):
-        total += complex(np.exp(-2j * math.pi * ph).sum())
-    return total / t
+    return _esum(_phase_chunks(P, t, alpha)) / t
 
 
 def weyl_sum_prefix(P: IntPoly, t_max: int, alpha: RealLike) -> np.ndarray:
@@ -144,20 +178,17 @@ def diff_multiplier(P: IntPoly, t: int, n: int, alpha: RealLike) -> complex:
     return complex(prefix[t - 1] - prefix[(1 << n) - 1])
 
 
-@lru_cache(maxsize=65536)
 def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     """Complete normalized sum S_P^i(a/q) over residues mod q_i.
 
-    For monic quadratic P this reduces to (1/q) sum_r e(-a r^2 / q).
+    For monic quadratic P this reduces to (1/q) sum_r e(-a r^2 / q).  A
+    q_i above PHASE_TERM_BUDGET is refused before any work.
     """
     cd = congruence_data(P, frac, i)
-    qi = cd.q_i
-    r = np.arange(1, qi + 1, dtype=np.int64)
-    acc = np.zeros(qi, dtype=np.int64)
-    for a_j in cd.numerators:  # Horner mod q_i, highest power first
-        acc = (acc * r + a_j) % qi
-    acc = (acc * r) % qi  # phases are a_d r^d + ... + a_1 r, no constant term
-    return complex(np.exp(-2j * math.pi * (acc / qi)).sum() / qi)
+    qi = _check_terms(cd.q_i, "q_i")
+    # phases are a_d r^d + ... + a_1 r, no constant term
+    coeffs = (0,) + cd.numerators[::-1]
+    return _esum(r / qi for r in _residue_chunks(coeffs, qi, qi)) / qi
 
 
 def quadratic_gauss_row(q: int) -> np.ndarray:
@@ -166,11 +197,7 @@ def quadratic_gauss_row(q: int) -> np.ndarray:
     The sum depends only on the counts of r^2 mod q, and evaluating the
     count vector at all a at once is exactly a length-q DFT.
     """
-    if q < 1:
-        raise ParameterError("q must be positive")
-    counts = np.bincount((np.arange(1, q + 1, dtype=np.int64) ** 2) % q,
-                         minlength=q)
-    return np.fft.fft(counts) / q
+    return np.fft.fft(residue_counts((0, 0, 1), q, q)) / q
 
 
 def _vt_quadrature(cycles: float, d: int, tol: float = 1e-10) -> complex:
@@ -308,30 +335,6 @@ def complete_dyadic_gauss(m: int) -> complex:
     return 2.0 ** ((m + 1) // 2) * cmath.exp(1j * math.pi / 4.0)
 
 
-def complete_dyadic_gauss_direct(m: int) -> complex:
-    """Direct-summation oracle for complete_dyadic_gauss (small m only)."""
-    T = 1 << m
-    n = np.arange(1, T + 1, dtype=np.int64)
-    return complex(np.exp(2j * math.pi * ((n * n) % T) / T).sum())
-
-
-def _dyadic_tail_sum(tail: int, m: int) -> complex:
-    """sum_{n=1}^{tail} e(n^2 / 2^m) with tail < 2^m, vectorized in chunks.
-
-    The budget keeps tail <= 2^22, so n^2 < 2^44 is exact in int64, and
-    for m > 62 the mask capped at 62 bits leaves it unchanged.
-    """
-    total = 0.0 + 0.0j
-    mask = (1 << min(m, 62)) - 1
-    scale = 2.0 ** (-m)
-    chunk = 1 << 20
-    for start in range(1, tail + 1, chunk):
-        n = np.arange(start, min(start + chunk, tail + 1), dtype=np.int64)
-        sq = (n * n) & mask
-        total += complex(np.exp(2j * math.pi * (sq * scale)).sum())
-    return total
-
-
 def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
     """(1/N) sum_{n=1}^N e(2^(k-R) n^2), exactly, exploiting periodicity.
 
@@ -357,5 +360,7 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
         total += float(Fraction(full * period, N)) * \
             (complete_dyadic_gauss(m) / period)
     if tail:
-        total += _dyadic_tail_sum(tail, m) * float(Fraction(tail, N)) / tail
+        # sum_{n <= tail} e(n^2 / 2^m) is tail * conj(weyl_sum) at 1/2^m
+        total += (weyl_sum(_SQUARES, tail, Fraction(1, period)).conjugate()
+                  * float(Fraction(tail, N)))
     return complex(total)

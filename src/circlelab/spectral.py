@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import ArcKind, ArcParams, IntPoly, eval_poly, farey_level
 from .errors import ParameterError, ResourceError
-from .expsum import DIRECT_SUM_BUDGET
+from .expsum import DIRECT_SUM_BUDGET, residue_counts
 from .varnorm import variation_values
 
 
@@ -90,9 +90,7 @@ def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
     if N > DIRECT_SUM_BUDGET:
         raise ResourceError(f"N={N} exceeds the direct-summation budget "
                             f"{DIRECT_SUM_BUDGET}; lower N")
-    counts = np.zeros(check_modulus(M), dtype=float)
-    for n in range(1, N + 1):
-        counts[eval_poly(P, n) % M] += 1.0
+    counts = residue_counts(P.coeffs, N, check_modulus(M))
     # fft gives sum_y c_y e(-jy/M); the multiplier is its conjugate / N
     return np.conj(np.fft.fft(counts)) / N
 

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .arith import IntPoly
 from .errors import ParameterError
-from .expsum import DIRECT_SUM_BUDGET, fast_dyadic_quadratic_weyl
+from .expsum import fast_dyadic_quadratic_weyl, weyl_sum
 from .varnorm import variation_values
+
+_SQUARES = IntPoly([0, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,8 @@ def average_trigpoly(f: LacunaryTrigPoly, R: int, N: int) -> LacunaryTrigPoly:
     """K_N * f with alpha = 2^-R: each coefficient picks up the Weyl factor.
 
     Power-of-two frequencies 2^k (k <= R) route through the fast dyadic
-    evaluator; any other frequency uses the direct evaluator, which
-    requires N itself to fit the summation budget.
+    evaluator; any other frequency takes the conjugate Weyl sum of n^2 at
+    the exact rational freq/2^R, whose N must fit its term budget.
     """
     out = {}
     for freq, coeff in f.terms:
@@ -139,21 +143,9 @@ def average_trigpoly(f: LacunaryTrigPoly, R: int, N: int) -> LacunaryTrigPoly:
         if freq > 0 and freq == 1 << k and k <= R:
             w = fast_dyadic_quadratic_weyl(k, R, N)
         else:
-            w = _direct_multiplier(freq, R, N)
+            w = weyl_sum(_SQUARES, N, Fraction(freq, 1 << R)).conjugate()
         out[freq] = coeff * w
     return LacunaryTrigPoly(out)
-
-
-def _direct_multiplier(freq: int, R: int, N: int) -> complex:
-    """(1/N) sum_{n<=N} e(freq * 2^-R * n^2) by exact direct summation."""
-    if N > DIRECT_SUM_BUDGET:
-        raise ParameterError("direct evaluation of a non-dyadic frequency "
-                             f"needs N <= {DIRECT_SUM_BUDGET}")
-    mask = (1 << R) - 1
-    scale = 2.0 ** (-R)
-    total = sum(np.exp(2j * math.pi * (((freq * n * n) & mask) * scale))
-                for n in range(1, N + 1))
-    return complex(total / N)
 
 
 def partial_sum(f: LacunaryTrigPoly, params: CounterexampleParams,

@@ -114,6 +114,14 @@ class TestExitCodes:
                            "--alpha", "1/3"], capsys)
         assert code == 3
 
+    def test_gauss_modulus_budget(self, capsys, monkeypatch):
+        # q_i = 10^11 > PHASE_TERM_BUDGET: refused before any residue
+        monkeypatch.setattr("circlelab.expsum._residue_chunks", None)
+        code = main(["gauss", "--poly", "0,0,1", "--frac", "1/100000000000"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,expect", [
         (["average", "--modulus", "-3", "--scales", "1,2"], 2),
         (["main-decomp", "--modulus", "0"], 2),
@@ -221,10 +229,12 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
     def test_import_leaves_scipy_out(self):
-        # scipy is imported only where the Fresnel closed form needs it
+        # scipy and mpmath are imported only where the closed forms of v_t
+        # need them
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, circlelab.cli; print('scipy' in sys.modules)"],
+             "import sys, circlelab.cli; "
+             "print('scipy' in sys.modules, 'mpmath' in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"

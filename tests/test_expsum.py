@@ -13,15 +13,23 @@ from hypothesis import strategies as st
 from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        ResourceError, approx_multiplier,
                        complete_dyadic_gauss, diff_multiplier,
-                       fast_dyadic_quadratic_weyl, fit_power_law,
+                       farey_level, fast_dyadic_quadratic_weyl, fit_power_law,
                        gauss_weight, quadratic_gauss_row, smooth_cutoff_eval,
                        vt, weyl_sum, weyl_sum_prefix)
 from circlelab import expsum
+from circlelab.arith import congruence_data
 from circlelab.expsum import (PHASE_TERM_BUDGET, _bigint_phase_chunks,
-                              _phase_chunks, _vt_closed_form, _vt_quadrature,
-                              complete_dyadic_gauss_direct)
+                              _phase_chunks, _residue_chunks, _vt_closed_form,
+                              _vt_quadrature, residue_counts)
 
 SQUARES = IntPoly([0, 0, 1])
+
+
+def complete_dyadic_gauss_direct(m):
+    """Direct-summation oracle for complete_dyadic_gauss (small m only)."""
+    T = 1 << m
+    n = np.arange(1, T + 1, dtype=np.int64)
+    return complex(np.exp(2j * math.pi * ((n * n) % T) / T).sum())
 
 
 def weyl_sum_naive(P, t, alpha):
@@ -171,6 +179,42 @@ class TestPhaseKernel:
                 fn(SQUARES, PHASE_TERM_BUDGET + 1, Fraction(1, 3))
 
 
+class TestResidueKernel:
+    """The residue step on its own, against Python ints."""
+
+    @given(coeffs=st.lists(st.integers(-BIG * 4, BIG * 4), min_size=1,
+                           max_size=5),
+           den=st.one_of(st.integers(0, 64).map(lambda e: 1 << e),
+                         st.integers(1, (1 << 31) - 1)),
+           t=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_python_ints(self, coeffs, den, t):
+        # any leading coefficient, 0 mod den included: no IntPoly needed
+        want = [sum(c * n ** j for j, c in enumerate(coeffs)) % den
+                for n in range(1, t + 1)]
+        got = np.concatenate(list(_residue_chunks(coeffs, t, den)))
+        assert [int(r) for r in got] == want
+
+    @pytest.mark.parametrize("den", [3 << 40, (1 << 31) + 1, (1 << 65)])
+    def test_wide_den_left_to_big_ints(self, den):
+        assert _residue_chunks([0, 0, 1], 10, den) is None
+
+    @pytest.mark.parametrize("coeffs,t,q", [
+        ((0, 0, 1), 10, 7), ((5, -3, 0, 2), CHUNK + 3, 1000),
+        ((-1, 0, 1 << 70), 50, 64), ((0, 7), 1, 1)])
+    def test_counts(self, coeffs, t, q):
+        want = np.zeros(q, dtype=np.int64)
+        for n in range(1, t + 1):
+            want[sum(c * n ** j for j, c in enumerate(coeffs)) % q] += 1
+        assert np.array_equal(residue_counts(coeffs, t, q), want)
+
+    def test_counts_budget(self):
+        with pytest.raises(ResourceError):
+            residue_counts((0, 1), 1, PHASE_TERM_BUDGET + 1)
+        with pytest.raises(ParameterError):
+            residue_counts((0, 1), 0, 5)
+
+
 class TestDiffMultiplier:
     def test_block_membership_enforced(self):
         with pytest.raises(ParameterError):
@@ -222,17 +266,63 @@ class TestGaussWeight:
             assert np.all(np.abs(row[reduced]) <= math.sqrt(2) / math.sqrt(q)
                           + 1e-12)
 
-    def test_nonmonic_oracle(self):
-        # S for P = 2n^2 + n at 1/3: direct sum over r mod q_i
-        P = IntPoly([0, 1, 2])
-        frac = ReducedFraction(1, 3)
-        from circlelab import congruence_data
-        cd = congruence_data(P, frac, 0)
+    @pytest.mark.parametrize("P,frac,i", [
+        (IntPoly([0, 1, 2]), ReducedFraction(1, 3), 0),   # 2n^2 + n at 1/3
+        (IntPoly([4, -1, 0, 1]), ReducedFraction(2, 5), 0),  # degree 3
+        (IntPoly([0, 5, 1, 3]), ReducedFraction(1, 4), 2),  # b_d = 3, i > 0
+        (IntPoly([0, 1, 2]), ReducedFraction(1, 3), 1),   # b_d = 2, i > 0
+        (IntPoly([0, 3, 2]), ReducedFraction(0, 1), 1),   # 0/1, a_d = 0
+        (SQUARES, ReducedFraction(0, 1), 0),
+    ], ids=["quadratic", "cubic", "bd3-i2", "bd2-i1", "zero-bd2-i1",
+            "zero-monic"])
+    def test_nonmonic_oracle(self, P, frac, i):
+        # direct sum over r mod q_i of a_d r^d + ... + a_1 r
+        cd = congruence_data(P, frac, i)
+        d = len(cd.numerators)
         direct = sum(cmath.exp(-2j * math.pi *
-                               ((cd.numerators[0] * r * r +
-                                 cd.numerators[1] * r) % cd.q_i) / cd.q_i)
+                               (sum(a * r ** (d - j)
+                                    for j, a in enumerate(cd.numerators))
+                                % cd.q_i) / cd.q_i)
                      for r in range(1, cd.q_i + 1)) / cd.q_i
-        assert gauss_weight(P, frac, 0) == pytest.approx(direct, abs=1e-12)
+        assert gauss_weight(P, frac, i) == pytest.approx(direct, abs=1e-12)
+
+    def test_horner_oracle(self):
+        # the int64 Horner loop gauss_weight used before the kernel
+        def old(P, frac, i):
+            cd = congruence_data(P, frac, i)
+            qi = cd.q_i
+            r = np.arange(1, qi + 1, dtype=np.int64)
+            acc = np.zeros(qi, dtype=np.int64)
+            for a_j in cd.numerators:
+                acc = (acc * r + a_j) % qi
+            acc = (acc * r) % qi
+            return complex(np.exp(-2j * math.pi * (acc / qi)).sum() / qi)
+
+        for P in [SQUARES, IntPoly([3, -7, 2]), IntPoly([0, 1, -4, 5])]:
+            for s in range(4):
+                for frac in farey_level(s):
+                    for i in range(P.leading):
+                        assert abs(gauss_weight(P, frac, i)
+                                   - old(P, frac, i)) <= 1e-15
+
+    def test_modulus_budget_checked_first(self):
+        # q_i = 10^11 would need a 745 GiB residue array
+        with mock.patch.object(expsum, "_residue_chunks",
+                               side_effect=AssertionError):
+            with pytest.raises(ResourceError):
+                gauss_weight(SQUARES, ReducedFraction(1, 10 ** 11), 0)
+            with pytest.raises(ResourceError):
+                gauss_weight(SQUARES,
+                             ReducedFraction(1, PHASE_TERM_BUDGET + 1), 0)
+
+    @given(q=st.one_of(st.integers(1, 3000),
+                       st.sampled_from([CHUNK - 1, CHUNK + 3, 1 << 17])))
+    @settings(max_examples=60, deadline=None)
+    def test_row_histogram_oracle(self, q):
+        # the int64 histogram quadratic_gauss_row built before the kernel
+        counts = np.bincount((np.arange(1, q + 1, dtype=np.int64) ** 2) % q,
+                             minlength=q)
+        assert np.array_equal(quadratic_gauss_row(q), np.fft.fft(counts) / q)
 
 
 class TestVt:
@@ -348,6 +438,16 @@ class TestFastDyadic:
         val = fast_dyadic_quadratic_weyl(k, R, period * (10 ** 9))
         expect = complete_dyadic_gauss(R - k) / period
         assert val == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 44, 62, 63, 64, 65])
+    @given(k=st.integers(0, 3), N=st.integers(1, 1500))
+    @settings(max_examples=25, deadline=None)
+    def test_tail_against_python_ints(self, m, k, N):
+        # m > 64 leaves the fixed-width kernel for the big-int loop
+        T = 1 << m
+        direct = sum(cmath.exp(2j * math.pi * ((n * n) % T) / T)
+                     for n in range(1, N + 1)) / N
+        assert abs(fast_dyadic_quadratic_weyl(k, k + m, N) - direct) <= 1e-12
 
     def test_budget_enforced(self):
         with pytest.raises(ResourceError):

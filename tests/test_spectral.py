@@ -78,6 +78,24 @@ class TestAverageMultiplier:
         with pytest.raises(ResourceError):
             average_multiplier(SQUARES, DIRECT_SUM_BUDGET + 1, 8)
 
+    @given(coeffs=st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=1,
+                           max_size=4),
+           leading=st.integers(1, 10 ** 20),
+           M=st.one_of(st.integers(1, 3000),
+                       st.integers(0, 12).map(lambda e: 1 << e)),
+           N=st.integers(1, 5000))
+    @example(coeffs=[-3, 0], leading=1, M=1 << 12, N=(1 << 16) + 7)
+    @example(coeffs=[5], leading=2, M=999, N=(1 << 17) + 1)
+    @settings(max_examples=150, deadline=None)
+    def test_old_histogram_oracle(self, coeffs, leading, M, N):
+        # the per-n loop average_multiplier ran before the residue kernel
+        P = IntPoly(coeffs + [leading])
+        counts = np.zeros(M, dtype=float)
+        for n in range(1, N + 1):
+            counts[P(n) % M] += 1.0
+        expect = np.conj(np.fft.fft(counts)) / N
+        assert np.array_equal(average_multiplier(P, N, M), expect)
+
 
 class TestPolynomialAverage:
     @pytest.mark.parametrize("P,M,N", [

@@ -2,14 +2,17 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from circlelab import (LacunaryTrigPoly, ParameterError, average_trigpoly,
-                       build_sequences, eta_error, exact_ladder_radius,
-                       fast_dyadic_quadratic_weyl, partial_sum,
-                       search_coefficients, v2_partial_sums_norm)
+from circlelab import (LacunaryTrigPoly, ParameterError, ResourceError,
+                       average_trigpoly, build_sequences, eta_error,
+                       exact_ladder_radius, fast_dyadic_quadratic_weyl,
+                       partial_sum, search_coefficients, v2_partial_sums_norm)
+from circlelab import expsum
+from circlelab.expsum import PHASE_TERM_BUDGET
 from circlelab.torus import _independent_phase_matrix, _partial_sum_objective
 
 
@@ -80,6 +83,27 @@ class TestAverageTrigPoly:
                               / (1 << R)) for n in range(1, N + 1)) / N
             expect = dict(f.terms)[freq] * w
             assert dict(out.terms)[freq] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("freq", [0, 3, 12, 1 << 11, 1 << 12, 5 << 20,
+                                      (1 << 40) + 1])
+    @pytest.mark.parametrize("N", [1, 37, 1 << 16, (1 << 16) + 5])
+    def test_direct_loop_oracle(self, freq, N):
+        # non-dyadic, zero and 2^k (k > R) frequencies take the Weyl sum;
+        # the oracle is the mask loop they went through before
+        R = 10
+        mask, scale = (1 << R) - 1, 2.0 ** (-R)
+        want = sum(np.exp(2j * math.pi * (((freq * n * n) & mask) * scale))
+                   for n in range(1, N + 1)) / N
+        out = average_trigpoly(LacunaryTrigPoly({freq: 1.0}), R, N)
+        assert abs(dict(out.terms)[freq] - want) <= 1e-12
+
+    def test_term_budget_checked_first(self):
+        # N > PHASE_TERM_BUDGET: refused before any phase is computed
+        f = LacunaryTrigPoly({3: 1.0})
+        with mock.patch.object(expsum, "_phase_chunks",
+                               side_effect=AssertionError):
+            with pytest.raises(ResourceError):
+                average_trigpoly(f, 10, PHASE_TERM_BUDGET + 1)
 
     def test_consistent_with_pointwise_average(self):
         # K_N f(x) = (1/N) sum_n f(x + n^2 2^-R) on a dense grid
