@@ -25,8 +25,7 @@ from .torus import (CounterexampleParams, LacunaryTrigPoly, average_trigpoly,
                     build_sequences, eta_error, exact_ladder_radius,
                     partial_sum, search_coefficients, v2_partial_sums_norm)
 from .varnorm import (IndexedSeq, VariationResult, long_variation,
-                      short_variation, sup_variation, variation,
-                      variation_values)
+                      short_variation, variation, variation_values)
 from .verify import (BoundFitReport, DecompositionReport, VerifyConfig,
                      fit_constant, fit_power_law, verify_entropy, verify_est,
                      verify_main_decomposition, verify_smooth)

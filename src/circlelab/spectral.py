@@ -17,7 +17,7 @@ import numpy as np
 from .arith import ArcKind, ArcParams, IntPoly, eval_poly, farey_level
 from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, residue_counts
-from .varnorm import variation_values
+from .varnorm import check_dp_cells, variation_values
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,7 @@ def variation_experiment(f: CyclicSignal, P: IntPoly,
     if any(b <= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ParameterError("scales must be non-empty and increasing")
     M = f.modulus
+    check_dp_cells(M, len(scales))
     fhat = np.fft.fft(f.values)
     spatial = np.empty((M, len(scales)), dtype=complex)
     for idx, N in enumerate(scales):

@@ -10,12 +10,21 @@ floating-point rounding of |.|^r.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
+
+# rows of the DP per block: each block is copied once, transposed, so every
+# DP step runs over contiguous rows of 4096 slot values
+DP_BLOCK_ROWS = 4096
+# most DP cells rows * S(S-1)/2 one call may visit: above the 2^18 x 12
+# (17.3 M cells) and 2^20 x 6 (15.7 M) arrays of the experiments, below the
+# 8.2e9 cells of `average --modulus 1024 --scales 1,2,...,4000`
+DP_CELL_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -65,19 +74,45 @@ def _check_r(r: float) -> float:
     return r
 
 
+def check_dp_cells(rows: int, S: int) -> None:
+    """Refuse a DP over `rows` families of length S above DP_CELL_BUDGET.
+
+    The DP visits S(S-1)/2 pairs per family; callers that know the shape
+    before they build the values check here first.
+    """
+    cells = rows * (S * (S - 1) // 2)
+    if cells > DP_CELL_BUDGET:
+        raise ResourceError(
+            f"variation over {rows} families of length {S} needs {cells} DP "
+            f"cells, over the budget {DP_CELL_BUDGET}; lower the number of "
+            f"points or of scales")
+
+
 def _best_power_sums(values: np.ndarray, r: float) -> np.ndarray:
     """best[..., j]: the largest sum of |f_b - f_a|^r over chains ending at j.
 
     A singleton chain has power sum 0.  Overflow to inf is a valid answer,
-    so it is not reported.
+    so it is not reported.  The families are flattened to (rows, S), and
+    each block of DP_BLOCK_ROWS rows is copied into a C-ordered (S, block)
+    array, so every step of the DP works on contiguous rows.
     """
-    best = np.zeros(values.shape, dtype=float)
+    *lead, S = values.shape
+    rows = math.prod(lead)
+    check_dp_cells(rows, S)
+    flat = values.reshape(rows, S)
+    best = np.empty((rows, S))
     with np.errstate(over="ignore"):
-        for j in range(1, values.shape[-1]):
-            cand = best[..., :j] + np.abs(values[..., j:j + 1]
-                                          - values[..., :j]) ** r
-            best[..., j] = np.maximum(cand.max(axis=-1), 0.0)
-    return best
+        for lo in range(0, rows, DP_BLOCK_ROWS):
+            v = np.array(flat[lo:lo + DP_BLOCK_ROWS].T, dtype=complex,
+                         order="C")
+            b = np.zeros(v.shape)
+            for j in range(1, S):
+                cand = np.abs(v[:j] - v[j])
+                cand **= r
+                cand += b[:j]
+                np.maximum(cand.max(axis=0), 0.0, out=b[j])
+            best[lo:lo + DP_BLOCK_ROWS] = b.T
+    return best.reshape(values.shape)
 
 
 def _optimal_chain(values: Sequence[complex], r: float):
@@ -154,21 +189,12 @@ def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
                            block_subsequences=tuple(blocks))
 
 
-def sup_variation(seq: IndexedSeq) -> float:
-    """V^infinity: the largest pairwise gap |f_i - f_j|."""
-    if len(seq) == 0:
-        raise ParameterError("sequence must be non-empty")
-    vals = np.asarray(seq.values, dtype=complex)
-    return float(max(
-        (abs(vals[j] - vals[i]) for i in range(len(vals))
-         for j in range(i + 1, len(vals))), default=0.0))
-
-
 def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     """Vectorized r-variation along the last axis (values only, no optimizer).
 
-    `values` has shape (..., S); the DP runs once per trailing slot with
-    numpy operations over the leading axes.
+    `values` has shape (..., S); the leading axes are flattened into rows
+    and the DP runs on transposed blocks of DP_BLOCK_ROWS rows.  A call
+    over DP_CELL_BUDGET cells rows * S(S-1)/2 is refused before any work.
     """
     r = _check_r(r)
     return _best_power_sums(np.asarray(values), r).max(axis=-1) ** (1.0 / r)

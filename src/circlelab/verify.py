@@ -19,7 +19,7 @@ from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, weyl_sum_prefix
 from .spectral import (arc_projection_multiplier, average_multiplier,
                        check_modulus, grid_arcs)
-from .varnorm import variation_values
+from .varnorm import check_dp_cells, variation_values
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
 # (major arcs cover about half the circle at n = 1, delta = 1/8, and under
@@ -235,6 +235,7 @@ def verify_smooth(N: int, A: float, a: float, trials: int, seed: int,
         raise ParameterError("need 0 < a <= A")
     if N < 1 or trials < 1:
         raise ParameterError("N and trials must be positive")
+    check_dp_cells(M, N)
     rng = np.random.default_rng(seed)
     bound = math.sqrt(N * A * a)
     ratios = []
@@ -266,6 +267,19 @@ def _place_separated_frequencies(N: int, M: int, min_gap: int, rng):
     return freqs
 
 
+def _circular_distance(freqs: np.ndarray, M: int) -> np.ndarray:
+    """Distance on Z/M from each j = 0..M-1 to the nearest of the sorted
+    frequencies in [0, M), as floats.
+
+    One `searchsorted` over the frequencies shifted by -M, 0 and +M puts
+    the nearest one at the insertion point or just before it.
+    """
+    ext = np.concatenate([freqs - M, freqs, freqs + M])
+    j = np.arange(M)
+    right = np.searchsorted(ext, j)
+    return np.minimum(j - ext[right - 1], ext[right] - j).astype(float)
+
+
 def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
                    tau: Optional[float] = None, trials: int = 8,
                    grid_factor: int = 1 << 14) -> BoundFitReport:
@@ -292,21 +306,18 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
             "no admissible k: neighbourhoods overlap or fall below the grid "
             "resolution (tau too small for this sigma range)")
     ks = list(range(k_min, k_max + 1))
+    check_dp_cells(M, len(ks))
 
     freqs = _place_separated_frequencies(N, M, int(M * tau), rng)
-    j = np.arange(M)
-    dmin = np.full(M, M, dtype=float)
-    for lam in freqs:
-        d = np.abs(j - lam)
-        np.minimum(dmin, np.minimum(d, M - d), out=dmin)
+    dmin = _circular_distance(freqs, M)
+    inds = [dmin <= sigma ** (-k) * M for k in ks]
 
     ratios = []
     for _ in range(trials):
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         fhat = np.fft.fft(f)
         spatial = np.empty((M, len(ks)), dtype=complex)
-        for idx, k in enumerate(ks):
-            ind = dmin <= sigma ** (-k) * M
+        for idx, ind in enumerate(inds):
             spatial[:, idx] = np.fft.ifft(fhat * ind)
         v = variation_values(spatial, r)
         ratios.append(float(np.linalg.norm(v) / np.linalg.norm(f)))
@@ -346,6 +357,13 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
             f"n_max={cfg.n_range[-1]} needs averages of length up to "
             f"2^{cfg.n_range[-1] + 1}, over the direct-summation budget "
             f"{DIRECT_SUM_BUDGET}; lower n_max")
+
+    def block_scales(n):
+        return sorted(set(np.linspace(1 << n, 1 << (n + 1), t_samples,
+                                      dtype=int).tolist()))
+
+    # the last block has the most distinct scales
+    check_dp_cells(M, len(block_scales(cfg.n_range[-1])))
     nu_hat = cfg.nu_floor if nu_hat is None else float(nu_hat)
     rng = np.random.default_rng(cfg.seed)
     f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
@@ -357,8 +375,7 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
     lhs_total, rhs_total = 0.0, 0.0
     for params in blocks:
         n = params.n
-        ts = sorted(set(np.linspace(1 << n, 1 << (n + 1), t_samples,
-                                    dtype=int).tolist()))
+        ts = block_scales(n)
         # ts[0] = 2^n: every row minus the block's base multiplier
         cmults = np.stack([average_multiplier(P, t, M) for t in ts])
         cmults -= cmults[0].copy()

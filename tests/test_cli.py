@@ -136,6 +136,25 @@ class TestExitCodes:
         assert code == expect
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        # 1024 points x 4000 scales: 8.2e9 DP cells
+        ["average", "--modulus", "1024",
+         "--scales", ",".join(str(n) for n in range(1, 4001))],
+        # 256 points x 100000 multipliers
+        ["smooth", "--N", "100000", "--a", "0.00001"],
+        # 2^26 points x 6 neighbourhood scales
+        ["entropy", "--num-freqs", "4096"],
+    ])
+    def test_dp_cell_budget(self, argv, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an FFT ran before the DP-cell budget")
+
+        monkeypatch.setattr("numpy.fft.fft", never)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "DP cells" in err
+
     def test_farey_level_budget(self, capsys):
         # no level up to s = 9 admits 1/3000007: refused at level 10
         code, _ = run_cli(["arcs", "--n", "200", "--delta", "0.125",

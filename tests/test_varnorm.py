@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from circlelab import (IndexedSeq, ParameterError, long_variation,
-                       short_variation, sup_variation, variation,
+from circlelab import (IndexedSeq, ParameterError, ResourceError,
+                       long_variation, short_variation, variation,
                        variation_values)
+from circlelab.varnorm import (DP_CELL_BUDGET, _best_power_sums,
+                               check_dp_cells)
 
 
 def brute_force_variation(values, r):
@@ -23,6 +26,34 @@ def brute_force_variation(values, r):
                         for a, b in zip(combo, combo[1:]))
             best = max(best, total)
     return best ** (1.0 / r)
+
+
+def sup_variation(seq):
+    """V^infinity: the largest pairwise gap |f_i - f_j| (oracle only)."""
+    vals = np.asarray(seq.values, dtype=complex)
+    return float(max(
+        (abs(vals[j] - vals[i]) for i in range(len(vals))
+         for j in range(i + 1, len(vals))), default=0.0))
+
+
+def loop_best_power_sums(values, r):
+    """The DP as one broadcast step per slot over every leading axis.
+
+    This was the library kernel before the transposed block kernel; it
+    stays as the kernel's bitwise oracle.
+    """
+    best = np.zeros(values.shape, dtype=float)
+    with np.errstate(over="ignore"):
+        for j in range(1, values.shape[-1]):
+            cand = best[..., :j] + np.abs(values[..., j:j + 1]
+                                          - values[..., :j]) ** r
+            best[..., j] = np.maximum(cand.max(axis=-1), 0.0)
+    return best
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def power_sum(f, chain, r):
@@ -160,6 +191,105 @@ class TestVectorized:
     def test_shape_preserved(self):
         arr = np.zeros((3, 4, 5))
         assert variation_values(arr, 2).shape == (3, 4)
+
+
+EXPONENTS = (1.0, 1.5, 2.0, 3.0, 7.0)
+# row counts around the kernel's 4096-row blocks
+BLOCK_ROWS = (1, 4095, 4096, 4097, 8193)
+
+
+def random_values(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBlockKernel:
+    """The transposed block kernel is bitwise equal to the broadcast loop."""
+
+    @pytest.mark.parametrize("rows,S,r", [
+        *[(rows, S, r) for rows in BLOCK_ROWS for S in (1, 2)
+          for r in EXPONENTS],
+        *[(rows, 64, r) for rows, r in zip(BLOCK_ROWS, EXPONENTS)]])
+    def test_block_boundaries(self, rows, S, r):
+        values = random_values((rows, S), rows * 101 + S)
+        assert_bitwise_equal(_best_power_sums(values, r),
+                             loop_best_power_sums(values, r))
+
+    @given(st.lists(st.integers(0, 5), max_size=2),
+           st.sampled_from([1, 2, 3, 7, 64]), st.sampled_from(EXPONENTS),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_leading_shapes(self, lead, S, r, seed, lattice):
+        shape = (*lead, S)
+        if lattice:
+            # small Gaussian integers: many equal values and equal gaps
+            rng = np.random.default_rng(seed)
+            values = (rng.integers(-2, 3, shape)
+                      + 1j * rng.integers(-2, 3, shape))
+        else:
+            values = random_values(shape, seed)
+        assert_bitwise_equal(_best_power_sums(values, r),
+                             loop_best_power_sums(values, r))
+
+    @given(arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                  elements=st.complex_numbers(max_magnitude=1e300,
+                                              allow_nan=False,
+                                              allow_infinity=False)),
+           st.sampled_from(EXPONENTS))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_values(self, values, r):
+        assert_bitwise_equal(_best_power_sums(values, r),
+                             loop_best_power_sums(values, r))
+
+    @pytest.mark.parametrize("r", EXPONENTS)
+    def test_overflow_to_inf(self, r):
+        # the gaps overflow in |.|^r for r >= 2 (1e200) and in the
+        # subtraction itself (+-1e308)
+        values = random_values((4097, 6), 7)
+        values[::3, 1] = 1e200
+        values[1::3, 3] = -1e308 + 1e308j
+        values[::2, 4] = 1e308
+        best = _best_power_sums(values, r)
+        assert np.isinf(best).any() and not np.isnan(best).any()
+        assert_bitwise_equal(best, loop_best_power_sums(values, r))
+
+    @pytest.mark.parametrize("M,S", [(256, 17), (4097, 6), (5000, 16)])
+    def test_transposed_views(self, M, S):
+        # verify_smooth and verify_main_decomposition pass (M, S) views
+        # of (S, M) FFT outputs
+        spatial = np.fft.ifft(random_values((S, M), M), axis=1).T
+        assert not spatial.flags.c_contiguous
+        for r in (2.0, 3.0):
+            best = _best_power_sums(spatial, r)
+            assert_bitwise_equal(best, loop_best_power_sums(spatial, r))
+            assert_bitwise_equal(
+                best, _best_power_sums(np.ascontiguousarray(spatial), r))
+
+    def test_real_input(self):
+        values = np.random.default_rng(3).standard_normal((4100, 5))
+        assert_bitwise_equal(_best_power_sums(values, 3.0),
+                             loop_best_power_sums(values, 3.0))
+
+
+class TestCellBudget:
+    def test_experiment_shapes_admitted(self):
+        # the largest arrays of the acceptance gate and of the benchmark
+        check_dp_cells(1 << 20, 6)
+        check_dp_cells(1 << 18, 12)
+        check_dp_cells(DP_CELL_BUDGET, 2)
+
+    def test_over_budget_refused(self):
+        with pytest.raises(ResourceError):
+            check_dp_cells(DP_CELL_BUDGET + 1, 2)
+        with pytest.raises(ResourceError):
+            check_dp_cells(1024, 4000)
+
+    def test_refused_before_work(self):
+        # a zero-stride view of 2^20 x 40 values (818 M cells) costs no
+        # memory; the refusal comes before any copy of it is made
+        values = np.broadcast_to(np.zeros(1, dtype=complex), (1 << 20, 40))
+        with pytest.raises(ResourceError):
+            variation_values(values, 2.0)
 
 
 class TestOptimalSubsequence:

@@ -5,12 +5,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ResourceError, VerifyConfig,
                        fit_constant, fit_power_law, verify_entropy,
                        verify_est, verify_main_decomposition, verify_smooth)
 from circlelab import arith, verify
-from circlelab.verify import _clipped_walk_multipliers, _power_fit
+from circlelab.verify import (_circular_distance, _clipped_walk_multipliers,
+                              _power_fit)
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -73,6 +76,14 @@ class TestSmooth:
         rep = verify_smooth(N=16, A=1.0, a=1.0 / 16, trials=4, seed=0)
         assert 0 < rep.constant < 10
 
+    def test_dp_cells_checked_first(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the DP-cell budget")
+
+        monkeypatch.setattr(verify, "_ramp_multipliers", never)
+        with pytest.raises(ResourceError):
+            verify_smooth(100_000, 1.0, 1e-5, 2, 0)
+
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
             verify_smooth(8, 1.0, 2.0, 2, 0)  # a > A
@@ -104,6 +115,42 @@ class TestEntropy:
             # tau so tiny no admissible neighbourhood scale remains
             verify_entropy(4, sigma=2.0, r=3.0, cfg=cfg, tau=1e-12,
                            grid_factor=1 << 10)
+
+    @staticmethod
+    def loop_circular_distance(freqs, M):
+        """One pass over the grid per frequency (the distance oracle)."""
+        j = np.arange(M)
+        dmin = np.full(M, M, dtype=float)
+        for lam in freqs:
+            d = np.abs(j - lam)
+            np.minimum(dmin, np.minimum(d, M - d), out=dmin)
+        return dmin
+
+    @given(st.integers(1, 600).flatmap(lambda M: st.tuples(
+        st.just(M), st.lists(st.integers(0, M - 1), min_size=1,
+                             max_size=40, unique=True))))
+    @settings(max_examples=200, deadline=None)
+    def test_circular_distance_oracle(self, data):
+        M, freqs = data
+        freqs = np.array(sorted(freqs), dtype=np.int64)
+        assert np.array_equal(_circular_distance(freqs, M),
+                              self.loop_circular_distance(freqs, M))
+
+    def test_circular_distance_placed_frequencies(self):
+        M = 64 << 14
+        freqs = verify._place_separated_frequencies(
+            64, M, M // 128, np.random.default_rng(4))
+        assert np.array_equal(_circular_distance(freqs, M),
+                              self.loop_circular_distance(freqs, M))
+
+    def test_dp_cells_checked_first(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the DP-cell budget")
+
+        monkeypatch.setattr(verify, "_place_separated_frequencies", never)
+        # M = 2^26 grid points, 6 neighbourhood scales
+        with pytest.raises(ResourceError):
+            verify_entropy(4096, sigma=2.0, r=3.0, cfg=VerifyConfig())
 
     def test_ratio_positive_and_bounded(self):
         cfg = VerifyConfig(seed=2)
@@ -164,6 +211,16 @@ class TestMainDecomposition:
         cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16, seed=0)
         rep = verify_main_decomposition(SQUARES, cfg, 1 << 10, t_samples=6)
         assert rep.reassembly_lhs <= rep.reassembly_rhs + 1e-9
+
+    def test_dp_cells_checked_first(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the DP-cell budget")
+
+        monkeypatch.setattr(verify, "average_multiplier", never)
+        # 2^22 points and 16 scales in the last block: 503 M cells
+        cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16)
+        with pytest.raises(ResourceError):
+            verify_main_decomposition(SQUARES, cfg, 1 << 22)
 
     def test_power_of_two_enforced(self):
         cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16)
