@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ParameterError, ResourceError
@@ -140,49 +141,19 @@ def farey_level(s: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _farey_values(s: int) -> tuple:
-    return tuple(fr.value for fr in farey_level(s))
-
-
 def fractions_near(s: int, x: Fraction, radius: float) -> list:
-    """Level-s fractions within torus distance <= radius of x (x in [0,1))."""
-    fracs = farey_level(s)
-    vals = _farey_values(s)
-    lo = bisect_left(vals, x - Fraction(radius))
-    hi = bisect_left(vals, x + Fraction(radius))
-    cand = set(fracs[max(lo - 1, 0):hi + 1])
-    # wraparound: the torus glues 0 and 1 together
-    cand.add(fracs[0])
-    cand.add(fracs[-1])
-    out = [fr for fr in cand if torus_distance(x - fr.value) <= radius]
-    out.sort(key=lambda fr: fr.value)
-    return out
+    """Level-s fractions within torus distance <= radius of x (x in [0,1)).
 
-
-def dirichlet_approx(alpha: RealLike, Q: int) -> ReducedFraction:
-    """Best rational a/q, q <= Q, with |alpha - a/q| <= 1/(qQ).
-
-    Walks the continued-fraction convergents of alpha (treated exactly)
-    and returns the last convergent with denominator <= Q; Dirichlet's
-    theorem guarantees the approximation quality.
+    Needs radius <= 2^-(s+1), as every caller has: no level-s fraction but
+    0/1 lies that near 0 == 1, so the window never needs to wrap around.
+    Returned sorted by value.
     """
-    if Q < 1:
-        raise ParameterError("Q must be >= 1")
-    x = _as_fraction(alpha)
-    if not 0 <= x < 1:
-        x -= math.floor(x)
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = math.floor(x), 1  # = 0 for x in [0,1)
-    frac = x - math.floor(x)
-    while frac != 0:
-        a = math.floor(1 / frac)
-        frac = 1 / frac - a
-        p_nxt, q_nxt = a * p_cur + p_prev, a * q_cur + q_prev
-        if q_nxt > Q:
-            break
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
-    return ReducedFraction.make(p_cur, q_cur)
+    fracs = farey_level(s)
+    r = Fraction(radius)
+    lo = bisect_left(fracs, x - r, key=attrgetter("value"))
+    hi = bisect_left(fracs, x + r, key=attrgetter("value"))
+    return [fr for fr in fracs[max(lo - 1, 0):hi + 1]
+            if torus_distance(x - fr.value) <= radius]
 
 
 class ArcKind:

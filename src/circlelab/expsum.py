@@ -170,14 +170,6 @@ def weyl_sum_prefix(P: IntPoly, t_max: int, alpha: RealLike) -> np.ndarray:
     return sums
 
 
-def diff_multiplier(P: IntPoly, t: int, n: int, alpha: RealLike) -> complex:
-    """C_hat_t = K_hat_t - K_hat_{2^n}, defined for t in [2^n, 2^(n+1))."""
-    if not (1 << n) <= t < (1 << (n + 1)):
-        raise ParameterError(f"t={t} outside the dyadic block [2^{n}, 2^{n + 1})")
-    prefix = weyl_sum_prefix(P, t, alpha)
-    return complex(prefix[t - 1] - prefix[(1 << n) - 1])
-
-
 def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     """Complete normalized sum S_P^i(a/q) over residues mod q_i.
 

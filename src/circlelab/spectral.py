@@ -1,4 +1,4 @@
-"""Cyclic-group l^2 laboratory: DFTs, polynomial averages, arc projections.
+"""Cyclic-group l^2 laboratory: average multipliers, grid arcs, variation.
 
 Z/M is used as an exactly-diagonalizable proxy for l^2(Z): the averaging
 operator K_N wraps around cyclically, so its Fourier multiplier at
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import ArcKind, ArcParams, IntPoly, eval_poly, farey_level
+from .arith import ArcParams, IntPoly, farey_level
 from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, residue_counts
 from .varnorm import check_dp_cells, variation_values
@@ -40,21 +40,6 @@ class CyclicSignal:
         return float(np.linalg.norm(self.values))
 
 
-@dataclass(frozen=True)
-class FrequencyMultiplier:
-    """Samples of a torus multiplier at the frequencies j/M."""
-
-    modulus: int
-    samples: np.ndarray
-
-    def __init__(self, modulus: int, samples: Sequence[complex]):
-        v = np.asarray(samples, dtype=complex)
-        if modulus < 1 or v.shape != (modulus,):
-            raise ParameterError("samples must have length M >= 1")
-        object.__setattr__(self, "modulus", int(modulus))
-        object.__setattr__(self, "samples", v)
-
-
 def check_modulus(M: int) -> int:
     """M as an int, refused unless 1 <= M <= DIRECT_SUM_BUDGET.
 
@@ -68,15 +53,6 @@ def check_modulus(M: int) -> int:
         raise ResourceError(f"modulus M={M} exceeds the budget "
                             f"{DIRECT_SUM_BUDGET}; lower M")
     return M
-
-
-def dft(f: CyclicSignal) -> CyclicSignal:
-    """Unitary DFT: entry j is M^(-1/2) sum_x f(x) e(-jx/M)."""
-    return CyclicSignal(f.modulus, np.fft.fft(f.values) / math.sqrt(f.modulus))
-
-
-def idft(f: CyclicSignal) -> CyclicSignal:
-    return CyclicSignal(f.modulus, np.fft.ifft(f.values) * math.sqrt(f.modulus))
 
 
 def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
@@ -93,38 +69,6 @@ def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
     counts = residue_counts(P.coeffs, N, check_modulus(M))
     # fft gives sum_y c_y e(-jy/M); the multiplier is its conjugate / N
     return np.conj(np.fft.fft(counts)) / N
-
-
-def polynomial_average(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
-    """K_N * f(x) = (1/N) sum_{n<=N} f(x + P(n) mod M), via diagonalization."""
-    mult = average_multiplier(P, N, f.modulus)
-    return CyclicSignal(f.modulus, np.fft.ifft(np.fft.fft(f.values) * mult))
-
-
-def polynomial_average_direct(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
-    """Direct spatial-summation oracle for polynomial_average."""
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    M = f.modulus
-    out = np.zeros(M, dtype=complex)
-    for n in range(1, N + 1):
-        out += np.roll(f.values, -(eval_poly(P, n) % M))
-    return CyclicSignal(M, out / N)
-
-
-def apply_multiplier(f: CyclicSignal, m: FrequencyMultiplier) -> CyclicSignal:
-    if f.modulus != m.modulus:
-        raise ParameterError("signal and multiplier moduli must match")
-    return CyclicSignal(f.modulus,
-                        np.fft.ifft(np.fft.fft(f.values) * m.samples))
-
-
-class Annulus(NamedTuple):
-    s: int
-    k: float
-
-
-Selector = Union[str, Annulus]
 
 
 class GridArcs(NamedTuple):
@@ -180,26 +124,6 @@ def grid_arcs(P: IntPoly, params: ArcParams, M: int) -> GridArcs:
         k[hit] = np.where(d == 0, np.inf, 1 - np.frexp(d)[1])
         np.minimum(dist, near, out=dist)
     return GridArcs(major, s_of, k, dist)
-
-
-def arc_projection_multiplier(P: IntPoly, params: ArcParams,
-                              selector: Selector, M: int) -> FrequencyMultiplier:
-    """0/1 multiplier selecting Major, Minor, or a single annulus R_{s,k}.
-
-    The Major and Minor indicators partition the grid; Annulus(s, k)
-    refines Major (frequencies whose fraction sits at level s and whose
-    distance shell index is k).
-    """
-    arcs = grid_arcs(P, params, M)
-    if selector == ArcKind.MAJOR:
-        hit = arcs.major
-    elif selector == ArcKind.MINOR:
-        hit = ~arcs.major
-    elif isinstance(selector, Annulus):
-        hit = arcs.major & (arcs.s == selector.s) & (arcs.k == selector.k)
-    else:
-        raise ParameterError(f"unknown selector {selector!r}")
-    return FrequencyMultiplier(M, hit.astype(complex))
 
 
 def variation_experiment(f: CyclicSignal, P: IntPoly,

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import IntPoly
 from .errors import ParameterError
-from .expsum import fast_dyadic_quadratic_weyl, weyl_sum
+from .expsum import fast_dyadic_quadratic_weyl
 from .varnorm import variation_values
-
-_SQUARES = IntPoly([0, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -128,34 +124,6 @@ def _admissible(L: int, R: int) -> bool:
         return True
     except ParameterError:
         return False
-
-
-def average_trigpoly(f: LacunaryTrigPoly, R: int, N: int) -> LacunaryTrigPoly:
-    """K_N * f with alpha = 2^-R: each coefficient picks up the Weyl factor.
-
-    Power-of-two frequencies 2^k (k <= R) route through the fast dyadic
-    evaluator; any other frequency takes the conjugate Weyl sum of n^2 at
-    the exact rational freq/2^R, whose N must fit its term budget.
-    """
-    out = {}
-    for freq, coeff in f.terms:
-        k = freq.bit_length() - 1
-        if freq > 0 and freq == 1 << k and k <= R:
-            w = fast_dyadic_quadratic_weyl(k, R, N)
-        else:
-            w = weyl_sum(_SQUARES, N, Fraction(freq, 1 << R)).conjugate()
-        out[freq] = coeff * w
-    return LacunaryTrigPoly(out)
-
-
-def partial_sum(f: LacunaryTrigPoly, params: CounterexampleParams,
-                m: int) -> LacunaryTrigPoly:
-    """S_m f: the terms at frequencies 2^{k_i} with i >= m."""
-    if not 1 <= m <= params.L:
-        raise ParameterError(f"m={m} out of [1, {params.L}]")
-    a = _ladder_coeffs(f, params)
-    return LacunaryTrigPoly({1 << params.k[i]: a[i]
-                             for i in range(m - 1, params.L)})
 
 
 def _ladder_phases(params: CounterexampleParams, sample_count: int,

@@ -110,7 +110,7 @@ def _best_power_sums(values: np.ndarray, r: float) -> np.ndarray:
                 cand = np.abs(v[:j] - v[j])
                 cand **= r
                 cand += b[:j]
-                np.maximum(cand.max(axis=0), 0.0, out=b[j])
+                cand.max(axis=0, out=b[j])
             best[lo:lo + DP_BLOCK_ROWS] = b.T
     return best.reshape(values.shape)
 

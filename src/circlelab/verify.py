@@ -1,4 +1,4 @@
-"""Empirical-bound harness: constant fits, decay fits, named experiments.
+"""Empirical-bound harness: decay fits and named experiments.
 
 Implicit-constant estimates are operationalized as stability checks: the
 harness records the worst lhs/rhs ratio per scale and fits log-log slopes,
@@ -14,11 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import ArcKind, ArcParams, IntPoly, ReducedFraction, classify_arc
+from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, weyl_sum_prefix
-from .spectral import (arc_projection_multiplier, average_multiplier,
-                       check_modulus, grid_arcs)
+from .spectral import average_multiplier, check_modulus, grid_arcs
 from .varnorm import check_dp_cells, variation_values
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
@@ -59,21 +58,6 @@ class BoundFitReport:
         if not vals:
             return 1.0
         return max(vals) / min(vals)
-
-
-def fit_constant(pairs: Sequence) -> float:
-    """max lhs/rhs over (lhs >= 0, rhs > 0) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ParameterError("need at least one pair")
-    best = 0.0
-    for lhs, rhs in pairs:
-        if rhs <= 0:
-            raise ParameterError("rhs values must be positive")
-        if lhs < 0:
-            raise ParameterError("lhs values must be non-negative")
-        best = max(best, lhs / rhs)
-    return best
 
 
 def _power_fit(ns: Sequence[float], vs: Sequence[float]):
@@ -307,6 +291,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
             "resolution (tau too small for this sigma range)")
     ks = list(range(k_min, k_max + 1))
     check_dp_cells(M, len(ks))
+    check_modulus(M)
 
     freqs = _place_separated_frequencies(N, M, int(M * tau), rng)
     dmin = _circular_distance(freqs, M)
@@ -385,14 +370,13 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
                                   axis=1).T
             return float(np.linalg.norm(variation_values(spatial, 2.0)))
 
-        minor_ind = np.real(
-            arc_projection_multiplier(P, params, ArcKind.MINOR, M).samples)
-        val = block_norm(minor_ind)
+        arcs = grid_arcs(P, params, M)
+        val = block_norm((~arcs.major).astype(float))
         minor_vals.append(val / (2.0 ** (-n * nu_hat / 2.0) * fnorm))
 
         l_n = params.critical_annulus_index
         if n == cfg.n_range[-1]:
-            dist = grid_arcs(P, params, M).dist
+            dist = arcs.dist
             shells = []
             for k in range(1, int(math.log2(M)) + 1):
                 offs = abs(k - n * d)

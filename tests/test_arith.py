@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
-                       classify_arc, congruence_data, dirichlet_approx,
-                       eval_poly, farey_level, shell_index)
+                       classify_arc, congruence_data, eval_poly, farey_level,
+                       shell_index)
 from circlelab.arith import annulus_label, fractions_near, torus_distance
 
 SQUARES = IntPoly([0, 0, 1])
@@ -74,25 +74,21 @@ class TestFractions:
         near0 = fractions_near(0, Fraction(99, 100), 0.05)
         assert near0 == [ReducedFraction(0, 1)]
 
-
-class TestDirichlet:
-    def test_examples(self):
-        assert dirichlet_approx(Fraction(1, 3), 10) == ReducedFraction(1, 3)
-        assert dirichlet_approx(0.1415926535, 10) == ReducedFraction(1, 7)
-        assert dirichlet_approx(0.5, 1) == ReducedFraction(0, 1) or \
-            dirichlet_approx(0.5, 1) == ReducedFraction(1, 1)
-
-    def test_q_one(self):
-        assert dirichlet_approx(0.1, 1) == ReducedFraction(0, 1)
-
-    @given(st.floats(min_value=0, max_value=1, exclude_max=True),
-           st.sampled_from([10, 100, 1000]))
+    @given(s=st.integers(0, 5),
+           x=st.one_of(st.fractions(0, 1).filter(lambda x: x < 1),
+                       st.integers(0, 10 ** 6).map(
+                           lambda k: Fraction(k, 10 ** 9)),
+                       st.integers(1, 10 ** 6).map(
+                           lambda k: 1 - Fraction(k, 10 ** 9))),
+           u=st.one_of(st.floats(0, 1),
+                       st.integers(0, 40).map(lambda e: 2.0 ** -e)))
     @settings(max_examples=300, deadline=None)
-    def test_quality_guarantee(self, alpha, Q):
-        fr = dirichlet_approx(alpha, Q)
-        assert 1 <= fr.q <= Q
-        err = abs(torus_distance(Fraction(alpha) - fr.value))
-        assert err <= Fraction(1, fr.q * Q)
+    def test_fractions_near_matches_scan(self, s, x, u):
+        # every level-s fraction, kept by its exact torus distance to x
+        radius = u * 2.0 ** -(s + 1)
+        want = [fr for fr in farey_level(s)
+                if torus_distance(x - fr.value) <= radius]
+        assert fractions_near(s, x, radius) == want
 
 
 class TestArcs:

@@ -155,6 +155,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "DP cells" in err
 
+    def test_entropy_modulus_budget(self, capsys, monkeypatch):
+        # 257 * 2^14 points: within the DP-cell budget, over the modulus cap
+        def never(*args, **kwargs):
+            raise AssertionError("an FFT ran before the modulus budget")
+
+        monkeypatch.setattr("numpy.fft.fft", never)
+        assert main(["entropy", "--num-freqs", "257"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"modulus M={257 << 14}" in err
+
     def test_farey_level_budget(self, capsys):
         # no level up to s = 9 admits 1/3000007: refused at level 10
         code, _ = run_cli(["arcs", "--n", "200", "--delta", "0.125",

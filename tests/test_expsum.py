@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        ResourceError, approx_multiplier,
-                       complete_dyadic_gauss, diff_multiplier,
-                       farey_level, fast_dyadic_quadratic_weyl, fit_power_law,
+                       complete_dyadic_gauss, farey_level, fast_dyadic_quadratic_weyl, fit_power_law,
                        gauss_weight, quadratic_gauss_row, smooth_cutoff_eval,
                        vt, weyl_sum, weyl_sum_prefix)
 from circlelab import expsum
@@ -75,6 +74,15 @@ class TestWeylSum:
     def test_t_validation(self):
         with pytest.raises(ParameterError):
             weyl_sum(SQUARES, 0, 0.5)
+
+    def test_triangle_bound(self):
+        # |K_t - K_{t+1}| <= 2/t pointwise in alpha
+        rng = np.random.default_rng(7)
+        for alpha in rng.random(5):
+            prefix = weyl_sum_prefix(SQUARES, 256, alpha)
+            diffs = np.abs(np.diff(prefix))
+            ts = np.arange(1, 256)
+            assert np.all(diffs <= 2.0 / ts + 1e-12)
 
 
 def oracle_phases(P, t, alpha):
@@ -213,27 +221,6 @@ class TestResidueKernel:
             residue_counts((0, 1), 1, PHASE_TERM_BUDGET + 1)
         with pytest.raises(ParameterError):
             residue_counts((0, 1), 0, 5)
-
-
-class TestDiffMultiplier:
-    def test_block_membership_enforced(self):
-        with pytest.raises(ParameterError):
-            diff_multiplier(SQUARES, 7, 3, 0.1)  # 7 < 8 = 2^3
-
-    def test_value(self):
-        n, t, alpha = 4, 20, 0.37
-        expect = weyl_sum(SQUARES, t, alpha) - weyl_sum(SQUARES, 16, alpha)
-        assert diff_multiplier(SQUARES, t, n, alpha) == \
-            pytest.approx(expect, abs=1e-12)
-
-    def test_triangle_bound(self):
-        # |K_t - K_{t+1}| <= 2/t pointwise in alpha
-        rng = np.random.default_rng(7)
-        for alpha in rng.random(5):
-            prefix = weyl_sum_prefix(SQUARES, 256, alpha)
-            diffs = np.abs(np.diff(prefix))
-            ts = np.arange(1, 256)
-            assert np.all(diffs <= 2.0 / ts + 1e-12)
 
 
 class TestGaussWeight:

@@ -1,4 +1,4 @@
-"""Cyclic-group diagonalization, arc projections, and variation experiments."""
+"""Cyclic-group diagonalization, grid arcs, and variation experiments."""
 
 import math
 from fractions import Fraction
@@ -8,16 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circlelab import (Annulus, ArcKind, ArcParams, CyclicSignal,
-                       FrequencyMultiplier, IntPoly, ParameterError,
-                       ResourceError, arc_projection_multiplier,
-                       average_multiplier, classify_arc, dft, farey_level,
-                       idft, polynomial_average, polynomial_average_direct,
-                       variation_experiment, weyl_sum)
+from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
+                       ResourceError, average_multiplier, classify_arc,
+                       farey_level, variation_experiment, weyl_sum)
 from circlelab import spectral
 from circlelab.arith import annulus_label, torus_distance
 from circlelab.expsum import DIRECT_SUM_BUDGET
 from circlelab.spectral import grid_arcs
+from oracles import polynomial_average, polynomial_average_direct
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -28,19 +26,7 @@ def random_signal(M, seed):
 
 
 class TestDFT:
-    def test_delta_transforms_flat(self):
-        f = CyclicSignal(8, [1] + [0] * 7)
-        fhat = dft(f)
-        assert np.allclose(fhat.values, np.full(8, 1 / math.sqrt(8)))
-
-    def test_unitary(self):
-        f = random_signal(33, 0)
-        assert dft(f).norm() == pytest.approx(f.norm(), abs=1e-10)
-
-    def test_roundtrip(self):
-        f = random_signal(12, 1)
-        assert np.allclose(idft(dft(f)).values, f.values, atol=1e-12)
-
+    # the DFT runs on CyclicSignal values, which must be finite
     @pytest.mark.parametrize("bad", [math.nan, math.inf,
                                      complex(0, -math.inf)])
     def test_non_finite_rejected(self, bad):
@@ -125,65 +111,29 @@ class TestPolynomialAverage:
         assert np.allclose(a, b, atol=1e-12)
 
 
-class TestMultipliers:
-    def test_modulus_mismatch(self):
-        from circlelab.spectral import apply_multiplier
-        with pytest.raises(ParameterError):
-            apply_multiplier(random_signal(8, 0),
-                             FrequencyMultiplier(16, np.ones(16)))
-
-    def test_identity_multiplier(self):
-        from circlelab.spectral import apply_multiplier
-        f = random_signal(10, 5)
-        out = apply_multiplier(f, FrequencyMultiplier(10, np.ones(10)))
-        assert np.allclose(out.values, f.values, atol=1e-12)
-
-
 class TestArcProjections:
+    """The 0/1 arc projections that `verify` builds from `grid_arcs`."""
+
     PARAMS = ArcParams(10, 0.05, 2)
 
-    def test_major_minor_partition(self):
-        M = 512
-        maj = arc_projection_multiplier(SQUARES, self.PARAMS,
-                                        ArcKind.MAJOR, M)
-        mino = arc_projection_multiplier(SQUARES, self.PARAMS,
-                                         ArcKind.MINOR, M)
-        assert np.allclose(maj.samples + mino.samples, np.ones(M), atol=0)
-
     def test_zero_frequency_is_major(self):
-        maj = arc_projection_multiplier(SQUARES, self.PARAMS,
-                                        ArcKind.MAJOR, 512)
-        assert maj.samples[0] == 1.0
+        arcs = grid_arcs(SQUARES, self.PARAMS, 512)
+        assert arcs.major[0] and arcs.s[0] == 0
+        assert arcs.dist[0] == 0 and arcs.k[0] == math.inf
 
     def test_annuli_refine_major(self):
+        # at s_max = 0 every Major point sits at level 0, and its shell
+        # index is its annulus label
         M = 512
-        maj = arc_projection_multiplier(SQUARES, self.PARAMS,
-                                        ArcKind.MAJOR, M).samples
-        total = np.zeros(M, dtype=complex)
+        arcs = grid_arcs(SQUARES, self.PARAMS, M)
         ks = set()
         for j in range(M):
             lab = classify_arc(Fraction(j, M), SQUARES, self.PARAMS)
             if lab.is_major:
-                from circlelab.arith import annulus_label
                 ks.add(annulus_label(Fraction(j, M), SQUARES, self.PARAMS,
                                      lab))
-        for k in ks:
-            total += arc_projection_multiplier(
-                SQUARES, self.PARAMS, Annulus(0, k), M).samples
-        assert np.allclose(total, maj, atol=0)
-
-    def test_idempotent(self):
-        from circlelab.spectral import apply_multiplier
-        f = random_signal(256, 6)
-        m = arc_projection_multiplier(SQUARES, self.PARAMS,
-                                      ArcKind.MINOR, 256)
-        once = apply_multiplier(f, m)
-        twice = apply_multiplier(once, m)
-        assert np.allclose(once.values, twice.values, atol=1e-12)
-
-    def test_unknown_selector(self):
-        with pytest.raises(ParameterError):
-            arc_projection_multiplier(SQUARES, self.PARAMS, "everything", 64)
+        assert np.all(arcs.s[arcs.major] == 0)
+        assert set(arcs.k[arcs.major].tolist()) == ks
 
 
 class TestGridArcs:

@@ -2,18 +2,21 @@
 
 import cmath
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from circlelab import (LacunaryTrigPoly, ParameterError, ResourceError,
-                       average_trigpoly, build_sequences, eta_error,
+from circlelab import (IntPoly, LacunaryTrigPoly, ParameterError,
+                       ResourceError, build_sequences, eta_error,
                        exact_ladder_radius, fast_dyadic_quadratic_weyl,
-                       partial_sum, search_coefficients, v2_partial_sums_norm)
+                       search_coefficients, v2_partial_sums_norm, weyl_sum)
 from circlelab import expsum
 from circlelab.expsum import PHASE_TERM_BUDGET
 from circlelab.torus import _independent_phase_matrix, _partial_sum_objective
+
+SQUARES = IntPoly([0, 0, 1])
 
 
 class TestTrigPoly:
@@ -73,11 +76,30 @@ class TestBuildSequences:
             assert all(c == 0 for c in closure)
 
 
+def weyl_factor(freq, R, N):
+    """The multiplier of K_N (alpha = 2^-R) at frequency freq.
+
+    Power-of-two frequencies 2^k with k <= R go through the fast dyadic
+    evaluator, as in `eta_multipliers`; any other frequency takes the
+    conjugate Weyl sum of n^2 at the exact rational freq/2^R.
+    """
+    k = freq.bit_length() - 1
+    if freq > 0 and freq == 1 << k and k <= R:
+        return fast_dyadic_quadratic_weyl(k, R, N)
+    return weyl_sum(SQUARES, N, Fraction(freq, 1 << R)).conjugate()
+
+
+def average(f, R, N):
+    """K_N * f: each coefficient of f picks up its Weyl factor."""
+    return LacunaryTrigPoly({freq: coeff * weyl_factor(freq, R, N)
+                             for freq, coeff in f.terms})
+
+
 class TestAverageTrigPoly:
     def test_matches_direct_summation(self):
         R, N = 10, 32
         f = LacunaryTrigPoly({16: 1.5, 1024: -0.5j})
-        out = average_trigpoly(f, R, N)
+        out = average(f, R, N)
         for freq, coeff in f.terms:
             w = sum(cmath.exp(2j * math.pi * ((freq * n * n) % (1 << R))
                               / (1 << R)) for n in range(1, N + 1)) / N
@@ -94,7 +116,7 @@ class TestAverageTrigPoly:
         mask, scale = (1 << R) - 1, 2.0 ** (-R)
         want = sum(np.exp(2j * math.pi * (((freq * n * n) & mask) * scale))
                    for n in range(1, N + 1)) / N
-        out = average_trigpoly(LacunaryTrigPoly({freq: 1.0}), R, N)
+        out = average(LacunaryTrigPoly({freq: 1.0}), R, N)
         assert abs(dict(out.terms)[freq] - want) <= 1e-12
 
     def test_term_budget_checked_first(self):
@@ -103,13 +125,13 @@ class TestAverageTrigPoly:
         with mock.patch.object(expsum, "_phase_chunks",
                                side_effect=AssertionError):
             with pytest.raises(ResourceError):
-                average_trigpoly(f, 10, PHASE_TERM_BUDGET + 1)
+                average(f, 10, PHASE_TERM_BUDGET + 1)
 
     def test_consistent_with_pointwise_average(self):
         # K_N f(x) = (1/N) sum_n f(x + n^2 2^-R) on a dense grid
         R, N, G = 8, 12, 1 << 10
         f = LacunaryTrigPoly({4: 1.0, 32: 2.0j, 7: -1.0})
-        out = average_trigpoly(f, R, N)
+        out = average(f, R, N)
         xs = np.arange(G) / G
         lhs = np.array([out.eval_float(x) for x in xs])
         rhs = np.zeros(G, dtype=complex)
@@ -120,24 +142,15 @@ class TestAverageTrigPoly:
 
 
 class TestPartialSum:
-    def test_selects_tail_frequencies(self):
-        params = build_sequences(2, 14)
-        f = LacunaryTrigPoly({1 << 8: 0.6, 1 << 0: 0.8})
-        s1 = partial_sum(f, params, 1)
-        s2 = partial_sum(f, params, 2)
-        assert set(s1.frequencies) == {256, 1}
-        assert set(s2.frequencies) == {1}
-
-    def test_out_of_range_m(self):
-        params = build_sequences(2, 14)
-        f = LacunaryTrigPoly({1 << 8: 1.0})
-        with pytest.raises(ParameterError):
-            partial_sum(f, params, 3)
-
     def test_foreign_frequency_rejected(self):
+        # S_m f is read off the ladder coefficients, which refuse any
+        # frequency off the ladder
         params = build_sequences(2, 14)
+        f = LacunaryTrigPoly({3: 1.0})
         with pytest.raises(ParameterError):
-            partial_sum(LacunaryTrigPoly({3: 1.0}), params, 1)
+            eta_error(f, params, 64, 0)
+        with pytest.raises(ParameterError):
+            v2_partial_sums_norm(f, params, 64, 0)
 
 
 class TestEtaError:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ResourceError, VerifyConfig,
-                       fit_constant, fit_power_law, verify_entropy,
-                       verify_est, verify_main_decomposition, verify_smooth)
+                       fit_power_law, verify_entropy, verify_est,
+                       verify_main_decomposition, verify_smooth)
 from circlelab import arith, verify
 from circlelab.verify import (_circular_distance, _clipped_walk_multipliers,
                               _power_fit)
@@ -19,18 +19,6 @@ SQUARES = IntPoly([0, 0, 1])
 
 
 class TestFits:
-    def test_fit_constant_examples(self):
-        assert fit_constant([(1.0, 2.0), (3.0, 2.0)]) == 1.5
-        assert fit_constant([(0.0, 1.0)]) == 0.0
-
-    def test_fit_constant_validation(self):
-        with pytest.raises(ParameterError):
-            fit_constant([])
-        with pytest.raises(ParameterError):
-            fit_constant([(1.0, 0.0)])
-        with pytest.raises(ParameterError):
-            fit_constant([(-1.0, 1.0)])
-
     def test_power_law_exact(self):
         points = [(n, 2.0 ** -n) for n in range(4, 12)]
         assert fit_power_law(points) == pytest.approx(-1.0, abs=1e-12)
