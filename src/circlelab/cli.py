@@ -312,9 +312,12 @@ def _run(args) -> dict:
                            "closure_defects": list(closure)}}
         results.append(entry)
         if not args.dry_run:
-            from .torus import LacunaryTrigPoly, eta_error, eta_multipliers
-            # the multipliers hold the budgeted tail sums: refuse before
-            # the coefficient search, not after it
+            from .torus import (LacunaryTrigPoly, check_sample_count,
+                                eta_error, eta_multipliers)
+            # the sample count and the multipliers, which hold the
+            # budgeted tail sums, are refused before the coefficient
+            # search, not after it
+            check_sample_count(args.sample_count)
             W = eta_multipliers(params)
             coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
             f = LacunaryTrigPoly({1 << ki: c

@@ -139,11 +139,10 @@ def variation_experiment(f: CyclicSignal, P: IntPoly,
     M = f.modulus
     check_dp_cells(M, len(scales))
     fhat = np.fft.fft(f.values)
-    spatial = np.empty((M, len(scales)), dtype=complex)
+    spatial = np.empty((len(scales), M), dtype=complex)
     for idx, N in enumerate(scales):
-        mult = average_multiplier(P, N, M)
-        spatial[:, idx] = np.fft.ifft(fhat * mult)
-    pointwise = variation_values(spatial, r)
+        spatial[idx] = np.fft.ifft(fhat * average_multiplier(P, N, M))
+    pointwise = variation_values(spatial.T, r)
     denom = f.norm()
     if denom == 0:
         raise ParameterError("signal must be non-zero")

@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
-from .expsum import fast_dyadic_quadratic_weyl
-from .varnorm import variation_values
+from .errors import ParameterError, ResourceError
+from .expsum import DIRECT_SUM_BUDGET, fast_dyadic_quadratic_weyl
+from .varnorm import check_dp_cells, variation_values
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,41 @@ def _admissible(L: int, R: int) -> bool:
         return False
 
 
+def check_sample_count(sample_count: int) -> None:
+    """Refuse fewer than 1 or more than DIRECT_SUM_BUDGET sample points.
+
+    The ladder's points are drawn one by one in Python, so the count is
+    budgeted like a direct sum; callers check it before any other work.
+    """
+    if sample_count < 1:
+        raise ParameterError("sample count must be >= 1")
+    if sample_count > DIRECT_SUM_BUDGET:
+        raise ResourceError(
+            f"{sample_count} sample points are over the budget "
+            f"{DIRECT_SUM_BUDGET}; lower the sample count")
+
+
 def _ladder_phases(params: CounterexampleParams, sample_count: int,
                    seed: int) -> np.ndarray:
-    """(samples, L) phases {2^{k_i} x} at exact dyadic sample points."""
+    """(L, samples) phases {2^{k_i} x} at exact dyadic sample points."""
     bits = params.R + 64
     rng = np.random.default_rng(seed)
     mask = (1 << bits) - 1
     scale = 2.0 ** (-bits)
-    phases = np.empty((sample_count, params.L), dtype=float)
+    phases = np.empty((params.L, sample_count), dtype=float)
     for s in range(sample_count):
         numer = int.from_bytes(rng.bytes((bits + 7) // 8), "big") & mask
         for i, ki in enumerate(params.k):
-            phases[s, i] = ((numer << ki) & mask) * scale
+            phases[i, s] = ((numer << ki) & mask) * scale
     return phases
+
+
+def _partial_sums(p: np.ndarray) -> np.ndarray:
+    """Rows a_i z_i of p (L, samples) become S_l f = sum_{i >= l} a_i z_i,
+    in place, with a reversed cumulative sum's additions in its order."""
+    for l in range(len(p) - 2, -1, -1):
+        p[l] += p[l + 1]
+    return p
 
 
 def _ladder_coeffs(f: LacunaryTrigPoly,
@@ -171,15 +193,16 @@ def eta_error(f: LacunaryTrigPoly, params: CounterexampleParams,
     unless given); only the spatial supremum is estimated by sampling.
     """
     a = _ladder_coeffs(f, params)
+    check_sample_count(sample_count)
     if W is None:
         W = eta_multipliers(params)
     phases = _ladder_phases(params, sample_count, seed)
-    z = np.exp(2j * math.pi * phases)          # (samples, L)
-    az = z * a[None, :]
-    # S_l f(x) = sum_{i >= l} a_i z_i: reversed cumulative sums
-    partial = np.cumsum(az[:, ::-1], axis=1)[:, ::-1]
-    averaged = az @ W.T                        # (samples, L), column l-1 = K_{2^{j_l}}*f
-    eta = np.abs(partial - averaged).sum(axis=1)
+    az = np.exp(2j * math.pi * phases) * a[:, None]   # (L, samples)
+    partial = _partial_sums(az.copy())
+    # row l-1 = K_{2^{j_l}} * f, formed sample-major: W @ az rounds
+    # differently in the last bit
+    averaged = (az.T @ W.T).T
+    eta = np.abs(partial - averaged).sum(axis=0)
     return float(eta.max()), float(np.sqrt(np.mean(eta ** 2)))
 
 
@@ -187,29 +210,27 @@ def v2_partial_sums_norm(f: LacunaryTrigPoly, params: CounterexampleParams,
                          sample_count: int, seed: int) -> float:
     """Monte Carlo L^2(T) norm of x -> V^2((S_m f(x))_{m=1..L})."""
     a = _ladder_coeffs(f, params)
+    check_sample_count(sample_count)
     phases = _ladder_phases(params, sample_count, seed)
-    z = np.exp(2j * math.pi * phases)
-    partial = np.cumsum((z * a[None, :])[:, ::-1], axis=1)[:, ::-1]
-    v = variation_values(partial, 2.0)
-    return float(np.sqrt(np.mean(v ** 2)))
+    return _partial_sum_objective(a, np.exp(2j * math.pi * phases))
 
 
 def _independent_phase_matrix(L: int, sample_count: int,
                               seed: int) -> np.ndarray:
-    """Per-frequency phase columns, stable in L for fixed seed.
+    """(L, samples) per-frequency phase rows, stable in L for fixed seed.
 
-    Column i only depends on (seed, i), so embedding an optimal
+    Row i only depends on (seed, i), so embedding an optimal
     coefficient vector into a longer ladder reuses identical samples and
     the optimizer's objective is exactly monotone in L.
     """
-    cols = [np.random.default_rng([seed, i]).random(sample_count)
+    rows = [np.random.default_rng([seed, i]).random(sample_count)
             for i in range(L)]
-    return np.exp(2j * math.pi * np.stack(cols, axis=1))
+    return np.exp(2j * math.pi * np.stack(rows))
 
 
 def _partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:
-    partial = np.cumsum((z * coeffs[None, :])[:, ::-1], axis=1)[:, ::-1]
-    v = variation_values(partial, 2.0)
+    p = _partial_sums(z * coeffs[:, None])
+    v = variation_values(p.T, 2.0)
     return float(np.sqrt(np.mean(v ** 2)))
 
 
@@ -226,6 +247,10 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
     """
     if L < 2:
         raise ParameterError("L must be >= 2")
+    if iterations < 0 or restarts < 0:
+        raise ParameterError("iterations and restarts must be >= 0")
+    check_sample_count(sample_count)
+    check_dp_cells(sample_count, L)
     z = _independent_phase_matrix(L, sample_count, seed)
     rng = np.random.default_rng([seed, 999])
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ParameterError, ResourceError
 
-# rows of the DP per block: each block is copied once, transposed, so every
-# DP step runs over contiguous rows of 4096 slot values
+# families per DP block: the kernel runs on (S, 4096) slices whose rows are
+# contiguous, so every DP step is a pass over 4096 adjacent slot values
 DP_BLOCK_ROWS = 4096
 # most DP cells rows * S(S-1)/2 one call may visit: above the 2^18 x 12
 # (17.3 M cells) and 2^20 x 6 (15.7 M) arrays of the experiments, below the
@@ -88,31 +88,22 @@ def check_dp_cells(rows: int, S: int) -> None:
             f"points or of scales")
 
 
-def _best_power_sums(values: np.ndarray, r: float) -> np.ndarray:
-    """best[..., j]: the largest sum of |f_b - f_a|^r over chains ending at j.
+def _best_power_sums(v: np.ndarray, r: float) -> np.ndarray:
+    """b[j, c]: the largest sum of |f_b - f_a|^r over chains ending at j.
 
-    A singleton chain has power sum 0.  Overflow to inf is a valid answer,
-    so it is not reported.  The families are flattened to (rows, S), and
-    each block of DP_BLOCK_ROWS rows is copied into a C-ordered (S, block)
-    array, so every step of the DP works on contiguous rows.
+    `v` is an (S, cols) complex array with contiguous rows, one family per
+    column, so every step of the DP works on contiguous rows.  A singleton
+    chain has power sum 0.  Overflow to inf is a valid answer, so it is
+    not reported.
     """
-    *lead, S = values.shape
-    rows = math.prod(lead)
-    check_dp_cells(rows, S)
-    flat = values.reshape(rows, S)
-    best = np.empty((rows, S))
+    b = np.zeros(v.shape)
     with np.errstate(over="ignore"):
-        for lo in range(0, rows, DP_BLOCK_ROWS):
-            v = np.array(flat[lo:lo + DP_BLOCK_ROWS].T, dtype=complex,
-                         order="C")
-            b = np.zeros(v.shape)
-            for j in range(1, S):
-                cand = np.abs(v[:j] - v[j])
-                cand **= r
-                cand += b[:j]
-                cand.max(axis=0, out=b[j])
-            best[lo:lo + DP_BLOCK_ROWS] = b.T
-    return best.reshape(values.shape)
+        for j in range(1, len(v)):
+            cand = np.abs(v[:j] - v[j])
+            cand **= r
+            cand += b[:j]
+            cand.max(axis=0, out=b[j])
+    return b
 
 
 def _optimal_chain(values: Sequence[complex], r: float):
@@ -122,7 +113,8 @@ def _optimal_chain(values: Sequence[complex], r: float):
     i whose candidate, recomputed with the DP's own expression, is largest.
     """
     v = np.asarray(values, dtype=complex)
-    best = _best_power_sums(v, r)
+    check_dp_cells(1, len(v))
+    best = _best_power_sums(v[:, None], r)[:, 0]
     end = j = int(np.argmax(best))
     chain = [end]
     with np.errstate(over="ignore"):
@@ -192,9 +184,22 @@ def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
 def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     """Vectorized r-variation along the last axis (values only, no optimizer).
 
-    `values` has shape (..., S); the leading axes are flattened into rows
-    and the DP runs on transposed blocks of DP_BLOCK_ROWS rows.  A call
-    over DP_CELL_BUDGET cells rows * S(S-1)/2 is refused before any work.
+    `values` has shape (..., S); the leading axes are flattened into rows,
+    the DP runs on (S, DP_BLOCK_ROWS) blocks, and only each block's column
+    max is kept.  A call over DP_CELL_BUDGET cells rows * S(S-1)/2 is
+    refused before any work.
     """
     r = _check_r(r)
-    return _best_power_sums(np.asarray(values), r).max(axis=-1) ** (1.0 / r)
+    values = np.asarray(values)
+    *lead, S = values.shape
+    rows = math.prod(lead)
+    check_dp_cells(rows, S)
+    # one (S, rows) copy, none when the caller passes the .T of (S, rows)
+    v = np.asarray(values.reshape(rows, S).T, dtype=complex, order="C")
+    top = np.empty(rows)
+    for lo in range(0, rows, DP_BLOCK_ROWS):
+        block = slice(lo, lo + DP_BLOCK_ROWS)
+        _best_power_sums(v[:, block], r).max(axis=0, out=top[block])
+    # [()] makes a 1-D call's 0-d result a scalar, whose power is the
+    # scalar one (numpy's array power can differ from it in the last bit)
+    return top.reshape(lead)[()] ** (1.0 / r)

@@ -301,10 +301,10 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
     for _ in range(trials):
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         fhat = np.fft.fft(f)
-        spatial = np.empty((M, len(ks)), dtype=complex)
+        spatial = np.empty((len(ks), M), dtype=complex)
         for idx, ind in enumerate(inds):
-            spatial[:, idx] = np.fft.ifft(fhat * ind)
-        v = variation_values(spatial, r)
+            spatial[idx] = np.fft.ifft(fhat * ind)
+        v = variation_values(spatial.T, r)
         ratios.append(float(np.linalg.norm(v) / np.linalg.norm(f)))
     value = max(ratios)
     envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)

@@ -166,6 +166,37 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"modulus M={257 << 14}" in err
 
+    @pytest.mark.parametrize("count,expect", [
+        ("0", 2), ("-1", 2), (str((1 << 22) + 1), 3)])
+    def test_sample_count_checked_before_search(self, count, expect, capsys,
+                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("coefficient search ran before the check")
+
+        monkeypatch.setattr("circlelab.cli.search_coefficients", never)
+        assert main(["counterexample", "--L", "3", "--R", "47",
+                     "--sample-count", count]) == expect
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,expect", [
+        # 8192 samples x L(L-1)/2 pairs over the DP-cell budget
+        (["search-coeffs", "--L", "2000"], 3),
+        (["search-coeffs", "--L", "100000"], 3),
+        (["search-coeffs", "--L", "3", "--iterations", "-1"], 2),
+        (["search-coeffs", "--L", "3", "--restarts", "-1"], 2),
+    ])
+    def test_search_refused_before_phases(self, argv, expect, capsys,
+                                          monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("phase matrix built before the checks")
+
+        monkeypatch.setattr("circlelab.torus._independent_phase_matrix",
+                            never)
+        assert main(argv) == expect
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_farey_level_budget(self, capsys):
         # no level up to s = 9 admits 1/3000007: refused at level 10
         code, _ = run_cli(["arcs", "--n", "200", "--delta", "0.125",

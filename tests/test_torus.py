@@ -7,14 +7,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab import (IntPoly, LacunaryTrigPoly, ParameterError,
                        ResourceError, build_sequences, eta_error,
                        exact_ladder_radius, fast_dyadic_quadratic_weyl,
                        search_coefficients, v2_partial_sums_norm, weyl_sum)
 from circlelab import expsum
-from circlelab.expsum import PHASE_TERM_BUDGET
-from circlelab.torus import _independent_phase_matrix, _partial_sum_objective
+from circlelab.expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET
+from circlelab.torus import (_independent_phase_matrix, _partial_sum_objective,
+                             _partial_sums)
+
+from oracles import cumsum_partial_sum_objective
+from test_varnorm import assert_bitwise_equal
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -142,6 +148,33 @@ class TestAverageTrigPoly:
 
 
 class TestPartialSum:
+    @given(st.integers(1, 9), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reversed_cumsum(self, L, samples, seed):
+        rng = np.random.default_rng(seed)
+        az = (rng.standard_normal((samples, L))
+              + 1j * rng.standard_normal((samples, L)))
+        want = np.cumsum(az[:, ::-1], axis=1)[:, ::-1]
+        got = _partial_sums(np.ascontiguousarray(az.T))
+        assert_bitwise_equal(got.T, want)
+
+    @given(st.integers(1, 9), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_objective_matches_cumsum_oracle(self, L, samples, seed,
+                                             complex_coeffs):
+        rng = np.random.default_rng([seed, 1])
+        coeffs = rng.random(L)
+        if complex_coeffs:
+            coeffs = coeffs + 1j * rng.standard_normal(L)
+        z = _independent_phase_matrix(L, samples, seed)
+        assert z.shape == (L, samples)
+        got = _partial_sum_objective(coeffs, z)
+        want = cumsum_partial_sum_objective(coeffs,
+                                            np.ascontiguousarray(z.T))
+        assert_bitwise_equal(got, want)
+
     def test_foreign_frequency_rejected(self):
         # S_m f is read off the ladder coefficients, which refuse any
         # frequency off the ladder
@@ -238,6 +271,61 @@ class TestSearch:
         b = search_coefficients(2, 50, 1, 7)
         assert a == b
 
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_same_search_with_cumsum_objective(self, L):
+        # the search path depends on every bit of every objective value
+        got = search_coefficients(L, 60, 2, L)
+        with mock.patch("circlelab.torus._partial_sum_objective",
+                        lambda c, z: cumsum_partial_sum_objective(
+                            c, np.ascontiguousarray(z.T))):
+            want = search_coefficients(L, 60, 2, L)
+        assert got == want
+
     def test_L_validation(self):
         with pytest.raises(ParameterError):
             search_coefficients(1, 10, 1, 0)
+
+    @pytest.mark.parametrize("iterations,restarts", [(-1, 1), (10, -1)])
+    def test_negative_counts_rejected(self, iterations, restarts):
+        with pytest.raises(ParameterError):
+            search_coefficients(2, iterations, restarts, 0)
+
+    @pytest.mark.parametrize("L,samples,error", [
+        # (8192, 2000) is 1.6e10 DP cells; the phase matrix would be 262 MB
+        (2000, 8192, ResourceError),
+        (3, DIRECT_SUM_BUDGET + 1, ResourceError),
+        (3, 0, ParameterError),
+    ])
+    def test_refused_before_phases(self, L, samples, error):
+        def never(*args):
+            raise AssertionError("phase matrix built before the checks")
+
+        with mock.patch("circlelab.torus._independent_phase_matrix", never):
+            with pytest.raises(error):
+                search_coefficients(L, 10, 1, 0, sample_count=samples)
+
+
+class TestSampleCount:
+    """eta_error and v2_partial_sums_norm refuse a bad sample count before
+    any multiplier or phase is computed."""
+
+    @pytest.mark.parametrize("samples,error", [
+        (0, ParameterError), (-1, ParameterError),
+        (DIRECT_SUM_BUDGET + 1, ResourceError)])
+    def test_refused_before_work(self, samples, error):
+        params = build_sequences(2, 14)
+        f = LacunaryTrigPoly({1 << 8: 0.6, 1 << 0: 0.8})
+        with mock.patch("circlelab.torus._ladder_phases",
+                        side_effect=AssertionError), \
+                mock.patch("circlelab.torus.eta_multipliers",
+                           side_effect=AssertionError):
+            with pytest.raises(error):
+                eta_error(f, params, samples, 0)
+            with pytest.raises(error):
+                v2_partial_sums_norm(f, params, samples, 0)
+
+    def test_one_point_admitted(self):
+        params = build_sequences(2, 14)
+        f = LacunaryTrigPoly({1 << 8: 0.6, 1 << 0: 0.8})
+        sup, rms = eta_error(f, params, 1, 0)
+        assert rms == pytest.approx(sup)

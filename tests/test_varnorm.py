@@ -39,8 +39,8 @@ def sup_variation(seq):
 def loop_best_power_sums(values, r):
     """The DP as one broadcast step per slot over every leading axis.
 
-    This was the library kernel before the transposed block kernel; it
-    stays as the kernel's bitwise oracle.
+    This was the library kernel before the block kernels; it stays as
+    their bitwise oracle.
     """
     best = np.zeros(values.shape, dtype=float)
     with np.errstate(over="ignore"):
@@ -52,6 +52,7 @@ def loop_best_power_sums(values, r):
 
 
 def assert_bitwise_equal(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -203,8 +204,14 @@ def random_values(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def loop_variation_values(values, r):
+    """variation_values by the broadcast loop: the max over chain ends."""
+    return loop_best_power_sums(values, r).max(axis=-1) ** (1.0 / r)
+
+
 class TestBlockKernel:
-    """The transposed block kernel is bitwise equal to the broadcast loop."""
+    """variation_values is bitwise equal to the broadcast loop's column max,
+    and the slot-major kernel to the loop on every column."""
 
     @pytest.mark.parametrize("rows,S,r", [
         *[(rows, S, r) for rows in BLOCK_ROWS for S in (1, 2)
@@ -212,8 +219,12 @@ class TestBlockKernel:
         *[(rows, 64, r) for rows, r in zip(BLOCK_ROWS, EXPONENTS)]])
     def test_block_boundaries(self, rows, S, r):
         values = random_values((rows, S), rows * 101 + S)
-        assert_bitwise_equal(_best_power_sums(values, r),
-                             loop_best_power_sums(values, r))
+        assert_bitwise_equal(variation_values(values, r),
+                             loop_variation_values(values, r))
+        # slot-major: the (rows, S) view of an (S, rows) array
+        slot_major = np.ascontiguousarray(values.T).T
+        assert_bitwise_equal(variation_values(slot_major, r),
+                             loop_variation_values(values, r))
 
     @given(st.lists(st.integers(0, 5), max_size=2),
            st.sampled_from([1, 2, 3, 7, 64]), st.sampled_from(EXPONENTS),
@@ -228,8 +239,8 @@ class TestBlockKernel:
                       + 1j * rng.integers(-2, 3, shape))
         else:
             values = random_values(shape, seed)
-        assert_bitwise_equal(_best_power_sums(values, r),
-                             loop_best_power_sums(values, r))
+        assert_bitwise_equal(variation_values(values, r),
+                             loop_variation_values(values, r))
 
     @given(arrays(complex, st.tuples(st.integers(1, 4), st.integers(1, 6)),
                   elements=st.complex_numbers(max_magnitude=1e300,
@@ -238,8 +249,8 @@ class TestBlockKernel:
            st.sampled_from(EXPONENTS))
     @settings(max_examples=200, deadline=None)
     def test_drawn_values(self, values, r):
-        assert_bitwise_equal(_best_power_sums(values, r),
-                             loop_best_power_sums(values, r))
+        assert_bitwise_equal(variation_values(values, r),
+                             loop_variation_values(values, r))
 
     @pytest.mark.parametrize("r", EXPONENTS)
     def test_overflow_to_inf(self, r):
@@ -249,26 +260,35 @@ class TestBlockKernel:
         values[::3, 1] = 1e200
         values[1::3, 3] = -1e308 + 1e308j
         values[::2, 4] = 1e308
-        best = _best_power_sums(values, r)
-        assert np.isinf(best).any() and not np.isnan(best).any()
-        assert_bitwise_equal(best, loop_best_power_sums(values, r))
+        top = variation_values(values, r)
+        assert np.isinf(top).any() and not np.isnan(top).any()
+        assert_bitwise_equal(top, loop_variation_values(values, r))
 
     @pytest.mark.parametrize("M,S", [(256, 17), (4097, 6), (5000, 16)])
     def test_transposed_views(self, M, S):
-        # verify_smooth and verify_main_decomposition pass (M, S) views
-        # of (S, M) FFT outputs
+        # every experiment passes the (M, S) view of its (S, M) FFT rows
         spatial = np.fft.ifft(random_values((S, M), M), axis=1).T
         assert not spatial.flags.c_contiguous
         for r in (2.0, 3.0):
-            best = _best_power_sums(spatial, r)
-            assert_bitwise_equal(best, loop_best_power_sums(spatial, r))
+            top = variation_values(spatial, r)
+            assert_bitwise_equal(top, loop_variation_values(spatial, r))
             assert_bitwise_equal(
-                best, _best_power_sums(np.ascontiguousarray(spatial), r))
+                top, variation_values(np.ascontiguousarray(spatial), r))
 
     def test_real_input(self):
         values = np.random.default_rng(3).standard_normal((4100, 5))
-        assert_bitwise_equal(_best_power_sums(values, 3.0),
-                             loop_best_power_sums(values, 3.0))
+        assert_bitwise_equal(variation_values(values, 3.0),
+                             loop_variation_values(values, 3.0))
+
+    @pytest.mark.parametrize("S,cols", [(1, 3), (2, 1), (6, 4097), (64, 33)])
+    @pytest.mark.parametrize("r", EXPONENTS)
+    def test_slot_major_kernel(self, S, cols, r):
+        # the bare DP on (S, cols): one family per column, on a C-ordered
+        # array and on a column block of a wider one
+        v = random_values((S, 2 * cols), S * 7 + cols)
+        for block in (np.ascontiguousarray(v[:, :cols]), v[:, cols:]):
+            assert_bitwise_equal(_best_power_sums(block, r),
+                                 loop_best_power_sums(block.T, r).T)
 
 
 class TestCellBudget:
