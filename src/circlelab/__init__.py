@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .arith import (ArcKind, ArcLabel, ArcParams, CongruenceData, IntPoly,
                     ReducedFraction, classify_arc, congruence_data,
-                    eval_poly, farey_level, shell_index)
+                    eval_poly, farey_level)
 from .errors import (CircleLabError, NumericError, ParameterError,
                      ResourceError)
 from .expsum import (approx_multiplier, complete_dyadic_gauss,

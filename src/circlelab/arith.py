@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -199,7 +199,6 @@ class ArcLabel:
     fraction: Optional[ReducedFraction] = None
     s: Optional[int] = None
     pre_interval: Optional[int] = None
-    annulus: Optional[float] = None
 
     @property
     def is_major(self) -> bool:
@@ -243,30 +242,6 @@ def classify_arc(alpha: RealLike, P: IntPoly, params: ArcParams) -> ArcLabel:
     return MINOR_LABEL
 
 
-def annulus_label(alpha: RealLike, P: IntPoly, params: ArcParams,
-                  label: ArcLabel) -> float:
-    """Dyadic shell index k of the distance |{b_d alpha} - a/q|.
-
-    k is the least integer with 2^(-k) <= distance, so a distance of
-    exactly 2^(-21) gets k = 21.  Distance zero returns the +inf sentinel.
-    """
-    if not label.is_major:
-        raise ParameterError("annulus labels only apply to major arcs")
-    a = _as_fraction(alpha)
-    dist = float(_major_distance(a, P.leading, label.fraction))
-    return shell_index(dist)
-
-
-def shell_index(dist: float) -> float:
-    """Least k with 2^(-k) <= dist (i.e. dist in [2^-k, 2^-k+1)); inf at 0."""
-    if dist < 0:
-        raise ParameterError("distance must be non-negative")
-    if dist == 0:
-        return math.inf
-    m, e = math.frexp(dist)  # dist = m * 2^e, m in [0.5, 1)
-    return 1 - e
-
-
 @dataclass(frozen=True)
 class CongruenceData:
     """Least common denominator q_i and numerators (a^i_d, ..., a^i_1)."""
@@ -280,7 +255,9 @@ def congruence_data(P: IntPoly, frac: ReducedFraction, i: int) -> CongruenceData
 
     The component list is (a/q, b_{d-1}/b_d (a/q + i), ..., b_1/b_d (a/q + i));
     q_i is the lcm of the reduced component denominators and the numerators
-    are the components rescaled to that common denominator.
+    are the components rescaled to that common denominator.  They share no
+    factor with q_i: for each prime p | q_i some reduced component u/v has
+    v carrying the full power of p in q_i, so p divides neither u nor q_i/v.
     """
     bd = P.leading
     if not 0 <= i < bd:
@@ -293,9 +270,5 @@ def congruence_data(P: IntPoly, frac: ReducedFraction, i: int) -> CongruenceData
     q_i = 1
     for c in comps:
         q_i = q_i * c.denominator // math.gcd(q_i, c.denominator)
-    nums = [int(c * q_i) for c in comps]
-    g = math.gcd(q_i, *[abs(n) for n in nums]) if nums else q_i
-    if g > 1:  # cannot happen for an lcm, kept as a guard
-        q_i //= g
-        nums = [n // g for n in nums]
-    return CongruenceData(q_i, tuple(nums))
+    nums = tuple(int(c * q_i) for c in comps)
+    return CongruenceData(q_i, nums)

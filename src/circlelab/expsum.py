@@ -11,12 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
-from .arith import (IntPoly, ReducedFraction, congruence_data, eval_poly,
-                    fractions_near)
+from .arith import IntPoly, ReducedFraction, congruence_data, fractions_near
 from .errors import NumericError, ParameterError, ResourceError
 
 RealLike = Union[int, float, Fraction]
@@ -24,9 +23,9 @@ RealLike = Union[int, float, Fraction]
 # vt: switch from panel quadrature to the closed form above this many cycles
 _VT_PERIOD_BUDGET = 2000.0
 # the most terms or frequencies one direct evaluation may take: the tail
-# that fast_dyadic_quadratic_weyl sums term by term (~1 us a term on the
-# big-int path, m > 64), and in `spectral` the modulus M (arrays of length
-# M; q * M < 2^32 in grid_arcs) and the average length N
+# that fast_dyadic_quadratic_weyl sums term by term (~0.4 us a term on
+# the object-array path, m > 64), and in `spectral` the modulus M (arrays
+# of length M; q * M < 2^32 in grid_arcs) and the average length N
 DIRECT_SUM_BUDGET = 1 << 22
 # weyl_sum / weyl_sum_prefix: most terms one call may ask for, checked
 # before any work (a 2^28-term prefix is a 4 GB array); it also keeps
@@ -49,38 +48,14 @@ def _check_terms(t: int, name: str) -> int:
     return t
 
 
-def _bigint_phase_chunks(P: IntPoly, t: int, num: int,
-                         den: int) -> Iterator[np.ndarray]:
-    """frac(num * P(n) / den) for n = 1..t, in chunks, any num and den.
-
-    Uses the finite-difference table of n -> num * P(n): after d forward
-    differences the increments are constant integers, so each step is a
-    handful of big-int additions and one reduction mod den.
-    """
-    d = P.degree
-    g = [num * eval_poly(P, n) for n in range(1, d + 2)]
-    # forward differences D_0 .. D_d at n = 1
-    diffs = list(g)
-    for lvl in range(1, d + 1):
-        for j in range(d, lvl - 1, -1):
-            diffs[j] = diffs[j] - diffs[j - 1]
-    for start in range(0, t, _PHASE_CHUNK):
-        out = np.empty(min(_PHASE_CHUNK, t - start), dtype=float)
-        for n in range(len(out)):
-            out[n] = (diffs[0] % den) / den
-            for j in range(d):
-                diffs[j] += diffs[j + 1]
-        yield out
-
-
-def _residue_chunks(coeffs, t: int, den: int) -> Optional[Iterator[np.ndarray]]:
+def _residue_chunks(coeffs, t: int, den: int) -> Iterator[np.ndarray]:
     """Q(n) mod den for n = 1..t, Q(n) = sum_j coeffs[j] n^j, in chunks.
 
     The coefficients are any Python ints (the leading one may vanish mod
     den).  Horner runs in uint64 with wraparound and a mask for den = 2^e,
-    e <= 64, and mod den in int64 for other den < 2^31 (callers keep
-    t <= PHASE_TERM_BUDGET < 2^31, so every product stays below 2^62).
-    None for any other den: such residues need big ints.
+    e <= 64, mod den in int64 for other den < 2^31 (callers keep
+    t <= PHASE_TERM_BUDGET < 2^31, so every product stays below 2^62), and
+    mod den on Python ints in an object array for any other den.
     """
     if den & (den - 1) == 0 and den <= 1 << 64:
         # uint64 products wrap mod 2^64, and mod den = 2^e factors through it
@@ -89,14 +64,12 @@ def _residue_chunks(coeffs, t: int, den: int) -> Optional[Iterator[np.ndarray]]:
 
         def reduce(acc):
             np.bitwise_and(acc, mask, out=acc)
-    elif den < 1 << 31:
-        dtype = np.int64
+    else:
+        dtype = np.int64 if den < 1 << 31 else object
 
         def reduce(acc):
             np.remainder(acc, den, out=acc)
-    else:
-        return None
-    cs = [dtype(c % den) for c in reversed(coeffs)]
+    cs = np.array([c % den for c in reversed(coeffs)], dtype=dtype)
 
     def horner(start: int) -> np.ndarray:
         n = np.arange(start, min(start + _PHASE_CHUNK, t + 1), dtype=dtype)
@@ -125,22 +98,17 @@ def residue_counts(coeffs, t: int, q: int) -> np.ndarray:
 def _phase_chunks(P: IntPoly, t: int, alpha: RealLike) -> Iterator[np.ndarray]:
     """frac(alpha * P(n)) for n = 1..t, reduced exactly, in chunks.
 
-    alpha = num/den is read as the exact rational it is, and num * P(n) is
-    reduced mod den by `_residue_chunks` where den allows it.  The residue
-    r becomes r/den correctly rounded, bitwise as in the big-int loop,
-    which covers every other den.
+    alpha = num/den is read as the exact rational it is, num * P(n) is
+    reduced mod den by `_residue_chunks`, and each residue r becomes r/den
+    correctly rounded.
     """
     a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
     num, den = a.numerator, a.denominator
-    chunks = _residue_chunks([num * c for c in P.coeffs], t, den)
-    if chunks is None:
-        yield from _bigint_phase_chunks(P, t, num, den)
-        return
-    for r in chunks:
-        # a power-of-two den scales the correctly rounded float(r) exactly;
-        # a den below 2^31 leaves r and den exact, so one rounding: either
-        # way this is r/den correctly rounded
-        yield r / float(den)
+    for r in _residue_chunks([num * c for c in P.coeffs], t, den):
+        # Python ints divide correctly rounded; on uint64 a power-of-two den
+        # scales the correctly rounded float(r) exactly, and on int64 r and
+        # den < 2^31 are exact floats, so one rounding
+        yield (r / den).astype(float, copy=False)
 
 
 def _esum(phase_chunks) -> complex:

@@ -75,13 +75,12 @@ class GridArcs(NamedTuple):
     """Arc data of every frequency j/M of a grid, indexed by j."""
 
     major: np.ndarray  # classify_arc(j/M).is_major
-    s: np.ndarray      # level of the admitting fraction; -1 on Minor
-    k: np.ndarray      # annulus_label(j/M) on Major; nan on Minor
     dist: np.ndarray   # distance of {b_d j/M} to the nearest admitted a/q
+    shell: np.ndarray  # least k with 2^-k <= dist; inf where dist is 0
 
 
 def grid_arcs(P: IntPoly, params: ArcParams, M: int) -> GridArcs:
-    """`classify_arc` and `annulus_label` at all j/M at once, exactly.
+    """`classify_arc` and the dyadic distance shells at all j/M, exactly.
 
     With X = b_d j mod M, the torus distance of {b_d j/M} to a/q is
     min(r, qM - r)/(qM), r = (Xq - aM) mod qM, in int64: q < 2^10 (the
@@ -90,7 +89,9 @@ def grid_arcs(P: IntPoly, params: ArcParams, M: int) -> GridArcs:
     same 2-ulp tie rule.  Admitted fractions lie more than 4^-(s_max+1)
     > 2w apart (s_max >= 1 forces n >= 8 as delta <= 1/8), so at most one
     is within w of a point: at its level, the nearer of the point's two
-    neighbours in value order, found by bisection.
+    neighbours in value order, found by bisection.  On Major points the
+    nearest admitted fraction is the admitting one, so `shell` is the
+    annulus index of the arc decomposition there.
     """
     if params.degree != P.degree:
         raise ParameterError("params.degree must match the polynomial degree")
@@ -104,8 +105,6 @@ def grid_arcs(P: IntPoly, params: ArcParams, M: int) -> GridArcs:
     x = X / M
     tie = 2 * math.ulp(w)
     major = np.zeros(M, dtype=bool)
-    s_of = np.full(M, -1, dtype=np.int64)
-    k = np.full(M, np.nan)
     dist = np.full(M, np.inf)
     for s in range(params.s_max + 1):
         level = farey_level(s)
@@ -117,13 +116,11 @@ def grid_arcs(P: IntPoly, params: ArcParams, M: int) -> GridArcs:
             qM = q[c] * M
             r = (X * q[c] - a[c] * M) % qM
             np.minimum(near, np.minimum(r, qM - r) / qM, out=near)
-        hit = (near < w) & (w - near > tie)
-        major |= hit
-        s_of[hit] = s
-        d = near[hit]
-        k[hit] = np.where(d == 0, np.inf, 1 - np.frexp(d)[1])
+        major |= (near < w) & (w - near > tie)
         np.minimum(dist, near, out=dist)
-    return GridArcs(major, s_of, k, dist)
+    # dist = m 2^e with m in [1/2, 1) lies in [2^-k, 2^-k+1) for k = 1 - e
+    shell = np.where(dist == 0, np.inf, 1 - np.frexp(dist)[1])
+    return GridArcs(major, dist, shell)
 
 
 def variation_experiment(f: CyclicSignal, P: IntPoly,

@@ -32,33 +32,6 @@ class LacunaryTrigPoly:
             raise ParameterError("frequencies must be non-negative")
         object.__setattr__(self, "terms", tuple(items))
 
-    @property
-    def frequencies(self) -> tuple:
-        return tuple(k for k, _ in self.terms)
-
-    @property
-    def coefficients(self) -> tuple:
-        return tuple(v for _, v in self.terms)
-
-    def l2_norm(self) -> float:
-        """Parseval: distinct frequencies are orthonormal in L^2(T)."""
-        return math.sqrt(sum(abs(v) ** 2 for _, v in self.terms))
-
-    def eval_dyadic(self, numer: int, bits: int) -> complex:
-        """Evaluate at x = numer / 2^bits with exact phase reduction."""
-        mask = (1 << bits) - 1
-        scale = 2.0 ** (-bits)
-        total = 0.0 + 0.0j
-        for k, v in self.terms:
-            phase = (numer * k) & mask
-            total += v * np.exp(2j * math.pi * (phase * scale))
-        return total
-
-    def eval_float(self, x: float) -> complex:
-        """Plain double-precision evaluation (dense-grid oracle, small freqs)."""
-        return complex(sum(v * np.exp(2j * math.pi * ((k * x) % 1.0))
-                           for k, v in self.terms))
-
 
 @dataclass(frozen=True)
 class CounterexampleParams:
@@ -146,12 +119,13 @@ def _ladder_phases(params: CounterexampleParams, sample_count: int,
     bits = params.R + 64
     rng = np.random.default_rng(seed)
     mask = (1 << bits) - 1
-    scale = 2.0 ** (-bits)
+    den = 1 << bits
     phases = np.empty((params.L, sample_count), dtype=float)
     for s in range(sample_count):
         numer = int.from_bytes(rng.bytes((bits + 7) // 8), "big") & mask
         for i, ki in enumerate(params.k):
-            phases[i, s] = ((numer << ki) & mask) * scale
+            # int / int rounds once, correctly, at any width
+            phases[i, s] = ((numer << ki) & mask) / den
     return phases
 
 
@@ -272,7 +246,7 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
     e1 = np.zeros(L)
     e1[0] = 1.0
     starts.append(e1)
-    while len(starts) < max(restarts, 1) + (init is not None) + 1:
+    while len(starts) < restarts + (init is not None) + 1:
         starts.append(project(rng.random(L)))
 
     best_a, best_val = None, -math.inf
@@ -280,7 +254,7 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
         a = start.copy()
         val = _partial_sum_objective(a, z)
         step = 0.3
-        for _ in range(max(iterations, 1)):
+        for _ in range(iterations):
             cand = project(a + step * rng.standard_normal(L))
             cval = _partial_sum_objective(cand, z)
             if cval > val:

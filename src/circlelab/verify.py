@@ -52,13 +52,6 @@ class BoundFitReport:
     slope: float           # least-squares log2 slope against the scale
     residual: float
 
-    def stability_factor(self) -> float:
-        """max/min of the per-scale values (the non-growth diagnostic)."""
-        vals = [v for v in self.values if v > 0]
-        if not vals:
-            return 1.0
-        return max(vals) / min(vals)
-
 
 def _power_fit(ns: Sequence[float], vs: Sequence[float]):
     ns = np.asarray(ns, dtype=float)
@@ -376,25 +369,22 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
 
         l_n = params.critical_annulus_index
         if n == cfg.n_range[-1]:
-            dist = arcs.dist
-            shells = []
-            for k in range(1, int(math.log2(M)) + 1):
-                offs = abs(k - n * d)
-                ind = (dist >= 2.0 ** (-k)) & (dist < 2.0 ** (-k + 1))
+            # reassembly: V^2 of the full signal vs the sum over the
+            # resolvable shells k <= log2 M and the deep part below them
+            lhs_total = block_norm(np.ones(M))
+            log2_m = int(math.log2(M))
+            for k in range(1, log2_m + 1):
+                ind = arcs.shell == k
                 if not ind.any():
                     continue
-                shells.append((k, ind))
+                val = block_norm(ind.astype(float))
+                rhs_total += val
+                offs = abs(k - n * d)
                 part_norm = float(np.linalg.norm(fhat[ind])) / math.sqrt(M)
                 if offs <= l_n and part_norm > 0:
                     ann_offsets.append(offs)
-                    ann_values.append(block_norm(ind.astype(float)) / part_norm)
-            # reassembly: V^2 of the full signal vs the sum over parts
-            lhs_total = block_norm(np.ones(M))
-            deep = np.ones(M, dtype=bool)
-            for _, ind in shells:
-                deep &= ~ind
-            rhs_total = sum(block_norm(ind.astype(float))
-                            for _, ind in shells)
+                    ann_values.append(val / part_norm)
+            deep = arcs.shell > log2_m
             if deep.any():
                 rhs_total += block_norm(deep.astype(float))
 

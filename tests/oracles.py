@@ -5,12 +5,24 @@
 two check each other (acceptance criterion 04).
 `cumsum_partial_sum_objective` is the ladder search's objective on
 sample-major phases, by reversed cumulative sums.
+`shell_index` and `annulus_label` give one point's dyadic distance shell,
+the oracle of `grid_arcs(...).shell`.
+`bigint_phase_chunks` reduces every phase on Python ints by finite
+differences, the oracle of the residue kernel's phases.
+`l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial
+term by term.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from circlelab import (CyclicSignal, IntPoly, ParameterError,
+from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
                        average_multiplier, eval_poly, variation_values)
+from circlelab.arith import ArcLabel, _major_distance
+from circlelab.expsum import _PHASE_CHUNK
+from circlelab.torus import LacunaryTrigPoly
 
 
 def polynomial_average(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
@@ -19,7 +31,8 @@ def polynomial_average(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
     return CyclicSignal(f.modulus, np.fft.ifft(np.fft.fft(f.values) * mult))
 
 
-def polynomial_average_direct(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
+def polynomial_average_direct(f: CyclicSignal, P: IntPoly,
+                              N: int) -> CyclicSignal:
     """Direct spatial-summation oracle for polynomial_average."""
     if N < 1:
         raise ParameterError("N must be >= 1")
@@ -35,3 +48,70 @@ def cumsum_partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:
     partial = np.cumsum((z * coeffs[None, :])[:, ::-1], axis=1)[:, ::-1]
     v = variation_values(partial, 2.0)
     return float(np.sqrt(np.mean(v ** 2)))
+
+
+def shell_index(dist: float) -> float:
+    """Least k with 2^(-k) <= dist (i.e. dist in [2^-k, 2^-k+1)); inf at 0."""
+    if dist < 0:
+        raise ParameterError("distance must be non-negative")
+    if dist == 0:
+        return math.inf
+    m, e = math.frexp(dist)  # dist = m * 2^e, m in [0.5, 1)
+    return 1 - e
+
+
+def annulus_label(alpha, P: IntPoly, params: ArcParams,
+                  label: ArcLabel) -> float:
+    """Dyadic shell index k of the distance |{b_d alpha} - a/q|.
+
+    k is the least integer with 2^(-k) <= distance, so a distance of
+    exactly 2^(-21) gets k = 21.  Distance zero returns the +inf sentinel.
+    """
+    if not label.is_major:
+        raise ParameterError("annulus labels only apply to major arcs")
+    dist = float(_major_distance(Fraction(alpha), P.leading, label.fraction))
+    return shell_index(dist)
+
+
+def bigint_phase_chunks(P: IntPoly, t: int, num: int, den: int):
+    """frac(num * P(n) / den) for n = 1..t, in chunks, any num and den.
+
+    Uses the finite-difference table of n -> num * P(n): after d forward
+    differences the increments are constant integers, so each step is a
+    handful of big-int additions and one reduction mod den.
+    """
+    d = P.degree
+    diffs = [num * eval_poly(P, n) for n in range(1, d + 2)]
+    # forward differences D_0 .. D_d at n = 1
+    for lvl in range(1, d + 1):
+        for j in range(d, lvl - 1, -1):
+            diffs[j] = diffs[j] - diffs[j - 1]
+    for start in range(0, t, _PHASE_CHUNK):
+        out = np.empty(min(_PHASE_CHUNK, t - start), dtype=float)
+        for n in range(len(out)):
+            out[n] = (diffs[0] % den) / den
+            for j in range(d):
+                diffs[j] += diffs[j + 1]
+        yield out
+
+
+def l2_norm(f: LacunaryTrigPoly) -> float:
+    """Parseval: distinct frequencies are orthonormal in L^2(T)."""
+    return math.sqrt(sum(abs(v) ** 2 for _, v in f.terms))
+
+
+def eval_dyadic(f: LacunaryTrigPoly, numer: int, bits: int) -> complex:
+    """f at x = numer / 2^bits with exact phase reduction."""
+    mask = (1 << bits) - 1
+    scale = 2.0 ** (-bits)
+    total = 0.0 + 0.0j
+    for k, v in f.terms:
+        phase = (numer * k) & mask
+        total += v * np.exp(2j * math.pi * (phase * scale))
+    return total
+
+
+def eval_float(f: LacunaryTrigPoly, x: float) -> complex:
+    """Plain double-precision evaluation (dense-grid oracle, small freqs)."""
+    return complex(sum(v * np.exp(2j * math.pi * ((k * x) % 1.0))
+                       for k, v in f.terms))

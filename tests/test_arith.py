@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
-                       classify_arc, congruence_data, eval_poly, farey_level,
-                       shell_index)
-from circlelab.arith import annulus_label, fractions_near, torus_distance
+                       classify_arc, congruence_data, eval_poly, farey_level)
+from circlelab.arith import fractions_near, torus_distance
+from oracles import annulus_label, shell_index
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -159,6 +159,8 @@ class TestArcs:
 
 
 class TestShells:
+    """The per-point shell oracle that `grid_arcs(...).shell` is tested on."""
+
     def test_examples(self):
         assert shell_index(2.0 ** -21) == 21
         assert shell_index(3 * 2.0 ** -23) == 22  # 1.5 * 2^-22
@@ -232,3 +234,15 @@ class TestCongruence:
             # leading component a/q rescaled: q | q_i and num_d = a q_i / q
             assert cd.q_i % q == 0
             assert cd.numerators[0] == a * cd.q_i // q
+
+    @given(lower=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=0,
+                          max_size=4),
+           bd=st.integers(1, 60), q=st.integers(1, 10 ** 4),
+           a=st.integers(0, 10 ** 4), i=st.integers(0, 59))
+    @settings(max_examples=300, deadline=None)
+    def test_numerators_coprime_to_q_i(self, lower, bd, q, a, i):
+        # the lcm already leaves numerators and q_i coprime: no reduction
+        P = IntPoly([0] + lower + [bd])
+        frac = ReducedFraction.make(a, q)
+        cd = congruence_data(P, frac, i % bd)
+        assert math.gcd(cd.q_i, *cd.numerators) == 1

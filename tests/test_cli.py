@@ -72,6 +72,17 @@ class TestExamples:
         val = json.loads(out)["results"][0]["value"]
         assert val["objective"] == pytest.approx(1.0, abs=0.05)
 
+    def test_search_coeffs_zero_counts_run_no_search(self, capsys):
+        # the echoed zero counts hold: the first start, e1, is returned
+        code, out = run_cli(["search-coeffs", "--L", "3", "--iterations", "0",
+                             "--restarts", "0", "--seed", "1"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["iterations"] == doc["config"]["restarts"] == 0
+        val = doc["results"][0]["value"]
+        assert val["coefficients"] == [1.0, 0.0, 0.0]
+        assert val["objective"] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestExitCodes:
     def test_parameter_error(self, capsys):

@@ -17,9 +17,10 @@ from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        vt, weyl_sum, weyl_sum_prefix)
 from circlelab import expsum
 from circlelab.arith import congruence_data
-from circlelab.expsum import (PHASE_TERM_BUDGET, _bigint_phase_chunks,
-                              _phase_chunks, _residue_chunks, _vt_closed_form,
+from circlelab.expsum import (PHASE_TERM_BUDGET, _phase_chunks,
+                              _residue_chunks, _vt_closed_form,
                               _vt_quadrature, residue_counts)
+from oracles import bigint_phase_chunks
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -88,22 +89,24 @@ class TestWeylSum:
 def oracle_phases(P, t, alpha):
     """The big-int finite-difference loop, for any alpha."""
     a = Fraction(alpha)
-    return np.concatenate(list(_bigint_phase_chunks(P, t, a.numerator,
-                                                    a.denominator)))
+    return np.concatenate(list(bigint_phase_chunks(P, t, a.numerator,
+                                                   a.denominator)))
+
+
+def residue_dtype(den):
+    """The residue dtype the kernel must use: fixed width where den allows."""
+    if den & (den - 1) == 0 and den <= 1 << 64:
+        return np.uint64
+    return np.int64 if den < 1 << 31 else object
 
 
 def kernel_phases(P, t, alpha):
-    """_phase_chunks, required to avoid the big-int loop where den allows."""
-    den = Fraction(alpha).denominator
-    dyadic = den & (den - 1) == 0
-    fixed_width = (dyadic and den <= 1 << 64) or den < 1 << 31
-
-    def refuse(*args):
-        raise AssertionError(f"big-int loop used for den={den}")
-
-    if fixed_width:
-        with mock.patch.object(expsum, "_bigint_phase_chunks", refuse):
-            return np.concatenate(list(_phase_chunks(P, t, alpha)))
+    """_phase_chunks, with its residues required in the dtype den allows."""
+    a = Fraction(alpha)
+    residues = _residue_chunks([a.numerator * c for c in P.coeffs], t,
+                               a.denominator)
+    assert {r.dtype for r in residues} == {np.dtype(residue_dtype(
+        a.denominator))}
     return np.concatenate(list(_phase_chunks(P, t, alpha)))
 
 
@@ -192,20 +195,24 @@ class TestResidueKernel:
 
     @given(coeffs=st.lists(st.integers(-BIG * 4, BIG * 4), min_size=1,
                            max_size=5),
-           den=st.one_of(st.integers(0, 64).map(lambda e: 1 << e),
-                         st.integers(1, (1 << 31) - 1)),
+           den=st.one_of(st.integers(0, 70).map(lambda e: 1 << e),
+                         st.integers(1, (1 << 31) - 1),
+                         st.integers(1 << 31, 1 << 70)),
            t=st.integers(1, 300))
     @settings(max_examples=200, deadline=None)
     def test_matches_python_ints(self, coeffs, den, t):
         # any leading coefficient, 0 mod den included: no IntPoly needed
         want = [sum(c * n ** j for j, c in enumerate(coeffs)) % den
                 for n in range(1, t + 1)]
-        got = np.concatenate(list(_residue_chunks(coeffs, t, den)))
-        assert [int(r) for r in got] == want
+        chunks = list(_residue_chunks(coeffs, t, den))
+        assert {r.dtype for r in chunks} == {np.dtype(residue_dtype(den))}
+        assert [int(r) for r in np.concatenate(chunks)] == want
 
     @pytest.mark.parametrize("den", [3 << 40, (1 << 31) + 1, (1 << 65)])
     def test_wide_den_left_to_big_ints(self, den):
-        assert _residue_chunks([0, 0, 1], 10, den) is None
+        (r,) = _residue_chunks([0, 0, 1], 10, den)
+        assert r.dtype == object
+        assert r.tolist() == [n * n % den for n in range(1, 11)]
 
     @pytest.mark.parametrize("coeffs,t,q", [
         ((0, 0, 1), 10, 7), ((5, -3, 0, 2), CHUNK + 3, 1000),

@@ -12,10 +12,11 @@ from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
                        ResourceError, average_multiplier, classify_arc,
                        farey_level, variation_experiment, weyl_sum)
 from circlelab import spectral
-from circlelab.arith import annulus_label, torus_distance
+from circlelab.arith import torus_distance
 from circlelab.expsum import DIRECT_SUM_BUDGET
 from circlelab.spectral import grid_arcs
-from oracles import polynomial_average, polynomial_average_direct
+from oracles import (annulus_label, polynomial_average,
+                     polynomial_average_direct, shell_index)
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -118,8 +119,8 @@ class TestArcProjections:
 
     def test_zero_frequency_is_major(self):
         arcs = grid_arcs(SQUARES, self.PARAMS, 512)
-        assert arcs.major[0] and arcs.s[0] == 0
-        assert arcs.dist[0] == 0 and arcs.k[0] == math.inf
+        assert arcs.major[0]
+        assert arcs.dist[0] == 0 and arcs.shell[0] == math.inf
 
     def test_annuli_refine_major(self):
         # at s_max = 0 every Major point sits at level 0, and its shell
@@ -130,10 +131,10 @@ class TestArcProjections:
         for j in range(M):
             lab = classify_arc(Fraction(j, M), SQUARES, self.PARAMS)
             if lab.is_major:
+                assert lab.s == 0
                 ks.add(annulus_label(Fraction(j, M), SQUARES, self.PARAMS,
                                      lab))
-        assert np.all(arcs.s[arcs.major] == 0)
-        assert set(arcs.k[arcs.major].tolist()) == ks
+        assert set(arcs.shell[arcs.major].tolist()) == ks
 
 
 class TestGridArcs:
@@ -164,11 +165,9 @@ class TestGridArcs:
             alpha = Fraction(j, M)
             lab = classify_arc(alpha, P, params)
             assert arcs.major[j] == lab.is_major
+            assert arcs.shell[j] == shell_index(arcs.dist[j])
             if lab.is_major:
-                assert arcs.s[j] == lab.s
-                assert arcs.k[j] == annulus_label(alpha, P, params, lab)
-            else:
-                assert arcs.s[j] == -1 and math.isnan(arcs.k[j])
+                assert arcs.shell[j] == annulus_label(alpha, P, params, lab)
 
     @settings(max_examples=20, deadline=None)
     @given(bd=st.integers(1, 7), n=st.integers(8, 24),
@@ -198,7 +197,7 @@ class TestGridArcs:
             lab = classify_arc(Fraction(j, M), SQUARES, params)
             assert arcs.major[j] == lab.is_major
         assert not arcs.major[2] and not arcs.major[M - 2]
-        assert arcs.major[1] and arcs.k[1] == 20
+        assert arcs.major[1] and arcs.shell[1] == 20
         assert arcs.dist[2] == 2.0 ** -19
 
     def test_within_two_ulp_of_width_is_minor(self):
@@ -208,7 +207,7 @@ class TestGridArcs:
         arcs = grid_arcs(SQUARES, params, 64)
         assert not classify_arc(Fraction(17, 64), SQUARES, params).is_major
         assert not arcs.major[17]
-        assert arcs.major[16] and arcs.k[16] == 2
+        assert arcs.major[16] and arcs.shell[16] == 2
 
     def test_level_budget_checked_first(self, monkeypatch):
         # s_max = floor(80 / 8) = 10: refused before any level is built

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circlelab import (IntPoly, LacunaryTrigPoly, ParameterError,
@@ -16,10 +16,11 @@ from circlelab import (IntPoly, LacunaryTrigPoly, ParameterError,
                        search_coefficients, v2_partial_sums_norm, weyl_sum)
 from circlelab import expsum
 from circlelab.expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET
-from circlelab.torus import (_independent_phase_matrix, _partial_sum_objective,
-                             _partial_sums)
+from circlelab.torus import (_independent_phase_matrix, _ladder_phases,
+                             _partial_sum_objective, _partial_sums)
 
-from oracles import cumsum_partial_sum_objective
+from oracles import (cumsum_partial_sum_objective, eval_dyadic, eval_float,
+                     l2_norm)
 from test_varnorm import assert_bitwise_equal
 
 SQUARES = IntPoly([0, 0, 1])
@@ -28,14 +29,14 @@ SQUARES = IntPoly([0, 0, 1])
 class TestTrigPoly:
     def test_l2_norm_parseval(self):
         f = LacunaryTrigPoly({1: 3.0, 4: 4.0})
-        assert f.l2_norm() == pytest.approx(5.0, abs=1e-12)
+        assert l2_norm(f) == pytest.approx(5.0, abs=1e-12)
 
     def test_eval_dyadic_matches_float(self):
         f = LacunaryTrigPoly({1: 1.0, 8: 0.5j, 64: -2.0})
         for numer in [0, 1, 12345, (1 << 20) - 1]:
             x = numer / 2.0 ** 20
-            assert f.eval_dyadic(numer, 20) == \
-                pytest.approx(f.eval_float(x), abs=1e-9)
+            assert eval_dyadic(f, numer, 20) == \
+                pytest.approx(eval_float(f, x), abs=1e-9)
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ParameterError):
@@ -43,7 +44,7 @@ class TestTrigPoly:
 
     def test_terms_sorted_descending(self):
         f = LacunaryTrigPoly({4: 1.0, 64: 2.0, 1: 3.0})
-        assert f.frequencies == (64, 4, 1)
+        assert [k for k, _ in f.terms] == [64, 4, 1]
 
 
 class TestBuildSequences:
@@ -139,11 +140,11 @@ class TestAverageTrigPoly:
         f = LacunaryTrigPoly({4: 1.0, 32: 2.0j, 7: -1.0})
         out = average(f, R, N)
         xs = np.arange(G) / G
-        lhs = np.array([out.eval_float(x) for x in xs])
+        lhs = np.array([eval_float(out, x) for x in xs])
         rhs = np.zeros(G, dtype=complex)
         for n in range(1, N + 1):
             shift = (n * n) / 2.0 ** R
-            rhs += np.array([f.eval_float(x + shift) for x in xs])
+            rhs += np.array([eval_float(f, x + shift) for x in xs])
         assert np.allclose(lhs, rhs / N, atol=1e-9)
 
 
@@ -237,7 +238,50 @@ class TestV2PartialSums:
         assert v2 == pytest.approx(3 * v1, rel=1e-10)
 
 
+def scaled_ladder_phases(params, sample_count, seed):
+    """_ladder_phases with the residue scaled by a float 2^-bits, which
+    overflows once R + 64 > 1024."""
+    bits = params.R + 64
+    rng = np.random.default_rng(seed)
+    mask = (1 << bits) - 1
+    scale = 2.0 ** (-bits)
+    phases = np.empty((params.L, sample_count), dtype=float)
+    for s in range(sample_count):
+        numer = int.from_bytes(rng.bytes((bits + 7) // 8), "big") & mask
+        for i, ki in enumerate(params.k):
+            phases[i, s] = ((numer << ki) & mask) * scale
+    return phases
+
+
+class TestLadderPhases:
+    @given(L=st.integers(1, 7), R=st.integers(1, 900),
+           samples=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_float_scaling(self, L, R, samples, seed):
+        try:
+            params = build_sequences(L, R)
+        except ParameterError:
+            assume(False)
+        assert_bitwise_equal(_ladder_phases(params, samples, seed),
+                             scaled_ladder_phases(params, samples, seed))
+
+    def test_wide_sample_points(self):
+        # R + 64 = 1081 bits: the residues are far above the float range
+        params = build_sequences(7, 1017)
+        phases = _ladder_phases(params, 256, 3)
+        assert np.all((phases >= 0) & (phases < 1))
+        f = LacunaryTrigPoly({1 << k: 1.0 for k in params.k})
+        val = v2_partial_sums_norm(f, params, 256, 3)
+        assert math.isfinite(val) and val > 0
+
+
 class TestSearch:
+    def test_zero_iterations_and_restarts_return_e1(self):
+        coeffs, val = search_coefficients(3, 0, 0, 1)
+        assert coeffs == (1.0, 0.0, 0.0)
+        z = _independent_phase_matrix(3, 8192, 1)
+        assert val == _partial_sum_objective(np.array(coeffs), z)
+
     def test_L2_optimum_is_one(self):
         _, val = search_coefficients(2, iterations=150, restarts=2, seed=0)
         assert val == pytest.approx(1.0, abs=0.01)

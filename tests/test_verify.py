@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ResourceError, VerifyConfig,
-                       fit_power_law, verify_entropy, verify_est,
-                       verify_main_decomposition, verify_smooth)
+                       fit_power_law, variation_values, verify_entropy,
+                       verify_est, verify_main_decomposition, verify_smooth)
 from circlelab import arith, verify
 from circlelab.verify import (_circular_distance, _clipped_walk_multipliers,
                               _power_fit)
@@ -179,7 +179,51 @@ class TestEst:
                               * self.CFG.samples_per_arc)
 
 
+# main-decomp --poly P --modulus M --n-max n_max (n_min 8, seed 0), as
+# float.hex: minor values, annulus offsets and values, reassembly lhs and
+# rhs; and the number of distinct indicators that get a variation
+PINNED_DECOMPOSITIONS = [
+    ("0,0,1", 1 << 14, 10,
+     ["0x1.597f7c74333c8p-4", "0x1.f5620f7cda216p-5", "0x1.6525dea7d2570p-5"],
+     (10, 9, 8, 7, 6),
+     ["0x1.e6206a10a8366p-6", "0x1.e9c6faf15577ap-6", "0x1.03ab76b5f80a4p-5",
+      "0x1.afdae46c9ecbep-7", "0x1.5f5c21f355746p-6"],
+     "0x1.645a6a93d2a62p+2", "0x1.a819fec8297a3p+3", 19),
+    ("0,1,3", 1 << 13, 9,
+     ["0x1.5fb4657fd8c84p-4", "0x1.00a70aac58ffdp-4"],
+     (9, 8, 7, 6, 5),
+     ["0x1.6220e0f64aa3cp-5", "0x1.5fb3d900082c5p-5", "0x1.7bbc735e7c99bp-5",
+      "0x1.48430a55532f8p-4", "0x1.0c1adbaef97efp-8"],
+     "0x1.764f689d25702p+2", "0x1.c103c52fe583cp+3", 17),
+]
+
+
 class TestMainDecomposition:
+    @pytest.mark.parametrize("poly,M,n_max,minor,offsets,values,lhs,rhs,"
+                             "indicators", PINNED_DECOMPOSITIONS,
+                             ids=["squares", "0,1,3"])
+    def test_pinned_report_one_variation_per_indicator(
+            self, monkeypatch, poly, M, n_max, minor, offsets, values, lhs,
+            rhs, indicators):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return variation_values(*args)
+
+        monkeypatch.setattr(verify, "variation_values", counted)
+        P = IntPoly([int(c) for c in poly.split(",")])
+        cfg = VerifyConfig(n_range=tuple(range(8, n_max + 1)))
+        rep = verify_main_decomposition(P, cfg, M)
+        assert [v.hex() for v in rep.minor.values] == minor
+        assert rep.annulus_offsets == offsets
+        assert [v.hex() for v in rep.annulus_values] == values
+        assert rep.reassembly_lhs.hex() == lhs
+        assert rep.reassembly_rhs.hex() == rhs
+        # each block's Minor part, each non-empty shell of the last block,
+        # its deep part and the whole signal, each transformed once
+        assert len(calls) == indicators
+
     def test_small_run(self):
         cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16, seed=0)
         rep = verify_main_decomposition(SQUARES, cfg, 1 << 12, t_samples=6)
