@@ -16,7 +16,7 @@ from .errors import (CircleLabError, NumericError, ParameterError,
 from .expsum import (approx_multiplier, complete_dyadic_gauss,
                      fast_dyadic_quadratic_weyl, gauss_weight,
                      quadratic_gauss_row, smooth_cutoff_eval, vt, weyl_sum,
-                     weyl_sum_prefix)
+                     weyl_sum_prefixes)
 from .spectral import CyclicSignal, average_multiplier, variation_experiment
 from .torus import (CounterexampleParams, LacunaryTrigPoly, build_sequences,
                     eta_error, exact_ladder_radius, search_coefficients,

@@ -63,9 +63,6 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k))
-                for k in obj.__dataclass_fields__}
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # NaN and +-inf are not valid JSON
     return obj
@@ -249,11 +246,16 @@ def _run(args) -> dict:
         fn = {"full": variation, "long": long_variation,
               "short": short_variation}[args.flavor]
         res = fn(seq, args.r)
-        results.append({"name": f"{args.flavor}_variation",
-                        "inputs": {"values": args.values, "r": args.r,
-                                   "indices": args.indices},
-                        "value": res.value,
-                        "optimal_subsequence": list(res.optimal_subsequence)})
+        entry = {"name": f"{args.flavor}_variation",
+                 "inputs": {"values": args.values, "r": args.r,
+                            "indices": args.indices},
+                 "value": res.value,
+                 "optimal_subsequence": list(res.optimal_subsequence)}
+        if args.flavor == "short":
+            # the flat chain cannot show where one block's chain ends
+            entry["block_subsequences"] = [list(b)
+                                           for b in res.block_subsequences]
+        results.append(entry)
     elif args.command == "average":
         import numpy as np
         P = _parse_poly(args.poly)

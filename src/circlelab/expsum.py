@@ -24,15 +24,19 @@ RealLike = Union[int, float, Fraction]
 _VT_PERIOD_BUDGET = 2000.0
 # the most terms or frequencies one direct evaluation may take: the tail
 # that fast_dyadic_quadratic_weyl sums term by term (~0.4 us a term on
-# the object-array path, m > 64), and in `spectral` the modulus M (arrays
+# the object-array path, m > 128), and in `spectral` the modulus M (arrays
 # of length M; q * M < 2^32 in grid_arcs) and the average length N
 DIRECT_SUM_BUDGET = 1 << 22
-# weyl_sum / weyl_sum_prefix: most terms one call may ask for, checked
+# weyl_sum / weyl_sum_prefixes: most terms one call may ask for, checked
 # before any work (a 2^28-term prefix is a 4 GB array); it also keeps
-# n < 2^31, which the int64 phase kernel needs
+# n < 2^31, which the int64 and two-limb residue paths need
 PHASE_TERM_BUDGET = 1 << 28
 # phases are produced and consumed in chunks of this many terms
 _PHASE_CHUNK = 1 << 16
+# the e(-ph) kernel's temporaries, and a block of weyl_sum_prefixes, cover
+# at most this many terms, so they stay in cache (2^16-term blocks cost
+# `est` about 3 MB more peak memory and twice the page faults)
+_CACHE_CHUNK = 1 << 14
 _SQUARES = IntPoly([0, 0, 1])
 
 
@@ -48,39 +52,101 @@ def _check_terms(t: int, name: str) -> int:
     return t
 
 
-def _residue_chunks(coeffs, t: int, den: int) -> Iterator[np.ndarray]:
-    """Q(n) mod den for n = 1..t, Q(n) = sum_j coeffs[j] n^j, in chunks.
+# dyadic den = 2^e, 64 < e <= 128: residues in two uint64 limbs
+_LIMB_PAIR = np.dtype([("hi", np.uint64), ("lo", np.uint64)])
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-    The coefficients are any Python ints (the leading one may vanish mod
-    den).  Horner runs in uint64 with wraparound and a mask for den = 2^e,
-    e <= 64, mod den in int64 for other den < 2^31 (callers keep
-    t <= PHASE_TERM_BUDGET < 2^31, so every product stays below 2^62), and
-    mod den on Python ints in an object array for any other den.
+
+def _residue_dtype(den: int) -> np.dtype:
+    """The dtype of residues mod den: the path that reduces them.
+
+    uint64 for den = 2^e, e <= 64; the limb pair for 64 < e <= 128; int64
+    for any other den < 2^31; Python ints in an object array otherwise.
     """
-    if den & (den - 1) == 0 and den <= 1 << 64:
-        # uint64 products wrap mod 2^64, and mod den = 2^e factors through it
-        dtype = np.uint64
-        mask = np.uint64(den - 1)
+    if den & (den - 1) == 0 and den <= 1 << 128:
+        return np.dtype(np.uint64) if den <= 1 << 64 else _LIMB_PAIR
+    return np.dtype(np.int64 if den < 1 << 31 else object)
 
-        def reduce(acc):
-            np.bitwise_and(acc, mask, out=acc)
-    else:
-        dtype = np.int64 if den < 1 << 31 else object
 
-        def reduce(acc):
-            np.remainder(acc, den, out=acc)
-    cs = np.array([c % den for c in reversed(coeffs)], dtype=dtype)
+def _residue_rows(coeffs, dens, start: int, stop: int) -> np.ndarray:
+    """Q_i(n) mod dens[i] for n = start..stop-1, one row per i.
 
-    def horner(start: int) -> np.ndarray:
-        n = np.arange(start, min(start + _PHASE_CHUNK, t + 1), dtype=dtype)
-        acc = np.full(len(n), cs[0], dtype=dtype)
+    coeffs[i] holds row i's ascending coefficients Q_i(n) = sum_j c_j n^j,
+    any Python ints (the leading one may vanish mod den); every row has as
+    many, and every den has one `_residue_dtype`.  For den = 2^e, Horner
+    runs in uint64 with wraparound, in one limb or two, and masks once at
+    the end, since mod 2^e factors through mod 2^64 and 2^128.  Other den
+    are reduced at every step, in int64 for den < 2^31 (callers keep
+    stop <= PHASE_TERM_BUDGET + 1 < 2^31, so every product stays below
+    2^62) and on Python ints otherwise.  Returns (rows, stop - start).
+    """
+    dtype = _residue_dtype(dens[0])
+    if dtype == _LIMB_PAIR:
+        return _limb_residue_rows(coeffs, dens, start, stop)
+    # cs[j]: every row's coefficient of n^(d-j), as a column
+    cs = np.array([[c % den for c in reversed(row)]
+                   for row, den in zip(coeffs, dens)], dtype=dtype).T[..., None]
+    n = np.arange(start, stop, dtype=dtype)
+    acc = np.empty((len(dens), len(n)), dtype=dtype)
+    acc[...] = cs[0]
+    if dtype == np.uint64:
         for c in cs[1:]:
             acc *= n
             acc += c
-            reduce(acc)
+        acc &= np.array([den - 1 for den in dens], dtype=dtype)[:, None]
         return acc
+    den_col = np.array(dens, dtype=dtype)[:, None]
+    for c in cs[1:]:
+        acc *= n
+        acc += c
+        np.remainder(acc, den_col, out=acc)
+    return acc
 
-    return map(horner, range(1, t + 1, _PHASE_CHUNK))
+
+def _limb_residue_rows(coeffs, dens, start: int, stop: int) -> np.ndarray:
+    """`_residue_rows` for den = 2^e, 64 < e <= 128, in (hi, lo) uint64 limbs.
+
+    Horner multiplies by n < 2^32 with lo split into 32-bit halves, so
+    each partial product fits 64 bits, and carries by unsigned compare.
+    """
+    cs = [[c % den for c in reversed(row)] for row, den in zip(coeffs, dens)]
+    c_hi = np.array([[c >> 64 for c in row] for row in cs],
+                    dtype=np.uint64).T[..., None]
+    c_lo = np.array([[c & ((1 << 64) - 1) for c in row] for row in cs],
+                    dtype=np.uint64).T[..., None]
+    n = np.arange(start, stop, dtype=np.uint64)
+    shape = (len(dens), len(n))
+    hi, lo = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    hi[...], lo[...] = c_hi[0], c_lo[0]
+    mid, tmp = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    for ch, cl in zip(c_hi[1:], c_lo[1:]):
+        # (hi, lo) * n = hi n 2^64 + (lo >> 32) n 2^32 + (lo & LOW32) n
+        np.right_shift(lo, 32, out=mid)
+        mid *= n
+        lo &= _LOW32
+        lo *= n
+        hi *= n
+        np.right_shift(mid, 32, out=tmp)
+        hi += tmp
+        mid <<= 32
+        lo += mid
+        np.less(lo, mid, out=tmp)
+        hi += tmp
+        lo += cl
+        np.less(lo, cl, out=tmp)
+        hi += tmp
+        hi += ch
+    hi &= np.array([(den >> 64) - 1 for den in dens], dtype=np.uint64)[:, None]
+    out = np.empty(shape, _LIMB_PAIR)
+    out["hi"], out["lo"] = hi, lo
+    return out
+
+
+def _residue_chunks(coeffs, t: int, den: int) -> Iterator[np.ndarray]:
+    """Q(n) mod den for n = 1..t, Q(n) = sum_j coeffs[j] n^j, in chunks."""
+    return (_residue_rows([coeffs], [den], start,
+                          min(start + _PHASE_CHUNK, t + 1))[0]
+            for start in range(1, t + 1, _PHASE_CHUNK))
 
 
 def residue_counts(coeffs, t: int, q: int) -> np.ndarray:
@@ -95,27 +161,122 @@ def residue_counts(coeffs, t: int, q: int) -> np.ndarray:
     return counts
 
 
-def _phase_chunks(P: IntPoly, t: int, alpha: RealLike) -> Iterator[np.ndarray]:
-    """frac(alpha * P(n)) for n = 1..t, reduced exactly, in chunks.
+def _limb_phases(r: np.ndarray, dens) -> np.ndarray:
+    """r / den correctly rounded, for limb-pair residues r < den = 2^e.
 
-    alpha = num/den is read as the exact rational it is, num * P(n) is
-    reduced mod den by `_residue_chunks`, and each residue r becomes r/den
-    correctly rounded.
+    The 64 bits from the leading bit of r down, with a sticky bit for any
+    set bit below them, round to the same 53 bits as r itself; that window
+    converts correctly rounded, and scaling by a power of two is exact.
     """
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    num, den = a.numerator, a.denominator
-    for r in _residue_chunks([num * c for c in P.coeffs], t, den):
-        # Python ints divide correctly rounded; on uint64 a power-of-two den
-        # scales the correctly rounded float(r) exactly, and on int64 r and
-        # den < 2^31 are exact floats, so one rounding
-        yield (r / den).astype(float, copy=False)
+    hi, lo = r["hi"], r["lo"]
+    # k: the bit length of hi, read off exact floats of its 32-bit halves
+    top = hi >> 32
+    k = np.where(top > 0, np.frexp(top.astype(float))[1] + 32,
+                 np.frexp((hi & _LOW32).astype(float))[1])
+    ku = k.astype(np.uint64)
+    # numpy shifts by 64 or more give 0, so k = 0 leaves window = lo
+    window = (hi << (64 - ku)) | (lo >> ku)
+    window |= (lo << (64 - ku)) != 0
+    exps = np.array([den.bit_length() - 1 for den in dens])[:, None]
+    return np.ldexp(window.astype(float), k - exps)
+
+
+def _phase_rows(P: IntPoly, fracs, start: int, stop: int) -> np.ndarray:
+    """frac(alpha * P(n)) for n = start..stop-1, one row per alpha, exactly.
+
+    alpha = num/den is the exact rational it is (every den on one residue
+    path), num * P(n) is reduced mod den by `_residue_rows`, and each
+    residue r becomes r/den correctly rounded.
+    """
+    dens = [f.denominator for f in fracs]
+    r = _residue_rows([[f.numerator * c for c in P.coeffs] for f in fracs],
+                      dens, start, stop)
+    if r.dtype == _LIMB_PAIR:
+        return _limb_phases(r, dens)
+    if r.dtype == object:
+        # Python ints divide correctly rounded
+        return (r / np.array(dens, dtype=object)[:, None]).astype(float)
+    # on uint64 a power-of-two den scales the correctly rounded float(r)
+    # exactly, and on int64 r and den < 2^31 are exact floats: one rounding
+    return r / np.array(dens, dtype=float)[:, None]
+
+
+def _phase_chunks(P: IntPoly, t: int, alpha: RealLike) -> Iterator[np.ndarray]:
+    """frac(alpha * P(n)) for n = 1..t, reduced exactly, in chunks."""
+    fracs = [alpha if isinstance(alpha, Fraction) else Fraction(alpha)]
+    return (_phase_rows(P, fracs, start, min(start + _PHASE_CHUNK, t + 1))[0]
+            for start in range(1, t + 1, _PHASE_CHUNK))
+
+
+# e(-h/4096) for h = 0..4095 as real and imaginary parts: cos and sin of
+# the first octant, whose angles are within half an ulp, and the rest by
+# the circle's symmetries, so every entry is within an ulp
+_octant = np.arange(513) * (math.pi / 2048)
+_c8, _s8 = np.cos(_octant), np.sin(_octant)
+_cq = np.concatenate([_c8, _s8[511:0:-1]])
+_sq = np.concatenate([_s8, _c8[511:0:-1]])
+_E_RE = np.concatenate([_cq, -_sq, -_cq, _sq])
+_E_IM = np.concatenate([-_sq, -_cq, _sq, _cq])
+del _octant, _c8, _s8, _cq, _sq
+
+
+def _e_work(n: int):
+    """Scratch for `_e_neg` on up to n terms, to reuse across its calls."""
+    m = min(n, _CACHE_CHUNK)
+    return np.empty((6, m)), np.empty(m, dtype=np.intp)
+
+
+def _e_neg(ph: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+    """out = e(-ph) = exp(-2 pi i ph) for 1-D phases 0 <= ph <= 1.
+
+    ph = h/4096 + l exactly, h an integer and 0 <= l < 2^-12.  The table
+    gives e(-h/4096) = a + ib, and theta = 2 pi l < 1.54e-3 gives
+    w = 1 - cos(theta) and s = sin(theta) by 3-term series (error below
+    2e-20), so e(-ph) = a - (a w - b s) + i (b - (b w + a s)).  `work` is
+    an `_e_work` scratch; the temporaries cover _CACHE_CHUNK terms at a time.
+    """
+    scale = 4096.0
+    floats, h = work
+    for lo in range(0, len(ph), _CACHE_CHUNK):
+        k = min(_CACHE_CHUNK, len(ph) - lo)
+        x, t2, w, s, a, b = floats[:, :k]
+        hk = h[:k]
+        np.multiply(ph[lo:lo + k], scale, out=x)
+        hk[...] = x
+        x -= hk
+        x *= 2.0 * math.pi / scale
+        np.multiply(x, x, out=t2)
+        # w = t2 (1/2 - t2/24), s = theta (1 - t2 (1/6 - t2/120))
+        np.multiply(t2, -1.0 / 24.0, out=w)
+        w += 0.5
+        w *= t2
+        np.multiply(t2, -1.0 / 120.0, out=s)
+        s += 1.0 / 6.0
+        s *= t2
+        np.subtract(1.0, s, out=s)
+        s *= x
+        # ph = 1, which r/den can round to, wraps to h = 0
+        np.take(_E_RE, hk, out=a, mode="wrap")
+        np.take(_E_IM, hk, out=b, mode="wrap")
+        ok = out[lo:lo + k]
+        np.multiply(a, w, out=x)
+        np.multiply(b, s, out=t2)
+        x -= t2
+        np.subtract(a, x, out=ok.real)
+        np.multiply(b, w, out=x)
+        np.multiply(a, s, out=t2)
+        x += t2
+        np.subtract(b, x, out=ok.imag)
+    return out
 
 
 def _esum(phase_chunks) -> complex:
     """sum e(-ph) over every phase of every chunk."""
     total = 0.0 + 0.0j
+    buf = np.empty(_PHASE_CHUNK, dtype=complex)
+    work = _e_work(_PHASE_CHUNK)
     for ph in phase_chunks:
-        total += complex(np.exp(-2j * math.pi * ph).sum())
+        total += complex(_e_neg(ph, buf[:len(ph)], work).sum())
     return total
 
 
@@ -125,17 +286,45 @@ def weyl_sum(P: IntPoly, t: int, alpha: RealLike) -> complex:
     return _esum(_phase_chunks(P, t, alpha)) / t
 
 
-def weyl_sum_prefix(P: IntPoly, t_max: int, alpha: RealLike) -> np.ndarray:
-    """All K_hat_t for t = 1..t_max at once (index t-1), via one phase pass."""
+def weyl_sum_prefixes(P: IntPoly, t_max: int,
+                      alphas) -> Iterator[np.ndarray]:
+    """K_hat_t for t = 1..t_max (column t-1) at every alpha, in row blocks.
+
+    Returns an iterator of (rows, t_max) complex arrays whose rows follow
+    `alphas`.  A block holds at most _CACHE_CHUNK terms, or one row when
+    t_max is larger, and each chunk of it takes one residue pass per
+    residue path among its alphas.  The iterator keeps no block it handed
+    out, so a caller that reduces each block holds one at a time.
+    """
     t_max = _check_terms(t_max, "t_max")
-    sums = np.empty(t_max, dtype=complex)
-    start = 0
-    for ph in _phase_chunks(P, t_max, alpha):
-        np.exp(-2j * math.pi * ph, out=sums[start:start + len(ph)])
-        start += len(ph)
-    np.cumsum(sums, out=sums)
-    sums /= np.arange(1, t_max + 1)
-    return sums
+    fracs = [a if isinstance(a, Fraction) else Fraction(a) for a in alphas]
+    per_block = max(1, _CACHE_CHUNK // t_max)
+    width = min(t_max, _CACHE_CHUNK)
+    work = _e_work(per_block * width)
+    phases = np.empty(per_block * width)
+    # numpy divides a complex by a real as a product with its reciprocal
+    inv = 1.0 / np.arange(1, t_max + 1)
+
+    def block(first: int) -> np.ndarray:
+        rows = fracs[first:first + per_block]
+        paths = {}
+        for i, f in enumerate(rows):
+            paths.setdefault(_residue_dtype(f.denominator), []).append(i)
+        sums = np.empty((len(rows), t_max), dtype=complex)
+        for start in range(0, t_max, width):
+            stop = min(start + width, t_max)
+            ph = phases[:len(rows) * (stop - start)].reshape(len(rows), -1)
+            for idx in paths.values():
+                ph[idx] = _phase_rows(P, [rows[i] for i in idx],
+                                      start + 1, stop + 1)
+            # a full-width block, or a slice of its one row: contiguous
+            _e_neg(ph.reshape(-1), sums[:, start:stop].reshape(-1), work)
+        np.cumsum(sums, axis=1, out=sums)
+        sums.real *= inv
+        sums.imag *= inv
+        return sums
+
+    return map(block, range(0, len(fracs), per_block))
 
 
 def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:

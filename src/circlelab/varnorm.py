@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +49,9 @@ class IndexedSeq:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_values(cls, values: Sequence[complex]) -> "IndexedSeq":
-        return cls(range(1, len(tuple(values)) + 1), values)
+    def from_values(cls, values: Iterable[complex]) -> "IndexedSeq":
+        vals = tuple(values)
+        return cls(range(1, len(vals) + 1), vals)
 
     def __len__(self) -> int:
         return len(self.indices)

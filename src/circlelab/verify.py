@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import ParameterError, ResourceError
-from .expsum import DIRECT_SUM_BUDGET, weyl_sum_prefix
+from .expsum import DIRECT_SUM_BUDGET, weyl_sum_prefixes
 from .spectral import average_multiplier, check_modulus, grid_arcs
 from .varnorm import check_dp_cells, variation_values
 
@@ -89,11 +90,21 @@ def _make_report(name, scales, values) -> BoundFitReport:
                           max(values) if values else 0.0, slope, residual)
 
 
-def _block_max_diff(prefix: np.ndarray, n: int) -> float:
-    """max over t in [2^n, 2^(n+1)) of |C_hat_t| from a prefix array."""
-    base = prefix[(1 << n) - 1]
-    block = prefix[(1 << n) - 1:min(len(prefix), 1 << (n + 1))]
-    return float(np.abs(block - base).max())
+def _max_steps(n: int, prefixes: np.ndarray) -> np.ndarray:
+    """max over t >= 2^n of |K_hat_(t+1) - K_hat_t|, per row of prefixes."""
+    return np.abs(np.diff(prefixes[:, (1 << n) - 1:], axis=1)).max(axis=1)
+
+
+def _max_block_diffs(n: int, prefixes: np.ndarray) -> np.ndarray:
+    """max over t in [2^n, 2^(n+1)) of |C_hat_t|, per row of prefixes."""
+    block = prefixes[:, (1 << n) - 1:1 << (n + 1)]
+    return np.abs(block - block[:, :1]).max(axis=1)
+
+
+def _per_alpha(stat, n: int, P: IntPoly, t_max: int, alphas) -> np.ndarray:
+    """stat(n, prefixes) at every alpha, one block of prefixes at a time."""
+    return np.concatenate(list(map(partial(stat, n),
+                                   weyl_sum_prefixes(P, t_max, alphas))))
 
 
 def verify_est(P: IntPoly, cfg: VerifyConfig,
@@ -106,6 +117,8 @@ def verify_est(P: IntPoly, cfg: VerifyConfig,
     Part 2: minor-arc decay of max |C_hat_t|, power-law fitted in n.
     Part 3: major-arc asymptotics near each configured fraction, with the
     part-2 fitted exponent feeding the right-hand side.
+    Each part draws a scale's alphas first and takes their prefixes in one
+    `weyl_sum_prefixes` call (part 3: one per fraction).
     """
     if P.degree < 2:
         raise ParameterError("verify_est needs degree >= 2")
@@ -114,33 +127,28 @@ def verify_est(P: IntPoly, cfg: VerifyConfig,
 
     part1_vals = []
     for n in cfg.n_range:
-        worst = 0.0
-        for _ in range(16):
-            prefix = weyl_sum_prefix(P, 1 << (n + 1), rng.random())
-            diffs = np.abs(np.diff(prefix[(1 << n) - 1:]))
-            worst = max(worst, float(diffs.max()) / 2.0 ** (-n))
-        part1_vals.append(worst)
+        alphas = [rng.random() for _ in range(16)]
+        steps = _per_alpha(_max_steps, n, P, 1 << (n + 1), alphas)
+        part1_vals.append(float(steps.max()) / 2.0 ** (-n))
     report1 = _make_report("est_part1_triangle", cfg.n_range, part1_vals)
 
     part2_vals = []
     for n in cfg.n_range:
         params = ArcParams(n, cfg.delta, d)
-        worst = 0.0
-        got = 0
+        alphas = []
         attempts = 0
-        while got < cfg.samples_per_arc:
+        while len(alphas) < cfg.samples_per_arc:
             if attempts == REJECTION_ATTEMPT_FACTOR * cfg.samples_per_arc:
                 raise ResourceError(
-                    f"only {got} of {cfg.samples_per_arc} minor-arc samples "
-                    f"at n={n} after {attempts} draws; lower delta or raise n")
+                    f"only {len(alphas)} of {cfg.samples_per_arc} minor-arc "
+                    f"samples at n={n} after {attempts} draws; lower delta "
+                    f"or raise n")
             attempts += 1
             alpha = rng.random()
-            if classify_arc(alpha, P, params).is_major:
-                continue
-            got += 1
-            prefix = weyl_sum_prefix(P, (1 << (n + 1)) - 1, alpha)
-            worst = max(worst, _block_max_diff(prefix, n))
-        part2_vals.append(worst)
+            if not classify_arc(alpha, P, params).is_major:
+                alphas.append(alpha)
+        diffs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1, alphas)
+        part2_vals.append(float(diffs.max()))
     report2 = _make_report("est_part2_minor_decay", cfg.n_range, part2_vals)
     nu_hat = max(-report2.slope, 1e-6)
 
@@ -151,16 +159,19 @@ def verify_est(P: IntPoly, cfg: VerifyConfig,
         for frac in fracs:
             s = frac.level
             lo, hi = -n * d - 2, math.log2(w)
+            betas, alphas = [], []
             for _ in range(betas_per_scale):
                 beta = 2.0 ** rng.uniform(lo, hi)
                 sign = 1 if rng.random() < 0.5 else -1
                 alpha = (float(frac.value) + sign * beta) / bd
-                alpha %= 1.0
-                prefix = weyl_sum_prefix(P, (1 << (n + 1)) - 1, alpha)
-                lhs = _block_max_diff(prefix, n)
+                betas.append(beta)
+                alphas.append(alpha % 1.0)
+            lhs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1,
+                             alphas).tolist()
+            for beta, lhs_b in zip(betas, lhs):
                 x = 2.0 ** n * beta ** (1.0 / d)
                 rhs = 2.0 ** (-nu_hat * s) * (min(x, 1.0 / x) + 2.0 ** (-n / 2))
-                worst = max(worst, lhs / rhs)
+                worst = max(worst, lhs_b / rhs)
         part3_vals.append(worst)
     report3 = _make_report("est_part3_major_asymptotics", cfg.n_range,
                            part3_vals)

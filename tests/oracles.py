@@ -9,6 +9,8 @@ sample-major phases, by reversed cumulative sums.
 the oracle of `grid_arcs(...).shell`.
 `bigint_phase_chunks` reduces every phase on Python ints by finite
 differences, the oracle of the residue kernel's phases.
+`exp_terms` is numpy's complex exp of -2 pi i ph, the oracle of the
+table-driven e(-ph) kernel.
 `l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial
 term by term.
 """
@@ -93,6 +95,11 @@ def bigint_phase_chunks(P: IntPoly, t: int, num: int, den: int):
             for j in range(d):
                 diffs[j] += diffs[j + 1]
         yield out
+
+
+def exp_terms(ph: np.ndarray) -> np.ndarray:
+    """e(-ph) for every phase, as np.exp(-2 pi i ph)."""
+    return np.exp(-2j * math.pi * ph)
 
 
 def l2_norm(f: LacunaryTrigPoly) -> float:

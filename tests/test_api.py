@@ -43,18 +43,13 @@ def used_names():
 
 
 def used_members():
-    """Names read as attributes, or filled in by keyword, in the package.
+    """Names read as attributes in the package.
 
-    A keyword counts because a field the package fills in by name is part
-    of a result it hands out; a class body's own definitions do not count.
+    A field the package only fills in, by keyword or position, has no
+    reader; a class body's own definitions do not count either.
     """
-    used = set()
-    for node in package_nodes():
-        if isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg:
-            used.add(node.arg)
-    return used
+    return {node.attr for node in package_nodes()
+            if isinstance(node, ast.Attribute)}
 
 
 def class_members(cls):

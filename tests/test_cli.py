@@ -32,6 +32,20 @@ class TestExamples:
         doc = json.loads(out)
         assert doc["results"][0]["value"] == pytest.approx(1.7320508075688772)
 
+    def test_short_variation_shows_its_blocks(self, capsys):
+        # the blocks [2, 4] and [4, 8] share 4, so the flat chain repeats it
+        argv = ["variation", "--values", "0,1,0,1,0", "--indices",
+                "2,3,4,6,8", "--r", "2", "--flavor"]
+        code, out = run_cli(argv + ["short"], capsys)
+        assert code == 0
+        (res,) = json.loads(out)["results"]
+        assert res["block_subsequences"] == [[2, 3, 4], [4, 6, 8]]
+        assert res["optimal_subsequence"] == [2, 3, 4, 4, 6, 8]
+        assert res["value"] == pytest.approx(2.0)
+        for flavor in ("full", "long"):
+            code, out = run_cli(argv + [flavor], capsys)
+            assert "block_subsequences" not in json.loads(out)["results"][0]
+
     def test_counterexample_dry_run(self, capsys):
         code, out = run_cli(["counterexample", "--L", "2", "--R", "14",
                              "--dry-run"], capsys)

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,15 @@ from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        ResourceError, approx_multiplier,
                        complete_dyadic_gauss, farey_level, fast_dyadic_quadratic_weyl, fit_power_law,
                        gauss_weight, quadratic_gauss_row, smooth_cutoff_eval,
-                       vt, weyl_sum, weyl_sum_prefix)
+                       vt, weyl_sum, weyl_sum_prefixes)
 from circlelab import expsum
 from circlelab.arith import congruence_data
-from circlelab.expsum import (PHASE_TERM_BUDGET, _phase_chunks,
-                              _residue_chunks, _vt_closed_form,
-                              _vt_quadrature, residue_counts)
-from oracles import bigint_phase_chunks
+from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
+                              _e_neg, _e_work, _limb_phases, _phase_chunks,
+                              _residue_chunks, _residue_rows,
+                              _vt_closed_form, _vt_quadrature,
+                              residue_counts)
+from oracles import bigint_phase_chunks, exp_terms
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -30,6 +33,17 @@ def complete_dyadic_gauss_direct(m):
     T = 1 << m
     n = np.arange(1, T + 1, dtype=np.int64)
     return complex(np.exp(2j * math.pi * ((n * n) % T) / T).sum())
+
+
+def prefix(P, t, alpha):
+    """One alpha's K_hat_1..K_hat_t, from a one-row weyl_sum_prefixes call."""
+    (block,) = weyl_sum_prefixes(P, t, [alpha])
+    return block[0]
+
+
+def e_neg(ph):
+    """The e(-ph) kernel on a whole 1-D array."""
+    return _e_neg(ph, np.empty(len(ph), dtype=complex), _e_work(len(ph)))
 
 
 def weyl_sum_naive(P, t, alpha):
@@ -63,14 +77,14 @@ class TestWeylSum:
         assert weyl_sum(SQUARES, t, alpha) == pytest.approx(direct, abs=1e-12)
 
     def test_prefix_consistency(self):
-        prefix = weyl_sum_prefix(SQUARES, 50, 0.3)
+        row = prefix(SQUARES, 50, 0.3)
         for t in [1, 7, 50]:
-            assert prefix[t - 1] == \
+            assert row[t - 1] == \
                 pytest.approx(weyl_sum(SQUARES, t, 0.3), abs=1e-12)
 
     def test_unit_bound(self):
-        prefix = weyl_sum_prefix(IntPoly([0, 2, 0, 1]), 200, 0.7182818)
-        assert np.all(np.abs(prefix) <= 1 + 1e-12)
+        row = prefix(IntPoly([0, 2, 0, 1]), 200, 0.7182818)
+        assert np.all(np.abs(row) <= 1 + 1e-12)
 
     def test_t_validation(self):
         with pytest.raises(ParameterError):
@@ -80,8 +94,7 @@ class TestWeylSum:
         # |K_t - K_{t+1}| <= 2/t pointwise in alpha
         rng = np.random.default_rng(7)
         for alpha in rng.random(5):
-            prefix = weyl_sum_prefix(SQUARES, 256, alpha)
-            diffs = np.abs(np.diff(prefix))
+            diffs = np.abs(np.diff(prefix(SQUARES, 256, alpha)))
             ts = np.arange(1, 256)
             assert np.all(diffs <= 2.0 / ts + 1e-12)
 
@@ -97,7 +110,16 @@ def residue_dtype(den):
     """The residue dtype the kernel must use: fixed width where den allows."""
     if den & (den - 1) == 0 and den <= 1 << 64:
         return np.uint64
+    if den & (den - 1) == 0 and den <= 1 << 128:
+        return _LIMB_PAIR
     return np.int64 if den < 1 << 31 else object
+
+
+def as_ints(r):
+    """Residues as Python ints, the limb pair's hi * 2^64 + lo included."""
+    if r.dtype == _LIMB_PAIR:
+        return [(int(h) << 64) | int(lo) for h, lo in zip(r["hi"], r["lo"])]
+    return [int(v) for v in r]
 
 
 def kernel_phases(P, t, alpha):
@@ -115,7 +137,7 @@ def assert_matches_oracle(P, t, alpha):
     got = kernel_phases(P, t, alpha)
     assert got.shape == (t,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    oracle_sum = np.exp(-2j * math.pi * want).sum()
+    oracle_sum = exp_terms(want).sum()
     assert abs(weyl_sum(P, t, alpha) - oracle_sum / t) <= 1e-12
 
 
@@ -127,15 +149,18 @@ EDGE_POLYS = [SQUARES, IntPoly([0, 0, 0, 1]),
 EDGE_ALPHAS = [
     0.123456789, -0.75, Fraction(-5, 1 << 53),            # dyadic <= 2^53
     Fraction(BIG - 1, BIG), Fraction(-BIG * 64 + 3, BIG),  # dyadic = 2^64
-    0.3 * 2.0 ** -13, Fraction(1, BIG * 2),                # dyadic > 2^64
+    0.3 * 2.0 ** -13, Fraction(1, BIG * 2),                # two limbs
     Fraction(1, 3), Fraction(-7, 3 << 20),                 # non-dyadic
     Fraction(123456789, (1 << 31) - 1), Fraction(1, 1 << 31),
     Fraction(5, (1 << 31) + 1), Fraction(-BIG, 10 ** 12 + 39),  # q >= 2^31
     Fraction((1 << 32) - 1, (1 << 33) - 9),
     0, 5, -3,                                              # integer alpha
+    Fraction(BIG * BIG - 1, BIG * BIG), Fraction(-3, BIG * BIG),  # 2^128
+    Fraction(1, BIG * BIG * 2),                            # dyadic > 2^128
 ]
 BRANCH_ALPHAS = [0.123456789, Fraction(3, BIG), Fraction(1, BIG * 2),
-                 Fraction(123456789, (1 << 31) - 1), Fraction(5, (1 << 31) + 1)]
+                 Fraction(123456789, (1 << 31) - 1), Fraction(5, (1 << 31) + 1),
+                 Fraction(7, BIG * BIG * 2)]
 
 
 class TestPhaseKernel:
@@ -163,17 +188,38 @@ class TestPhaseKernel:
     def test_prefix_from_chunks(self):
         t = CHUNK + 5
         for alpha in BRANCH_ALPHAS:
-            want = np.cumsum(np.exp(-2j * math.pi * oracle_phases(
-                SQUARES, t, alpha))) / np.arange(1, t + 1)
-            assert np.array_equal(weyl_sum_prefix(SQUARES, t, alpha), want)
+            want = np.cumsum(e_neg(oracle_phases(SQUARES, t, alpha))) \
+                / np.arange(1, t + 1)
+            assert np.array_equal(prefix(SQUARES, t, alpha), want)
+
+    @pytest.mark.parametrize("t", [1, 37, _CACHE_CHUNK // 5,
+                                   _CACHE_CHUNK + 3])
+    def test_batched_rows_match_one_alpha_calls(self, t):
+        # every residue path, mixed in the blocks, in the callers' order
+        P = IntPoly([-1, 2, 0, 1])
+        alphas = EDGE_ALPHAS + BRANCH_ALPHAS
+        blocks = list(weyl_sum_prefixes(P, t, alphas))
+        assert all(b.size <= max(t, _CACHE_CHUNK) for b in blocks)
+        rows = np.concatenate(blocks)
+        assert rows.shape == (len(alphas), t)
+        for alpha, row in zip(alphas, rows):
+            assert np.array_equal(row.view(np.uint64),
+                                  prefix(P, t, alpha).view(np.uint64))
+
+    def test_prefixes_checked_before_any_work(self):
+        with mock.patch.object(expsum, "_phase_rows",
+                               side_effect=AssertionError):
+            with pytest.raises(ResourceError):
+                weyl_sum_prefixes(SQUARES, PHASE_TERM_BUDGET + 1, [0.5])
+            assert list(weyl_sum_prefixes(SQUARES, 10, [])) == []
 
     @given(coeffs=st.lists(st.integers(-BIG * 16, BIG * 16), min_size=1,
                            max_size=4),
            leading=st.integers(1, BIG * 16),
            alpha=st.one_of(
                st.floats(-1e6, 1e6),
-               st.builds(Fraction, st.integers(-BIG * 64, BIG * 64),
-                         st.integers(0, 70).map(lambda e: 1 << e)),
+               st.builds(Fraction, st.integers(-BIG * BIG * 4, BIG * BIG * 4),
+                         st.integers(0, 130).map(lambda e: 1 << e)),
                st.builds(Fraction, st.integers(-BIG * 64, BIG * 64),
                          st.integers(1, (1 << 31) - 1)),
                st.builds(Fraction, st.integers(-BIG * 64, BIG * 64),
@@ -185,9 +231,11 @@ class TestPhaseKernel:
         assert_matches_oracle(IntPoly(coeffs + [leading]), t, alpha)
 
     def test_term_budget(self):
-        for fn in (weyl_sum, weyl_sum_prefix):
-            with pytest.raises(ResourceError):
-                fn(SQUARES, PHASE_TERM_BUDGET + 1, Fraction(1, 3))
+        with pytest.raises(ResourceError):
+            weyl_sum(SQUARES, PHASE_TERM_BUDGET + 1, Fraction(1, 3))
+        with pytest.raises(ResourceError):
+            weyl_sum_prefixes(SQUARES, PHASE_TERM_BUDGET + 1,
+                              [Fraction(1, 3)])
 
 
 class TestResidueKernel:
@@ -195,9 +243,9 @@ class TestResidueKernel:
 
     @given(coeffs=st.lists(st.integers(-BIG * 4, BIG * 4), min_size=1,
                            max_size=5),
-           den=st.one_of(st.integers(0, 70).map(lambda e: 1 << e),
+           den=st.one_of(st.integers(0, 130).map(lambda e: 1 << e),
                          st.integers(1, (1 << 31) - 1),
-                         st.integers(1 << 31, 1 << 70)),
+                         st.integers(1 << 31, 1 << 130)),
            t=st.integers(1, 300))
     @settings(max_examples=200, deadline=None)
     def test_matches_python_ints(self, coeffs, den, t):
@@ -206,9 +254,9 @@ class TestResidueKernel:
                 for n in range(1, t + 1)]
         chunks = list(_residue_chunks(coeffs, t, den))
         assert {r.dtype for r in chunks} == {np.dtype(residue_dtype(den))}
-        assert [int(r) for r in np.concatenate(chunks)] == want
+        assert as_ints(np.concatenate(chunks)) == want
 
-    @pytest.mark.parametrize("den", [3 << 40, (1 << 31) + 1, (1 << 65)])
+    @pytest.mark.parametrize("den", [3 << 40, (1 << 31) + 1, 1 << 129])
     def test_wide_den_left_to_big_ints(self, den):
         (r,) = _residue_chunks([0, 0, 1], 10, den)
         assert r.dtype == object
@@ -228,6 +276,117 @@ class TestResidueKernel:
             residue_counts((0, 1), 1, PHASE_TERM_BUDGET + 1)
         with pytest.raises(ParameterError):
             residue_counts((0, 1), 0, 5)
+
+
+def limb_cases():
+    """(r, den) at the rounding boundaries of r/den, den = 2^e, 64 < e <= 128.
+
+    m * 2^j for 54-bit m sits half an ulp past a 53-bit float: m odd with
+    its last bit 1 is a tie (to even: up when bit 1 is set, down if not),
+    and a 1 far below the window, in lo, breaks the tie upward.
+    """
+    cases = []
+    for e in (65, 100, 128):
+        den = 1 << e
+        cases += [(0, den), (1, den), (den - 1, den), (BIG - 1, den),
+                  (BIG, den), (BIG + 1, den), (den >> 1, den)]
+        for j in range(0, e - 53):
+            for m in ((1 << 53) + 1, (1 << 53) + 3, (1 << 54) - 1):
+                tie = m << j
+                cases += [(tie, den), (tie - 1, den)]
+                if j:
+                    cases.append((tie + 1, den))
+    return cases
+
+
+class TestLimbPath:
+    """The two-limb residues of den = 2^e, 64 < e <= 128, on uint64 bits."""
+
+    def test_rounding_boundaries(self):
+        cases = limb_cases()
+        for r, den in cases:
+            res = _residue_rows([[r]], [den], 1, 2)
+            assert res.dtype == _LIMB_PAIR and as_ints(res[0]) == [r]
+            got = _limb_phases(res, [den])[0, 0]
+            want = np.float64(r / den)
+            assert got.view(np.uint64) == want.view(np.uint64), (r, den)
+
+    def test_sticky_bit_decides(self):
+        # a tie to even rounds down, and the same tie plus 1 in lo rounds up
+        # 2^52 (even) and half an ulp, at bit 60; the 1 sits at bit 0
+        den = 1 << 128
+        tie = ((1 << 53) + 1) << 60
+        down = _limb_phases(_residue_rows([[tie]], [den], 1, 2), [den])[0, 0]
+        up = _limb_phases(_residue_rows([[tie + 1]], [den], 1, 2),
+                          [den])[0, 0]
+        assert down == 2.0 ** (113 - 128) == tie / den
+        assert up == (tie + 1) / den > down
+
+    @pytest.mark.parametrize("c1", [0x55555555_FFFFFFFF,
+                                    (0xAAAAAAAA << 64) | 0x55555555_FFFFFFFF,
+                                    (1 << 128) - 1])
+    def test_carries_into_hi(self, c1):
+        # at n = 3, (lo >> 32) n fills lo up to 2^64 - 2^32 and
+        # (lo & LOW32) n overflows it, so the carry must reach hi
+        den = 1 << 128
+        for coeffs in ([0, c1], [c1, c1, c1]):
+            want = [sum(c * n ** j for j, c in enumerate(coeffs)) % den
+                    for n in range(1, 41)]
+            got = _residue_rows([coeffs], [den], 1, 41)[0]
+            assert as_ints(got) == want
+
+    @given(r=st.integers(0, (1 << 128) - 1), e=st.integers(65, 128))
+    @settings(max_examples=300, deadline=None)
+    def test_random_residues(self, r, e):
+        den = 1 << e
+        r %= den
+        got = _limb_phases(_residue_rows([[r]], [den], 1, 2), [den])[0, 0]
+        assert got.view(np.uint64) == np.float64(r / den).view(np.uint64)
+
+
+def e_mp_error(ph: float, z: complex) -> float:
+    """Largest component error of z against e(-ph) to 40 digits."""
+    with mpmath.workdps(40):
+        want = mpmath.exp(-2j * mpmath.pi * mpmath.mpf(ph))
+        return float(max(abs(mpmath.mpf(z.real) - want.real),
+                         abs(mpmath.mpf(z.imag) - want.imag)))
+
+
+EDGE_PHASES = ([0.0, 0.25, 0.5, 0.75, 1 - 2.0 ** -53, 2.0 ** -1074, 1.0]
+               + [v for h in range(0, 4097, 7)
+                  for v in (np.nextafter(h / 4096, -1.0), h / 4096,
+                            np.nextafter(h / 4096, 2.0))
+                  if 0.0 <= v <= 1.0])
+
+
+class TestExpKernel:
+    """The table-driven e(-ph) against 40-digit mpmath and np.exp."""
+
+    def test_edges_against_mpmath(self):
+        ph = np.array(EDGE_PHASES)
+        got = e_neg(ph)
+        worst = max(e_mp_error(p, z) for p, z in zip(ph.tolist(), got))
+        assert worst <= 7e-16
+
+    def test_exact_quarter_turns(self):
+        got = e_neg(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+        assert got.tolist() == [1, -1j, -1, 1j, 1]
+
+    @given(ph=st.one_of(
+        st.floats(0.0, 1.0),
+        st.builds(lambda m, e: math.ldexp(m, -e), st.integers(0, 1 << 20),
+                  st.integers(20, 1074)),
+        st.builds(lambda m: math.ldexp(m, -53), st.integers(0, 1 << 53))))
+    @settings(max_examples=300, deadline=None)
+    def test_dyadic_phases_against_mpmath(self, ph):
+        assert e_mp_error(ph, e_neg(np.array([ph]))[0]) <= 7e-16
+
+    @given(seed=st.integers(0, 1 << 32), n=st.integers(1, 3 * _CACHE_CHUNK))
+    @settings(max_examples=20, deadline=None)
+    def test_against_exp_oracle(self, seed, n):
+        # several in-cache sub-chunks, and their seams
+        ph = np.random.default_rng(seed).random(n)
+        assert np.abs(e_neg(ph) - exp_terms(ph)).max() <= 1.5e-15
 
 
 class TestGaussWeight:
@@ -433,11 +592,11 @@ class TestFastDyadic:
         expect = complete_dyadic_gauss(R - k) / period
         assert val == pytest.approx(expect, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [1, 44, 62, 63, 64, 65])
+    @pytest.mark.parametrize("m", [1, 44, 62, 63, 64, 65, 128, 129])
     @given(k=st.integers(0, 3), N=st.integers(1, 1500))
     @settings(max_examples=25, deadline=None)
     def test_tail_against_python_ints(self, m, k, N):
-        # m > 64 leaves the fixed-width kernel for the big-int loop
+        # m = 65..128 takes the two-limb residues, m > 128 Python ints
         T = 1 << m
         direct = sum(cmath.exp(2j * math.pi * ((n * n) % T) / T)
                      for n in range(1, N + 1)) / N

@@ -87,6 +87,10 @@ class TestVariation:
     def test_singleton(self):
         assert variation(IndexedSeq.from_values([5]), 2).value == 0.0
 
+    def test_from_values_reads_an_iterator_once(self):
+        seq = IndexedSeq.from_values(iter([1, 2j, 3]))
+        assert seq.indices == (1, 2, 3) and seq.values == (1, 2j, 3)
+
     def test_constant_sequence(self):
         assert variation(IndexedSeq.from_values([2, 2, 2]), 3).value == 0.0
 

@@ -164,6 +164,27 @@ class TestEst:
         with pytest.raises(ParameterError):
             verify_est(IntPoly([0, 1]), self.CFG)
 
+    def test_batched_prefixes_match_one_per_draw(self, monkeypatch):
+        # n^3 near 0 draws dyadic den > 2^64, so part 3 mixes residue paths
+        cfg = VerifyConfig(n_range=(8, 9, 10, 11, 12), seed=5)
+        batched = verify.weyl_sum_prefixes
+        calls = []
+
+        def counted(P, t_max, alphas):
+            calls.append(len(alphas))
+            return batched(P, t_max, alphas)
+
+        def one_per_draw(P, t_max, alphas):
+            return (block for alpha in alphas
+                    for block in batched(P, t_max, [alpha]))
+
+        monkeypatch.setattr(verify, "weyl_sum_prefixes", counted)
+        want = verify_est(IntPoly([0, 0, 0, 1]), cfg)
+        # parts 1 and 2 and one call per fraction of part 3, at each scale
+        assert len(calls) == 20 and sum(calls) == 5 * (16 + 64 + 2 * 12)
+        monkeypatch.setattr(verify, "weyl_sum_prefixes", one_per_draw)
+        assert verify_est(IntPoly([0, 0, 0, 1]), cfg) == want
+
     def test_rejection_loop_capped(self, monkeypatch):
         # a classifier that calls every alpha major never yields a sample
         draws = []
