@@ -15,8 +15,7 @@ from .errors import (CircleLabError, NumericError, ParameterError,
                      ResourceError)
 from .expsum import (approx_multiplier, complete_dyadic_gauss,
                      fast_dyadic_quadratic_weyl, gauss_weight,
-                     quadratic_gauss_row, smooth_cutoff_eval, vt, weyl_sum,
-                     weyl_sum_prefixes)
+                     smooth_cutoff_eval, vt, weyl_sum, weyl_sum_prefixes)
 from .spectral import CyclicSignal, average_multiplier, variation_experiment
 from .torus import (CounterexampleParams, LacunaryTrigPoly, build_sequences,
                     eta_error, exact_ladder_radius, search_coefficients,
@@ -24,5 +23,5 @@ from .torus import (CounterexampleParams, LacunaryTrigPoly, build_sequences,
 from .varnorm import (IndexedSeq, VariationResult, long_variation,
                       short_variation, variation, variation_values)
 from .verify import (BoundFitReport, DecompositionReport, VerifyConfig,
-                     fit_power_law, verify_entropy, verify_est,
-                     verify_main_decomposition, verify_smooth)
+                     verify_entropy, verify_est, verify_main_decomposition,
+                     verify_smooth)

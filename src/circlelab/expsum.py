@@ -340,15 +340,6 @@ def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     return _esum(r / qi for r in _residue_chunks(coeffs, qi, qi)) / qi
 
 
-def quadratic_gauss_row(q: int) -> np.ndarray:
-    """S(a/q) = (1/q) sum_r e(-a r^2/q) for every a = 0..q-1, via one DFT.
-
-    The sum depends only on the counts of r^2 mod q, and evaluating the
-    count vector at all a at once is exactly a length-q DFT.
-    """
-    return np.fft.fft(residue_counts((0, 0, 1), q, q)) / q
-
-
 def _vt_quadrature(cycles: float, d: int, tol: float = 1e-10) -> complex:
     """Panel Gauss-Legendre quadrature of int_0^1 e(-cycles s^d) ds.
 

@@ -55,18 +55,23 @@ def check_modulus(M: int) -> int:
     return M
 
 
+def _check_length(N: int) -> int:
+    """N, refused unless 1 <= N <= DIRECT_SUM_BUDGET."""
+    if N < 1:
+        raise ParameterError("N must be >= 1")
+    if N > DIRECT_SUM_BUDGET:
+        raise ResourceError(f"N={N} exceeds the direct-summation budget "
+                            f"{DIRECT_SUM_BUDGET}; lower N")
+    return N
+
+
 def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
     """Fourier multiplier of K_N on Z/M: conj(weyl_sum(P, N, j/M)) at entry j.
 
     Computed through the exact hit counts of P(n) mod M, whose DFT gives
     all M frequencies at once.
     """
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    if N > DIRECT_SUM_BUDGET:
-        raise ResourceError(f"N={N} exceeds the direct-summation budget "
-                            f"{DIRECT_SUM_BUDGET}; lower N")
-    counts = residue_counts(P.coeffs, N, check_modulus(M))
+    counts = residue_counts(P.coeffs, _check_length(N), check_modulus(M))
     # fft gives sum_y c_y e(-jy/M); the multiplier is its conjugate / N
     return np.conj(np.fft.fft(counts)) / N
 
@@ -123,24 +128,37 @@ def grid_arcs(P: IntPoly, params: ArcParams, M: int) -> GridArcs:
     return GridArcs(major, dist, shell)
 
 
+def multiplier_variation(fhat: np.ndarray, row, S: int, r: float) -> float:
+    """||V^r(ifft(fhat * row(k)) : k < S)||_2 on Z/M, DP cells checked first.
+
+    `fhat * m`, never `m * fhat`: the two can differ in the last bit.
+    """
+    check_dp_cells(len(fhat), S)
+    stack = np.empty((S, len(fhat)), dtype=complex)
+    for k in range(S):  # in place, one multiplier alive at a time
+        np.multiply(fhat, row(k), out=stack[k])
+        np.fft.ifft(stack[k], out=stack[k])
+    return float(np.linalg.norm(variation_values(stack.T, r)))
+
+
 def variation_experiment(f: CyclicSignal, P: IntPoly,
                          scales: Sequence[int], r: float) -> float:
     """||V^r(K_N * f : N in scales)||_2 / ||f||_2 on Z/M.
 
     The averages are computed by diagonalization; the pointwise variation
-    runs vectorized over all M spatial points.
+    runs vectorized over all M spatial points.  Every scale and the
+    signal are checked before the first FFT.
     """
     scales = [int(N) for N in scales]
     if any(b <= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ParameterError("scales must be non-empty and increasing")
     M = f.modulus
     check_dp_cells(M, len(scales))
-    fhat = np.fft.fft(f.values)
-    spatial = np.empty((len(scales), M), dtype=complex)
-    for idx, N in enumerate(scales):
-        spatial[idx] = np.fft.ifft(fhat * average_multiplier(P, N, M))
-    pointwise = variation_values(spatial.T, r)
+    for N in (scales[0], scales[-1]):
+        _check_length(N)
     denom = f.norm()
     if denom == 0:
         raise ParameterError("signal must be non-zero")
-    return float(np.linalg.norm(pointwise) / denom)
+    return multiplier_variation(
+        np.fft.fft(f.values),
+        lambda k: average_multiplier(P, scales[k], M), len(scales), r) / denom

@@ -70,6 +70,8 @@ class VariationResult:
 
 def _check_r(r: float) -> float:
     r = float(r)
+    if not math.isfinite(r):
+        raise ParameterError(f"variation exponent r must be finite, not {r}")
     if r < 1:
         raise ParameterError("variation exponent r must be >= 1")
     return r

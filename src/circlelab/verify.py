@@ -18,13 +18,16 @@ import numpy as np
 from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, weyl_sum_prefixes
-from .spectral import average_multiplier, check_modulus, grid_arcs
-from .varnorm import check_dp_cells, variation_values
+from .spectral import (average_multiplier, check_modulus, grid_arcs,
+                       multiplier_variation)
+from .varnorm import check_dp_cells
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
 # (major arcs cover about half the circle at n = 1, delta = 1/8, and under
 # 1 % from n = 6 on, so only a broken classifier reaches this)
 REJECTION_ATTEMPT_FACTOR = 64
+# verify_smooth: the multipliers and signals live on Z/SMOOTH_MODULUS
+SMOOTH_MODULUS = 256
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class VerifyConfig:
             raise ParameterError("n_range must be non-empty and increasing")
         if self.samples_per_arc < 16:
             raise ParameterError("samples_per_arc must be >= 16")
+        if not math.isfinite(self.nu_floor):
+            raise ParameterError("nu_floor must be finite")
         object.__setattr__(self, "n_range", ns)
 
 
@@ -69,14 +74,6 @@ def _power_fit(ns: Sequence[float], vs: Sequence[float]):
     (slope, _), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.sqrt(res[0])) if res.size else 0.0
     return float(slope), residual
-
-
-def fit_power_law(points: Sequence) -> float:
-    """Slope of log v against n log 2, so slope -nu means v ~ 2^(-nu n)."""
-    ns = [p[0] for p in points]
-    vs = [p[1] for p in points]
-    slope, _ = _power_fit(ns, vs)
-    return slope
 
 
 def _make_report(name, scales, values) -> BoundFitReport:
@@ -212,17 +209,18 @@ def _ramp_multipliers(N: int, M: int, A: float, a: float, rng) -> np.ndarray:
     return path[:, None] * phases[None, :]
 
 
-def verify_smooth(N: int, A: float, a: float, trials: int, seed: int,
-                  M: int = 256) -> BoundFitReport:
+def verify_smooth(N: int, A: float, a: float, trials: int,
+                  seed: int) -> BoundFitReport:
     """Tests ||V^2(B_n f)||_2 <= C sqrt(N A a) ||f||_2 on multiplier families.
 
     Trial 0 uses the deterministic saturating zigzag family; the remaining
     trials draw clipped random walks.
     """
-    if not 0 < a <= A:
-        raise ParameterError("need 0 < a <= A")
+    if not 0 < a <= A < math.inf:
+        raise ParameterError("need 0 < a <= A < inf")
     if N < 1 or trials < 1:
         raise ParameterError("N and trials must be positive")
+    M = SMOOTH_MODULUS
     check_dp_cells(M, N)
     rng = np.random.default_rng(seed)
     bound = math.sqrt(N * A * a)
@@ -233,14 +231,8 @@ def verify_smooth(N: int, A: float, a: float, trials: int, seed: int,
         else:
             mults = _clipped_walk_multipliers(N, M, A, a, rng)
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        fhat = np.fft.fft(f)
-        spatial = np.fft.ifft(fhat[None, :] * mults, axis=1).T  # (M, N)
-        if N == 1:
-            ratio = 0.0
-        else:
-            v = variation_values(spatial, 2.0)
-            ratio = float(np.linalg.norm(v) / np.linalg.norm(f))
-        ratios.append(ratio / bound)
+        v = multiplier_variation(np.fft.fft(f), mults.__getitem__, N, 2.0)
+        ratios.append(v / float(np.linalg.norm(f)) / bound)
     return _make_report("smooth_lemma", tuple(range(trials)), tuple(ratios))
 
 
@@ -278,8 +270,8 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
     sigma^-k < tau/100), and records ||V^r(proj_k f)|| / ||f|| over random
     f against the (r/(r-2) log N)^2 / (sigma - 1) envelope.
     """
-    if sigma <= 1 or r <= 2:
-        raise ParameterError("need sigma > 1 and r > 2")
+    if not (1 < sigma < math.inf and 2 < r < math.inf):
+        raise ParameterError("need finite sigma > 1 and r > 2")
     N = int(num_freqs)
     if N < 1:
         raise ParameterError("num_freqs must be positive")
@@ -304,12 +296,8 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
     ratios = []
     for _ in range(trials):
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        fhat = np.fft.fft(f)
-        spatial = np.empty((len(ks), M), dtype=complex)
-        for idx, ind in enumerate(inds):
-            spatial[idx] = np.fft.ifft(fhat * ind)
-        v = variation_values(spatial.T, r)
-        ratios.append(float(np.linalg.norm(v) / np.linalg.norm(f)))
+        v = multiplier_variation(np.fft.fft(f), inds.__getitem__, len(ks), r)
+        ratios.append(v / float(np.linalg.norm(f)))
     value = max(ratios)
     envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)
     return BoundFitReport("entropy_surrogate", (N,), (value,),
@@ -370,9 +358,8 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
         cmults -= cmults[0].copy()
 
         def block_norm(indicator: np.ndarray) -> float:
-            spatial = np.fft.ifft(fhat[None, :] * indicator[None, :] * cmults,
-                                  axis=1).T
-            return float(np.linalg.norm(variation_values(spatial, 2.0)))
+            return multiplier_variation(fhat * indicator, cmults.__getitem__,
+                                        len(ts), 2.0)
 
         arcs = grid_arcs(P, params, M)
         val = block_norm((~arcs.major).astype(float))

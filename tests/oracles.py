@@ -3,6 +3,11 @@
 `polynomial_average` applies K_N on Z/M through the library's multiplier;
 `polynomial_average_direct` sums the shifted signal term by term, so the
 two check each other (acceptance criterion 04).
+`per_row_multiplier_variation` fills the variation stack of a multiplier
+family one `ifft` at a time, the oracle of `multiplier_variation`.
+`quadratic_gauss_row` gives every quadratic Gauss sum mod q by one DFT
+(acceptance criterion 03); `fit_power_law` is the log-log slope that
+acceptance criterion 10 bounds.
 `cumsum_partial_sum_objective` is the ladder search's objective on
 sample-major phases, by reversed cumulative sums.
 `shell_index` and `annulus_label` give one point's dyadic distance shell,
@@ -23,8 +28,9 @@ import numpy as np
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
                        average_multiplier, eval_poly, variation_values)
 from circlelab.arith import ArcLabel, _major_distance
-from circlelab.expsum import _PHASE_CHUNK
+from circlelab.expsum import _PHASE_CHUNK, residue_counts
 from circlelab.torus import LacunaryTrigPoly
+from circlelab.verify import _power_fit
 
 
 def polynomial_average(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
@@ -43,6 +49,29 @@ def polynomial_average_direct(f: CyclicSignal, P: IntPoly,
     for n in range(1, N + 1):
         out += np.roll(f.values, -(eval_poly(P, n) % M))
     return CyclicSignal(M, out / N)
+
+
+def per_row_multiplier_variation(fhat: np.ndarray, mults, r: float) -> float:
+    """||V^r(ifft(fhat * m) : m in mults)||_2, one ifft per multiplier row."""
+    spatial = np.empty((len(mults), len(fhat)), dtype=complex)
+    for idx, m in enumerate(mults):
+        spatial[idx] = np.fft.ifft(fhat * m)
+    return float(np.linalg.norm(variation_values(spatial.T, r)))
+
+
+def quadratic_gauss_row(q: int) -> np.ndarray:
+    """S(a/q) = (1/q) sum_r e(-a r^2/q) for every a = 0..q-1, via one DFT.
+
+    The sum depends only on the counts of r^2 mod q, and evaluating the
+    count vector at all a at once is exactly a length-q DFT.
+    """
+    return np.fft.fft(residue_counts((0, 0, 1), q, q)) / q
+
+
+def fit_power_law(points) -> float:
+    """Slope of log v against n log 2, so slope -nu means v ~ 2^(-nu n)."""
+    slope, _ = _power_fit([p[0] for p in points], [p[1] for p in points])
+    return slope
 
 
 def cumsum_partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:

@@ -14,12 +14,12 @@ import pytest
 
 from circlelab import (CyclicSignal, IndexedSeq, IntPoly, LacunaryTrigPoly,
                        ReducedFraction, VerifyConfig, build_sequences,
-                       eta_error, fast_dyadic_quadratic_weyl, fit_power_law,
-                       gauss_weight, long_variation, quadratic_gauss_row,
-                       search_coefficients, short_variation, variation,
-                       variation_experiment, verify_entropy, verify_est,
-                       verify_smooth)
-from oracles import polynomial_average, polynomial_average_direct
+                       eta_error, fast_dyadic_quadratic_weyl, gauss_weight,
+                       long_variation, search_coefficients, short_variation,
+                       variation, variation_experiment, verify_entropy,
+                       verify_est, verify_smooth)
+from oracles import (fit_power_law, polynomial_average,
+                     polynomial_average_direct, quadratic_gauss_row)
 
 SQUARES = IntPoly([0, 0, 1])
 

@@ -1,8 +1,9 @@
 """Every name the package exports, and every member of an exported class,
-has a caller inside the package."""
+has a caller inside the package; the inverse FFT has one home."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import circlelab
@@ -14,8 +15,6 @@ AWAITING_CALLER = {
     "approx_multiplier": "the circle-method approximant experiment",
     "exact_ladder_radius": "the L = 2..8 sweep along exact R-ladders",
     "v2_partial_sums_norm": "counterexample reporting V^2(S_m f)",
-    "quadratic_gauss_row": "acceptance 03",
-    "fit_power_law": "acceptance 10",
 }
 
 
@@ -66,6 +65,27 @@ def class_members(cls):
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
+def inverse_fft_sites():
+    """(module, innermost enclosing function) of every reference to an
+    inverse FFT (ifft, irfft, ifftn, ...) in the package, in file order."""
+    sites = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for name in (getattr(node, "attr", None), getattr(node, "id", None),
+                     getattr(node, "name", None)):
+            if isinstance(name, str) and re.fullmatch(r"i[rh]?fft[2n]?",
+                                                      name):
+                sites.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
 def exported_classes():
     for name in sorted(exported_names()):
         obj = getattr(circlelab, name)
@@ -84,3 +104,9 @@ def test_every_member_of_an_exported_class_has_a_caller():
                 for m in class_members(cls) if m not in used}
     # none waits for an open ROADMAP item today
     assert uncalled == set()
+
+
+def test_ifft_only_in_multiplier_variation():
+    # every ||V^r(ifft(fhat * m_k))|| of the package goes through one
+    # operator; a second ifft would fork it again
+    assert inverse_fft_sites() == [("spectral", "multiplier_variation")]

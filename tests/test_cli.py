@@ -191,6 +191,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"modulus M={257 << 14}" in err
 
+    @pytest.mark.parametrize("argv,expect", [
+        # ten scales fit the budgets; the last, N = 2^22 + 1, does not
+        (["average", "--modulus", str(1 << 22), "--scales",
+          ",".join(str(1 << i) for i in range(10)) + f",{(1 << 22) + 1}"],
+         3),
+        (["average", "--modulus", "64", "--scales", "0,1"], 2),
+    ])
+    def test_scales_checked_before_fft(self, argv, expect, capsys,
+                                       monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an FFT ran before every scale was checked")
+
+        monkeypatch.setattr("numpy.fft.fft", never)
+        assert main(argv) == expect
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("count,expect", [
         ("0", 2), ("-1", 2), (str((1 << 22) + 1), 3)])
     def test_sample_count_checked_before_search(self, count, expect, capsys,
@@ -258,6 +275,38 @@ class TestExitCodes:
         code, _ = run_cli(["variation", "--values", "1,nan,2", "--r", "2"],
                           capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["variation", "--values", "1,2,3", "--r", "nan"],
+        # V^inf would be the largest jump, 2; the DP's power sums give 1
+        ["variation", "--values", "1,2,3", "--r", "inf"],
+        ["smooth", "--N", "4", "--A", "inf", "--a", "0.5"],
+        ["entropy", "--num-freqs", "4", "--sigma", "nan"],
+        ["entropy", "--num-freqs", "4", "--r", "nan"],
+        ["entropy", "--num-freqs", "4", "--r", "inf"],
+        ["main-decomp", "--modulus", "4096", "--n-max", "9",
+         "--nu-floor", "nan"],
+        ["main-decomp", "--modulus", "4096", "--n-max", "9",
+         "--nu-floor", "inf"],
+    ])
+    def test_non_finite_rejected_before_work(self, argv, capsys,
+                                             monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an FFT ran before the parameter checks")
+
+        monkeypatch.setattr("numpy.fft.fft", never)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_average_non_finite_r(self, r, capsys):
+        code = main(["average", "--modulus", "64", "--scales", "1,2,4",
+                     "--r", r])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOutput:

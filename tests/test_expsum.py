@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        ResourceError, approx_multiplier,
-                       complete_dyadic_gauss, farey_level, fast_dyadic_quadratic_weyl, fit_power_law,
-                       gauss_weight, quadratic_gauss_row, smooth_cutoff_eval,
-                       vt, weyl_sum, weyl_sum_prefixes)
+                       complete_dyadic_gauss, farey_level, fast_dyadic_quadratic_weyl,
+                       gauss_weight, smooth_cutoff_eval, vt, weyl_sum,
+                       weyl_sum_prefixes)
 from circlelab import expsum
 from circlelab.arith import congruence_data
 from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
@@ -23,7 +23,8 @@ from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
                               _residue_chunks, _residue_rows,
                               _vt_closed_form, _vt_quadrature,
                               residue_counts)
-from oracles import bigint_phase_chunks, exp_terms
+from oracles import (bigint_phase_chunks, exp_terms, fit_power_law,
+                     quadratic_gauss_row)
 
 SQUARES = IntPoly([0, 0, 1])
 

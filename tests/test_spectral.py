@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
                        ResourceError, average_multiplier, classify_arc,
-                       farey_level, variation_experiment, weyl_sum)
+                       farey_level, variation_experiment, variation_values,
+                       weyl_sum)
 from circlelab import spectral
 from circlelab.arith import torus_distance
 from circlelab.expsum import DIRECT_SUM_BUDGET
-from circlelab.spectral import grid_arcs
-from oracles import (annulus_label, polynomial_average,
-                     polynomial_average_direct, shell_index)
+from circlelab.spectral import grid_arcs, multiplier_variation
+from oracles import (annulus_label, per_row_multiplier_variation,
+                     polynomial_average, polynomial_average_direct,
+                     shell_index)
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -230,6 +232,61 @@ class TestGridArcs:
             grid_arcs(SQUARES, params, DIRECT_SUM_BUDGET + 1)
 
 
+def never(*args, **kwargs):
+    raise AssertionError("work began before the checks")
+
+
+class TestMultiplierVariation:
+    @staticmethod
+    def family(kind, S, M, seed):
+        """fhat and S multiplier rows on Z/M of one kind, from a seed."""
+        rng = np.random.default_rng(seed)
+        fhat = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        if kind == "indicator":
+            return fhat, [rng.random(M) < 0.5 for _ in range(S)]
+        mults = rng.standard_normal((S, M)) + 1j * rng.standard_normal((S, M))
+        return fhat, (list(mults) if kind == "rows" else mults)
+
+    @given(st.sampled_from(["rows", "array", "indicator"]),
+           st.integers(1, 12), st.integers(1, 300),
+           st.floats(1.0, 6.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_loop(self, kind, S, M, r, seed):
+        fhat, mults = self.family(kind, S, M, seed)
+        # the operator runs first, so no freed oracle stack of the same
+        # shape can stand in for a row it failed to fill
+        got = multiplier_variation(fhat, mults.__getitem__, S, r)
+        want = per_row_multiplier_variation(fhat, mults, r)
+        assert got.hex() == want.hex()
+        # the one 2-D ifft that smooth and main-decomp used has the same bits
+        spatial = np.fft.ifft(fhat[None, :] * np.asarray(mults), axis=1).T
+        assert float(np.linalg.norm(variation_values(spatial, r))) == got
+
+    @pytest.mark.parametrize("kind", ["rows", "array", "indicator"])
+    def test_matches_per_row_loop_over_dp_blocks(self, kind):
+        # more points than one DP block of DP_BLOCK_ROWS = 4096 columns
+        fhat, mults = self.family(kind, 9, 5000, 11)
+        assert multiplier_variation(fhat, mults.__getitem__, 9, 2.5).hex() \
+            == per_row_multiplier_variation(fhat, mults, 2.5).hex()
+
+    def test_each_row_built_once_in_order(self):
+        fhat, mults = self.family("array", 5, 64, 3)
+        asked = []
+
+        def row(k):
+            asked.append(k)
+            return mults[k]
+
+        multiplier_variation(fhat, row, 5, 2.0)
+        assert asked == [0, 1, 2, 3, 4]
+
+    def test_dp_cells_checked_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(np.fft, "ifft", never)
+        # 1024 points x 1000 rows: 5.1e8 DP cells
+        with pytest.raises(ResourceError):
+            multiplier_variation(np.zeros(1024, complex), never, 1000, 2.0)
+
+
 class TestVariationExperiment:
     def test_constant_signal_zero_variation(self):
         f = CyclicSignal(16, np.ones(16))
@@ -262,3 +319,35 @@ class TestVariationExperiment:
             variation_experiment(f, SQUARES, [4, 2], 2)
         with pytest.raises(ParameterError):
             variation_experiment(f, SQUARES, [], 2)
+
+    @pytest.mark.parametrize("scales,error", [
+        ([0, 1], ParameterError),
+        ([1, 2, 4, DIRECT_SUM_BUDGET + 1], ResourceError)])
+    def test_scales_checked_before_any_fft(self, monkeypatch, scales, error):
+        f = random_signal(8, 8)
+        monkeypatch.setattr(np.fft, "fft", never)
+        with pytest.raises(error):
+            variation_experiment(f, SQUARES, scales, 2)
+
+    def test_zero_signal_checked_before_any_fft(self, monkeypatch):
+        monkeypatch.setattr(np.fft, "fft", never)
+        with pytest.raises(ParameterError):
+            variation_experiment(CyclicSignal(8, np.zeros(8)), SQUARES,
+                                 [1, 2], 2)
+
+    # (poly, M, signal seed, scales, r) and the result as float.hex,
+    # recorded before the averages' variation moved into
+    # spectral.multiplier_variation
+    PINNED = [
+        ((0, 0, 1), 1024, 3, (1, 2, 4, 8, 16, 32, 64), 2.0,
+         "0x1.3e332e8b71c5cp+0"),
+        ((0, 0, 0, 1), 512, 4, (1, 3, 5, 9, 17), 3.0, "0x1.1bbb28f9cba46p+0"),
+        ((0, 1, 3), 300, 5, (2, 3, 4, 5, 6, 7), 2.5, "0x1.6c7e4335ac39ap-1"),
+    ]
+
+    @pytest.mark.parametrize("poly,M,seed,scales,r,want", PINNED,
+                             ids=["squares", "cubes", "0,1,3"])
+    def test_pinned(self, poly, M, seed, scales, r, want):
+        f = random_signal(M, seed)
+        assert variation_experiment(f, IntPoly(list(poly)), scales,
+                                    r).hex() == want

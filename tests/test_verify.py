@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ResourceError, VerifyConfig,
-                       fit_power_law, variation_values, verify_entropy,
-                       verify_est, verify_main_decomposition, verify_smooth)
-from circlelab import arith, verify
+                       variation_values, verify_entropy, verify_est,
+                       verify_main_decomposition, verify_smooth)
+from circlelab import arith, spectral, verify
 from circlelab.verify import (_circular_distance, _clipped_walk_multipliers,
                               _power_fit)
+from oracles import fit_power_law
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -43,6 +44,12 @@ class TestFits:
         assert residual == pytest.approx(0.0, abs=1e-10)
 
 
+def report_hex(rep):
+    """A report's values, constant, slope and residual, as float.hex."""
+    return ([v.hex() for v in rep.values], rep.constant.hex(),
+            rep.slope.hex(), rep.residual.hex())
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -51,6 +58,11 @@ class TestConfig:
             VerifyConfig(n_range=(5, 4))
         with pytest.raises(ParameterError):
             VerifyConfig(samples_per_arc=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_floor(self, bad):
+        with pytest.raises(ParameterError):
+            VerifyConfig(nu_floor=bad)
 
 
 class TestSmooth:
@@ -78,6 +90,31 @@ class TestSmooth:
         with pytest.raises(ParameterError):
             verify_smooth(0, 1.0, 0.5, 2, 0)
 
+    @pytest.mark.parametrize("A,a", [(math.inf, 0.5), (math.nan, 0.5),
+                                     (1.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_rejected(self, A, a):
+        with pytest.raises(ParameterError):
+            verify_smooth(8, A, a, 2, 0)
+
+    # (N, A, a, trials, seed) and the report as float.hex, recorded before
+    # the family's variation moved into spectral.multiplier_variation
+    PINNED = [
+        ((1, 1.0, 0.5, 2, 0),
+         (["0x0.0p+0", "0x0.0p+0"], "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+        ((5, 1.0, 0.2, 3, 7),
+         (["0x1.9999999999998p-1", "0x1.a0d10b1b88805p-2",
+           "0x1.a32431d778075p-2"], "0x1.9999999999998p-1",
+          "-0x1.eefd9f625fb99p-2", "0x1.1ccaa0a9547e1p-2")),
+        ((16, 2.0, 0.125, 3, 1),
+         (["0x1.e000000000002p-1", "0x1.4411ef43b786ap-2",
+           "0x1.46d491cc504c6p-2"], "0x1.e000000000002p-1",
+          "-0x1.8df3378b46c98p-1", "0x1.c988682ff7ccep-2")),
+    ]
+
+    @pytest.mark.parametrize("args,want", PINNED, ids=["N1", "N5", "N16"])
+    def test_pinned_report(self, args, want):
+        assert report_hex(verify_smooth(*args)) == want
+
     def test_deterministic(self):
         a = verify_smooth(8, 1.0, 0.125, 3, 5)
         b = verify_smooth(8, 1.0, 0.125, 3, 5)
@@ -99,6 +136,10 @@ class TestEntropy:
             verify_entropy(4, sigma=1.0, r=3.0, cfg=cfg)
         with pytest.raises(ParameterError):
             verify_entropy(4, sigma=2.0, r=2.0, cfg=cfg)
+        for sigma, r in [(math.nan, 3.0), (math.inf, 3.0), (2.0, math.nan),
+                         (2.0, math.inf)]:
+            with pytest.raises(ParameterError):
+                verify_entropy(4, sigma=sigma, r=r, cfg=cfg)
         with pytest.raises(ParameterError):
             # tau so tiny no admissible neighbourhood scale remains
             verify_entropy(4, sigma=2.0, r=3.0, cfg=cfg, tau=1e-12,
@@ -139,6 +180,25 @@ class TestEntropy:
         # M = 2^26 grid points, 6 neighbourhood scales
         with pytest.raises(ResourceError):
             verify_entropy(4096, sigma=2.0, r=3.0, cfg=VerifyConfig())
+
+    # (num_freqs, sigma, r, seed, trials, grid_factor) and the report as
+    # float.hex, recorded before the projections' variation moved into
+    # spectral.multiplier_variation
+    PINNED = [
+        ((2, 2.0, 3.0, 1, 3, 1 << 10),
+         (["0x1.16bd15df396c7p-4"], "0x1.ef890a7066162p-8", "0x0.0p+0",
+          "0x0.0p+0")),
+        ((3, 1.5, 4.0, 2, 2, 1 << 11),
+         (["0x1.9f36e68c6d289p-4"], "0x1.580517df5d59ap-7", "0x0.0p+0",
+          "0x0.0p+0")),
+    ]
+
+    @pytest.mark.parametrize("args,want", PINNED, ids=["N2", "N3"])
+    def test_pinned_report(self, args, want):
+        num_freqs, sigma, r, seed, trials, grid_factor = args
+        rep = verify_entropy(num_freqs, sigma, r, VerifyConfig(seed=seed),
+                             trials=trials, grid_factor=grid_factor)
+        assert report_hex(rep) == want
 
     def test_ratio_positive_and_bounded(self):
         cfg = VerifyConfig(seed=2)
@@ -232,7 +292,7 @@ class TestMainDecomposition:
             calls.append(args)
             return variation_values(*args)
 
-        monkeypatch.setattr(verify, "variation_values", counted)
+        monkeypatch.setattr(spectral, "variation_values", counted)
         P = IntPoly([int(c) for c in poly.split(",")])
         cfg = VerifyConfig(n_range=tuple(range(8, n_max + 1)))
         rep = verify_main_decomposition(P, cfg, M)
