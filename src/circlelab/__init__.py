@@ -22,6 +22,5 @@ from .torus import (CounterexampleParams, LacunaryTrigPoly, build_sequences,
                     v2_partial_sums_norm)
 from .varnorm import (IndexedSeq, VariationResult, long_variation,
                       short_variation, variation, variation_values)
-from .verify import (BoundFitReport, DecompositionReport, VerifyConfig,
-                     verify_entropy, verify_est, verify_main_decomposition,
-                     verify_smooth)
+from .verify import (BoundFitReport, DecompositionReport, verify_entropy,
+                     verify_est, verify_main_decomposition, verify_smooth)

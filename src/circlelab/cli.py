@@ -23,8 +23,8 @@ from .expsum import gauss_weight, weyl_sum
 from .spectral import CyclicSignal, check_modulus, variation_experiment
 from .torus import build_sequences, search_coefficients
 from .varnorm import IndexedSeq, long_variation, short_variation, variation
-from .verify import (VerifyConfig, verify_entropy, verify_est,
-                     verify_main_decomposition, verify_smooth)
+from .verify import (verify_entropy, verify_est, verify_main_decomposition,
+                     verify_smooth)
 
 
 def _parse_poly(text: str) -> IntPoly:
@@ -107,28 +107,21 @@ def _report_result(report):
                     "residual": report.residual}}
 
 
-def _cfg_from_args(args) -> VerifyConfig:
-    ns = tuple(range(args.n_min, args.n_max + 1))
-    return VerifyConfig(delta=args.delta, n_range=ns,
-                        samples_per_arc=args.samples, seed=args.seed,
-                        nu_floor=args.nu_floor)
-
-
-def _add_common(sub, poly=True):
+def _add_common(sub, poly=True, seed=False):
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0,
+                         help="seed of the random draws, >= 0")
     if poly:
         sub.add_argument("--poly", default="0,0,1",
                          help="coefficients b_0,b_1,...,b_d")
 
 
-def _add_verify_common(sub):
+def _add_scale_range(sub):
     sub.add_argument("--delta", type=float, default=0.05)
     sub.add_argument("--n-min", type=int, default=8)
     sub.add_argument("--n-max", type=int, default=12)
-    sub.add_argument("--samples", type=int, default=64)
-    sub.add_argument("--nu-floor", type=float, default=0.1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,37 +154,39 @@ def build_parser() -> argparse.ArgumentParser:
                    default="full")
 
     s = subs.add_parser("average", help="variation of cyclic-group averages")
-    _add_common(s)
+    _add_common(s, seed=True)
     s.add_argument("--modulus", type=int, required=True)
     s.add_argument("--scales", required=True,
                    help="comma-separated increasing N values")
     s.add_argument("--r", type=float, default=2.0)
 
     s = subs.add_parser("entropy", help="separated-frequency variation bound")
-    _add_common(s, poly=False)
-    _add_verify_common(s)
+    _add_common(s, poly=False, seed=True)
     s.add_argument("--num-freqs", type=int, required=True)
     s.add_argument("--sigma", type=float, default=2.0)
     s.add_argument("--r", type=float, default=3.0)
 
     s = subs.add_parser("smooth", help="smooth multiplier-family bound")
-    _add_common(s, poly=False)
+    _add_common(s, poly=False, seed=True)
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--A", type=float, default=1.0)
     s.add_argument("--a", type=float, required=True)
     s.add_argument("--trials", type=int, default=8)
 
     s = subs.add_parser("est", help="multiplier smoothness/decay experiments")
-    _add_common(s)
-    _add_verify_common(s)
+    _add_common(s, seed=True)
+    _add_scale_range(s)
+    s.add_argument("--samples", type=int, default=64,
+                   help="minor-arc samples per scale, >= 16")
 
     s = subs.add_parser("main-decomp", help="arc-decomposition experiment")
-    _add_common(s)
-    _add_verify_common(s)
+    _add_common(s, seed=True)
+    _add_scale_range(s)
+    s.add_argument("--nu-floor", type=float, default=0.1)
     s.add_argument("--modulus", type=int, default=1 << 16)
 
     s = subs.add_parser("counterexample", help="2-variation lower-bound ladder")
-    _add_common(s, poly=False)
+    _add_common(s, poly=False, seed=True)
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--R", type=int, required=True)
     s.add_argument("--dry-run", action="store_true",
@@ -199,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sample-count", type=int, default=4096)
 
     s = subs.add_parser("search-coeffs", help="optimize ladder coefficients")
-    _add_common(s, poly=False)
+    _add_common(s, poly=False, seed=True)
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--iterations", type=int, default=200)
     s.add_argument("--restarts", type=int, default=2)
@@ -270,8 +265,7 @@ def _run(args) -> dict:
                                    "scales": args.scales, "r": args.r},
                         "value": val})
     elif args.command == "entropy":
-        cfg = _cfg_from_args(args)
-        rep = verify_entropy(args.num_freqs, args.sigma, args.r, cfg)
+        rep = verify_entropy(args.num_freqs, args.sigma, args.r, args.seed)
         results.append({"name": rep.name,
                         "inputs": {"num_freqs": args.num_freqs,
                                    "sigma": args.sigma, "r": args.r},
@@ -284,14 +278,15 @@ def _run(args) -> dict:
                         **_report_result(rep)})
     elif args.command == "est":
         P = _parse_poly(args.poly)
-        cfg = _cfg_from_args(args)
-        for rep in verify_est(P, cfg):
+        for rep in verify_est(P, args.n_min, args.n_max, args.delta,
+                              args.samples, args.seed):
             results.append({"name": rep.name, "inputs": {"poly": args.poly},
                             **_report_result(rep)})
     elif args.command == "main-decomp":
         P = _parse_poly(args.poly)
-        cfg = _cfg_from_args(args)
-        rep = verify_main_decomposition(P, cfg, args.modulus)
+        rep = verify_main_decomposition(P, args.modulus, args.n_min,
+                                        args.n_max, args.delta, args.seed,
+                                        args.nu_floor)
         results.append({"name": rep.minor.name,
                         "inputs": {"poly": args.poly,
                                    "modulus": args.modulus},
@@ -349,6 +344,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy refuses a negative seed only with a traceback, mid-run
+        if getattr(args, "seed", 0) < 0:
+            raise ParameterError(f"--seed must be >= 0, not {args.seed}")
         body = _run(args)
         config = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("out", "format")}

@@ -17,7 +17,7 @@ import numpy as np
 from .arith import ArcParams, IntPoly, farey_level
 from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, residue_counts
-from .varnorm import check_dp_cells, variation_values
+from .varnorm import check_dp_cells, check_r, variation_values
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,10 @@ def variation_experiment(f: CyclicSignal, P: IntPoly,
     """||V^r(K_N * f : N in scales)||_2 / ||f||_2 on Z/M.
 
     The averages are computed by diagonalization; the pointwise variation
-    runs vectorized over all M spatial points.  Every scale and the
+    runs vectorized over all M spatial points.  r, every scale and the
     signal are checked before the first FFT.
     """
+    check_r(r)
     scales = [int(N) for N in scales]
     if any(b <= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ParameterError("scales must be non-empty and increasing")

@@ -68,7 +68,7 @@ class VariationResult:
         return self.value
 
 
-def _check_r(r: float) -> float:
+def check_r(r: float) -> float:
     r = float(r)
     if not math.isfinite(r):
         raise ParameterError(f"variation exponent r must be finite, not {r}")
@@ -129,7 +129,7 @@ def _optimal_chain(values: Sequence[complex], r: float):
 
 def variation(seq: IndexedSeq, r: float) -> VariationResult:
     """The r-variation of the family, with an optimizing subsequence."""
-    r = _check_r(r)
+    r = check_r(r)
     if len(seq) == 0:
         raise ParameterError("sequence must be non-empty")
     power, chain = _optimal_chain(seq.values, r)
@@ -139,7 +139,7 @@ def variation(seq: IndexedSeq, r: float) -> VariationResult:
 
 def long_variation(seq: IndexedSeq, r: float) -> VariationResult:
     """Variation restricted to indices that are exact powers of two."""
-    r = _check_r(r)
+    r = check_r(r)
     keep = [j for j, i in enumerate(seq.indices) if i & (i - 1) == 0]
     if not keep:
         return VariationResult(0.0, (), r)
@@ -165,7 +165,7 @@ def _dyadic_blocks(indices):
 
 def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
     """Blockwise short variation: per-block max power sums, then the 1/r root."""
-    r = _check_r(r)
+    r = check_r(r)
     if len(seq) == 0:
         raise ParameterError("sequence must be non-empty")
     total = 0.0
@@ -192,7 +192,7 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     max is kept.  A call over DP_CELL_BUDGET cells rows * S(S-1)/2 is
     refused before any work.
     """
-    r = _check_r(r)
+    r = check_r(r)
     values = np.asarray(values)
     *lead, S = values.shape
     rows = math.prod(lead)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import ParameterError, ResourceError
-from .expsum import DIRECT_SUM_BUDGET, weyl_sum_prefixes
+from .expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, weyl_sum_prefixes
 from .spectral import (average_multiplier, check_modulus, grid_arcs,
                        multiplier_variation)
 from .varnorm import check_dp_cells
@@ -26,27 +26,10 @@ from .varnorm import check_dp_cells
 # (major arcs cover about half the circle at n = 1, delta = 1/8, and under
 # 1 % from n = 6 on, so only a broken classifier reaches this)
 REJECTION_ATTEMPT_FACTOR = 64
+# verify_est part 3: the fractions whose major arcs are probed
+EST_FRACTIONS = (ReducedFraction(0, 1), ReducedFraction(1, 3))
 # verify_smooth: the multipliers and signals live on Z/SMOOTH_MODULUS
 SMOOTH_MODULUS = 256
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    delta: float = 0.05
-    n_range: tuple = (8, 9, 10, 11, 12, 13, 14)
-    samples_per_arc: int = 64
-    seed: int = 0
-    nu_floor: float = 0.1
-
-    def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_range)
-        if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
-            raise ParameterError("n_range must be non-empty and increasing")
-        if self.samples_per_arc < 16:
-            raise ParameterError("samples_per_arc must be >= 16")
-        if not math.isfinite(self.nu_floor):
-            raise ParameterError("nu_floor must be finite")
-        object.__setattr__(self, "n_range", ns)
 
 
 @dataclass(frozen=True)
@@ -104,40 +87,58 @@ def _per_alpha(stat, n: int, P: IntPoly, t_max: int, alphas) -> np.ndarray:
                                    weyl_sum_prefixes(P, t_max, alphas))))
 
 
-def verify_est(P: IntPoly, cfg: VerifyConfig,
-               fracs: Sequence[ReducedFraction] = (ReducedFraction(0, 1),
-                                                   ReducedFraction(1, 3)),
-               betas_per_scale: int = 12):
-    """The three-part multiplier smoothness experiment.
+def _scale_params(n_min: int, n_max: int, delta: float, degree: int,
+                  budget: int, budget_name: str) -> list:
+    """ArcParams at n = n_min..n_max, refused unless n_min <= n_max and
+    the longest sum, of 2^(n_max+1) terms, fits `budget`.
+    """
+    if n_min > n_max:
+        raise ParameterError("need n_min <= n_max")
+    if n_max + 1 >= budget.bit_length():  # 2^(n_max+1) > budget
+        raise ResourceError(
+            f"n_max={n_max} needs sums of length up to 2^{n_max + 1}, over "
+            f"the {budget_name} budget {budget}; lower n_max")
+    return [ArcParams(n, delta, degree) for n in range(n_min, n_max + 1)]
+
+
+def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
+               samples_per_arc: int, seed: int, betas_per_scale: int = 12):
+    """The three-part multiplier smoothness experiment at n = n_min..n_max.
 
     Part 1: |K_hat_t - K_hat_{t+1}| against 2^-n (triangle-inequality bound).
     Part 2: minor-arc decay of max |C_hat_t|, power-law fitted in n.
-    Part 3: major-arc asymptotics near each configured fraction, with the
+    Part 3: major-arc asymptotics near each of EST_FRACTIONS, with the
     part-2 fitted exponent feeding the right-hand side.
     Each part draws a scale's alphas first and takes their prefixes in one
-    `weyl_sum_prefixes` call (part 3: one per fraction).
+    `weyl_sum_prefixes` call (part 3: one per fraction).  Every parameter
+    is checked before part 1.
     """
     if P.degree < 2:
         raise ParameterError("verify_est needs degree >= 2")
-    rng = np.random.default_rng(cfg.seed)
+    if samples_per_arc < 16:
+        raise ParameterError("samples_per_arc must be >= 16")
+    blocks = _scale_params(n_min, n_max, delta, P.degree, PHASE_TERM_BUDGET,
+                           "phase-term")
+    ns = tuple(range(n_min, n_max + 1))
+    rng = np.random.default_rng(seed)
     d, bd = P.degree, P.leading
 
     part1_vals = []
-    for n in cfg.n_range:
+    for n in ns:
         alphas = [rng.random() for _ in range(16)]
         steps = _per_alpha(_max_steps, n, P, 1 << (n + 1), alphas)
         part1_vals.append(float(steps.max()) / 2.0 ** (-n))
-    report1 = _make_report("est_part1_triangle", cfg.n_range, part1_vals)
+    report1 = _make_report("est_part1_triangle", ns, part1_vals)
 
     part2_vals = []
-    for n in cfg.n_range:
-        params = ArcParams(n, cfg.delta, d)
+    for params in blocks:
+        n = params.n
         alphas = []
         attempts = 0
-        while len(alphas) < cfg.samples_per_arc:
-            if attempts == REJECTION_ATTEMPT_FACTOR * cfg.samples_per_arc:
+        while len(alphas) < samples_per_arc:
+            if attempts == REJECTION_ATTEMPT_FACTOR * samples_per_arc:
                 raise ResourceError(
-                    f"only {len(alphas)} of {cfg.samples_per_arc} minor-arc "
+                    f"only {len(alphas)} of {samples_per_arc} minor-arc "
                     f"samples at n={n} after {attempts} draws; lower delta "
                     f"or raise n")
             attempts += 1
@@ -146,14 +147,14 @@ def verify_est(P: IntPoly, cfg: VerifyConfig,
                 alphas.append(alpha)
         diffs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1, alphas)
         part2_vals.append(float(diffs.max()))
-    report2 = _make_report("est_part2_minor_decay", cfg.n_range, part2_vals)
+    report2 = _make_report("est_part2_minor_decay", ns, part2_vals)
     nu_hat = max(-report2.slope, 1e-6)
 
     part3_vals = []
-    for n in cfg.n_range:
-        w = 2.0 ** (-n * (d - cfg.delta))
+    for params in blocks:
+        n, w = params.n, params.width
         worst = 0.0
-        for frac in fracs:
+        for frac in EST_FRACTIONS:
             s = frac.level
             lo, hi = -n * d - 2, math.log2(w)
             betas, alphas = [], []
@@ -170,8 +171,7 @@ def verify_est(P: IntPoly, cfg: VerifyConfig,
                 rhs = 2.0 ** (-nu_hat * s) * (min(x, 1.0 / x) + 2.0 ** (-n / 2))
                 worst = max(worst, lhs_b / rhs)
         part3_vals.append(worst)
-    report3 = _make_report("est_part3_major_asymptotics", cfg.n_range,
-                           part3_vals)
+    report3 = _make_report("est_part3_major_asymptotics", ns, part3_vals)
     return report1, report2, report3
 
 
@@ -260,7 +260,7 @@ def _circular_distance(freqs: np.ndarray, M: int) -> np.ndarray:
     return np.minimum(j - ext[right - 1], ext[right] - j).astype(float)
 
 
-def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
+def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
                    tau: Optional[float] = None, trials: int = 8,
                    grid_factor: int = 1 << 14) -> BoundFitReport:
     """Discrete surrogate of the separated-frequency variation bound.
@@ -277,7 +277,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, cfg: VerifyConfig,
         raise ParameterError("num_freqs must be positive")
     M = N * grid_factor
     tau = 1.0 / (2 * N) if tau is None else float(tau)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     k_min = int(math.floor(math.log(100.0 / tau) / math.log(sigma))) + 1
     k_max = int(math.floor(math.log(M / 2.0) / math.log(sigma)))
@@ -314,35 +314,33 @@ class DecompositionReport:
     reassembly_rhs: float
 
 
-def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
-                              nu_hat: Optional[float] = None,
+def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
+                              delta: float, seed: int, nu_floor: float,
                               t_samples: int = 16) -> DecompositionReport:
     """Minor-arc smallness and annulus decay of the short-variation blocks.
 
-    The true in-arc annuli sit far below the 1/M grid resolution at these
+    The n-th Minor value is normalized by 2^(-n nu_floor / 2).  The true
+    in-arc annuli sit far below the 1/M grid resolution at these
     scales, so the decay check runs over resolvable distance shells around
     the admitted fractions (the multiplier bound 2^(-|l|/d) is symmetric
     in the shell offset l = k - nd, so the shells probe the same decay).
     """
+    if not math.isfinite(nu_floor):
+        raise ParameterError("nu_floor must be finite")
     M = check_modulus(M)
     if M & (M - 1):
         raise ParameterError("M must be a power of two")
     d = P.degree
-    blocks = [ArcParams(n, cfg.delta, d) for n in cfg.n_range]
-    if 1 << (cfg.n_range[-1] + 1) > DIRECT_SUM_BUDGET:
-        raise ResourceError(
-            f"n_max={cfg.n_range[-1]} needs averages of length up to "
-            f"2^{cfg.n_range[-1] + 1}, over the direct-summation budget "
-            f"{DIRECT_SUM_BUDGET}; lower n_max")
+    blocks = _scale_params(n_min, n_max, delta, d, DIRECT_SUM_BUDGET,
+                           "direct-summation")
 
     def block_scales(n):
         return sorted(set(np.linspace(1 << n, 1 << (n + 1), t_samples,
                                       dtype=int).tolist()))
 
     # the last block has the most distinct scales
-    check_dp_cells(M, len(block_scales(cfg.n_range[-1])))
-    nu_hat = cfg.nu_floor if nu_hat is None else float(nu_hat)
-    rng = np.random.default_rng(cfg.seed)
+    check_dp_cells(M, len(block_scales(n_max)))
+    rng = np.random.default_rng(seed)
     f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     fhat = np.fft.fft(f)
     fnorm = float(np.linalg.norm(f))
@@ -363,10 +361,10 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
 
         arcs = grid_arcs(P, params, M)
         val = block_norm((~arcs.major).astype(float))
-        minor_vals.append(val / (2.0 ** (-n * nu_hat / 2.0) * fnorm))
+        minor_vals.append(val / (2.0 ** (-n * nu_floor / 2.0) * fnorm))
 
         l_n = params.critical_annulus_index
-        if n == cfg.n_range[-1]:
+        if n == n_max:
             # reassembly: V^2 of the full signal vs the sum over the
             # resolvable shells k <= log2 M and the deep part below them
             lhs_total = block_norm(np.ones(M))
@@ -386,8 +384,8 @@ def verify_main_decomposition(P: IntPoly, cfg: VerifyConfig, M: int,
             if deep.any():
                 rhs_total += block_norm(deep.astype(float))
 
-    minor_report = _make_report("main_decomposition_minor", cfg.n_range,
-                                minor_vals)
+    minor_report = _make_report("main_decomposition_minor",
+                                tuple(range(n_min, n_max + 1)), minor_vals)
     if len(ann_offsets) >= 3:
         slope, _ = _power_fit(ann_offsets, ann_values)
         decay = -slope

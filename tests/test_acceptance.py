@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from circlelab import (CyclicSignal, IndexedSeq, IntPoly, LacunaryTrigPoly,
-                       ReducedFraction, VerifyConfig, build_sequences,
-                       eta_error, fast_dyadic_quadratic_weyl, gauss_weight,
+                       ReducedFraction, build_sequences, eta_error,
+                       fast_dyadic_quadratic_weyl, gauss_weight,
                        long_variation, search_coefficients, short_variation,
                        variation, variation_experiment, verify_entropy,
                        verify_est, verify_smooth)
@@ -32,9 +32,7 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def est_reports():
-    cfg = VerifyConfig(delta=0.05, n_range=tuple(range(8, 15)),
-                       samples_per_arc=256, seed=0)
-    return verify_est(SQUARES, cfg)
+    return verify_est(SQUARES, 8, 14, 0.05, 256, 0)
 
 
 def stability_factor(rep):
@@ -176,10 +174,9 @@ def test_08_smooth_lemma():
 
 
 def test_09_entropy_envelope():
-    cfg = VerifyConfig(seed=909)
     consts = []
     for N in (4, 16, 64):
-        rep = verify_entropy(N, sigma=2.0, r=3.0, cfg=cfg, trials=8)
+        rep = verify_entropy(N, sigma=2.0, r=3.0, seed=909, trials=8)
         consts.append(rep.constant)  # ratio / (log N)^2-envelope
     # one-sided: growth in N must not exceed the envelope by more than x4
     # relative to the smallest N (growing slower than (log N)^2 is fine)

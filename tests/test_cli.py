@@ -1,5 +1,6 @@
 """Command-line interface: documented examples, exit codes, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import warnings
 
 import pytest
 
-from circlelab.cli import main
+from circlelab.cli import _run, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -288,6 +289,9 @@ class TestExitCodes:
          "--nu-floor", "nan"],
         ["main-decomp", "--modulus", "4096", "--n-max", "9",
          "--nu-floor", "inf"],
+        ["average", "--modulus", "64", "--scales", "1,2,4", "--r", "nan"],
+        ["average", "--modulus", "64", "--scales", "1,2,4", "--r", "inf"],
+        ["average", "--modulus", "64", "--scales", "1,2,4", "--r", "0.5"],
     ])
     def test_non_finite_rejected_before_work(self, argv, capsys,
                                              monkeypatch):
@@ -300,13 +304,124 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("r", ["nan", "inf"])
-    def test_average_non_finite_r(self, r, capsys):
-        code = main(["average", "--modulus", "64", "--scales", "1,2,4",
-                     "--r", r])
+    @pytest.mark.parametrize("argv,expect", [
+        (["est", "--delta", "0.5"], 2),
+        (["est", "--delta", "nan"], 2),
+        (["est", "--n-min", "0"], 2),
+        (["est", "--n-min", "9", "--n-max", "8"], 2),
+        (["est", "--samples", "3"], 2),
+        # 2^28-term prefixes at n = 27 fit the budget, 2^29 at n = 28 not
+        (["est", "--n-min", "27", "--n-max", "28"], 3),
+    ])
+    def test_est_checked_before_part_one(self, argv, expect, capsys,
+                                         monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a Weyl prefix ran before the checks")
+
+        monkeypatch.setattr("circlelab.verify.weyl_sum_prefixes", never)
+        assert main(argv) == expect
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["average", "--modulus", "64", "--scales", "1,2,4"],
+        ["entropy", "--num-freqs", "4"],
+        ["smooth", "--N", "4", "--a", "0.5"],
+        ["est"],
+        ["main-decomp", "--modulus", "4096", "--n-max", "9"],
+        ["counterexample", "--L", "2", "--R", "14"],
+        ["search-coeffs", "--L", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, argv, capsys):
+        code = main(argv + ["--seed", "-1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOptions:
+    # a small run of each subcommand, one that reads all of its options
+    ARGV = [
+        ["weyl-sum", "--t", "2", "--alpha", "1/2"],
+        ["gauss", "--poly", "0,1,2", "--frac", "1/5"],
+        ["arcs", "--alpha", "1/2", "--n", "10"],
+        ["variation", "--values", "0,1,0,1", "--r", "2"],
+        ["average", "--modulus", "64", "--scales", "1,2,4"],
+        ["entropy", "--num-freqs", "1"],
+        ["smooth", "--N", "4", "--a", "0.5", "--trials", "2"],
+        ["est", "--n-min", "6", "--n-max", "8", "--samples", "16"],
+        ["main-decomp", "--modulus", "1024", "--n-min", "6", "--n-max", "8"],
+        ["counterexample", "--L", "3", "--R", "47", "--sample-count", "64"],
+        ["search-coeffs", "--L", "3", "--iterations", "5", "--restarts",
+         "1"],
+    ]
+
+    def test_every_subcommand_covered(self):
+        (subs,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(argv[0] for argv in self.ARGV) == sorted(subs)
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_every_option_is_read(self, argv):
+        # an option that no run reads would do nothing
+        reads = set()
+
+        class ReadRecorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = build_parser().parse_args(argv, namespace=ReadRecorder())
+        reads.clear()  # argparse reads the namespace while it parses
+        _run(args)
+        unread = set(vars(args)) - reads - {"out", "format"}
+        assert not unread
+
+    # other values for the options of each ARGV run, at least one per option
+    OTHER = {
+        "weyl-sum": [["--poly", "0,1,1"], ["--t", "3"], ["--alpha", "1/7"]],
+        "gauss": [["--poly", "0,0,2"], ["--frac", "1/7"],
+                  ["--pre-interval", "1"]],
+        "arcs": [["--poly", "0,0,2"], ["--alpha", "0"], ["--n", "20"],
+                 ["--delta", "0.125"]],
+        "variation": [["--values", "0,2,0,1"], ["--indices", "1,2,4,8"],
+                      ["--r", "3"], ["--flavor", "long"]],
+        "average": [["--poly", "0,1"], ["--seed", "1"], ["--modulus", "32"],
+                    ["--scales", "1,2,8"], ["--r", "3"]],
+        "entropy": [["--seed", "1"], ["--num-freqs", "2"], ["--sigma", "3"],
+                    ["--r", "4"]],
+        "smooth": [["--seed", "1"], ["--N", "5"], ["--A", "2"],
+                   ["--a", "0.25"], ["--trials", "3"]],
+        "est": [["--poly", "0,0,0,1"], ["--seed", "1"], ["--delta", "0.1"],
+                ["--n-min", "7"], ["--n-max", "9"], ["--samples", "17"]],
+        "main-decomp": [["--poly", "0,1,3"], ["--seed", "1"],
+                        ["--delta", "0.125"], ["--n-min", "7"],
+                        ["--n-max", "9"], ["--nu-floor", "0.2"],
+                        ["--modulus", "2048"]],
+        "counterexample": [["--L", "2", "--R", "14"], ["--R", "46"],
+                           ["--dry-run"], ["--sample-count", "128"],
+                           ["--seed", "1"]],
+        "search-coeffs": [["--L", "4"], ["--iterations", "30"],
+                          ["--restarts", "2"], ["--seed", "1"]],
+    }
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_every_option_changes_the_results(self, argv, capsys):
+        def run(extra):
+            assert main(argv + extra) == 0
+            doc = json.loads(capsys.readouterr().out)
+            # the inputs echo options; the other entries are computed
+            return ([{k: v for k, v in entry.items() if k != "inputs"}
+                     for entry in doc["results"]], doc["config"])
+
+        base, config = run([])
+        moved = set()
+        for extra in self.OTHER[argv[0]]:
+            results, other = run(extra)
+            assert results != base, f"{extra} changes no result"
+            moved |= {k for k in config if other[k] != config[k]}
+        assert moved == set(config) - {"command"}
 
 
 class TestOutput:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab import (IntPoly, ParameterError, ResourceError, VerifyConfig,
+from circlelab import (IntPoly, ParameterError, ResourceError,
                        variation_values, verify_entropy, verify_est,
                        verify_main_decomposition, verify_smooth)
 from circlelab import arith, spectral, verify
@@ -51,18 +51,40 @@ def report_hex(rep):
 
 
 class TestConfig:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the parameter checks")
+
+        monkeypatch.setattr(verify, "weyl_sum_prefixes", never)
+        monkeypatch.setattr(verify, "average_multiplier", never)
+
     def test_validation(self):
+        # an empty range of scales, and a decreasing one
+        for n_min, n_max in [(8, 7), (5, 4)]:
+            with pytest.raises(ParameterError):
+                verify_est(SQUARES, n_min, n_max, 0.05, 64, 0)
+            with pytest.raises(ParameterError):
+                verify_main_decomposition(SQUARES, 1 << 10, n_min, n_max,
+                                          0.05, 0, 0.1)
         with pytest.raises(ParameterError):
-            VerifyConfig(n_range=())
-        with pytest.raises(ParameterError):
-            VerifyConfig(n_range=(5, 4))
-        with pytest.raises(ParameterError):
-            VerifyConfig(samples_per_arc=2)
+            verify_est(SQUARES, 6, 8, 0.05, 2, 0)  # samples_per_arc = 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_nu_floor(self, bad):
         with pytest.raises(ParameterError):
-            VerifyConfig(nu_floor=bad)
+            verify_main_decomposition(SQUARES, 1 << 10, 6, 8, 0.05, 0, bad)
+
+    @pytest.mark.parametrize("n_min,n_max,delta,exc", [
+        (0, 8, 0.05, ParameterError),
+        (6, 8, 0.5, ParameterError),
+        (6, 8, math.nan, ParameterError),
+        # the scale n = 27 fits the phase-term budget, n = 28 does not
+        (27, 28, 0.05, ResourceError),
+    ])
+    def test_est_checked_before_part_one(self, n_min, n_max, delta, exc):
+        with pytest.raises(exc):
+            verify_est(SQUARES, n_min, n_max, delta, 64, 0)
 
 
 class TestSmooth:
@@ -124,25 +146,23 @@ class TestSmooth:
 class TestEntropy:
     def test_single_frequency_small_variation(self):
         # nested projections of one frequency: at most one jump
-        cfg = VerifyConfig(seed=1)
-        rep = verify_entropy(1, sigma=2.0, r=3.0, cfg=cfg, trials=4,
+        rep = verify_entropy(1, sigma=2.0, r=3.0, seed=1, trials=4,
                              grid_factor=1 << 14)
         # ratio <= 2 (one projection transition, unit-normalized)
         assert rep.values[0] <= 2.0
 
     def test_parameter_checks(self):
-        cfg = VerifyConfig()
         with pytest.raises(ParameterError):
-            verify_entropy(4, sigma=1.0, r=3.0, cfg=cfg)
+            verify_entropy(4, sigma=1.0, r=3.0, seed=0)
         with pytest.raises(ParameterError):
-            verify_entropy(4, sigma=2.0, r=2.0, cfg=cfg)
+            verify_entropy(4, sigma=2.0, r=2.0, seed=0)
         for sigma, r in [(math.nan, 3.0), (math.inf, 3.0), (2.0, math.nan),
                          (2.0, math.inf)]:
             with pytest.raises(ParameterError):
-                verify_entropy(4, sigma=sigma, r=r, cfg=cfg)
+                verify_entropy(4, sigma=sigma, r=r, seed=0)
         with pytest.raises(ParameterError):
             # tau so tiny no admissible neighbourhood scale remains
-            verify_entropy(4, sigma=2.0, r=3.0, cfg=cfg, tau=1e-12,
+            verify_entropy(4, sigma=2.0, r=3.0, seed=0, tau=1e-12,
                            grid_factor=1 << 10)
 
     @staticmethod
@@ -179,7 +199,7 @@ class TestEntropy:
         monkeypatch.setattr(verify, "_place_separated_frequencies", never)
         # M = 2^26 grid points, 6 neighbourhood scales
         with pytest.raises(ResourceError):
-            verify_entropy(4096, sigma=2.0, r=3.0, cfg=VerifyConfig())
+            verify_entropy(4096, sigma=2.0, r=3.0, seed=0)
 
     # (num_freqs, sigma, r, seed, trials, grid_factor) and the report as
     # float.hex, recorded before the projections' variation moved into
@@ -196,22 +216,23 @@ class TestEntropy:
     @pytest.mark.parametrize("args,want", PINNED, ids=["N2", "N3"])
     def test_pinned_report(self, args, want):
         num_freqs, sigma, r, seed, trials, grid_factor = args
-        rep = verify_entropy(num_freqs, sigma, r, VerifyConfig(seed=seed),
-                             trials=trials, grid_factor=grid_factor)
+        rep = verify_entropy(num_freqs, sigma, r, seed, trials=trials,
+                             grid_factor=grid_factor)
         assert report_hex(rep) == want
 
     def test_ratio_positive_and_bounded(self):
-        cfg = VerifyConfig(seed=2)
-        rep = verify_entropy(4, sigma=2.0, r=3.0, cfg=cfg, trials=4,
+        rep = verify_entropy(4, sigma=2.0, r=3.0, seed=2, trials=4,
                              grid_factor=1 << 12)
         assert 0 < rep.values[0] < 50
 
 
 class TestEst:
-    CFG = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16, seed=0)
+    # n_min, n_max, delta, samples_per_arc, seed
+    SMALL = (6, 8, 0.05, 16, 0)
 
     def test_reports_structure(self):
-        rep1, rep2, rep3 = verify_est(SQUARES, self.CFG, betas_per_scale=4)
+        rep1, rep2, rep3 = verify_est(SQUARES, *self.SMALL,
+                                      betas_per_scale=4)
         for rep in (rep1, rep2, rep3):
             assert len(rep.scales) == 3
             assert all(v >= 0 for v in rep.values)
@@ -222,11 +243,11 @@ class TestEst:
 
     def test_degree_one_rejected(self):
         with pytest.raises(ParameterError):
-            verify_est(IntPoly([0, 1]), self.CFG)
+            verify_est(IntPoly([0, 1]), *self.SMALL)
 
     def test_batched_prefixes_match_one_per_draw(self, monkeypatch):
         # n^3 near 0 draws dyadic den > 2^64, so part 3 mixes residue paths
-        cfg = VerifyConfig(n_range=(8, 9, 10, 11, 12), seed=5)
+        args = (IntPoly([0, 0, 0, 1]), 8, 12, 0.05, 64, 5)
         batched = verify.weyl_sum_prefixes
         calls = []
 
@@ -239,11 +260,11 @@ class TestEst:
                     for block in batched(P, t_max, [alpha]))
 
         monkeypatch.setattr(verify, "weyl_sum_prefixes", counted)
-        want = verify_est(IntPoly([0, 0, 0, 1]), cfg)
+        want = verify_est(*args)
         # parts 1 and 2 and one call per fraction of part 3, at each scale
         assert len(calls) == 20 and sum(calls) == 5 * (16 + 64 + 2 * 12)
         monkeypatch.setattr(verify, "weyl_sum_prefixes", one_per_draw)
-        assert verify_est(IntPoly([0, 0, 0, 1]), cfg) == want
+        assert verify_est(*args) == want
 
     def test_rejection_loop_capped(self, monkeypatch):
         # a classifier that calls every alpha major never yields a sample
@@ -255,9 +276,9 @@ class TestEst:
 
         monkeypatch.setattr(verify, "classify_arc", always_major)
         with pytest.raises(ResourceError):
-            verify_est(SQUARES, self.CFG, betas_per_scale=4)
+            verify_est(SQUARES, *self.SMALL, betas_per_scale=4)
         assert len(draws) == (verify.REJECTION_ATTEMPT_FACTOR
-                              * self.CFG.samples_per_arc)
+                              * self.SMALL[3])
 
 
 # main-decomp --poly P --modulus M --n-max n_max (n_min 8, seed 0), as
@@ -294,8 +315,7 @@ class TestMainDecomposition:
 
         monkeypatch.setattr(spectral, "variation_values", counted)
         P = IntPoly([int(c) for c in poly.split(",")])
-        cfg = VerifyConfig(n_range=tuple(range(8, n_max + 1)))
-        rep = verify_main_decomposition(P, cfg, M)
+        rep = verify_main_decomposition(P, M, 8, n_max, 0.05, 0, 0.1)
         assert [v.hex() for v in rep.minor.values] == minor
         assert rep.annulus_offsets == offsets
         assert [v.hex() for v in rep.annulus_values] == values
@@ -306,8 +326,8 @@ class TestMainDecomposition:
         assert len(calls) == indicators
 
     def test_small_run(self):
-        cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16, seed=0)
-        rep = verify_main_decomposition(SQUARES, cfg, 1 << 12, t_samples=6)
+        rep = verify_main_decomposition(SQUARES, 1 << 12, 6, 8, 0.05, 0, 0.1,
+                                        t_samples=6)
         assert len(rep.minor.values) == 3
         assert all(v >= 0 for v in rep.minor.values)
         # reassembly: the triangle inequality for the block variation
@@ -321,8 +341,8 @@ class TestMainDecomposition:
 
         monkeypatch.setattr(arith, "classify_arc", per_point)
         monkeypatch.setattr(arith, "fractions_near", per_point)
-        cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16, seed=0)
-        rep = verify_main_decomposition(SQUARES, cfg, 1 << 10, t_samples=6)
+        rep = verify_main_decomposition(SQUARES, 1 << 10, 6, 8, 0.05, 0, 0.1,
+                                        t_samples=6)
         assert rep.reassembly_lhs <= rep.reassembly_rhs + 1e-9
 
     def test_dp_cells_checked_first(self, monkeypatch):
@@ -331,11 +351,9 @@ class TestMainDecomposition:
 
         monkeypatch.setattr(verify, "average_multiplier", never)
         # 2^22 points and 16 scales in the last block: 503 M cells
-        cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16)
         with pytest.raises(ResourceError):
-            verify_main_decomposition(SQUARES, cfg, 1 << 22)
+            verify_main_decomposition(SQUARES, 1 << 22, 6, 8, 0.05, 0, 0.1)
 
     def test_power_of_two_enforced(self):
-        cfg = VerifyConfig(n_range=(6, 7, 8), samples_per_arc=16)
         with pytest.raises(ParameterError):
-            verify_main_decomposition(SQUARES, cfg, 1000)
+            verify_main_decomposition(SQUARES, 1000, 6, 8, 0.05, 0, 0.1)
