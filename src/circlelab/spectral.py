@@ -37,7 +37,21 @@ class CyclicSignal:
         object.__setattr__(self, "values", v)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return _pairwise_norm(self.values)
+
+
+def _pairwise_norm(x: np.ndarray) -> float:
+    """||x||_2, the square root of numpy's pairwise sum of squares.
+
+    The sum runs over the float64 view (re, im interleaved for complex x)
+    in numpy's fixed pairwise order, so its bits do not depend on a BLAS
+    thread count and no BLAS thread is woken, as `np.linalg.norm`'s dot
+    would.  Unscaled, like `np.linalg.norm`: a square that overflows
+    gives inf.
+    """
+    v = np.ascontiguousarray(x).view(np.float64)
+    with np.errstate(over="ignore"):
+        return math.sqrt(np.sum(v * v))
 
 
 def check_modulus(M: int) -> int:
@@ -138,7 +152,7 @@ def multiplier_variation(fhat: np.ndarray, row, S: int, r: float) -> float:
     for k in range(S):  # in place, one multiplier alive at a time
         np.multiply(fhat, row(k), out=stack[k])
         np.fft.ifft(stack[k], out=stack[k])
-    return float(np.linalg.norm(variation_values(stack.T, r)))
+    return _pairwise_norm(variation_values(stack.T, r))
 
 
 def variation_experiment(f: CyclicSignal, P: IntPoly,

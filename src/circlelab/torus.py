@@ -174,7 +174,9 @@ def eta_error(f: LacunaryTrigPoly, params: CounterexampleParams,
     az = np.exp(2j * math.pi * phases) * a[:, None]   # (L, samples)
     partial = _partial_sums(az.copy())
     # row l-1 = K_{2^{j_l}} * f, formed sample-major: W @ az rounds
-    # differently in the last bit
+    # differently in the last bit.  BLAS on purpose: these are the
+    # recorded bits, and a (samples, L) x (L, L) product left the BLAS
+    # worker idle when measured
     averaged = (az.T @ W.T).T
     eta = np.abs(partial - averaged).sum(axis=0)
     return float(eta.max()), float(np.sqrt(np.mean(eta ** 2)))
@@ -230,6 +232,8 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
 
     def project(a):
         a = np.abs(np.asarray(a, dtype=float))
+        # BLAS on purpose: L coefficients, far below a threaded dot, and
+        # its bits steer the accept/reject path of the search
         nrm = np.linalg.norm(a)
         if nrm == 0:
             a = np.ones(L)

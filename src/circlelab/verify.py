@@ -18,8 +18,8 @@ import numpy as np
 from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
 from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, weyl_sum_prefixes
-from .spectral import (average_multiplier, check_modulus, grid_arcs,
-                       multiplier_variation)
+from .spectral import (_pairwise_norm, average_multiplier, check_modulus,
+                       grid_arcs, multiplier_variation)
 from .varnorm import check_dp_cells
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
@@ -54,6 +54,8 @@ def _power_fit(ns: Sequence[float], vs: Sequence[float]):
     x = ns * math.log(2.0)
     y = np.log(vs)
     A = np.vstack([x, np.ones_like(x)]).T
+    # LAPACK on purpose: one point per scale, shell or trial, a 2-column
+    # fit far too small to thread
     (slope, _), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.sqrt(res[0])) if res.size else 0.0
     return float(slope), residual
@@ -232,7 +234,7 @@ def verify_smooth(N: int, A: float, a: float, trials: int,
             mults = _clipped_walk_multipliers(N, M, A, a, rng)
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         v = multiplier_variation(np.fft.fft(f), mults.__getitem__, N, 2.0)
-        ratios.append(v / float(np.linalg.norm(f)) / bound)
+        ratios.append(v / _pairwise_norm(f) / bound)
     return _make_report("smooth_lemma", tuple(range(trials)), tuple(ratios))
 
 
@@ -268,15 +270,19 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
     Places num_freqs frequencies separated by >= M tau on Z/M, builds the
     nested sigma^-k neighbourhood projections (admissible k obey
     sigma^-k < tau/100), and records ||V^r(proj_k f)|| / ||f|| over random
-    f against the (r/(r-2) log N)^2 / (sigma - 1) envelope.
+    f against the (r/(r-2) log N)^2 / (sigma - 1) envelope.  Every
+    parameter is checked before the first FFT.
     """
     if not (1 < sigma < math.inf and 2 < r < math.inf):
         raise ParameterError("need finite sigma > 1 and r > 2")
     N = int(num_freqs)
-    if N < 1:
-        raise ParameterError("num_freqs must be positive")
-    M = N * grid_factor
+    if N < 1 or trials < 1 or grid_factor < 1:
+        raise ParameterError("num_freqs, trials and grid_factor must be "
+                             "positive")
     tau = 1.0 / (2 * N) if tau is None else float(tau)
+    if not 0 < tau < math.inf:
+        raise ParameterError("tau must be finite and positive")
+    M = N * grid_factor
     rng = np.random.default_rng(seed)
 
     k_min = int(math.floor(math.log(100.0 / tau) / math.log(sigma))) + 1
@@ -297,7 +303,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
     for _ in range(trials):
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         v = multiplier_variation(np.fft.fft(f), inds.__getitem__, len(ks), r)
-        ratios.append(v / float(np.linalg.norm(f)))
+        ratios.append(v / _pairwise_norm(f))
     value = max(ratios)
     envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)
     return BoundFitReport("entropy_surrogate", (N,), (value,),
@@ -343,7 +349,7 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     fhat = np.fft.fft(f)
-    fnorm = float(np.linalg.norm(f))
+    fnorm = _pairwise_norm(f)
 
     minor_vals = []
     ann_offsets, ann_values = [], []
@@ -376,7 +382,7 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
                 val = block_norm(ind.astype(float))
                 rhs_total += val
                 offs = abs(k - n * d)
-                part_norm = float(np.linalg.norm(fhat[ind])) / math.sqrt(M)
+                part_norm = _pairwise_norm(fhat[ind]) / math.sqrt(M)
                 if offs <= l_n and part_norm > 0:
                     ann_offsets.append(offs)
                     ann_values.append(val / part_norm)

@@ -18,9 +18,12 @@ differences, the oracle of the residue kernel's phases.
 table-driven e(-ph) kernel.
 `l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial
 term by term.
+`assert_pin_moved` bounds how far a re-recorded float.hex pin moved from
+the one it replaces, in ulps.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +32,7 @@ from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
                        average_multiplier, eval_poly, variation_values)
 from circlelab.arith import ArcLabel, _major_distance
 from circlelab.expsum import _PHASE_CHUNK, residue_counts
+from circlelab.spectral import _pairwise_norm
 from circlelab.torus import LacunaryTrigPoly
 from circlelab.verify import _power_fit
 
@@ -52,11 +56,15 @@ def polynomial_average_direct(f: CyclicSignal, P: IntPoly,
 
 
 def per_row_multiplier_variation(fhat: np.ndarray, mults, r: float) -> float:
-    """||V^r(ifft(fhat * m) : m in mults)||_2, one ifft per multiplier row."""
+    """||V^r(ifft(fhat * m) : m in mults)||_2, one ifft per multiplier row.
+
+    The norm is the library's own: this oracle checks the stack and the
+    ifft, not the summation order of the norm.
+    """
     spatial = np.empty((len(mults), len(fhat)), dtype=complex)
     for idx, m in enumerate(mults):
         spatial[idx] = np.fft.ifft(fhat * m)
-    return float(np.linalg.norm(variation_values(spatial.T, r)))
+    return _pairwise_norm(variation_values(spatial.T, r))
 
 
 def quadratic_gauss_row(q: int) -> np.ndarray:
@@ -151,3 +159,24 @@ def eval_float(f: LacunaryTrigPoly, x: float) -> complex:
     """Plain double-precision evaluation (dense-grid oracle, small freqs)."""
     return complex(sum(v * np.exp(2j * math.pi * ((k * x) % 1.0))
                        for k, v in f.terms))
+
+
+def _ordered_bits(x: float) -> int:
+    """The bits of x as an int that orders like the doubles themselves."""
+    (i,) = struct.unpack("<q", struct.pack("<d", x))
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def assert_pin_moved(new, old, max_ulps: int = 8):
+    """Every float.hex leaf of pin `new` is within `max_ulps` of the same
+    leaf of `old`; every other leaf is equal."""
+    if isinstance(new, str):
+        gap = abs(_ordered_bits(float.fromhex(new))
+                  - _ordered_bits(float.fromhex(old)))
+        assert gap <= max_ulps, f"{new} is {gap} ulps from {old}"
+    elif isinstance(new, (list, tuple)):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert_pin_moved(a, b, max_ulps)
+    else:
+        assert new == old

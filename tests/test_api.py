@@ -1,5 +1,6 @@
 """Every name the package exports, and every member of an exported class,
-has a caller inside the package; the inverse FFT has one home."""
+has a caller inside the package; the inverse FFT has one home, and BLAS
+three."""
 
 import ast
 import inspect
@@ -86,6 +87,33 @@ def inverse_fft_sites():
     return sites
 
 
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot",
+              "einsum"}
+
+
+def blas_sites():
+    """Every "module.function" of the package that reaches BLAS or LAPACK:
+    a reference to numpy's linalg, dot, vdot, inner, matmul, tensordot or
+    einsum, or an @; the function is the outermost one around it."""
+    sites = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope or node.name
+        names = [getattr(node, key, None)
+                 for key in ("attr", "id", "name", "module")]
+        if isinstance(node, ast.MatMult) or any(
+                isinstance(name, str) and BLAS_NAMES & set(name.split("."))
+                for name in names):
+            sites.add(f"{module}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
 def exported_classes():
     for name in sorted(exported_names()):
         obj = getattr(circlelab, name)
@@ -110,3 +138,11 @@ def test_ifft_only_in_multiplier_variation():
     # every ||V^r(ifft(fhat * m_k))|| of the package goes through one
     # operator; a second ifft would fork it again
     assert inverse_fft_sites() == [("spectral", "multiplier_variation")]
+
+
+def test_blas_only_where_its_threads_and_bits_are_wanted():
+    # the norms of M-length arrays go through spectral._pairwise_norm,
+    # whose sum order and thread count never depend on BLAS; each site
+    # left says in a comment why it keeps BLAS
+    assert blas_sites() == {"torus.eta_error", "torus.search_coefficients",
+                            "verify._power_fit"}

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -469,6 +470,28 @@ class TestOutput:
                           "--alpha", "1/2"], capsys)
         cfg = json.loads(out)["config"]
         assert cfg["poly"] == "0,0,1" and cfg["t"] == 2
+
+
+class TestBlasThreads:
+    # M = 2^14 points: enough for a BLAS dot to split its sum across
+    # threads, as np.linalg.norm's did
+    RUNS = [["average", "--poly", "0,0,1", "--modulus", "16384",
+             "--scales", "1,2,4,8", "--seed", "0"],
+            ["main-decomp", "--modulus", "16384", "--n-min", "8",
+             "--n-max", "8", "--seed", "0"]]
+
+    def test_output_independent_of_blas_thread_count(self):
+        procs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            for argv in self.RUNS:
+                procs[argv[0], threads] = subprocess.Popen(
+                    [sys.executable, "-m", "circlelab.cli", *argv],
+                    env=env, stdout=subprocess.PIPE, text=True)
+        out = {key: proc.communicate()[0] for key, proc in procs.items()}
+        assert all(proc.returncode == 0 for proc in procs.values())
+        for argv in self.RUNS:
+            assert out[argv[0], "1"] == out[argv[0], "2"]
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 """Cyclic-group diagonalization, grid arcs, and variation experiments."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,9 @@ from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
 from circlelab import spectral
 from circlelab.arith import torus_distance
 from circlelab.expsum import DIRECT_SUM_BUDGET
-from circlelab.spectral import grid_arcs, multiplier_variation
-from oracles import (annulus_label, per_row_multiplier_variation,
+from circlelab.spectral import _pairwise_norm, grid_arcs, multiplier_variation
+from oracles import (annulus_label, assert_pin_moved,
+                     per_row_multiplier_variation,
                      polynomial_average, polynomial_average_direct,
                      shell_index)
 
@@ -236,6 +238,50 @@ def never(*args, **kwargs):
     raise AssertionError("work began before the checks")
 
 
+class TestPairwiseNorm:
+    @staticmethod
+    def fsum_norm(values) -> float:
+        """sqrt of the exactly rounded sum of the same float squares."""
+        parts = []
+        for z in values:
+            parts += [z.real * z.real, z.imag * z.imag]
+        return math.sqrt(math.fsum(parts))
+
+    FINITE = st.floats(-1e150, 1e150, allow_nan=False)
+
+    @given(st.one_of(st.lists(FINITE, max_size=300),
+                     st.lists(st.builds(complex, FINITE, FINITE),
+                              max_size=300)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum(self, values):
+        want = self.fsum_norm(values)
+        got = _pairwise_norm(np.array(values))
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @given(st.integers(129, 20000), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_fsum_on_long_arrays(self, dtype, n, seed):
+        # past numpy's 128-element pairwise blocks
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(n)
+        want = self.fsum_norm(x.tolist())
+        assert abs(_pairwise_norm(x) - want) <= 1e-13 * want
+
+    def test_strided_input(self):
+        x = np.arange(20, dtype=complex) * (1 + 2j)
+        assert _pairwise_norm(x[::3]) == _pairwise_norm(x[::3].copy())
+
+    def test_overflow_gives_inf_silently(self):
+        # unscaled, like np.linalg.norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _pairwise_norm(np.array([1e200, 1.0])) == math.inf
+            assert _pairwise_norm(np.array([1e200j])) == math.inf
+
+
 class TestMultiplierVariation:
     @staticmethod
     def family(kind, S, M, seed):
@@ -260,7 +306,7 @@ class TestMultiplierVariation:
         assert got.hex() == want.hex()
         # the one 2-D ifft that smooth and main-decomp used has the same bits
         spatial = np.fft.ifft(fhat[None, :] * np.asarray(mults), axis=1).T
-        assert float(np.linalg.norm(variation_values(spatial, r))) == got
+        assert _pairwise_norm(variation_values(spatial, r)) == got
 
     @pytest.mark.parametrize("kind", ["rows", "array", "indicator"])
     def test_matches_per_row_loop_over_dp_blocks(self, kind):
@@ -335,19 +381,23 @@ class TestVariationExperiment:
             variation_experiment(CyclicSignal(8, np.zeros(8)), SQUARES,
                                  [1, 2], 2)
 
-    # (poly, M, signal seed, scales, r) and the result as float.hex,
-    # recorded before the averages' variation moved into
-    # spectral.multiplier_variation
+    # (poly, M, signal seed, scales, r), the result as float.hex, and the
+    # pin it replaced where that moved: recorded when the norms were
+    # np.linalg.norm, whose BLAS dot sums in another order
     PINNED = [
         ((0, 0, 1), 1024, 3, (1, 2, 4, 8, 16, 32, 64), 2.0,
-         "0x1.3e332e8b71c5cp+0"),
-        ((0, 0, 0, 1), 512, 4, (1, 3, 5, 9, 17), 3.0, "0x1.1bbb28f9cba46p+0"),
-        ((0, 1, 3), 300, 5, (2, 3, 4, 5, 6, 7), 2.5, "0x1.6c7e4335ac39ap-1"),
+         "0x1.3e332e8b71c5bp+0", "0x1.3e332e8b71c5cp+0"),
+        ((0, 0, 0, 1), 512, 4, (1, 3, 5, 9, 17), 3.0, "0x1.1bbb28f9cba46p+0",
+         None),
+        ((0, 1, 3), 300, 5, (2, 3, 4, 5, 6, 7), 2.5, "0x1.6c7e4335ac39bp-1",
+         "0x1.6c7e4335ac39ap-1"),
     ]
 
-    @pytest.mark.parametrize("poly,M,seed,scales,r,want", PINNED,
+    @pytest.mark.parametrize("poly,M,seed,scales,r,want,was", PINNED,
                              ids=["squares", "cubes", "0,1,3"])
-    def test_pinned(self, poly, M, seed, scales, r, want):
+    def test_pinned(self, poly, M, seed, scales, r, want, was):
         f = random_signal(M, seed)
         assert variation_experiment(f, IntPoly(list(poly)), scales,
                                     r).hex() == want
+        if was is not None:
+            assert_pin_moved(want, was)

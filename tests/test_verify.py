@@ -14,7 +14,7 @@ from circlelab import (IntPoly, ParameterError, ResourceError,
 from circlelab import arith, spectral, verify
 from circlelab.verify import (_circular_distance, _clipped_walk_multipliers,
                               _power_fit)
-from oracles import fit_power_law
+from oracles import assert_pin_moved, fit_power_law
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -118,24 +118,35 @@ class TestSmooth:
         with pytest.raises(ParameterError):
             verify_smooth(8, A, a, 2, 0)
 
-    # (N, A, a, trials, seed) and the report as float.hex, recorded before
-    # the family's variation moved into spectral.multiplier_variation
+    # (N, A, a, trials, seed), the report as float.hex, and the pin it
+    # replaced where that moved: recorded when the norms were
+    # np.linalg.norm, whose BLAS dot sums in another order
     PINNED = [
         ((1, 1.0, 0.5, 2, 0),
-         (["0x0.0p+0", "0x0.0p+0"], "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+         (["0x0.0p+0", "0x0.0p+0"], "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+         None),
         ((5, 1.0, 0.2, 3, 7),
+         (["0x1.9999999999999p-1", "0x1.a0d10b1b88804p-2",
+           "0x1.a32431d778074p-2"], "0x1.9999999999999p-1",
+          "-0x1.eefd9f625fb9cp-2", "0x1.1ccaa0a9547e3p-2"),
          (["0x1.9999999999998p-1", "0x1.a0d10b1b88805p-2",
            "0x1.a32431d778075p-2"], "0x1.9999999999998p-1",
           "-0x1.eefd9f625fb99p-2", "0x1.1ccaa0a9547e1p-2")),
         ((16, 2.0, 0.125, 3, 1),
+         (["0x1.e000000000000p-1", "0x1.4411ef43b786ap-2",
+           "0x1.46d491cc504c7p-2"], "0x1.e000000000000p-1",
+          "-0x1.8df3378b46c96p-1", "0x1.c988682ff7ccdp-2"),
          (["0x1.e000000000002p-1", "0x1.4411ef43b786ap-2",
            "0x1.46d491cc504c6p-2"], "0x1.e000000000002p-1",
           "-0x1.8df3378b46c98p-1", "0x1.c988682ff7ccep-2")),
     ]
 
-    @pytest.mark.parametrize("args,want", PINNED, ids=["N1", "N5", "N16"])
-    def test_pinned_report(self, args, want):
+    @pytest.mark.parametrize("args,want,was", PINNED,
+                             ids=["N1", "N5", "N16"])
+    def test_pinned_report(self, args, want, was):
         assert report_hex(verify_smooth(*args)) == want
+        if was is not None:
+            assert_pin_moved(want, was)
 
     def test_deterministic(self):
         a = verify_smooth(8, 1.0, 0.125, 3, 5)
@@ -164,6 +175,19 @@ class TestEntropy:
             # tau so tiny no admissible neighbourhood scale remains
             verify_entropy(4, sigma=2.0, r=3.0, seed=0, tau=1e-12,
                            grid_factor=1 << 10)
+
+    @pytest.mark.parametrize("bad", [
+        {"trials": 0}, {"trials": -2}, {"tau": math.nan}, {"tau": math.inf},
+        {"tau": 0.0}, {"tau": -1.0}, {"grid_factor": 0},
+        {"grid_factor": -8}], ids=repr)
+    def test_library_parameters_checked_before_any_fft(self, monkeypatch,
+                                                       bad):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the parameter checks")
+
+        monkeypatch.setattr(np.fft, "fft", never)
+        with pytest.raises(ParameterError):
+            verify_entropy(4, sigma=2.0, r=3.0, seed=0, **bad)
 
     @staticmethod
     def loop_circular_distance(freqs, M):
@@ -201,24 +225,28 @@ class TestEntropy:
         with pytest.raises(ResourceError):
             verify_entropy(4096, sigma=2.0, r=3.0, seed=0)
 
-    # (num_freqs, sigma, r, seed, trials, grid_factor) and the report as
-    # float.hex, recorded before the projections' variation moved into
-    # spectral.multiplier_variation
+    # (num_freqs, sigma, r, seed, trials, grid_factor), the report as
+    # float.hex, and the pin it replaced where that moved: recorded when
+    # the norms were np.linalg.norm, whose BLAS dot sums in another order
     PINNED = [
         ((2, 2.0, 3.0, 1, 3, 1 << 10),
          (["0x1.16bd15df396c7p-4"], "0x1.ef890a7066162p-8", "0x0.0p+0",
-          "0x0.0p+0")),
+          "0x0.0p+0"), None),
         ((3, 1.5, 4.0, 2, 2, 1 << 11),
+         (["0x1.9f36e68c6d28dp-4"], "0x1.580517df5d59dp-7", "0x0.0p+0",
+          "0x0.0p+0"),
          (["0x1.9f36e68c6d289p-4"], "0x1.580517df5d59ap-7", "0x0.0p+0",
           "0x0.0p+0")),
     ]
 
-    @pytest.mark.parametrize("args,want", PINNED, ids=["N2", "N3"])
-    def test_pinned_report(self, args, want):
+    @pytest.mark.parametrize("args,want,was", PINNED, ids=["N2", "N3"])
+    def test_pinned_report(self, args, want, was):
         num_freqs, sigma, r, seed, trials, grid_factor = args
         rep = verify_entropy(num_freqs, sigma, r, seed, trials=trials,
                              grid_factor=grid_factor)
         assert report_hex(rep) == want
+        if was is not None:
+            assert_pin_moved(want, was)
 
     def test_ratio_positive_and_bounded(self):
         rep = verify_entropy(4, sigma=2.0, r=3.0, seed=2, trials=4,
@@ -283,30 +311,41 @@ class TestEst:
 
 # main-decomp --poly P --modulus M --n-max n_max (n_min 8, seed 0), as
 # float.hex: minor values, annulus offsets and values, reassembly lhs and
-# rhs; and the number of distinct indicators that get a variation
+# rhs; the number of distinct indicators that get a variation; and the
+# minor and annulus values that these replaced, recorded when the norms
+# were np.linalg.norm, whose BLAS dot sums in another order
 PINNED_DECOMPOSITIONS = [
     ("0,0,1", 1 << 14, 10,
-     ["0x1.597f7c74333c8p-4", "0x1.f5620f7cda216p-5", "0x1.6525dea7d2570p-5"],
+     ["0x1.597f7c74333c7p-4", "0x1.f5620f7cda214p-5", "0x1.6525dea7d256fp-5"],
      (10, 9, 8, 7, 6),
      ["0x1.e6206a10a8366p-6", "0x1.e9c6faf15577ap-6", "0x1.03ab76b5f80a4p-5",
-      "0x1.afdae46c9ecbep-7", "0x1.5f5c21f355746p-6"],
-     "0x1.645a6a93d2a62p+2", "0x1.a819fec8297a3p+3", 19),
+      "0x1.afdae46c9ecbep-7", "0x1.5f5c21f355745p-6"],
+     "0x1.645a6a93d2a62p+2", "0x1.a819fec8297a3p+3", 19,
+     (["0x1.597f7c74333c8p-4", "0x1.f5620f7cda216p-5",
+       "0x1.6525dea7d2570p-5"],
+      ["0x1.e6206a10a8366p-6", "0x1.e9c6faf15577ap-6",
+       "0x1.03ab76b5f80a4p-5", "0x1.afdae46c9ecbep-7",
+       "0x1.5f5c21f355746p-6"])),
     ("0,1,3", 1 << 13, 9,
-     ["0x1.5fb4657fd8c84p-4", "0x1.00a70aac58ffdp-4"],
+     ["0x1.5fb4657fd8c83p-4", "0x1.00a70aac58ffcp-4"],
      (9, 8, 7, 6, 5),
-     ["0x1.6220e0f64aa3cp-5", "0x1.5fb3d900082c5p-5", "0x1.7bbc735e7c99bp-5",
+     ["0x1.6220e0f64aa3cp-5", "0x1.5fb3d900082c5p-5", "0x1.7bbc735e7c99dp-5",
       "0x1.48430a55532f8p-4", "0x1.0c1adbaef97efp-8"],
-     "0x1.764f689d25702p+2", "0x1.c103c52fe583cp+3", 17),
+     "0x1.764f689d25702p+2", "0x1.c103c52fe583cp+3", 17,
+     (["0x1.5fb4657fd8c84p-4", "0x1.00a70aac58ffdp-4"],
+      ["0x1.6220e0f64aa3cp-5", "0x1.5fb3d900082c5p-5",
+       "0x1.7bbc735e7c99bp-5", "0x1.48430a55532f8p-4",
+       "0x1.0c1adbaef97efp-8"])),
 ]
 
 
 class TestMainDecomposition:
     @pytest.mark.parametrize("poly,M,n_max,minor,offsets,values,lhs,rhs,"
-                             "indicators", PINNED_DECOMPOSITIONS,
+                             "indicators,was", PINNED_DECOMPOSITIONS,
                              ids=["squares", "0,1,3"])
     def test_pinned_report_one_variation_per_indicator(
             self, monkeypatch, poly, M, n_max, minor, offsets, values, lhs,
-            rhs, indicators):
+            rhs, indicators, was):
         calls = []
 
         def counted(*args):
@@ -324,6 +363,7 @@ class TestMainDecomposition:
         # each block's Minor part, each non-empty shell of the last block,
         # its deep part and the whole signal, each transformed once
         assert len(calls) == indicators
+        assert_pin_moved((minor, values), was)
 
     def test_small_run(self):
         rep = verify_main_decomposition(SQUARES, 1 << 12, 6, 8, 0.05, 0, 0.1,
