@@ -8,9 +8,8 @@ construction, all cross-checked against independent oracles.
 
 __version__ = "0.1.0"
 
-from .arith import (ArcKind, ArcLabel, ArcParams, CongruenceData, IntPoly,
-                    ReducedFraction, classify_arc, congruence_data,
-                    eval_poly, farey_level)
+from .arith import (ArcParams, CongruenceData, IntPoly, ReducedFraction,
+                    arc_labels, congruence_data, eval_poly, farey_level)
 from .errors import (CircleLabError, NumericError, ParameterError,
                      ResourceError)
 from .expsum import (approx_multiplier, complete_dyadic_gauss,

@@ -2,9 +2,9 @@
 
 Everything in here is exact: polynomials are evaluated with arbitrary-width
 integers, fractions are `fractions.Fraction` under the hood, and arc
-classification only falls back to floating point at the final comparison
-against the (irrational) arc width, where ties within 2 ulp of the boundary
-are resolved toward Minor.
+classification reduces every distance in integers and rounds it to a float
+once, at the final comparison against the (irrational) arc width, where
+ties within 2 ulp of the boundary are resolved toward Minor.
 """
 
 from __future__ import annotations
@@ -15,23 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Optional, Union
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParameterError, ResourceError
 
-RealLike = Union[int, float, Fraction]
-
-# farey_level: largest size bound 4^s of a level we build (so s <= 9; the
-# cost grows about 4x a level, and level 9 takes seconds already); it also
-# keeps q < 2^10, which the int64 grid arc kernel in `spectral` relies on
+# farey_level: largest size bound 4^s of a level we build (so s <= 9 and
+# q < 2^10; the cost grows about 4x a level, and level 9 takes seconds
+# already)
 FAREY_LEVEL_BUDGET = 1 << 18
-
-
-def _as_fraction(x: RealLike) -> Fraction:
-    """Exact rational view of the input (floats are exact dyadic rationals)."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 def torus_distance(x: Fraction) -> Fraction:
@@ -156,11 +149,6 @@ def fractions_near(s: int, x: Fraction, radius: float) -> list:
             if torus_distance(x - fr.value) <= radius]
 
 
-class ArcKind:
-    MAJOR = "major"
-    MINOR = "minor"
-
-
 @dataclass(frozen=True)
 class ArcParams:
     """Scale exponent n (t ~ 2^n), the width parameter delta, and deg P."""
@@ -193,53 +181,86 @@ class ArcParams:
         return self.n * self.degree / 2.0
 
 
-@dataclass(frozen=True)
-class ArcLabel:
-    kind: str
-    fraction: Optional[ReducedFraction] = None
-    s: Optional[int] = None
-    pre_interval: Optional[int] = None
+class ArcLabels(NamedTuple):
+    """Arc data of points k/D, indexed like k."""
 
-    @property
-    def is_major(self) -> bool:
-        return self.kind == ArcKind.MAJOR
+    major: np.ndarray  # the point lies on a Major arc
+    dist: np.ndarray   # distance of {b_d k/D} to the nearest admitted a/q
+    shell: np.ndarray  # least l with 2^-l <= dist; inf where dist is 0
+    a: np.ndarray      # that nearest a/q, the admitting one on Major points
+    q: np.ndarray
 
 
-MINOR_LABEL = ArcLabel(ArcKind.MINOR)
+def _arc_dtype(q_max: int, D: int, bd: int) -> np.dtype:
+    """The dtype `arc_labels` reduces in: int64 when every product fits
+    and every distance is a quotient of two exact floats, else Python ints.
+
+    int64 needs q_max D <= 2^53 (X q, a D and q D, and so the distance's
+    numerator and denominator, are exact floats) and (D - 1)(b_d mod D)
+    < 2^63 (the product before X = b_d k mod D).  On Python ints an int/int
+    division is correctly rounded.
+    """
+    if q_max * D <= 1 << 53 and (D - 1) * (bd % D) < 1 << 63:
+        return np.dtype(np.int64)
+    return np.dtype(object)
 
 
-def _major_distance(alpha: Fraction, bd: int, frac: ReducedFraction) -> Fraction:
-    """Exact torus distance of {b_d alpha} to a/q."""
-    x = bd * alpha
-    x -= math.floor(x)
-    return torus_distance(x - frac.value)
+def arc_labels(P: IntPoly, params: ArcParams, k, D: int) -> ArcLabels:
+    """Major/Minor labels and distance shells of every point alpha = k/D.
 
-
-def classify_arc(alpha: RealLike, P: IntPoly, params: ArcParams) -> ArcLabel:
-    """Major/Minor classification of alpha at scale n.
-
-    Scans every admitted level s <= floor(n delta); membership within
-    2 ulp of the width boundary resolves toward Minor so classification
-    is deterministic under float jitter.
+    k is a 1-D integer array, or a list of any ints, and D >= 1.  alpha
+    is Major when {b_d alpha} lies within the width w of an admitted a/q,
+    of a level s <= floor(n delta); a distance within 2 ulp of w goes to
+    Minor, so labels do not depend on float jitter.  With X = b_d k mod D,
+    the torus distance of {b_d alpha} to a/q is min(r, qD - r)/(qD),
+    r = (Xq - aD) mod qD, computed on the `_arc_dtype` path and rounded
+    once.  Admitted fractions lie more than 4^-(s_max+1) > 2w apart
+    (s_max >= 1 forces n >= 8 as delta <= 1/8), so at most one is within
+    w of a point: at its level, the nearer of the point's two neighbours
+    in value order, found by bisection.  On Major points the nearest
+    admitted fraction (a, q) is the admitting one, and `shell` is the
+    annulus index of the arc decomposition.  Levels are built in order
+    while a point is not yet Major, so a batch admitted low never asks
+    for a level over the budget.
     """
     if params.degree != P.degree:
         raise ParameterError("params.degree must match the polynomial degree")
-    a = _as_fraction(alpha)
-    if not 0 <= a < 1:
-        a -= math.floor(a)
-    bd = P.leading
+    D = int(D)
+    if D < 1:
+        raise ParameterError("denominator D must be >= 1")
     w = params.width
-    if w >= 1.0 / (2 * bd):
+    if w >= 1.0 / (2 * P.leading):
         raise ParameterError(
             "scale too small for distinct pre-intervals; increase n")
-    i = min(int(math.floor(bd * a)), bd - 1)
+    dtype = _arc_dtype((2 << params.s_max) - 1, D, P.leading)
+    if dtype == object or not isinstance(k, np.ndarray):
+        k = np.array(k, dtype=object)  # Python ints, exact at any size
+    X = (k % D).astype(dtype, copy=False) * (P.leading % D) % D
+    x = np.asarray(X / D, dtype=float)
     tie = 2 * math.ulp(w)
+    dist = np.full(len(X), np.inf)
+    major = np.zeros(len(X), dtype=bool)
+    near_a = np.zeros(len(X), dtype=dtype)
+    near_q = np.ones(len(X), dtype=dtype)
     for s in range(params.s_max + 1):
-        for fr in fractions_near(s, bd * a - math.floor(bd * a), w):
-            dist = float(_major_distance(a, bd, fr))
-            if dist < w and (w - dist) > tie:
-                return ArcLabel(ArcKind.MAJOR, fraction=fr, s=s, pre_interval=i)
-    return MINOR_LABEL
+        if major.all():
+            break  # no later level changes a Major point's data
+        level = farey_level(s)
+        a, q = np.array([(fr.a, fr.q) for fr in level]).T
+        right = np.searchsorted(a / q, x)
+        a, q = a.astype(dtype), q.astype(dtype)
+        for c in ((right - 1) % len(level), right % len(level)):
+            qD = q[c] * D
+            r = (X * q[c] - a[c] * D) % qD
+            near = np.asarray(np.minimum(r, qD - r) / qD, dtype=float)
+            closer = near < dist
+            dist[closer] = near[closer]
+            near_a[closer] = a[c][closer]
+            near_q[closer] = q[c][closer]
+        major = (dist < w) & (w - dist > tie)
+    # dist = m 2^e with m in [1/2, 1) lies in [2^-l, 2^-l+1) for l = 1 - e
+    shell = np.where(dist == 0, np.inf, 1 - np.frexp(dist)[1])
+    return ArcLabels(major, dist, shell, near_a, near_q)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
+from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import NumericError, ParameterError, ResourceError
-from .expsum import gauss_weight, weyl_sum
-from .spectral import CyclicSignal, check_modulus, variation_experiment
+from .expsum import DIRECT_SUM_BUDGET, check_count, gauss_weight, weyl_sum
+from .spectral import CyclicSignal, variation_experiment
 from .torus import build_sequences, search_coefficients
 from .varnorm import IndexedSeq, long_variation, short_variation, variation
 from .verify import (verify_entropy, verify_est, verify_main_decomposition,
@@ -223,15 +223,19 @@ def _run(args) -> dict:
     elif args.command == "arcs":
         P = _parse_poly(args.poly)
         params = ArcParams(args.n, args.delta, P.degree)
-        lab = classify_arc(_parse_rational(args.alpha), P, params)
+        alpha = _parse_rational(args.alpha)
+        arcs = arc_labels(P, params, [alpha.numerator], alpha.denominator)
+        value = {"kind": "minor", "fraction": None, "s": None,
+                 "pre_interval": None}
+        if arcs.major[0]:
+            a, q = int(arcs.a[0]), int(arcs.q[0])
+            value = {"kind": "major", "fraction": f"{a}/{q}",
+                     "s": q.bit_length() - 1,
+                     "pre_interval": P.leading * (alpha % 1) // 1}
         results.append({"name": "arc_label",
                         "inputs": {"poly": args.poly, "alpha": args.alpha,
                                    "n": args.n, "delta": args.delta},
-                        "value": {"kind": lab.kind,
-                                  "fraction": str(lab.fraction)
-                                  if lab.fraction else None,
-                                  "s": lab.s,
-                                  "pre_interval": lab.pre_interval}})
+                        "value": value})
     elif args.command == "variation":
         vals = _parse_list(args.values, complex)
         if args.indices:
@@ -255,7 +259,8 @@ def _run(args) -> dict:
         import numpy as np
         P = _parse_poly(args.poly)
         scales = _parse_list(args.scales, int)
-        M = check_modulus(args.modulus)
+        M = check_count(args.modulus, "modulus M", DIRECT_SUM_BUDGET,
+                        "direct-summation")
         rng = np.random.default_rng(args.seed)
         f = CyclicSignal(M, rng.standard_normal(M)
                          + 1j * rng.standard_normal(M))
@@ -309,12 +314,12 @@ def _run(args) -> dict:
                            "closure_defects": list(closure)}}
         results.append(entry)
         if not args.dry_run:
-            from .torus import (LacunaryTrigPoly, check_sample_count,
-                                eta_error, eta_multipliers)
+            from .torus import LacunaryTrigPoly, eta_error, eta_multipliers
             # the sample count and the multipliers, which hold the
             # budgeted tail sums, are refused before the coefficient
             # search, not after it
-            check_sample_count(args.sample_count)
+            check_count(args.sample_count, "sample_count", DIRECT_SUM_BUDGET,
+                        "direct-summation")
             W = eta_multipliers(params)
             coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
             f = LacunaryTrigPoly({1 << ki: c

@@ -24,12 +24,13 @@ RealLike = Union[int, float, Fraction]
 _VT_PERIOD_BUDGET = 2000.0
 # the most terms or frequencies one direct evaluation may take: the tail
 # that fast_dyadic_quadratic_weyl sums term by term (~0.4 us a term on
-# the object-array path, m > 128), and in `spectral` the modulus M (arrays
-# of length M; q * M < 2^32 in grid_arcs) and the average length N
+# the object-array path, m > 128), in `spectral` the modulus M (arrays of
+# length M) and the average length N, and the ladder's sample points
 DIRECT_SUM_BUDGET = 1 << 22
-# weyl_sum / weyl_sum_prefixes: most terms one call may ask for, checked
-# before any work (a 2^28-term prefix is a 4 GB array); it also keeps
-# n < 2^31, which the int64 and two-limb residue paths need
+# weyl_sum / weyl_sum_prefixes: most terms one call may ask for, all its
+# alphas together, checked before any work (a 2^28-term prefix is a 4 GB
+# array); it also keeps n < 2^31, which the int64 and two-limb residue
+# paths need
 PHASE_TERM_BUDGET = 1 << 28
 # phases are produced and consumed in chunks of this many terms
 _PHASE_CHUNK = 1 << 16
@@ -40,16 +41,20 @@ _CACHE_CHUNK = 1 << 14
 _SQUARES = IntPoly([0, 0, 1])
 
 
-def _check_terms(t: int, name: str) -> int:
-    """t as an int, refused unless 1 <= t <= PHASE_TERM_BUDGET."""
-    t = int(t)
-    if t < 1:
+def check_count(n: int, name: str, budget: int = PHASE_TERM_BUDGET,
+                budget_name: str = "phase-term") -> int:
+    """n as an int, refused unless 1 <= n <= budget.
+
+    ParameterError (exit 2) below 1, ResourceError (exit 3) above the
+    budget; callers check a count before any work that it sizes.
+    """
+    n = int(n)
+    if n < 1:
         raise ParameterError(f"{name} must be a positive integer")
-    if t > PHASE_TERM_BUDGET:
-        raise ResourceError(
-            f"{name}={t} exceeds the phase-term budget {PHASE_TERM_BUDGET}; "
-            f"lower {name}")
-    return t
+    if n > budget:
+        raise ResourceError(f"{name}={n} exceeds the {budget_name} budget "
+                            f"{budget}; lower {name}")
+    return n
 
 
 # dyadic den = 2^e, 64 < e <= 128: residues in two uint64 limbs
@@ -154,7 +159,7 @@ def residue_counts(coeffs, t: int, q: int) -> np.ndarray:
 
     Both t and q must fit PHASE_TERM_BUDGET, which keeps q < 2^31.
     """
-    t, q = _check_terms(t, "t"), _check_terms(q, "q")
+    t, q = check_count(t, "t"), check_count(q, "q")
     counts = np.zeros(q, dtype=np.int64)
     for r in _residue_chunks(coeffs, t, q):
         counts += np.bincount(r.astype(np.intp), minlength=q)
@@ -282,7 +287,7 @@ def _esum(phase_chunks) -> complex:
 
 def weyl_sum(P: IntPoly, t: int, alpha: RealLike) -> complex:
     """The normalized exponential sum (1/t) sum_{n=1}^t e(-alpha P(n))."""
-    t = _check_terms(t, "t")
+    t = check_count(t, "t")
     return _esum(_phase_chunks(P, t, alpha)) / t
 
 
@@ -294,10 +299,16 @@ def weyl_sum_prefixes(P: IntPoly, t_max: int,
     `alphas`.  A block holds at most _CACHE_CHUNK terms, or one row when
     t_max is larger, and each chunk of it takes one residue pass per
     residue path among its alphas.  The iterator keeps no block it handed
-    out, so a caller that reduces each block holds one at a time.
+    out, so a caller that reduces each block holds one at a time.  More
+    than PHASE_TERM_BUDGET terms in all, len(alphas) * t_max, are refused
+    before the first block.
     """
-    t_max = _check_terms(t_max, "t_max")
+    t_max = check_count(t_max, "t_max")
     fracs = [a if isinstance(a, Fraction) else Fraction(a) for a in alphas]
+    if len(fracs) * t_max > PHASE_TERM_BUDGET:
+        raise ResourceError(
+            f"{len(fracs)} alphas of {t_max} terms exceed the phase-term "
+            f"budget {PHASE_TERM_BUDGET}; lower t_max or the alpha count")
     per_block = max(1, _CACHE_CHUNK // t_max)
     width = min(t_max, _CACHE_CHUNK)
     work = _e_work(per_block * width)
@@ -334,7 +345,7 @@ def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     q_i above PHASE_TERM_BUDGET is refused before any work.
     """
     cd = congruence_data(P, frac, i)
-    qi = _check_terms(cd.q_i, "q_i")
+    qi = check_count(cd.q_i, "q_i")
     # phases are a_d r^d + ... + a_1 r, no constant term
     coeffs = (0,) + cd.numerators[::-1]
     return _esum(r / qi for r in _residue_chunks(coeffs, qi, qi)) / qi

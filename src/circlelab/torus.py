@@ -14,8 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
-from .expsum import DIRECT_SUM_BUDGET, fast_dyadic_quadratic_weyl
+from .errors import ParameterError
+from .expsum import (DIRECT_SUM_BUDGET, check_count,
+                     fast_dyadic_quadratic_weyl)
 from .varnorm import check_dp_cells, variation_values
 
 
@@ -99,20 +100,6 @@ def _admissible(L: int, R: int) -> bool:
         return False
 
 
-def check_sample_count(sample_count: int) -> None:
-    """Refuse fewer than 1 or more than DIRECT_SUM_BUDGET sample points.
-
-    The ladder's points are drawn one by one in Python, so the count is
-    budgeted like a direct sum; callers check it before any other work.
-    """
-    if sample_count < 1:
-        raise ParameterError("sample count must be >= 1")
-    if sample_count > DIRECT_SUM_BUDGET:
-        raise ResourceError(
-            f"{sample_count} sample points are over the budget "
-            f"{DIRECT_SUM_BUDGET}; lower the sample count")
-
-
 def _ladder_phases(params: CounterexampleParams, sample_count: int,
                    seed: int) -> np.ndarray:
     """(L, samples) phases {2^{k_i} x} at exact dyadic sample points."""
@@ -167,7 +154,8 @@ def eta_error(f: LacunaryTrigPoly, params: CounterexampleParams,
     unless given); only the spatial supremum is estimated by sampling.
     """
     a = _ladder_coeffs(f, params)
-    check_sample_count(sample_count)
+    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET,
+                "direct-summation")
     if W is None:
         W = eta_multipliers(params)
     phases = _ladder_phases(params, sample_count, seed)
@@ -186,7 +174,8 @@ def v2_partial_sums_norm(f: LacunaryTrigPoly, params: CounterexampleParams,
                          sample_count: int, seed: int) -> float:
     """Monte Carlo L^2(T) norm of x -> V^2((S_m f(x))_{m=1..L})."""
     a = _ladder_coeffs(f, params)
-    check_sample_count(sample_count)
+    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET,
+                "direct-summation")
     phases = _ladder_phases(params, sample_count, seed)
     return _partial_sum_objective(a, np.exp(2j * math.pi * phases))
 
@@ -225,7 +214,8 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
         raise ParameterError("L must be >= 2")
     if iterations < 0 or restarts < 0:
         raise ParameterError("iterations and restarts must be >= 0")
-    check_sample_count(sample_count)
+    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET,
+                "direct-summation")
     check_dp_cells(sample_count, L)
     z = _independent_phase_matrix(L, sample_count, seed)
     rng = np.random.default_rng([seed, 999])

@@ -15,11 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import ArcParams, IntPoly, ReducedFraction, classify_arc
+from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import ParameterError, ResourceError
-from .expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, weyl_sum_prefixes
-from .spectral import (_pairwise_norm, average_multiplier, check_modulus,
-                       grid_arcs, multiplier_variation)
+from .expsum import (DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, check_count,
+                     weyl_sum_prefixes)
+from .spectral import (_pairwise_norm, average_multiplier,
+                       multiplier_variation)
 from .varnorm import check_dp_cells
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
@@ -113,7 +114,7 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
     part-2 fitted exponent feeding the right-hand side.
     Each part draws a scale's alphas first and takes their prefixes in one
     `weyl_sum_prefixes` call (part 3: one per fraction).  Every parameter
-    is checked before part 1.
+    is checked before part 1, the terms of the largest call too.
     """
     if P.degree < 2:
         raise ParameterError("verify_est needs degree >= 2")
@@ -121,6 +122,11 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
         raise ParameterError("samples_per_arc must be >= 16")
     blocks = _scale_params(n_min, n_max, delta, P.degree, PHASE_TERM_BUDGET,
                            "phase-term")
+    rows = max(16, samples_per_arc, betas_per_scale)
+    if rows << (n_max + 1) > PHASE_TERM_BUDGET:
+        raise ResourceError(
+            f"{rows} alphas of 2^{n_max + 1} terms exceed the phase-term "
+            f"budget {PHASE_TERM_BUDGET}; lower the samples or n_max")
     ns = tuple(range(n_min, n_max + 1))
     rng = np.random.default_rng(seed)
     d, bd = P.degree, P.leading
@@ -143,10 +149,15 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
                     f"only {len(alphas)} of {samples_per_arc} minor-arc "
                     f"samples at n={n} after {attempts} draws; lower delta "
                     f"or raise n")
-            attempts += 1
-            alpha = rng.random()
-            if not classify_arc(alpha, P, params).is_major:
-                alphas.append(alpha)
+            # as many draws as samples are missing (fewer at the cap): a
+            # batch fills the samples only if it keeps all its draws, so
+            # the stream and the draw count are those of one at a time
+            need = min(samples_per_arc - len(alphas),
+                       REJECTION_ATTEMPT_FACTOR * samples_per_arc - attempts)
+            attempts += need
+            draws = rng.random(need)  # k / 2^53, integer k
+            k = (draws * 2.0 ** 53).astype(np.int64)
+            alphas += draws[~arc_labels(P, params, k, 1 << 53).major].tolist()
         diffs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1, alphas)
         part2_vals.append(float(diffs.max()))
     report2 = _make_report("est_part2_minor_decay", ns, part2_vals)
@@ -293,7 +304,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
             "resolution (tau too small for this sigma range)")
     ks = list(range(k_min, k_max + 1))
     check_dp_cells(M, len(ks))
-    check_modulus(M)
+    check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation")
 
     freqs = _place_separated_frequencies(N, M, int(M * tau), rng)
     dmin = _circular_distance(freqs, M)
@@ -333,7 +344,7 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
     """
     if not math.isfinite(nu_floor):
         raise ParameterError("nu_floor must be finite")
-    M = check_modulus(M)
+    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation")
     if M & (M - 1):
         raise ParameterError("M must be a power of two")
     d = P.degree
@@ -365,7 +376,7 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
             return multiplier_variation(fhat * indicator, cmults.__getitem__,
                                         len(ts), 2.0)
 
-        arcs = grid_arcs(P, params, M)
+        arcs = arc_labels(P, params, np.arange(M), M)
         val = block_norm((~arcs.major).astype(float))
         minor_vals.append(val / (2.0 ** (-n * nu_floor / 2.0) * fnorm))
 

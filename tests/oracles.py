@@ -10,8 +10,10 @@ family one `ifft` at a time, the oracle of `multiplier_variation`.
 acceptance criterion 10 bounds.
 `cumsum_partial_sum_objective` is the ladder search's objective on
 sample-major phases, by reversed cumulative sums.
-`shell_index` and `annulus_label` give one point's dyadic distance shell,
-the oracle of `grid_arcs(...).shell`.
+`classify_arc` scans the admitted Farey levels for one point in
+`Fraction` arithmetic, the oracle of `arith.arc_labels`' Major/Minor
+labels and admitting fractions; `shell_index` and `annulus_label` give
+one point's dyadic distance shell, the oracle of `arc_labels(...).shell`.
 `bigint_phase_chunks` reduces every phase on Python ints by finite
 differences, the oracle of the residue kernel's phases.
 `exp_terms` is numpy's complex exp of -2 pi i ph, the oracle of the
@@ -24,13 +26,16 @@ the one it replaces, in ulps.
 
 import math
 import struct
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       average_multiplier, eval_poly, variation_values)
-from circlelab.arith import ArcLabel, _major_distance
+                       ReducedFraction, average_multiplier, eval_poly,
+                       variation_values)
+from circlelab.arith import fractions_near, torus_distance
 from circlelab.expsum import _PHASE_CHUNK, residue_counts
 from circlelab.spectral import _pairwise_norm
 from circlelab.torus import LacunaryTrigPoly
@@ -87,6 +92,51 @@ def cumsum_partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:
     partial = np.cumsum((z * coeffs[None, :])[:, ::-1], axis=1)[:, ::-1]
     v = variation_values(partial, 2.0)
     return float(np.sqrt(np.mean(v ** 2)))
+
+
+@dataclass(frozen=True)
+class ArcLabel:
+    kind: str
+    fraction: Optional[ReducedFraction] = None
+    s: Optional[int] = None
+    pre_interval: Optional[int] = None
+
+    @property
+    def is_major(self) -> bool:
+        return self.kind == "major"
+
+
+def _major_distance(alpha: Fraction, bd: int, frac: ReducedFraction):
+    """Exact torus distance of {b_d alpha} to a/q."""
+    x = bd * alpha
+    x -= math.floor(x)
+    return torus_distance(x - frac.value)
+
+
+def classify_arc(alpha, P: IntPoly, params: ArcParams) -> ArcLabel:
+    """Major/Minor classification of one alpha (int, float or Fraction).
+
+    Scans every admitted level s <= floor(n delta) in value order for a
+    fraction whose exact distance, rounded once, is below the width by
+    more than 2 ulp; the first one found admits alpha.
+    """
+    if params.degree != P.degree:
+        raise ParameterError("params.degree must match the polynomial degree")
+    a = Fraction(alpha)
+    a -= math.floor(a)
+    bd = P.leading
+    w = params.width
+    if w >= 1.0 / (2 * bd):
+        raise ParameterError(
+            "scale too small for distinct pre-intervals; increase n")
+    i = min(int(math.floor(bd * a)), bd - 1)
+    tie = 2 * math.ulp(w)
+    for s in range(params.s_max + 1):
+        for fr in fractions_near(s, bd * a - math.floor(bd * a), w):
+            dist = float(_major_distance(a, bd, fr))
+            if dist < w and (w - dist) > tie:
+                return ArcLabel("major", fraction=fr, s=s, pre_interval=i)
+    return ArcLabel("minor")
 
 
 def shell_index(dist: float) -> float:

@@ -1,6 +1,6 @@
 """Every name the package exports, and every member of an exported class,
-has a caller inside the package; the inverse FFT has one home, and BLAS
-three."""
+has a caller inside the package; the inverse FFT has one home, BLAS
+three, and the arc classifier one."""
 
 import ast
 import inspect
@@ -114,6 +114,28 @@ def blas_sites():
     return sites
 
 
+def reference_sites(name):
+    """Every "module.function" of the package, __init__ included, that
+    defines, imports or reads `name`; the function is the outermost one
+    around the reference, and "module.<module>" stands for module level."""
+    sites = set()
+
+    def visit(node, module, scope):
+        # a definition's own name counts where it is defined
+        if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None)):
+            sites.add(f"{module}.{scope or '<module>'}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope or node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
 def exported_classes():
     for name in sorted(exported_names()):
         obj = getattr(circlelab, name)
@@ -146,3 +168,17 @@ def test_blas_only_where_its_threads_and_bits_are_wanted():
     # left says in a comment why it keeps BLAS
     assert blas_sites() == {"torus.eta_error", "torus.search_coefficients",
                             "verify._power_fit"}
+
+
+def test_one_arc_classifier():
+    # every Major/Minor label of the package comes from arith.arc_labels,
+    # a batch of points at a time; the per-point Fraction scan is the
+    # tests' oracle, and the Fraction window search serves only the
+    # circle-method approximant
+    assert reference_sites("classify_arc") == set()
+    assert reference_sites("arc_labels") == {
+        "arith.<module>", "__init__.<module>", "cli.<module>",
+        "verify.<module>", "cli._run", "verify.verify_est",
+        "verify.verify_main_decomposition"}
+    assert reference_sites("fractions_near") == {
+        "arith.<module>", "expsum.<module>", "expsum.approx_multiplier"}

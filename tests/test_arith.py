@@ -1,18 +1,22 @@
 """Exact arithmetic layer: polynomials, Farey levels, arcs, congruence data."""
 
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
-                       classify_arc, congruence_data, eval_poly, farey_level)
-from circlelab.arith import fractions_near, torus_distance
-from oracles import annulus_label, shell_index
+                       arc_labels, congruence_data, eval_poly, farey_level)
+from circlelab.arith import _arc_dtype, fractions_near, torus_distance
+from circlelab.cli import main
+from oracles import annulus_label, classify_arc, shell_index
 
 SQUARES = IntPoly([0, 0, 1])
+LINEAR = IntPoly([0, 1])
 
 
 class TestPoly:
@@ -91,34 +95,63 @@ class TestFractions:
         assert fractions_near(s, x, radius) == want
 
 
+def one_label(alpha, P, params):
+    """arc_labels at the one point alpha, as (major, dist, shell, a, q)."""
+    x = Fraction(alpha)
+    arcs = arc_labels(P, params, [x.numerator], x.denominator)
+    return tuple(v[0] for v in arcs)
+
+
+def admitted(params):
+    return [fr for s in range(params.s_max + 1) for fr in farey_level(s)]
+
+
+def assert_matches_oracle(P, params, ks, D, arcs):
+    """Every point k/D labelled as the per-point oracle labels it; dist is
+    the correctly rounded distance to the nearest admitted fraction, and
+    (a, q) is a fraction at that distance."""
+    fracs = admitted(params)
+    for i, k in enumerate(ks):
+        alpha = Fraction(int(k), D)
+        x = P.leading * alpha
+        x -= math.floor(x)
+        lab = classify_arc(alpha, P, params)
+        assert arcs.major[i] == lab.is_major
+        assert arcs.dist[i] == min(float(torus_distance(x - fr.value))
+                                   for fr in fracs)
+        a, q = int(arcs.a[i]), int(arcs.q[i])
+        assert float(torus_distance(x - Fraction(a, q))) == arcs.dist[i]
+        assert arcs.shell[i] == shell_index(arcs.dist[i])
+        if lab.is_major:
+            assert ReducedFraction(a, q) == lab.fraction
+            assert arcs.shell[i] == annulus_label(alpha, P, params, lab)
+
+
 class TestArcs:
     def test_zero_is_major(self):
         params = ArcParams(10, 0.05, 2)
-        lab = classify_arc(0, SQUARES, params)
-        assert lab.is_major
-        assert lab.fraction == ReducedFraction(0, 1)
-        assert lab.s == 0
-        assert lab.pre_interval == 0
+        major, dist, shell, a, q = one_label(0, SQUARES, params)
+        assert major and dist == 0 and shell == math.inf
+        assert (a, q) == (0, 1)
 
     def test_near_one_third_major_when_level_admitted(self):
         # s_max = floor(n delta) must reach level 1 for 1/3 to be admitted
         params = ArcParams(20, 0.05, 2)
         assert params.s_max == 1
         alpha = Fraction(1, 3) + Fraction(1, 2 ** 45)
-        lab = classify_arc(alpha, SQUARES, params)
-        assert lab.is_major
-        assert lab.fraction == ReducedFraction(1, 3)
-        assert lab.s == 1
+        major, dist, shell, a, q = one_label(alpha, SQUARES, params)
+        assert major and (a, q) == (1, 3)
+        assert dist == 2.0 ** -45 and shell == 45
 
     def test_one_third_minor_when_level_excluded(self):
         params = ArcParams(10, 0.05, 2)
         assert params.s_max == 0
         alpha = Fraction(1, 3) + Fraction(1, 2 ** 21)
-        assert not classify_arc(alpha, SQUARES, params).is_major
+        assert not one_label(alpha, SQUARES, params)[0]
 
     def test_generic_point_minor(self):
         params = ArcParams(10, 0.05, 2)
-        assert not classify_arc(0.41, SQUARES, params).is_major
+        assert not one_label(0.41, SQUARES, params)[0]
 
     def test_width_and_smax(self):
         params = ArcParams(10, 0.05, 2)
@@ -126,19 +159,22 @@ class TestArcs:
         assert params.s_max == 0
         assert params.critical_annulus_index == 10.0
 
-    def test_pre_interval_with_larger_leading(self):
+    def test_pre_interval_with_larger_leading(self, capsys):
         P = IntPoly([0, 0, 3])  # b_2 = 3
         params = ArcParams(10, 0.05, 2)
-        lab = classify_arc(Fraction(1, 3), P, params)  # {3 alpha} = 0
-        assert lab.is_major
-        assert lab.fraction == ReducedFraction(0, 1)
-        assert lab.pre_interval == 1
+        # {3 alpha} = 0 at alpha = 1/3, in the pre-interval [1/3, 2/3)
+        assert one_label(Fraction(1, 3), P, params)[::3] == (True, 0)
+        assert main(["arcs", "--poly", "0,0,3", "--alpha", "1/3",
+                     "--n", "10"]) == 0
+        value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+        assert value == {"kind": "major", "fraction": "0/1", "s": 0,
+                         "pre_interval": 1}
 
     def test_boundary_tie_is_minor(self):
         params = ArcParams(10, 0.05, 2)
         w = params.width
         alpha = Fraction(w)  # distance to 0/1 exactly the width
-        assert not classify_arc(alpha, SQUARES, params).is_major
+        assert not one_label(alpha, SQUARES, params)[0]
 
     def test_delta_validation(self):
         with pytest.raises(ParameterError):
@@ -150,12 +186,132 @@ class TestArcs:
     @settings(max_examples=200, deadline=None)
     def test_classification_deterministic_and_single(self, alpha):
         params = ArcParams(12, 0.1, 2)
-        lab1 = classify_arc(alpha, SQUARES, params)
-        lab2 = classify_arc(alpha, SQUARES, params)
-        assert lab1 == lab2
-        if lab1.is_major:
-            dist = torus_distance(Fraction(alpha) - lab1.fraction.value)
-            assert float(dist) < params.width
+        lab1 = one_label(alpha, SQUARES, params)
+        assert one_label(alpha, SQUARES, params) == lab1
+        major, dist, _, a, q = lab1
+        assert major == classify_arc(alpha, SQUARES, params).is_major
+        if major:
+            exact = torus_distance(Fraction(alpha) - Fraction(a, q))
+            assert float(exact) == dist < params.width
+
+
+def draws_near(data, P, params, D, size):
+    """k with k/D uniform or near (a/q + i)/b_d for admitted a/q, within a
+    few widths, so both labels show up."""
+    bd, w = P.leading, params.width
+    fracs = admitted(params)
+    ks = []
+    for _ in range(size):
+        if data.draw(st.booleans()):
+            ks.append(data.draw(st.integers(0, D - 1)))
+            continue
+        fr = data.draw(st.sampled_from(fracs))
+        i = data.draw(st.integers(0, bd - 1))
+        centre = (fr.value + i) * D // bd
+        spread = max(1, math.ceil(2 * w * D / bd))
+        ks.append(centre + data.draw(st.integers(-spread, spread)))
+    return ks
+
+
+class TestArcLabels:
+    """The vectorized kernel against the per-point `Fraction` oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3),
+           bd=st.one_of(st.integers(1, 1 << 12), st.integers(1000, 1050)),
+           n=st.integers(1, 60), delta=st.floats(0.01, 0.125),
+           data=st.data())
+    @example(d=2, bd=1 << 10, n=20, delta=0.05, data=None)
+    @example(d=2, bd=(1 << 10) + 1, n=20, delta=0.05, data=None)
+    def test_est_draws(self, d, bd, n, delta, data):
+        # est classifies its draws as k / 2^53; b_d >= 2^10 + 1 or s_max >=
+        # 1 takes the object path
+        P = IntPoly([0] * d + [bd])
+        params = ArcParams(n, delta, d)
+        assume(params.s_max <= 4 and params.width < 1.0 / (2 * bd))
+        D = 1 << 53
+        if data is None:
+            ks = [0, 1, D - 1, D // 3, (D // bd) * 5 % D]
+        else:
+            ks = draws_near(data, P, params, D, 24)
+        arcs = arc_labels(P, params, np.array(ks, dtype=np.int64), D)
+        assert_matches_oracle(P, params, ks, D, arcs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), bd=st.integers(1, 40),
+           n=st.integers(1, 60), delta=st.floats(0.01, 0.125),
+           D=st.one_of(st.integers(1, 1 << 200),
+                       st.integers(0, 200).map(lambda e: 1 << e),
+                       st.integers((1 << 52) - 9, (1 << 54) + 9)),
+           data=st.data())
+    def test_rationals(self, d, bd, n, delta, D, data):
+        P = IntPoly([1] * d + [bd])
+        params = ArcParams(n, delta, d)
+        assume(params.s_max <= 4 and params.width < 1.0 / (2 * bd))
+        ks = draws_near(data, P, params, D, 12)
+        ks += data.draw(st.lists(st.integers(-(1 << 210), 1 << 210),
+                                 max_size=4))
+        assert_matches_oracle(P, params, ks, D,
+                              arc_labels(P, params, ks, D))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), bd=st.integers(1, 40),
+           n=st.integers(1, 60), delta=st.floats(0.01, 0.125),
+           ulps=st.integers(-4, 4), sign=st.sampled_from([-1, 1]),
+           data=st.data())
+    @example(d=2, bd=1, n=10, delta=0.05, ulps=-2, sign=1, data=None)
+    @example(d=2, bd=1, n=10, delta=0.05, ulps=-3, sign=-1, data=None)
+    @example(d=2, bd=3, n=10, delta=0.05, ulps=0, sign=1, data=None)
+    def test_within_a_few_ulp_of_the_width(self, d, bd, n, delta, ulps, sign,
+                                           data):
+        # distance w + ulps ulp(w) from an admitted a/q, exactly; at
+        # w - 2 ulp(w), the tie bound itself, the point is Minor
+        P = IntPoly([0] * d + [bd])
+        params = ArcParams(n, delta, d)
+        assume(params.s_max <= 4 and params.width < 1.0 / (2 * bd))
+        w = params.width
+        fr, i = ReducedFraction(0, 1), bd - 1
+        if data is not None:
+            fr = data.draw(st.sampled_from(admitted(params)))
+            i = data.draw(st.integers(0, bd - 1))
+        alpha = (fr.value + i + sign * Fraction(w + ulps * math.ulp(w))) / bd
+        arcs = arc_labels(P, params, [alpha.numerator], alpha.denominator)
+        assert_matches_oracle(P, params, [alpha.numerator],
+                              alpha.denominator, arcs)
+        assert arcs.major[0] == (ulps < -2)
+
+    @pytest.mark.parametrize("q_max,D,bd,dtype", [
+        (1, 1 << 53, 1, np.int64), (1, (1 << 53) + 1, 1, object),
+        (3, (1 << 53) // 3, 5, np.int64), (3, (1 << 53) // 3 + 1, 5, object),
+        (1, 1 << 53, 1 << 10, np.int64), (1, 1 << 53, (1 << 10) + 1, object),
+        (1, 1 << 53, (1 << 53) + (1 << 10), np.int64),
+        (1, 1 << 200, 1, object)])
+    def test_dtype_guard(self, q_max, D, bd, dtype):
+        assert _arc_dtype(q_max, D, bd) == dtype
+
+    def test_exact_past_the_int64_guard(self):
+        # D = 2^53 + 1 is no float: on int64, X / D would round twice
+        params = ArcParams(10, 0.05, 1)
+        assert params.s_max == 0
+        D = (1 << 53) + 1
+        ks = list(range(1, 40)) + [D // 2, D // 3, D - 7]
+        assert_matches_oracle(LINEAR, params, ks, D,
+                              arc_labels(LINEAR, params, ks, D))
+
+    def test_big_ints_stay_exact(self):
+        # numpy would make [0, 2^63] a float64 array
+        P, params, D = IntPoly([1, 1]), ArcParams(24, 0.125, 1), 10 ** 15 + 37
+        ks = [0, 1 << 63, -(1 << 70) + 5, 3 * 10 ** 40]
+        assert_matches_oracle(P, params, ks, D, arc_labels(P, params, ks, D))
+
+    def test_validation(self):
+        params = ArcParams(10, 0.05, 2)
+        with pytest.raises(ParameterError):
+            arc_labels(SQUARES, params, [0], 0)
+        with pytest.raises(ParameterError):
+            arc_labels(IntPoly([0, 1]), params, [0], 1)
+        with pytest.raises(ParameterError):  # w >= 1/(2 b_d)
+            arc_labels(IntPoly([0, 0, 2]), ArcParams(1, 0.05, 2), [0], 1)
 
 
 class TestShells:

@@ -313,6 +313,11 @@ class TestExitCodes:
         (["est", "--samples", "3"], 2),
         # 2^28-term prefixes at n = 27 fit the budget, 2^29 at n = 28 not
         (["est", "--n-min", "27", "--n-max", "28"], 3),
+        # the largest call, 64 (default) or 10^8 alphas of 2^(n_max+1)
+        # terms: 2^29 and 5.1e10 terms, over the 2^28 of the budget
+        (["est", "--n-min", "22", "--n-max", "22"], 3),
+        (["est", "--samples", "100000000", "--n-min", "8", "--n-max", "8"],
+         3),
     ])
     def test_est_checked_before_part_one(self, argv, expect, capsys,
                                          monkeypatch):
@@ -320,6 +325,8 @@ class TestExitCodes:
             raise AssertionError("a Weyl prefix ran before the checks")
 
         monkeypatch.setattr("circlelab.verify.weyl_sum_prefixes", never)
+        monkeypatch.setattr("circlelab.verify.arc_labels", never)
+        monkeypatch.setattr("numpy.random.default_rng", never)
         assert main(argv) == expect
         out, err = capsys.readouterr()
         assert out == ""

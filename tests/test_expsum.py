@@ -213,6 +213,10 @@ class TestPhaseKernel:
             with pytest.raises(ResourceError):
                 weyl_sum_prefixes(SQUARES, PHASE_TERM_BUDGET + 1, [0.5])
             assert list(weyl_sum_prefixes(SQUARES, 10, [])) == []
+            # the terms of all alphas together: 2^14 rows of 2^14 fit
+            weyl_sum_prefixes(SQUARES, 1 << 14, [0.5] * (1 << 14))
+            with pytest.raises(ResourceError):
+                weyl_sum_prefixes(SQUARES, 1 << 14, [0.5] * ((1 << 14) + 1))
 
     @given(coeffs=st.lists(st.integers(-BIG * 16, BIG * 16), min_size=1,
                            max_size=4),

@@ -10,14 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ResourceError, average_multiplier, classify_arc,
-                       farey_level, variation_experiment, variation_values,
-                       weyl_sum)
-from circlelab import spectral
-from circlelab.arith import torus_distance
+                       ResourceError, average_multiplier, farey_level,
+                       variation_experiment, variation_values,
+                       verify_main_decomposition, weyl_sum)
+from circlelab import arith
+from circlelab.arith import arc_labels, torus_distance
 from circlelab.expsum import DIRECT_SUM_BUDGET
-from circlelab.spectral import _pairwise_norm, grid_arcs, multiplier_variation
-from oracles import (annulus_label, assert_pin_moved,
+from circlelab.spectral import _pairwise_norm, multiplier_variation
+from oracles import (annulus_label, assert_pin_moved, classify_arc,
                      per_row_multiplier_variation,
                      polynomial_average, polynomial_average_direct,
                      shell_index)
@@ -116,8 +116,13 @@ class TestPolynomialAverage:
         assert np.allclose(a, b, atol=1e-12)
 
 
+def grid_arcs(P, params, M):
+    """The arc labels of the grid j/M, as `main-decomp` takes them."""
+    return arc_labels(P, params, np.arange(M), M)
+
+
 class TestArcProjections:
-    """The 0/1 arc projections that `verify` builds from `grid_arcs`."""
+    """The 0/1 arc projections that `verify` builds from the grid labels."""
 
     PARAMS = ArcParams(10, 0.05, 2)
 
@@ -142,7 +147,7 @@ class TestArcProjections:
 
 
 class TestGridArcs:
-    """The int64 grid kernel against the per-point Fraction classifier."""
+    """The kernel on the grid j/M against the per-point Fraction oracle."""
 
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(1, 3), bd=st.integers(1, 7),
@@ -171,6 +176,8 @@ class TestGridArcs:
             assert arcs.major[j] == lab.is_major
             assert arcs.shell[j] == shell_index(arcs.dist[j])
             if lab.is_major:
+                assert (arcs.a[j], arcs.q[j]) == (lab.fraction.a,
+                                                  lab.fraction.q)
                 assert arcs.shell[j] == annulus_label(alpha, P, params, lab)
 
     @settings(max_examples=20, deadline=None)
@@ -214,24 +221,35 @@ class TestGridArcs:
         assert arcs.major[16] and arcs.shell[16] == 2
 
     def test_level_budget_checked_first(self, monkeypatch):
-        # s_max = floor(80 / 8) = 10: refused before any level is built
+        # s_max = floor(80 / 8) = 10: level 10 is over the budget and
+        # refused before it is built; levels are asked for in order, and
+        # only while some point is still Minor (main-decomp's grids never
+        # reach it: n <= 21 keeps s_max <= 2)
         asked = []
 
         def level(s):
             asked.append(s)
             return farey_level(s)
 
-        monkeypatch.setattr(spectral, "farey_level", level)
+        monkeypatch.setattr(arith, "farey_level", level)
+        params = ArcParams(80, 0.125, 2)
+        # 0 and 1/3 are admitted at levels 0 and 1
+        assert arc_labels(SQUARES, params, [0, 1], 3).major.all()
+        assert asked == [0, 1]
+        asked.clear()
         with pytest.raises(ResourceError):
-            grid_arcs(SQUARES, ArcParams(80, 0.125, 2), 1 << 10)
-        assert asked == [10]
+            grid_arcs(SQUARES, params, 1 << 10)
+        assert asked == list(range(11))
 
-    def test_modulus_checked(self):
+    def test_modulus_checked(self, monkeypatch):
+        # the kernel takes any D >= 1; main-decomp budgets its grid first
         params = ArcParams(10, 0.05, 2)
         with pytest.raises(ParameterError):
             grid_arcs(SQUARES, params, 0)
+        monkeypatch.setattr(arith, "farey_level", never)
         with pytest.raises(ResourceError):
-            grid_arcs(SQUARES, params, DIRECT_SUM_BUDGET + 1)
+            verify_main_decomposition(SQUARES, DIRECT_SUM_BUDGET * 2, 8, 9,
+                                      0.05, 0, 0.1)
 
 
 def never(*args, **kwargs):

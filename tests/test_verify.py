@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab import (IntPoly, ParameterError, ResourceError,
+from circlelab import (ArcParams, IntPoly, ParameterError, ResourceError,
                        variation_values, verify_entropy, verify_est,
                        verify_main_decomposition, verify_smooth)
-from circlelab import arith, spectral, verify
+from circlelab import spectral, verify
 from circlelab.verify import (_circular_distance, _clipped_walk_multipliers,
                               _power_fit)
-from oracles import assert_pin_moved, fit_power_law
+from oracles import assert_pin_moved, classify_arc, fit_power_law
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -48,6 +48,59 @@ def report_hex(rep):
     """A report's values, constant, slope and residual, as float.hex."""
     return ([v.hex() for v in rep.values], rep.constant.hex(),
             rep.slope.hex(), rep.residual.hex())
+
+
+# verify_est(P, 8, 12, delta, 64, 0) as `report_hex` per part, recorded
+# when part 2 labelled its draws one at a time; the parts 1 and 2 of
+# delta = 0.05 and 1/8 are the same
+PINNED_EST = {
+    (0, 0, 1): (
+        (["0x1.15b5cc4b8cdd4p+0", "0x1.3e9486100ab4cp+0",
+          "0x1.0d04c5ac54ab6p+0", "0x1.0632913c5c8b6p+0",
+          "0x1.0cf762beb9881p+0"],
+         "0x1.3e9486100ab4cp+0", "-0x1.31d0f2d520a00p-5",
+         "0x1.0e7925fc663e6p-3"),
+        (["0x1.592359f913fefp-4", "0x1.4e218ab5eab18p-4",
+          "0x1.6f14443be2a15p-5", "0x1.62d0ba1b6e583p-5",
+          "0x1.6fd052ea60ceep-6"],
+         "0x1.592359f913fefp-4", "-0x1.e453596d01126p-2",
+         "0x1.54a9ce6078598p-2"),
+        (["0x1.ea996c230cc1bp-1", "0x1.bbdf93886f1f3p-1",
+          "0x1.27a51d86408e0p+0", "0x1.ef00e527947e7p-1",
+          "0x1.335ae551f5cbep+0"],
+         "0x1.335ae551f5cbep+0", "0x1.4af646da64e20p-4",
+         "0x1.acbc0425c0ff3p-3")),
+    (0, 0, 0, 1): (
+        (["0x1.0ed6e996f6dbep+0", "0x1.12ace3998ed63p+0",
+          "0x1.0a2b16c2c21eap+0", "0x1.092bb023f1352p+0",
+          "0x1.085eb80fbfc01p+0"],
+         "0x1.12ace3998ed63p+0", "-0x1.8b11de9b48f47p-7",
+         "0x1.3708770349c88p-6"),
+        (["0x1.d51c78d75462dp-4", "0x1.4ec6bab5ce4a6p-4",
+          "0x1.0bfb357c44c96p-4", "0x1.2bae3ec3ba8e2p-5",
+          "0x1.d8f52cac59723p-6"],
+         "0x1.d51c78d75462dp-4", "-0x1.06f951b241c8bp-1",
+         "0x1.4f8574f40d38ep-3"),
+        (["0x1.6696e6abf3887p-1", "0x1.5b3904b0f99c2p-1",
+          "0x1.a0887a6891c89p-1", "0x1.6a2d63e73f741p-1",
+          "0x1.adad1569d0a40p-1"],
+         "0x1.adad1569d0a40p-1", "0x1.dd5247e7d0662p-5",
+         "0x1.286cd6c61ca6bp-3")),
+}
+PINNED_EST_PART3_WIDE = {
+    (0, 0, 1):
+        (["0x1.d738beab6b2fap-1", "0x1.9c59e063f15b9p-1",
+          "0x1.25efa323a3ae9p+0", "0x1.c9b54643d3cf7p-1",
+          "0x1.32422480ca50fp+0"],
+         "0x1.32422480ca50fp+0", "0x1.739b2a1cc09bdp-4",
+         "0x1.1ab171add840fp-2"),
+    (0, 0, 0, 1):
+        (["0x1.5b1bfef4f786ap-1", "0x1.4f7060626d75dp-1",
+          "0x1.9ea9e4c8d9634p-1", "0x1.66637222447a2p-1",
+          "0x1.ac7e796548143p-1"],
+         "0x1.ac7e796548143p-1", "0x1.200c70367e817p-4",
+         "0x1.411ed03c2c615p-3"),
+}
 
 
 class TestConfig:
@@ -298,15 +351,69 @@ class TestEst:
         # a classifier that calls every alpha major never yields a sample
         draws = []
 
-        def always_major(alpha, P, params):
-            draws.append(alpha)
-            return SimpleNamespace(is_major=True)
+        def always_major(P, params, k, D):
+            draws.extend(k)
+            return SimpleNamespace(major=np.ones(len(k), dtype=bool))
 
-        monkeypatch.setattr(verify, "classify_arc", always_major)
+        monkeypatch.setattr(verify, "arc_labels", always_major)
         with pytest.raises(ResourceError):
             verify_est(SQUARES, *self.SMALL, betas_per_scale=4)
         assert len(draws) == (verify.REJECTION_ATTEMPT_FACTOR
                               * self.SMALL[3])
+
+    @pytest.mark.parametrize("P,n_min,n_max,delta", [
+        (SQUARES, 1, 3, 0.125), (IntPoly([0, 0, 0, 2]), 1, 3, 0.05),
+        (SQUARES, 8, 10, 0.125)])
+    def test_minor_draws_match_one_at_a_time_loop(self, monkeypatch, P,
+                                                  n_min, n_max, delta):
+        # at n = 1..3 about half of all draws land on a Major arc
+        samples, seed = 16, 3
+        batched = verify.weyl_sum_prefixes
+        seen = []
+
+        def recorded(P, t_max, alphas):
+            seen.append(list(alphas))
+            return batched(P, t_max, alphas)
+
+        monkeypatch.setattr(verify, "weyl_sum_prefixes", recorded)
+        verify_est(P, n_min, n_max, delta, samples, seed, betas_per_scale=4)
+        rng = np.random.default_rng(seed)
+        for n in range(n_min, n_max + 1):
+            assert seen.pop(0) == [rng.random() for _ in range(16)]
+        for n in range(n_min, n_max + 1):
+            params = ArcParams(n, delta, P.degree)
+            want = []
+            while len(want) < samples:
+                alpha = rng.random()
+                if not classify_arc(alpha, P, params).is_major:
+                    want.append(alpha)
+            assert seen.pop(0) == want
+
+    @pytest.mark.parametrize("poly", [(0, 0, 1), (0, 0, 0, 1)],
+                             ids=["squares", "cubes"])
+    @pytest.mark.parametrize("delta", [0.05, 0.125])
+    def test_pinned_reports(self, poly, delta):
+        # at delta = 1/8, s_max = 1 and the draws are labelled on the
+        # object path; part 2 draws no Major alpha at these scales
+        reps = verify_est(IntPoly(poly), 8, 12, delta, 64, 0)
+        want = PINNED_EST[poly]
+        if delta == 0.125:
+            want = want[:2] + (PINNED_EST_PART3_WIDE[poly],)
+        assert tuple(map(report_hex, reps)) == want
+
+    def test_samples_budgeted_before_part_one(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work began before the budget check")
+
+        monkeypatch.setattr(verify, "weyl_sum_prefixes", fail)
+        monkeypatch.setattr(verify, "arc_labels", fail)
+        # 64 alphas of 2^23 terms, 10^8 of 2^9 and 2^20 of 2^9 are over
+        # the budget of 2^28 terms
+        for n_max, samples in ((22, 64), (8, 10 ** 8)):
+            with pytest.raises(ResourceError):
+                verify_est(SQUARES, n_max, n_max, 0.05, samples, 0)
+        with pytest.raises(ResourceError):
+            verify_est(SQUARES, 8, 8, 0.05, 16, 0, betas_per_scale=1 << 20)
 
 
 # main-decomp --poly P --modulus M --n-max n_max (n_min 8, seed 0), as
@@ -374,16 +481,6 @@ class TestMainDecomposition:
         assert rep.reassembly_lhs <= rep.reassembly_rhs + 1e-9
         # annulus values recorded with offsets inside the critical range
         assert len(rep.annulus_offsets) == len(rep.annulus_values)
-
-    def test_grid_never_classified_per_point(self, monkeypatch):
-        def per_point(*args, **kwargs):
-            raise AssertionError("grid point classified one at a time")
-
-        monkeypatch.setattr(arith, "classify_arc", per_point)
-        monkeypatch.setattr(arith, "fractions_near", per_point)
-        rep = verify_main_decomposition(SQUARES, 1 << 10, 6, 8, 0.05, 0, 0.1,
-                                        t_samples=6)
-        assert rep.reassembly_lhs <= rep.reassembly_rhs + 1e-9
 
     def test_dp_cells_checked_first(self, monkeypatch):
         def never(*args, **kwargs):
