@@ -6,6 +6,13 @@ functionals, cyclic-group diagonalization, and the lacunary lower-bound
 construction, all cross-checked against independent oracles.
 """
 
+import os
+
+# no OpenBLAS worker pool unless the user asks for one: set before numpy is
+# first imported, it keeps the pool from spinning in every process, and
+# no result depends on the thread count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .arith import (ArcParams, CongruenceData, IntPoly, ReducedFraction,
@@ -15,7 +22,7 @@ from .errors import (CircleLabError, NumericError, ParameterError,
 from .expsum import (approx_multiplier, complete_dyadic_gauss,
                      fast_dyadic_quadratic_weyl, gauss_weight,
                      smooth_cutoff_eval, vt, weyl_sum, weyl_sum_prefixes)
-from .spectral import CyclicSignal, average_multiplier, variation_experiment
+from .spectral import CyclicSignal, average_multipliers, variation_experiment
 from .torus import (CounterexampleParams, LacunaryTrigPoly, build_sequences,
                     eta_error, exact_ladder_radius, search_coefficients,
                     v2_partial_sums_norm)

@@ -20,7 +20,7 @@ from . import __version__
 from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import NumericError, ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, check_count, gauss_weight, weyl_sum
-from .spectral import CyclicSignal, variation_experiment
+from .spectral import CyclicSignal, _complex_normal, variation_experiment
 from .torus import build_sequences, search_coefficients
 from .varnorm import IndexedSeq, long_variation, short_variation, variation
 from .verify import (verify_entropy, verify_est, verify_main_decomposition,
@@ -262,8 +262,7 @@ def _run(args) -> dict:
         M = check_count(args.modulus, "modulus M", DIRECT_SUM_BUDGET,
                         "direct-summation")
         rng = np.random.default_rng(args.seed)
-        f = CyclicSignal(M, rng.standard_normal(M)
-                         + 1j * rng.standard_normal(M))
+        f = CyclicSignal(M, _complex_normal(rng, M))
         val = variation_experiment(f, P, scales, args.r)
         results.append({"name": "average_variation",
                         "inputs": {"poly": args.poly, "modulus": args.modulus,

@@ -54,30 +54,53 @@ def _pairwise_norm(x: np.ndarray) -> float:
         return math.sqrt(np.sum(v * v))
 
 
-def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
-    """Fourier multiplier of K_N on Z/M: conj(weyl_sum(P, N, j/M)) at entry j.
+def _complex_normal(rng: np.random.Generator, M: int) -> np.ndarray:
+    """M standard complex Gaussians: real parts drawn first, then imaginary.
 
-    Computed through the exact hit counts of P(n) mod M, whose DFT gives
-    all M frequencies at once.
+    Bitwise `rng.standard_normal(M) + 1j * rng.standard_normal(M)`, with
+    the generator left in the same state, but written into one array.
     """
-    counts = residue_counts(
-        P.coeffs, check_count(N, "N", DIRECT_SUM_BUDGET, "direct-summation"),
-        check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation"))
+    z = np.empty(M, dtype=complex)
+    z.real = rng.standard_normal(M)
+    z.imag = rng.standard_normal(M)
+    return z
+
+
+def average_multipliers(P: IntPoly, Ns: Sequence[int], M: int) -> np.ndarray:
+    """(S, M) stack of the Fourier multipliers of K_N on Z/M, N in Ns.
+
+    Row k, entry j is conj(weyl_sum(P, Ns[k], j/M)), computed through the
+    exact hit counts of P(n) mod M, whose DFT gives all M frequencies at
+    once.  Every N and M are checked before the stack is allocated; the
+    stack is transformed, conjugated and scaled in place.
+    """
+    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation")
+    Ns = [check_count(N, "N", DIRECT_SUM_BUDGET, "direct-summation")
+          for N in Ns]
+    m = np.empty((len(Ns), M), dtype=complex)
+    for row, N in zip(m, Ns):
+        row[:] = residue_counts(P.coeffs, N, M)
     # fft gives sum_y c_y e(-jy/M); the multiplier is its conjugate / N
-    return np.conj(np.fft.fft(counts)) / N
+    np.fft.fft(m, axis=1, out=m)
+    np.conjugate(m, out=m)
+    for row, N in zip(m, Ns):
+        row /= N
+    return m
 
 
-def multiplier_variation(fhat: np.ndarray, row, S: int, r: float) -> float:
-    """||V^r(ifft(fhat * row(k)) : k < S)||_2 on Z/M, DP cells checked first.
+def multiplier_variation(fhat: np.ndarray, mults: np.ndarray,
+                         r: float) -> float:
+    """||V^r(ifft(fhat * mults[k]) : k < S)||_2 on Z/M, DP cells checked first.
 
+    `mults` is an (S, M) complex stack, overwritten: the products and one
+    inverse FFT over all rows run in it, and the DP reads it as it is.
     `fhat * m`, never `m * fhat`: the two can differ in the last bit.
     """
-    check_dp_cells(len(fhat), S)
-    stack = np.empty((S, len(fhat)), dtype=complex)
-    for k in range(S):  # in place, one multiplier alive at a time
-        np.multiply(fhat, row(k), out=stack[k])
-        np.fft.ifft(stack[k], out=stack[k])
-    return _pairwise_norm(variation_values(stack.T, r))
+    S, M = mults.shape
+    check_dp_cells(M, S)
+    np.multiply(fhat, mults, out=mults)
+    np.fft.ifft(mults, axis=1, out=mults)
+    return _pairwise_norm(variation_values(mults.T, r))
 
 
 def variation_experiment(f: CyclicSignal, P: IntPoly,
@@ -99,6 +122,5 @@ def variation_experiment(f: CyclicSignal, P: IntPoly,
     denom = f.norm()
     if denom == 0:
         raise ParameterError("signal must be non-zero")
-    return multiplier_variation(
-        np.fft.fft(f.values),
-        lambda k: average_multiplier(P, scales[k], M), len(scales), r) / denom
+    return multiplier_variation(np.fft.fft(f.values),
+                                average_multipliers(P, scales, M), r) / denom

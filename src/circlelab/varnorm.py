@@ -91,21 +91,45 @@ def check_dp_cells(rows: int, S: int) -> None:
             f"points or of scales")
 
 
-def _best_power_sums(v: np.ndarray, r: float) -> np.ndarray:
+def _dp_workspace(S: int, cols: int):
+    """The best table and the difference and candidate buffers of DP
+    blocks of at most `cols` columns.
+
+    Flat, so that `_best_power_sums` can view C-ordered (S, c) and
+    (S-1, c) arrays of any c <= cols in them, as the temporaries they
+    replace were.  The table is zeroed once: row 0 (the singleton chains)
+    of a c-column view is its first c entries, and the steps of a block
+    of c' columns write only from entry c' on, so row 0 stays zero while
+    blocks never widen.
+    """
+    n = max(S - 1, 0) * cols
+    return np.zeros(S * cols), np.empty(n, dtype=complex), np.empty(n)
+
+
+def _best_power_sums(v: np.ndarray, r: float, work=None) -> np.ndarray:
     """b[j, c]: the largest sum of |f_b - f_a|^r over chains ending at j.
 
     `v` is an (S, cols) complex array with contiguous rows, one family per
-    column, so every step of the DP works on contiguous rows.  A singleton
-    chain has power sum 0.  Overflow to inf is a valid answer, so it is
-    not reported.
+    column, so every step of the DP works on contiguous rows.  The table
+    and every step live in `work`, a `_dp_workspace` of at least cols
+    columns (one is made when none is given), so no step allocates.  A
+    singleton chain has power sum 0.  Overflow to inf is a valid answer,
+    so it is not reported.
     """
-    b = np.zeros(v.shape)
+    S, cols = v.shape
+    if work is None:
+        work = _dp_workspace(S, cols)
+    n = max(S - 1, 0)
+    b, diff, cand = (buf[:rows * cols].reshape(rows, cols)
+                     for buf, rows in zip(work, (S, n, n)))
     with np.errstate(over="ignore"):
-        for j in range(1, len(v)):
-            cand = np.abs(v[:j] - v[j])
-            cand **= r
-            cand += b[:j]
-            cand.max(axis=0, out=b[j])
+        for j in range(1, S):
+            c = cand[:j]
+            np.subtract(v[:j], v[j], out=diff[:j])
+            np.abs(diff[:j], out=c)
+            c **= r
+            c += b[:j]
+            c.max(axis=0, out=b[j])
     return b
 
 
@@ -188,9 +212,9 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     """Vectorized r-variation along the last axis (values only, no optimizer).
 
     `values` has shape (..., S); the leading axes are flattened into rows,
-    the DP runs on (S, DP_BLOCK_ROWS) blocks, and only each block's column
-    max is kept.  A call over DP_CELL_BUDGET cells rows * S(S-1)/2 is
-    refused before any work.
+    the DP runs on (S, DP_BLOCK_ROWS) blocks in one workspace, and only
+    each block's column max is kept.  A call over DP_CELL_BUDGET cells
+    rows * S(S-1)/2 is refused before any work.
     """
     r = check_r(r)
     values = np.asarray(values)
@@ -200,9 +224,10 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     # one (S, rows) copy, none when the caller passes the .T of (S, rows)
     v = np.asarray(values.reshape(rows, S).T, dtype=complex, order="C")
     top = np.empty(rows)
+    work = _dp_workspace(S, min(rows, DP_BLOCK_ROWS))
     for lo in range(0, rows, DP_BLOCK_ROWS):
         block = slice(lo, lo + DP_BLOCK_ROWS)
-        _best_power_sums(v[:, block], r).max(axis=0, out=top[block])
+        _best_power_sums(v[:, block], r, work).max(axis=0, out=top[block])
     # [()] makes a 1-D call's 0-d result a scalar, whose power is the
     # scalar one (numpy's array power can differ from it in the last bit)
     return top.reshape(lead)[()] ** (1.0 / r)

@@ -19,7 +19,7 @@ from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import ParameterError, ResourceError
 from .expsum import (DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, check_count,
                      weyl_sum_prefixes)
-from .spectral import (_pairwise_norm, average_multiplier,
+from .spectral import (_complex_normal, _pairwise_norm, average_multipliers,
                        multiplier_variation)
 from .varnorm import check_dp_cells
 
@@ -191,10 +191,10 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
 def _clipped_walk_multipliers(N: int, M: int, A: float, a: float, rng):
     """N multiplier rows on Z/M: sup |m_n| <= A, sup |m_n - m_{n+1}| <= a."""
     m = np.empty((N, M), dtype=complex)
-    start = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    start = _complex_normal(rng, M)
     m[0] = start * (A / np.maximum(np.abs(start), A))
     for n in range(1, N):
-        step = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) * a
+        step = _complex_normal(rng, M) * a
         mag = np.abs(step)
         step *= np.where(mag > a, a / np.maximum(mag, 1e-300), 1.0)
         nxt = m[n - 1] + step
@@ -243,8 +243,8 @@ def verify_smooth(N: int, A: float, a: float, trials: int,
             mults = _ramp_multipliers(N, M, A, a, rng)
         else:
             mults = _clipped_walk_multipliers(N, M, A, a, rng)
-        f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        v = multiplier_variation(np.fft.fft(f), mults.__getitem__, N, 2.0)
+        f = _complex_normal(rng, M)
+        v = multiplier_variation(np.fft.fft(f), mults, 2.0)
         ratios.append(v / _pairwise_norm(f) / bound)
     return _make_report("smooth_lemma", tuple(range(trials)), tuple(ratios))
 
@@ -308,12 +308,14 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
 
     freqs = _place_separated_frequencies(N, M, int(M * tau), rng)
     dmin = _circular_distance(freqs, M)
-    inds = [dmin <= sigma ** (-k) * M for k in ks]
+    inds = np.stack([dmin <= sigma ** (-k) * M for k in ks])
 
+    work = np.empty(inds.shape, dtype=complex)
     ratios = []
     for _ in range(trials):
-        f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        v = multiplier_variation(np.fft.fft(f), inds.__getitem__, len(ks), r)
+        f = _complex_normal(rng, M)
+        np.copyto(work, inds)
+        v = multiplier_variation(np.fft.fft(f), work, r)
         ratios.append(v / _pairwise_norm(f))
     value = max(ratios)
     envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)
@@ -358,7 +360,7 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
     # the last block has the most distinct scales
     check_dp_cells(M, len(block_scales(n_max)))
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    f = _complex_normal(rng, M)
     fhat = np.fft.fft(f)
     fnorm = _pairwise_norm(f)
 
@@ -369,12 +371,13 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
         n = params.n
         ts = block_scales(n)
         # ts[0] = 2^n: every row minus the block's base multiplier
-        cmults = np.stack([average_multiplier(P, t, M) for t in ts])
+        cmults = average_multipliers(P, ts, M)
         cmults -= cmults[0].copy()
+        work = np.empty_like(cmults)
 
         def block_norm(indicator: np.ndarray) -> float:
-            return multiplier_variation(fhat * indicator, cmults.__getitem__,
-                                        len(ts), 2.0)
+            np.copyto(work, cmults)
+            return multiplier_variation(fhat * indicator, work, 2.0)
 
         arcs = arc_labels(P, params, np.arange(M), M)
         val = block_norm((~arcs.major).astype(float))

@@ -1,6 +1,8 @@
 """Reference computations that only the tests need.
 
-`polynomial_average` applies K_N on Z/M through the library's multiplier;
+`average_multiplier` is the multiplier of one K_N on Z/M, one DFT of its
+hit counts, the oracle of the rows of `spectral.average_multipliers`.
+`polynomial_average` applies K_N on Z/M through that multiplier;
 `polynomial_average_direct` sums the shifted signal term by term, so the
 two check each other (acceptance criterion 04).
 `per_row_multiplier_variation` fills the variation stack of a multiplier
@@ -33,13 +35,21 @@ from typing import Optional
 import numpy as np
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ReducedFraction, average_multiplier, eval_poly,
-                       variation_values)
+                       ReducedFraction, eval_poly, variation_values)
 from circlelab.arith import fractions_near, torus_distance
 from circlelab.expsum import _PHASE_CHUNK, residue_counts
 from circlelab.spectral import _pairwise_norm
 from circlelab.torus import LacunaryTrigPoly
 from circlelab.verify import _power_fit
+
+
+def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
+    """Fourier multiplier of K_N on Z/M: conj(weyl_sum(P, N, j/M)) at entry j.
+
+    The DFT of the exact hit counts of P(n) mod M gives all M frequencies
+    at once; the multiplier is its conjugate over N.
+    """
+    return np.conj(np.fft.fft(residue_counts(P.coeffs, N, M))) / N
 
 
 def polynomial_average(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:

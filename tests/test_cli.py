@@ -500,6 +500,21 @@ class TestBlasThreads:
         for argv in self.RUNS:
             assert out[argv[0], "1"] == out[argv[0], "2"]
 
+    @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+    def test_import_sets_one_thread_unless_preset(self, preset, want):
+        # in a fresh interpreter, before numpy is first imported
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, sys, circlelab; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == want
+
 
 class TestEntryPoint:
     def test_console_script_help(self):

@@ -10,15 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ResourceError, average_multiplier, farey_level,
+                       ResourceError, average_multipliers, farey_level,
                        variation_experiment, variation_values,
                        verify_main_decomposition, weyl_sum)
-from circlelab import arith
+from circlelab import arith, spectral
 from circlelab.arith import arc_labels, torus_distance
 from circlelab.expsum import DIRECT_SUM_BUDGET
-from circlelab.spectral import _pairwise_norm, multiplier_variation
-from oracles import (annulus_label, assert_pin_moved, classify_arc,
-                     per_row_multiplier_variation,
+from circlelab.spectral import (_complex_normal, _pairwise_norm,
+                                multiplier_variation)
+from oracles import (annulus_label, assert_pin_moved, average_multiplier,
+                     classify_arc, per_row_multiplier_variation,
                      polynomial_average, polynomial_average_direct,
                      shell_index)
 
@@ -39,35 +40,46 @@ class TestDFT:
             CyclicSignal(2, [1, bad])
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and bits, signed zeros and NaN payloads too."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def one_multiplier(P, N, M):
+    """The library's multiplier of one K_N: a one-row stack."""
+    return average_multipliers(P, [N], M)[0]
+
+
 class TestAverageMultiplier:
     def test_small_example(self):
         # M=4, P=n^2, N=2: hits at 1 and 0 -> multiplier j -> (e(j/4)+1)/2
-        mult = average_multiplier(SQUARES, 2, 4)
+        mult = one_multiplier(SQUARES, 2, 4)
         expect = [(np.exp(2j * np.pi * j / 4) + 1) / 2 for j in range(4)]
         assert np.allclose(mult, expect, atol=1e-12)
 
     def test_equals_conjugated_weyl_sum(self):
         M, N = 12, 9
-        mult = average_multiplier(SQUARES, N, M)
+        mult = one_multiplier(SQUARES, N, M)
         for j in range(M):
             expect = np.conj(weyl_sum(SQUARES, N, Fraction(j, M)))
             assert mult[j] == pytest.approx(expect, abs=1e-12)
 
     def test_dc_component_is_one(self):
         for P in [SQUARES, IntPoly([3, 1, 0, 2])]:
-            assert average_multiplier(P, 7, 16)[0] == \
+            assert one_multiplier(P, 7, 16)[0] == \
                 pytest.approx(1.0, abs=1e-12)
 
     def test_cache_returns_readonly(self):
-        # no memo: a caller writing into its multiplier changes no later call
-        mult = average_multiplier(SQUARES, 3, 8)
+        # no memo: a caller writing into its stack changes no later call
+        mult = one_multiplier(SQUARES, 3, 8)
         expect = mult.copy()
         mult[0] = 5
-        assert np.array_equal(average_multiplier(SQUARES, 3, 8), expect)
+        assert np.array_equal(one_multiplier(SQUARES, 3, 8), expect)
 
     def test_length_budget_checked_first(self):
         with pytest.raises(ResourceError):
-            average_multiplier(SQUARES, DIRECT_SUM_BUDGET + 1, 8)
+            one_multiplier(SQUARES, DIRECT_SUM_BUDGET + 1, 8)
 
     @given(coeffs=st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=1,
                            max_size=4),
@@ -79,13 +91,61 @@ class TestAverageMultiplier:
     @example(coeffs=[5], leading=2, M=999, N=(1 << 17) + 1)
     @settings(max_examples=150, deadline=None)
     def test_old_histogram_oracle(self, coeffs, leading, M, N):
-        # the per-n loop average_multiplier ran before the residue kernel
+        # the per-n loop the multiplier ran before the residue kernel
         P = IntPoly(coeffs + [leading])
         counts = np.zeros(M, dtype=float)
         for n in range(1, N + 1):
             counts[P(n) % M] += 1.0
         expect = np.conj(np.fft.fft(counts)) / N
-        assert np.array_equal(average_multiplier(P, N, M), expect)
+        assert np.array_equal(one_multiplier(P, N, M), expect)
+
+    @given(coeffs=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
+                           max_size=3),
+           leading=st.integers(1, 10 ** 6),
+           M=st.one_of(st.integers(1, 3000),
+                       st.integers(0, 14).map(lambda e: 1 << e)),
+           Ns=st.lists(st.integers(1, 5000), min_size=1, max_size=6))
+    @example(coeffs=[0, 0], leading=1, M=1000, Ns=[1, 2, 3, 5, 8, 13, 2000])
+    @settings(max_examples=100, deadline=None)
+    def test_stack_rows_match_one_multiplier_oracle(self, coeffs, leading, M,
+                                                    Ns):
+        # N > M, M not a power of two, one row or several
+        P = IntPoly(coeffs + [leading])
+        want = np.stack([average_multiplier(P, N, M) for N in Ns])
+        assert same_bits(average_multipliers(P, Ns, M), want)
+
+    def test_one_fft_per_stack(self, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        average_multipliers(SQUARES, [1, 2, 4, 8, 16], 1 << 10)
+        assert len(calls) == 1
+
+    def test_every_count_checked_before_the_stack(self, monkeypatch):
+        monkeypatch.setattr(spectral, "residue_counts", never)
+        monkeypatch.setattr(np.fft, "fft", never)
+        with pytest.raises(ResourceError):
+            average_multipliers(SQUARES, [1, 2, DIRECT_SUM_BUDGET + 1], 8)
+        with pytest.raises(ParameterError):
+            average_multipliers(SQUARES, [1, 0], 8)
+        with pytest.raises(ResourceError):
+            average_multipliers(SQUARES, [1], DIRECT_SUM_BUDGET + 1)
+
+
+class TestComplexNormal:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sum_of_draws(self, seed, M):
+        old, new = (np.random.default_rng(seed) for _ in range(2))
+        want = old.standard_normal(M) + 1j * old.standard_normal(M)
+        assert same_bits(_complex_normal(new, M), want)
+        # the stream is left in step
+        assert old.random() == new.random()
 
 
 class TestPolynomialAverage:
@@ -303,13 +363,24 @@ class TestPairwiseNorm:
 class TestMultiplierVariation:
     @staticmethod
     def family(kind, S, M, seed):
-        """fhat and S multiplier rows on Z/M of one kind, from a seed."""
+        """fhat and an (S, M) complex multiplier stack on Z/M of one kind.
+
+        "array" is a drawn stack; "rows" copies drawn rows into an empty
+        stack and "indicator" 0/1 indicators, as `entropy` fills its work
+        stack.
+        """
         rng = np.random.default_rng(seed)
         fhat = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         if kind == "indicator":
-            return fhat, [rng.random(M) < 0.5 for _ in range(S)]
-        mults = rng.standard_normal((S, M)) + 1j * rng.standard_normal((S, M))
-        return fhat, (list(mults) if kind == "rows" else mults)
+            rows = np.stack([rng.random(M) < 0.5 for _ in range(S)])
+        else:
+            rows = (rng.standard_normal((S, M))
+                    + 1j * rng.standard_normal((S, M)))
+        if kind == "array":
+            return fhat, rows
+        stack = np.empty((S, M), dtype=complex)
+        np.copyto(stack, rows)
+        return fhat, stack
 
     @given(st.sampled_from(["rows", "array", "indicator"]),
            st.integers(1, 12), st.integers(1, 300),
@@ -317,38 +388,55 @@ class TestMultiplierVariation:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_row_loop(self, kind, S, M, r, seed):
         fhat, mults = self.family(kind, S, M, seed)
-        # the operator runs first, so no freed oracle stack of the same
-        # shape can stand in for a row it failed to fill
-        got = multiplier_variation(fhat, mults.__getitem__, S, r)
         want = per_row_multiplier_variation(fhat, mults, r)
+        # the one 2-D ifft that smooth and main-decomp once used
+        spatial = np.fft.ifft(fhat[None, :] * mults, axis=1).T
+        got = multiplier_variation(fhat, mults, r)  # overwrites mults
         assert got.hex() == want.hex()
-        # the one 2-D ifft that smooth and main-decomp used has the same bits
-        spatial = np.fft.ifft(fhat[None, :] * np.asarray(mults), axis=1).T
         assert _pairwise_norm(variation_values(spatial, r)) == got
 
     @pytest.mark.parametrize("kind", ["rows", "array", "indicator"])
     def test_matches_per_row_loop_over_dp_blocks(self, kind):
         # more points than one DP block of DP_BLOCK_ROWS = 4096 columns
         fhat, mults = self.family(kind, 9, 5000, 11)
-        assert multiplier_variation(fhat, mults.__getitem__, 9, 2.5).hex() \
-            == per_row_multiplier_variation(fhat, mults, 2.5).hex()
+        want = per_row_multiplier_variation(fhat, mults, 2.5)
+        assert multiplier_variation(fhat, mults, 2.5).hex() == want.hex()
 
-    def test_each_row_built_once_in_order(self):
-        fhat, mults = self.family("array", 5, 64, 3)
-        asked = []
+    @pytest.mark.parametrize("M", [4095, 4096, 4097])
+    @pytest.mark.parametrize("S", [1, 2, 7])
+    def test_matches_per_row_loop_at_block_edges(self, M, S):
+        # S = 1 runs the DP with an empty workspace
+        fhat, mults = self.family("array", S, M, M + S)
+        want = per_row_multiplier_variation(fhat, mults, 3.0)
+        assert multiplier_variation(fhat, mults, 3.0).hex() == want.hex()
 
-        def row(k):
-            asked.append(k)
-            return mults[k]
+    @pytest.mark.parametrize("S", [2, 5])
+    def test_one_inverse_fft_per_stack(self, monkeypatch, S):
+        calls = []
+        ifft = np.fft.ifft
 
-        multiplier_variation(fhat, row, 5, 2.0)
-        assert asked == [0, 1, 2, 3, 4]
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ifft(*args, **kwargs)
 
-    def test_dp_cells_checked_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        multiplier_variation(*self.family("array", S, 64, 3), 2.0)
+        assert len(calls) == 1
+
+    def test_dp_cells_checked_before_the_stack_is_allocated(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(spectral, "average_multipliers", never)
+        monkeypatch.setattr(np.fft, "fft", never)
         monkeypatch.setattr(np.fft, "ifft", never)
-        # 1024 points x 1000 rows: 5.1e8 DP cells
+        # 1024 points x 1000 scales: 5.1e8 DP cells
         with pytest.raises(ResourceError):
-            multiplier_variation(np.zeros(1024, complex), never, 1000, 2.0)
+            variation_experiment(random_signal(1024, 0), SQUARES,
+                                 range(1, 1001), 2.0)
+        # a stack handed in is refused before its products and ifft:
+        # 23171 rows of one point, 2.68e8 cells
+        with pytest.raises(ResourceError):
+            multiplier_variation(np.zeros(1, complex),
+                                 np.zeros((23171, 1), complex), 2.0)
 
 
 class TestVariationExperiment:
@@ -364,7 +452,7 @@ class TestVariationExperiment:
         M, j = 32, 5
         f = CyclicSignal(M, np.exp(2j * np.pi * j * np.arange(M) / M))
         scales = [1, 3, 9, 27]
-        mults = [average_multiplier(SQUARES, N, M)[j] for N in scales]
+        mults = average_multipliers(SQUARES, scales, M)[:, j]
         expect = variation(IndexedSeq.from_values(mults), 2).value
         val = variation_experiment(f, SQUARES, scales, 2)
         assert val == pytest.approx(expect, abs=1e-10)
