@@ -17,11 +17,9 @@ __version__ = "0.1.0"
 
 from .arith import (ArcParams, CongruenceData, IntPoly, ReducedFraction,
                     arc_labels, congruence_data, eval_poly, farey_level)
-from .errors import (CircleLabError, NumericError, ParameterError,
-                     ResourceError)
-from .expsum import (approx_multiplier, complete_dyadic_gauss,
-                     fast_dyadic_quadratic_weyl, gauss_weight,
-                     smooth_cutoff_eval, vt, weyl_sum, weyl_sum_prefixes)
+from .errors import CircleLabError, ParameterError, ResourceError
+from .expsum import (complete_dyadic_gauss, fast_dyadic_quadratic_weyl,
+                     gauss_weight, weyl_sum, weyl_sum_prefixes)
 from .spectral import CyclicSignal, average_multipliers, variation_experiment
 from .torus import (CounterexampleParams, LacunaryTrigPoly, build_sequences,
                     eta_error, exact_ladder_radius, search_coefficients,

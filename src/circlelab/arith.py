@@ -10,11 +10,9 @@ ties within 2 ulp of the boundary are resolved toward Minor.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -25,12 +23,6 @@ from .errors import ParameterError, ResourceError
 # q < 2^10; the cost grows about 4x a level, and level 9 takes seconds
 # already)
 FAREY_LEVEL_BUDGET = 1 << 18
-
-
-def torus_distance(x: Fraction) -> Fraction:
-    """Distance from x to the nearest integer, exactly."""
-    f = x - math.floor(x)
-    return min(f, 1 - f)
 
 
 @dataclass(frozen=True)
@@ -134,21 +126,6 @@ def farey_level(s: int) -> tuple:
     return tuple(out)
 
 
-def fractions_near(s: int, x: Fraction, radius: float) -> list:
-    """Level-s fractions within torus distance <= radius of x (x in [0,1)).
-
-    Needs radius <= 2^-(s+1), as every caller has: no level-s fraction but
-    0/1 lies that near 0 == 1, so the window never needs to wrap around.
-    Returned sorted by value.
-    """
-    fracs = farey_level(s)
-    r = Fraction(radius)
-    lo = bisect_left(fracs, x - r, key=attrgetter("value"))
-    hi = bisect_left(fracs, x + r, key=attrgetter("value"))
-    return [fr for fr in fracs[max(lo - 1, 0):hi + 1]
-            if torus_distance(x - fr.value) <= radius]
-
-
 @dataclass(frozen=True)
 class ArcParams:
     """Scale exponent n (t ~ 2^n), the width parameter delta, and deg P."""
@@ -164,6 +141,13 @@ class ArcParams:
             raise ParameterError("delta must lie in (0, 1/8]")
         if self.degree < 1:
             raise ParameterError("degree must be >= 1")
+        # below 2^-1022 the width is subnormal or 0 and labels go wrong; as
+        # d - delta >= 7/8, capping n at 2048 refuses the same n and keeps
+        # a huge n from overflowing the float product
+        if min(self.n, 2048) * (self.degree - self.delta) > 1022:
+            raise ParameterError(
+                f"n={self.n} puts the arc width 2^-n(d-delta) below "
+                f"2^-1022; lower n")
 
     @property
     def width(self) -> float:

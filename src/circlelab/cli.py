@@ -3,7 +3,7 @@
 Results are emitted as JSON (default) or flattened CSV.  The JSON document
 echoes the parsed configuration, so a rerun from the echoed config is
 byte-identical.  Exit codes: 0 success, 2 bad parameters, 3 resource
-budget exceeded, 4 numerical failure.
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
-from .errors import NumericError, ParameterError, ResourceError
+from .errors import ParameterError, ResourceError
 from .expsum import DIRECT_SUM_BUDGET, check_count, gauss_weight, weyl_sum
 from .spectral import CyclicSignal, _complex_normal, variation_experiment
 from .torus import build_sequences, search_coefficients
@@ -367,9 +367,6 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     return 0
 
 

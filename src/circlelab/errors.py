@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto process exit codes, so new error kinds should
-subclass one of the three below rather than raising bare exceptions.
+subclass one of the two below rather than raising bare exceptions.
 """
 
 
@@ -19,6 +19,3 @@ class ResourceError(CircleLabError, RuntimeError):
     The message should tell the caller which parameter to lower.
     """
 
-
-class NumericError(CircleLabError, ArithmeticError):
-    """A numerical routine failed to reach its target accuracy (CLI exit code 4)."""

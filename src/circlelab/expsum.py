@@ -1,4 +1,4 @@
-"""Multiplier-side objects: Weyl sums, Gauss weights, oscillatory integrals.
+"""Multiplier-side objects: Weyl sums, Gauss weights, dyadic quadratic sums.
 
 Phase arithmetic is exact: alpha is treated as the exact rational it is
 (floats are dyadic rationals), and alpha * P(n) is reduced mod 1 with
@@ -15,13 +15,11 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .arith import IntPoly, ReducedFraction, congruence_data, fractions_near
-from .errors import NumericError, ParameterError, ResourceError
+from .arith import IntPoly, ReducedFraction, congruence_data
+from .errors import ParameterError, ResourceError
 
 RealLike = Union[int, float, Fraction]
 
-# vt: switch from panel quadrature to the closed form above this many cycles
-_VT_PERIOD_BUDGET = 2000.0
 # the most terms or frequencies one direct evaluation may take: the tail
 # that fast_dyadic_quadratic_weyl sums term by term (~0.4 us a term on
 # the object-array path, m > 128), in `spectral` the modulus M (arrays of
@@ -349,124 +347,6 @@ def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     # phases are a_d r^d + ... + a_1 r, no constant term
     coeffs = (0,) + cd.numerators[::-1]
     return _esum(r / qi for r in _residue_chunks(coeffs, qi, qi)) / qi
-
-
-def _vt_quadrature(cycles: float, d: int, tol: float = 1e-10) -> complex:
-    """Panel Gauss-Legendre quadrature of int_0^1 e(-cycles s^d) ds.
-
-    Panels resolve the oscillation (>= 8 per period) and the result is
-    accepted once doubling the panel count moves it by less than tol.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-
-    def compute(panels: int) -> complex:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1] - edges[0])
-        s = mid + half * nodes[None, :]
-        vals = np.exp(-2j * math.pi * cycles * s ** d)
-        return complex((vals * weights[None, :]).sum() * half)
-
-    panels = max(8, int(8 * abs(cycles)) + 8)
-    prev = compute(panels)
-    for _ in range(4):
-        panels *= 2
-        cur = compute(panels)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise NumericError(
-        f"oscillatory quadrature failed to converge (cycles={cycles})")
-
-
-def _vt_closed_form(cycles: float, d: int) -> complex:
-    """Closed-form evaluation for strongly oscillatory arguments.
-
-    d = 1 integrates directly, d = 2 goes through Fresnel integrals, and
-    general d through the lower incomplete gamma function along the
-    imaginary axis.
-    """
-    if cycles < 0:
-        return _vt_closed_form(-cycles, d).conjugate()
-    if d == 1:
-        # (1 - e(-c)) / (2 pi i c)
-        return (1.0 - cmath.exp(-2j * math.pi * cycles)) / (2j * math.pi * cycles)
-    if d == 2:
-        from scipy.special import fresnel
-        z = 2.0 * math.sqrt(cycles)
-        s, c = fresnel(z)
-        return complex(c, -s) / z
-    import mpmath as mp
-    with mp.workdps(30):
-        a = 2 * mp.pi * cycles
-        g = mp.gammainc(mp.mpf(1) / d, 0, 1j * a)
-        val = g * a ** (-mp.mpf(1) / d) * mp.exp(-1j * mp.pi / (2 * d)) / d
-    return complex(val)
-
-
-def vt(beta: float, t: float, d: int) -> complex:
-    """The oscillatory pseudo-projection v_t(beta) = int_0^1 e(-beta t^d s^d) ds.
-
-    Adaptive panel quadrature below a cycle budget; beyond it the exact
-    closed form takes over (the two paths agree to 1e-9 where they overlap,
-    see the test suite).
-    """
-    if d < 1:
-        raise ParameterError("d must be >= 1")
-    cycles = float(beta) * float(t) ** d
-    if cycles == 0.0:
-        return 1.0 + 0.0j
-    if abs(cycles) <= _VT_PERIOD_BUDGET:
-        return _vt_quadrature(cycles, d)
-    return _vt_closed_form(cycles, d)
-
-
-def smooth_cutoff_eval(x: float) -> float:
-    """Smooth bump: 1 on [-0.1, 0.1], 0 outside [-0.2, 0.2].
-
-    The ramp is the standard C^infinity partition-of-unity profile built
-    from exp(-1/u).
-    """
-    u = (abs(float(x)) - 0.1) / 0.1
-    if u <= 0.0:
-        return 1.0
-    if u >= 1.0:
-        return 0.0
-    h0 = math.exp(-1.0 / (1.0 - u))
-    h1 = math.exp(-1.0 / u)
-    return h0 / (h0 + h1)
-
-
-def approx_multiplier(P: IntPoly, t: float, alpha: RealLike, s_max: int) -> complex:
-    """The circle-method approximant L_hat_t(alpha), truncated at level s_max.
-
-    L_hat_t = sum_{s <= s_max} sum_{a/q in R_s} S_P^i(a/q) v_t(x - a/q)
-    phi(10^s (x - a/q)) with x = {b_d alpha}; only fractions inside the
-    cutoff support (distance <= 0.2 * 10^-s) can contribute.
-    """
-    if s_max < 0:
-        raise ParameterError("s_max must be non-negative")
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    a -= math.floor(a)
-    bd = P.leading
-    i = min(int(math.floor(bd * a)), bd - 1)
-    x = bd * a
-    x -= math.floor(x)
-    total = 0.0 + 0.0j
-    for s in range(s_max + 1):
-        radius = 0.2 * 10.0 ** (-s)
-        for fr in fractions_near(s, x, radius):
-            diff = x - fr.value
-            # signed representative of the torus difference
-            if diff > Fraction(1, 2):
-                diff -= 1
-            elif diff < Fraction(-1, 2):
-                diff += 1
-            beta = float(diff)
-            total += (gauss_weight(P, fr, i)
-                      * vt(beta, t, P.degree)
-                      * smooth_cutoff_eval(10.0 ** s * beta))
-    return complex(total)
 
 
 def complete_dyadic_gauss(m: int) -> complex:

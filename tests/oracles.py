@@ -12,10 +12,14 @@ family one `ifft` at a time, the oracle of `multiplier_variation`.
 acceptance criterion 10 bounds.
 `cumsum_partial_sum_objective` is the ladder search's objective on
 sample-major phases, by reversed cumulative sums.
-`classify_arc` scans the admitted Farey levels for one point in
-`Fraction` arithmetic, the oracle of `arith.arc_labels`' Major/Minor
-labels and admitting fractions; `shell_index` and `annulus_label` give
-one point's dyadic distance shell, the oracle of `arc_labels(...).shell`.
+`torus_distance` is the exact distance of a `Fraction` to the nearest
+integer, and `fractions_near` the level-s fractions within a radius of
+a point, found by bisection over the level's values.
+`classify_arc` scans the admitted Farey levels for one point through
+them, in `Fraction` arithmetic, the oracle of `arith.arc_labels`'
+Major/Minor labels and admitting fractions; `shell_index` and
+`annulus_label` give one point's dyadic distance shell, the oracle of
+`arc_labels(...).shell`.
 `bigint_phase_chunks` reduces every phase on Python ints by finite
 differences, the oracle of the residue kernel's phases.
 `exp_terms` is numpy's complex exp of -2 pi i ph, the oracle of the
@@ -28,15 +32,17 @@ the one it replaces, in ulps.
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ReducedFraction, eval_poly, variation_values)
-from circlelab.arith import fractions_near, torus_distance
+                       ReducedFraction, eval_poly, farey_level,
+                       variation_values)
 from circlelab.expsum import _PHASE_CHUNK, residue_counts
 from circlelab.spectral import _pairwise_norm
 from circlelab.torus import LacunaryTrigPoly
@@ -102,6 +108,27 @@ def cumsum_partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:
     partial = np.cumsum((z * coeffs[None, :])[:, ::-1], axis=1)[:, ::-1]
     v = variation_values(partial, 2.0)
     return float(np.sqrt(np.mean(v ** 2)))
+
+
+def torus_distance(x: Fraction) -> Fraction:
+    """Distance from x to the nearest integer, exactly."""
+    f = x - math.floor(x)
+    return min(f, 1 - f)
+
+
+def fractions_near(s: int, x: Fraction, radius: float) -> list:
+    """Level-s fractions within torus distance <= radius of x (x in [0,1)).
+
+    Needs radius <= 2^-(s+1), as every caller has: no level-s fraction but
+    0/1 lies that near 0 == 1, so the window never needs to wrap around.
+    Returned sorted by value.
+    """
+    fracs = farey_level(s)
+    r = Fraction(radius)
+    lo = bisect_left(fracs, x - r, key=attrgetter("value"))
+    hi = bisect_left(fracs, x + r, key=attrgetter("value"))
+    return [fr for fr in fracs[max(lo - 1, 0):hi + 1]
+            if torus_distance(x - fr.value) <= radius]
 
 
 @dataclass(frozen=True)

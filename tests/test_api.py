@@ -1,11 +1,15 @@
 """Every name the package exports, and every member of an exported class,
 has a caller inside the package; the inverse FFT has one home, BLAS
-three, and the arc classifier one."""
+three, and the arc classifier one; the runtime dependencies are the
+package's third-party imports."""
 
 import ast
 import inspect
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import circlelab
 
@@ -13,7 +17,6 @@ PACKAGE = Path(circlelab.__file__).parent
 
 # exported names that wait for an open ROADMAP item to give them a caller
 AWAITING_CALLER = {
-    "approx_multiplier": "the circle-method approximant experiment",
     "exact_ladder_radius": "the L = 2..8 sweep along exact R-ladders",
     "v2_partial_sums_norm": "counterexample reporting V^2(S_m f)",
 }
@@ -172,13 +175,37 @@ def test_blas_only_where_its_threads_and_bits_are_wanted():
 
 def test_one_arc_classifier():
     # every Major/Minor label of the package comes from arith.arc_labels,
-    # a batch of points at a time; the per-point Fraction scan is the
-    # tests' oracle, and the Fraction window search serves only the
-    # circle-method approximant
+    # a batch of points at a time; the per-point Fraction scan, its
+    # window search and its exact distance are the tests' oracles
     assert reference_sites("classify_arc") == set()
     assert reference_sites("arc_labels") == {
         "arith.<module>", "__init__.<module>", "cli.<module>",
         "verify.<module>", "cli._run", "verify.verify_est",
         "verify.verify_main_decomposition"}
-    assert reference_sites("fractions_near") == {
-        "arith.<module>", "expsum.<module>", "expsum.approx_multiplier"}
+    assert reference_sites("fractions_near") == set()
+    assert reference_sites("torus_distance") == set()
+
+
+def imported_top_level_modules():
+    """Top-level names of every absolute import in the package, function
+    bodies included."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_dependencies_are_the_third_party_imports():
+    # a runtime dependency no module imports, or an import that is not a
+    # declared dependency, fails here
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared}
+    third_party = (imported_top_level_modules()
+                   - set(sys.stdlib_module_names) - {"circlelab"})
+    assert names == third_party

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
                        arc_labels, congruence_data, eval_poly, farey_level)
-from circlelab.arith import _arc_dtype, fractions_near, torus_distance
+from circlelab.arith import _arc_dtype
 from circlelab.cli import main
-from oracles import annulus_label, classify_arc, shell_index
+from oracles import (annulus_label, classify_arc, fractions_near,
+                     shell_index, torus_distance)
 
 SQUARES = IntPoly([0, 0, 1])
 LINEAR = IntPoly([0, 1])
@@ -181,6 +183,29 @@ class TestArcs:
             ArcParams(10, 0.2, 2)
         with pytest.raises(ParameterError):
             ArcParams(10, 0.0, 2)
+
+    @pytest.mark.parametrize("degree,delta", [
+        (1, 0.125), (2, 0.001), (2, 0.125), (3, 0.05), (7, 1e-9)])
+    def test_width_stays_a_normal_float(self, degree, delta):
+        # the largest admitted n has a normal width; one more is refused
+        n = 1
+        while (n + 1) * (degree - delta) <= 1022:
+            n += 1
+        assert ArcParams(n, delta, degree).width >= sys.float_info.min
+        with pytest.raises(ParameterError, match="lower n"):
+            ArcParams(n + 1, delta, degree)
+
+    @pytest.mark.parametrize("n", [537, 600,
+                                   pytest.param(10 ** 400, id="10^400")])
+    def test_underflowing_width_refused(self, n):
+        # 5e-324 (subnormal) at n = 537 and 0.0 at n = 600 used to label
+        # the point 0 Minor; an n past the float range is refused too
+        with pytest.raises(ParameterError):
+            ArcParams(n, 0.001, 2)
+
+    def test_last_normal_width_labels_zero_major(self):
+        params = ArcParams(511, 0.001, 2)
+        assert one_label(0, SQUARES, params)[0]
 
     @given(st.floats(min_value=0, max_value=1, exclude_max=True))
     @settings(max_examples=200, deadline=None)

@@ -157,11 +157,17 @@ class TestExitCodes:
         (["average", "--modulus", "64", "--scales", "1,100000000"], 3),
         # averages up to t = 2^202, refused before the scale grid is built
         (["main-decomp", "--n-min", "200", "--n-max", "201"], 3),
+        # arc widths 2^-n(2 - 0.001) of 5e-324 (subnormal) and 0.0, where
+        # the point 0 used to come out Minor
+        (["arcs", "--alpha", "0", "--n", "537", "--delta", "0.001"], 2),
+        (["arcs", "--alpha", "0", "--n", "600", "--delta", "0.001"], 2),
     ])
     def test_size_refusals(self, argv, expect, capsys):
         code = main(argv)
         assert code == expect
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         # 1024 points x 4000 scales: 8.2e9 DP cells
@@ -524,8 +530,7 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
     def test_import_leaves_scipy_out(self):
-        # scipy and mpmath are imported only where the closed forms of v_t
-        # need them
+        # scipy and mpmath are imported nowhere in the package
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, circlelab.cli; "

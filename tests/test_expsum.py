@@ -1,4 +1,4 @@
-"""Exponential sums, Gauss weights, oscillatory integrals, fast dyadic sums."""
+"""Exponential sums, Gauss weights, fast dyadic sums."""
 
 import cmath
 import math
@@ -12,19 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ReducedFraction,
-                       ResourceError, approx_multiplier,
-                       complete_dyadic_gauss, farey_level, fast_dyadic_quadratic_weyl,
-                       gauss_weight, smooth_cutoff_eval, vt, weyl_sum,
+                       ResourceError, complete_dyadic_gauss, farey_level,
+                       fast_dyadic_quadratic_weyl, gauss_weight, weyl_sum,
                        weyl_sum_prefixes)
 from circlelab import expsum
 from circlelab.arith import congruence_data
 from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
                               _e_neg, _e_work, _limb_phases, _phase_chunks,
                               _residue_chunks, _residue_rows,
-                              _vt_closed_form, _vt_quadrature,
                               residue_counts)
-from oracles import (bigint_phase_chunks, exp_terms, fit_power_law,
-                     quadratic_gauss_row)
+from oracles import bigint_phase_chunks, exp_terms, quadratic_gauss_row
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -481,92 +478,6 @@ class TestGaussWeight:
         counts = np.bincount((np.arange(1, q + 1, dtype=np.int64) ** 2) % q,
                              minlength=q)
         assert np.array_equal(quadratic_gauss_row(q), np.fft.fft(counts) / q)
-
-
-class TestVt:
-    def test_beta_zero(self):
-        assert vt(0.0, 100, 2) == pytest.approx(1.0, abs=1e-14)
-
-    def test_d1_closed_form(self):
-        for c in [0.3, 2.7, 15.0]:
-            expect = (1 - cmath.exp(-2j * math.pi * c)) / (2j * math.pi * c)
-            assert vt(c, 1, 1) == pytest.approx(expect, abs=1e-10)
-
-    def test_quadrature_vs_closed_form_overlap(self):
-        for d in [2, 3]:
-            for cycles in [50.0, 500.0, 1999.0]:
-                q = _vt_quadrature(cycles, d)
-                c = _vt_closed_form(cycles, d)
-                assert q == pytest.approx(c, abs=2e-9)
-
-    def test_conjugate_symmetry(self):
-        assert vt(-0.37, 10, 2) == \
-            pytest.approx(vt(0.37, 10, 2).conjugate(), abs=1e-10)
-
-    def test_decay_envelope(self):
-        # |v_t(beta)| <~ (t^d |beta|)^(-1/d): fitted log-slope near -1/d
-        d = 2
-        points = []
-        for n in range(6, 16):
-            cycles = 2.0 ** n
-            points.append((n, abs(vt(cycles, 1, d))))
-        slope = fit_power_law(points)
-        assert -0.6 < slope < -0.4
-
-    def test_small_beta_linearization(self):
-        # |v_t - 1| <= 2 pi |beta| t^d
-        for beta in [1e-6, 1e-4, 1e-3]:
-            val = vt(beta, 10, 2)
-            assert abs(val - 1) <= 2 * math.pi * beta * 100 + 1e-12
-
-
-class TestCutoff:
-    def test_plateau_and_support(self):
-        assert smooth_cutoff_eval(0.0) == 1.0
-        assert smooth_cutoff_eval(0.1) == 1.0
-        assert smooth_cutoff_eval(-0.05) == 1.0
-        assert smooth_cutoff_eval(0.2) == 0.0
-        assert smooth_cutoff_eval(5.0) == 0.0
-
-    def test_monotone_ramp(self):
-        xs = np.linspace(0.1, 0.2, 50)
-        ys = [smooth_cutoff_eval(x) for x in xs]
-        assert all(b <= a + 1e-15 for a, b in zip(ys, ys[1:]))
-        assert 0 < smooth_cutoff_eval(0.15) < 1
-
-
-class TestApproxMultiplier:
-    def test_at_zero(self):
-        # x = 0: only 0/1 contributes, S = 1, v_t(0) = 1, phi(0) = 1
-        assert approx_multiplier(SQUARES, 16, 0, 0) == \
-            pytest.approx(1.0, abs=1e-12)
-
-    def test_tracks_weyl_sum_near_zero(self):
-        # near 0 the approximant reproduces K_hat_t to the error O(t^(-1))
-        t = 512
-        for beta in [1e-7, 1e-6]:
-            approx = approx_multiplier(SQUARES, t, beta, 0)
-            exact = weyl_sum(SQUARES, t, beta)
-            assert abs(approx - exact) <= 10.0 / t
-
-    def test_far_from_fractions_vanishes(self):
-        val = approx_multiplier(SQUARES, 64, 0.41, 1)
-        # 0.41 is > 0.02 away from every level-0/1 fraction's support
-        # except possibly deep cutoff tails
-        assert abs(val) < 0.2
-
-    def test_minor_arc_error_decays(self):
-        # sup over sampled minor alpha of |K_hat_t - L_hat_t| shrinks with t
-        rng = np.random.default_rng(3)
-        alphas = rng.random(12)
-        points = []
-        for n in [5, 7, 9, 11]:
-            t = 1 << n
-            worst = max(abs(weyl_sum(SQUARES, t, a)
-                            - approx_multiplier(SQUARES, t, a, 1))
-                        for a in alphas)
-            points.append((n, worst))
-        assert fit_power_law(points) < 0
 
 
 class TestFastDyadic:

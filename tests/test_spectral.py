@@ -14,14 +14,14 @@ from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
                        variation_experiment, variation_values,
                        verify_main_decomposition, weyl_sum)
 from circlelab import arith, spectral
-from circlelab.arith import arc_labels, torus_distance
+from circlelab.arith import arc_labels
 from circlelab.expsum import DIRECT_SUM_BUDGET
 from circlelab.spectral import (_complex_normal, _pairwise_norm,
                                 multiplier_variation)
 from oracles import (annulus_label, assert_pin_moved, average_multiplier,
                      classify_arc, per_row_multiplier_variation,
                      polynomial_average, polynomial_average_direct,
-                     shell_index)
+                     shell_index, torus_distance)
 
 SQUARES = IntPoly([0, 0, 1])
 
