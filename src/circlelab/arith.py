@@ -10,7 +10,6 @@ ties within 2 ulp of the boundary are resolved toward Minor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -25,19 +24,19 @@ from .errors import ParameterError, ResourceError
 FAREY_LEVEL_BUDGET = 1 << 18
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """P(n) = b_d n^d + ... + b_1 n + b_0 with integer b_j and b_d > 0."""
+class IntPoly(NamedTuple("IntPoly", [("coeffs", tuple)])):
+    """P(n) = b_d n^d + ... + b_1 n + b_0 with integer b_j and b_d > 0;
+    coeffs = (b_0, b_1, ..., b_d)."""
 
-    coeffs: tuple  # (b_0, b_1, ..., b_d)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         cs = tuple(int(c) for c in coeffs)
         if len(cs) < 2:
             raise ParameterError("polynomial must have degree >= 1")
         if cs[-1] <= 0:
             raise ParameterError("leading coefficient must be positive")
-        object.__setattr__(self, "coeffs", cs)
+        return super().__new__(cls, cs)
 
     @property
     def degree(self) -> int:
@@ -60,20 +59,23 @@ def eval_poly(P: IntPoly, n: int) -> int:
     return acc
 
 
-@dataclass(frozen=True, order=True)
-class ReducedFraction:
-    """a/q in lowest terms with 0 <= a < q; 0/1 stands for the point 0 == 1."""
+class ReducedFraction(NamedTuple("ReducedFraction", [("a", int),
+                                                       ("q", int)])):
+    """a/q in lowest terms with 0 <= a < q; 0/1 stands for the point 0 == 1.
 
-    a: int
-    q: int
+    Ordered as the tuple (a, q), not by value.
+    """
 
-    def __post_init__(self):
-        if self.q <= 0:
+    __slots__ = ()
+
+    def __new__(cls, a: int, q: int):
+        if q <= 0:
             raise ParameterError("denominator must be positive")
-        if not (0 <= self.a < self.q) and not (self.a == 0 and self.q == 1):
+        if not (0 <= a < q) and not (a == 0 and q == 1):
             raise ParameterError("numerator must satisfy 0 <= a < q")
-        if math.gcd(self.a, self.q) != 1:
-            raise ParameterError(f"{self.a}/{self.q} is not reduced")
+        if math.gcd(a, q) != 1:
+            raise ParameterError(f"{a}/{q} is not reduced")
+        return super().__new__(cls, a, q)
 
     @classmethod
     def make(cls, a: int, q: int) -> "ReducedFraction":
@@ -126,28 +128,27 @@ def farey_level(s: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ArcParams:
+class ArcParams(NamedTuple("ArcParams", [("n", int), ("delta", float),
+                                           ("degree", int)])):
     """Scale exponent n (t ~ 2^n), the width parameter delta, and deg P."""
 
-    n: int
-    delta: float
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, delta: float, degree: int):
+        if n < 1:
             raise ParameterError("scale exponent n must be positive")
-        if not (0 < self.delta <= 0.125):
+        if not (0 < delta <= 0.125):
             raise ParameterError("delta must lie in (0, 1/8]")
-        if self.degree < 1:
+        if degree < 1:
             raise ParameterError("degree must be >= 1")
         # below 2^-1022 the width is subnormal or 0 and labels go wrong; as
         # d - delta >= 7/8, capping n at 2048 refuses the same n and keeps
         # a huge n from overflowing the float product
-        if min(self.n, 2048) * (self.degree - self.delta) > 1022:
+        if min(n, 2048) * (degree - delta) > 1022:
             raise ParameterError(
-                f"n={self.n} puts the arc width 2^-n(d-delta) below "
+                f"n={n} puts the arc width 2^-n(d-delta) below "
                 f"2^-1022; lower n")
+        return super().__new__(cls, n, delta, degree)
 
     @property
     def width(self) -> float:
@@ -247,8 +248,7 @@ def arc_labels(P: IntPoly, params: ArcParams, k, D: int) -> ArcLabels:
     return ArcLabels(major, dist, shell, near_a, near_q)
 
 
-@dataclass(frozen=True)
-class CongruenceData:
+class CongruenceData(NamedTuple):
     """Least common denominator q_i and numerators (a^i_d, ..., a^i_1)."""
 
     q_i: int

@@ -9,26 +9,31 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import atexit
+import gc
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import ParameterError, ResourceError
-from .expsum import DIRECT_SUM_BUDGET, check_count, gauss_weight, weyl_sum
-from .spectral import CyclicSignal, _complex_normal, variation_experiment
-from .torus import build_sequences, search_coefficients
-from .varnorm import IndexedSeq, long_variation, short_variation, variation
-from .verify import (verify_entropy, verify_est, verify_main_decomposition,
-                     verify_smooth)
+
+# At exit, finalization runs full cyclic collections, each a pass over every
+# tracked object (over 20,000 once numpy is loaded).  Freezing the heap
+# first moves what is alive then out of their reach.  The hook runs only
+# when the interpreter exits, after the result is written; reference
+# counting still frees what module teardown releases, and no file or
+# thread of the package waits on a collection.
+atexit.register(gc.freeze)
+
+# Each subcommand imports the circlelab modules it runs in its own branch
+# of `_run`, so that a process compiles and loads only those.
 
 
-def _parse_poly(text: str) -> IntPoly:
+def _parse_poly(text: str):
     """Comma-separated coefficients b_0,b_1,...,b_d (ascending powers)."""
+    from .arith import IntPoly
     try:
         return IntPoly([int(c) for c in text.split(",")])
     except ValueError as exc:
@@ -83,6 +88,8 @@ def _emit(document: dict, fmt: str, out_path):
     if fmt == "json":
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     else:
+        import csv
+        import io
         rows = []
         _flatten("", document, rows)
         buf = io.StringIO()
@@ -205,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> dict:
     results = []
     if args.command == "weyl-sum":
+        from .expsum import weyl_sum
         P = _parse_poly(args.poly)
         val = weyl_sum(P, args.t, _parse_rational(args.alpha))
         results.append({"name": "weyl_sum",
@@ -212,6 +220,8 @@ def _run(args) -> dict:
                                    "alpha": args.alpha},
                         "value": val})
     elif args.command == "gauss":
+        from .arith import ReducedFraction
+        from .expsum import gauss_weight
         P = _parse_poly(args.poly)
         fr = _parse_rational(args.frac)
         frac = ReducedFraction.make(fr.numerator, fr.denominator)
@@ -221,6 +231,7 @@ def _run(args) -> dict:
                                    "pre_interval": args.pre_interval},
                         "value": val})
     elif args.command == "arcs":
+        from .arith import ArcParams, arc_labels
         P = _parse_poly(args.poly)
         params = ArcParams(args.n, args.delta, P.degree)
         alpha = _parse_rational(args.alpha)
@@ -237,6 +248,8 @@ def _run(args) -> dict:
                                    "n": args.n, "delta": args.delta},
                         "value": value})
     elif args.command == "variation":
+        from .varnorm import (IndexedSeq, long_variation, short_variation,
+                              variation)
         vals = _parse_list(args.values, complex)
         if args.indices:
             seq = IndexedSeq(_parse_list(args.indices, int), vals)
@@ -257,6 +270,10 @@ def _run(args) -> dict:
         results.append(entry)
     elif args.command == "average":
         import numpy as np
+
+        from .expsum import DIRECT_SUM_BUDGET, check_count
+        from .spectral import (CyclicSignal, _complex_normal,
+                               variation_experiment)
         P = _parse_poly(args.poly)
         scales = _parse_list(args.scales, int)
         M = check_count(args.modulus, "modulus M", DIRECT_SUM_BUDGET,
@@ -269,24 +286,28 @@ def _run(args) -> dict:
                                    "scales": args.scales, "r": args.r},
                         "value": val})
     elif args.command == "entropy":
+        from .verify import verify_entropy
         rep = verify_entropy(args.num_freqs, args.sigma, args.r, args.seed)
         results.append({"name": rep.name,
                         "inputs": {"num_freqs": args.num_freqs,
                                    "sigma": args.sigma, "r": args.r},
                         **_report_result(rep)})
     elif args.command == "smooth":
+        from .verify import verify_smooth
         rep = verify_smooth(args.N, args.A, args.a, args.trials, args.seed)
         results.append({"name": rep.name,
                         "inputs": {"N": args.N, "A": args.A, "a": args.a,
                                    "trials": args.trials},
                         **_report_result(rep)})
     elif args.command == "est":
+        from .verify import verify_est
         P = _parse_poly(args.poly)
         for rep in verify_est(P, args.n_min, args.n_max, args.delta,
                               args.samples, args.seed):
             results.append({"name": rep.name, "inputs": {"poly": args.poly},
                             **_report_result(rep)})
     elif args.command == "main-decomp":
+        from .verify import verify_main_decomposition
         P = _parse_poly(args.poly)
         rep = verify_main_decomposition(P, args.modulus, args.n_min,
                                         args.n_max, args.delta, args.seed,
@@ -304,6 +325,7 @@ def _run(args) -> dict:
                         "reassembly": {"lhs": rep.reassembly_lhs,
                                        "rhs": rep.reassembly_rhs}})
     elif args.command == "counterexample":
+        from .torus import build_sequences
         params = build_sequences(args.L, args.R)
         coupling, closure = params.identity_defects()
         entry = {"name": "counterexample_parameters",
@@ -313,7 +335,9 @@ def _run(args) -> dict:
                            "closure_defects": list(closure)}}
         results.append(entry)
         if not args.dry_run:
-            from .torus import LacunaryTrigPoly, eta_error, eta_multipliers
+            from .expsum import DIRECT_SUM_BUDGET, check_count
+            from .torus import (LacunaryTrigPoly, eta_error, eta_multipliers,
+                                search_coefficients)
             # the sample count and the multipliers, which hold the
             # budgeted tail sums, are refused before the coefficient
             # search, not after it
@@ -331,6 +355,7 @@ def _run(args) -> dict:
                                       "objective": obj,
                                       "coefficients": list(coeffs)}})
     elif args.command == "search-coeffs":
+        from .torus import search_coefficients
         coeffs, obj = search_coefficients(args.L, args.iterations,
                                           args.restarts, args.seed)
         results.append({"name": "search_coefficients",

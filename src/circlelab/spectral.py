@@ -9,8 +9,7 @@ cross-checked to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,21 +19,19 @@ from .expsum import DIRECT_SUM_BUDGET, check_count, residue_counts
 from .varnorm import check_dp_cells, check_r, variation_values
 
 
-@dataclass(frozen=True)
-class CyclicSignal:
+class CyclicSignal(NamedTuple("CyclicSignal", [("modulus", int),
+                                                 ("values", np.ndarray)])):
     """A complex-valued function on Z/M."""
 
-    modulus: int
-    values: np.ndarray
+    __slots__ = ()
 
-    def __init__(self, modulus: int, values: Sequence[complex]):
+    def __new__(cls, modulus: int, values: Sequence[complex]):
         v = np.asarray(values, dtype=complex)
         if modulus < 1 or v.shape != (modulus,):
             raise ParameterError("values must have length M >= 1")
         if not np.isfinite(v).all():
             raise ParameterError("values must be finite")
-        object.__setattr__(self, "modulus", int(modulus))
-        object.__setattr__(self, "values", v)
+        return super().__new__(cls, int(modulus), v)
 
     def norm(self) -> float:
         return _pairwise_norm(self.values)

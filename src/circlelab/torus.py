@@ -9,8 +9,7 @@ with exact integer shifts before being rounded once to double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,22 +19,21 @@ from .expsum import (DIRECT_SUM_BUDGET, check_count,
 from .varnorm import check_dp_cells, variation_values
 
 
-@dataclass(frozen=True)
-class LacunaryTrigPoly:
-    """f(x) = sum over terms of coeff * e(freq * x), frequencies distinct."""
+class LacunaryTrigPoly(NamedTuple("LacunaryTrigPoly", [("terms", tuple)])):
+    """f(x) = sum over terms of coeff * e(freq * x), frequencies distinct;
+    terms = ((freq, coeff), ...) sorted by descending frequency."""
 
-    terms: tuple  # ((freq, coeff), ...) sorted by descending frequency
+    __slots__ = ()
 
-    def __init__(self, terms):
+    def __new__(cls, terms):
         items = sorted(((int(k), complex(v)) for k, v in dict(terms).items()),
                        key=lambda kv: -kv[0])
         if any(k < 0 for k, _ in items):
             raise ParameterError("frequencies must be non-negative")
-        object.__setattr__(self, "terms", tuple(items))
+        return super().__new__(cls, tuple(items))
 
 
-@dataclass(frozen=True)
-class CounterexampleParams:
+class CounterexampleParams(NamedTuple):
     """The recursively built exponent ladders k_1 > ... > k_L, j_1 < ... < j_L."""
 
     L: int
@@ -193,8 +191,11 @@ def _independent_phase_matrix(L: int, sample_count: int,
     return np.exp(2j * math.pi * np.stack(rows))
 
 
-def _partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:
-    p = _partial_sums(z * coeffs[:, None])
+def _partial_sum_objective(coeffs: np.ndarray, z: np.ndarray,
+                           out: Optional[np.ndarray] = None) -> float:
+    """RMS over the samples of V^2 of the partial sums of coeffs * z; they
+    are built in `out`, an (L, samples) complex array, when it is given."""
+    p = _partial_sums(np.multiply(z, coeffs[:, None], out=out))
     v = variation_values(p.T, 2.0)
     return float(np.sqrt(np.mean(v ** 2)))
 
@@ -218,6 +219,9 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
                 "direct-summation")
     check_dp_cells(sample_count, L)
     z = _independent_phase_matrix(L, sample_count, seed)
+    # one buffer for every evaluation: a fresh (L, samples) array each time
+    # can land on new pages, and each page costs a fault when first written
+    buf = np.empty_like(z)
     rng = np.random.default_rng([seed, 999])
 
     def project(a):
@@ -246,11 +250,11 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
     best_a, best_val = None, -math.inf
     for start in starts:
         a = start.copy()
-        val = _partial_sum_objective(a, z)
+        val = _partial_sum_objective(a, z, buf)
         step = 0.3
         for _ in range(iterations):
             cand = project(a + step * rng.standard_normal(L))
-            cval = _partial_sum_objective(cand, z)
+            cval = _partial_sum_objective(cand, z, buf)
             if cval > val:
                 a, val = cand, cval
             else:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,14 +26,16 @@ DP_BLOCK_ROWS = 4096
 DP_CELL_BUDGET = 1 << 28
 
 
-@dataclass(frozen=True)
-class IndexedSeq:
-    """Complex values attached to strictly increasing positive indices."""
+class IndexedSeq(NamedTuple("IndexedSeq", [("indices", tuple),
+                                             ("values", tuple)])):
+    """Complex values attached to strictly increasing positive indices.
 
-    indices: tuple
-    values: tuple
+    Its length is the number of indices.
+    """
 
-    def __init__(self, indices: Sequence[int], values: Sequence[complex]):
+    __slots__ = ()
+
+    def __new__(cls, indices: Sequence[int], values: Sequence[complex]):
         idx = tuple(int(i) for i in indices)
         vals = tuple(complex(v) for v in values)
         if len(idx) != len(vals):
@@ -45,8 +46,7 @@ class IndexedSeq:
             raise ParameterError("indices must be positive")
         if not all(map(cmath.isfinite, vals)):
             raise ParameterError("values must be finite")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, idx, vals)
 
     @classmethod
     def from_values(cls, values: Iterable[complex]) -> "IndexedSeq":
@@ -57,8 +57,7 @@ class IndexedSeq:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class VariationResult:
+class VariationResult(NamedTuple):
     value: float
     optimal_subsequence: tuple
     r: float

@@ -9,9 +9,8 @@ default) rather than absolute thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +18,9 @@ from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import ParameterError, ResourceError
 from .expsum import (DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, check_count,
                      weyl_sum_prefixes)
-from .spectral import (_complex_normal, _pairwise_norm, average_multipliers,
-                       multiplier_variation)
-from .varnorm import check_dp_cells
+
+# the Z/M experiments (smooth, entropy, main-decomp) import spectral and
+# varnorm inside their functions, so that `est` loads neither
 
 # verify_est part 2: most alpha draws per minor-arc sample before giving up
 # (major arcs cover about half the circle at n = 1, delta = 1/8, and under
@@ -33,8 +32,7 @@ EST_FRACTIONS = (ReducedFraction(0, 1), ReducedFraction(1, 3))
 SMOOTH_MODULUS = 256
 
 
-@dataclass(frozen=True)
-class BoundFitReport:
+class BoundFitReport(NamedTuple):
     name: str
     scales: tuple
     values: tuple          # per-scale max ratios (or raw maxima)
@@ -190,6 +188,7 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
 
 def _clipped_walk_multipliers(N: int, M: int, A: float, a: float, rng):
     """N multiplier rows on Z/M: sup |m_n| <= A, sup |m_n - m_{n+1}| <= a."""
+    from .spectral import _complex_normal
     m = np.empty((N, M), dtype=complex)
     start = _complex_normal(rng, M)
     m[0] = start * (A / np.maximum(np.abs(start), A))
@@ -229,6 +228,8 @@ def verify_smooth(N: int, A: float, a: float, trials: int,
     Trial 0 uses the deterministic saturating zigzag family; the remaining
     trials draw clipped random walks.
     """
+    from .spectral import _complex_normal, _pairwise_norm, multiplier_variation
+    from .varnorm import check_dp_cells
     if not 0 < a <= A < math.inf:
         raise ParameterError("need 0 < a <= A < inf")
     if N < 1 or trials < 1:
@@ -284,6 +285,8 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
     f against the (r/(r-2) log N)^2 / (sigma - 1) envelope.  Every
     parameter is checked before the first FFT.
     """
+    from .spectral import _complex_normal, _pairwise_norm, multiplier_variation
+    from .varnorm import check_dp_cells
     if not (1 < sigma < math.inf and 2 < r < math.inf):
         raise ParameterError("need finite sigma > 1 and r > 2")
     N = int(num_freqs)
@@ -323,8 +326,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
                           value / envelope, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     minor: BoundFitReport
     annulus_offsets: tuple        # |l| values used in the decay fit
     annulus_values: tuple         # normalized block quantities per offset
@@ -344,6 +346,9 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
     the admitted fractions (the multiplier bound 2^(-|l|/d) is symmetric
     in the shell offset l = k - nd, so the shells probe the same decay).
     """
+    from .spectral import (_complex_normal, _pairwise_norm,
+                           average_multipliers, multiplier_variation)
+    from .varnorm import check_dp_cells
     if not math.isfinite(nu_floor):
         raise ParameterError("nu_floor must be finite")
     M = check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation")

@@ -126,7 +126,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("coefficient search ran before the budget")
 
-        monkeypatch.setattr("circlelab.cli.search_coefficients", never)
+        monkeypatch.setattr("circlelab.torus.search_coefficients", never)
         code, _ = run_cli(["counterexample", "--L", "4", "--R", "92"], capsys)
         assert code == 3
 
@@ -223,7 +223,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("coefficient search ran before the check")
 
-        monkeypatch.setattr("circlelab.cli.search_coefficients", never)
+        monkeypatch.setattr("circlelab.torus.search_coefficients", never)
         assert main(["counterexample", "--L", "3", "--R", "47",
                      "--sample-count", count]) == expect
         err = capsys.readouterr().err
@@ -520,6 +520,46 @@ class TestBlasThreads:
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == want
+
+
+def _python(code, *argv):
+    """Run `code` in a fresh interpreter; its last stdout line."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestImports:
+    LOADED = ("import sys; print(sorted(m for m in sys.modules "
+              "if m == 'numpy' or m.startswith('circlelab')))")
+
+    @pytest.mark.parametrize("argv,modules", [
+        (["weyl-sum", "--t", "2", "--alpha", "1/2"],
+         ["arith", "cli", "errors", "expsum"]),
+        (["est", "--n-min", "8", "--n-max", "8", "--samples", "16"],
+         ["arith", "cli", "errors", "expsum", "verify"]),
+    ])
+    def test_subcommand_loads_only_its_modules(self, argv, modules):
+        # no spectral, varnorm or torus after either, no verify after
+        # weyl-sum: each subcommand imports what it runs, and est's part
+        # of verify reaches none of the Z/M helpers
+        loaded = _python("import sys; from circlelab.cli import main; "
+                         "main(sys.argv[1:]); " + self.LOADED, *argv)
+        assert loaded == repr(["circlelab"]
+                              + [f"circlelab.{m}" for m in modules]
+                              + ["numpy"])
+
+    def test_bare_import_loads_no_submodule_and_no_numpy(self):
+        assert _python("import circlelab; " + self.LOADED) == \
+            repr(["circlelab"])
+
+    def test_exit_hook_freezes_the_heap(self):
+        # the hook runs only at exit; run it here and read what it did
+        assert _python("import atexit, gc, circlelab.cli; "
+                       "before = gc.get_freeze_count(); "
+                       "atexit._run_exitfuncs(); "
+                       "print(before == 0 < gc.get_freeze_count())") == "True"
 
 
 class TestEntryPoint:

@@ -320,10 +320,25 @@ class TestSearch:
         # the search path depends on every bit of every objective value
         got = search_coefficients(L, 60, 2, L)
         with mock.patch("circlelab.torus._partial_sum_objective",
-                        lambda c, z: cumsum_partial_sum_objective(
+                        lambda c, z, out: cumsum_partial_sum_objective(
                             c, np.ascontiguousarray(z.T))):
             want = search_coefficients(L, 60, 2, L)
         assert got == want
+
+    def test_one_buffer_for_every_evaluation(self):
+        # a fresh (L, samples) product per evaluation can land on new
+        # pages, each faulted in when first written
+        outs = []
+
+        def recorded(c, z, out):
+            outs.append(out)
+            return _partial_sum_objective(c, z, out)
+
+        with mock.patch("circlelab.torus._partial_sum_objective", recorded):
+            got = search_coefficients(3, 20, 1, 0)
+        assert got == search_coefficients(3, 20, 1, 0)
+        assert len(outs) > 2 and all(out is outs[0] for out in outs)
+        assert outs[0].shape == (3, 8192)
 
     def test_L_validation(self):
         with pytest.raises(ParameterError):

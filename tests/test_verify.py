@@ -110,7 +110,7 @@ class TestConfig:
             raise AssertionError("work began before the parameter checks")
 
         monkeypatch.setattr(verify, "weyl_sum_prefixes", never)
-        monkeypatch.setattr(verify, "average_multipliers", never)
+        monkeypatch.setattr(spectral, "average_multipliers", never)
 
     def test_validation(self):
         # an empty range of scales, and a decreasing one
@@ -486,7 +486,7 @@ class TestMainDecomposition:
         def never(*args, **kwargs):
             raise AssertionError("work began before the DP-cell budget")
 
-        monkeypatch.setattr(verify, "average_multipliers", never)
+        monkeypatch.setattr(spectral, "average_multipliers", never)
         # 2^22 points and 16 scales in the last block: 503 M cells
         with pytest.raises(ResourceError):
             verify_main_decomposition(SQUARES, 1 << 22, 6, 8, 0.05, 0, 0.1)
