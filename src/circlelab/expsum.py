@@ -384,8 +384,9 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
     full, tail = divmod(N, period)
     if tail > DIRECT_SUM_BUDGET:
         raise ResourceError(
-            f"tail of length {tail} exceeds the direct-summation budget "
-            f"{DIRECT_SUM_BUDGET}; lower N mod 2^(R-k)")
+            f"tail of length >= 2^{tail.bit_length() - 1} exceeds the "
+            f"direct-summation budget {DIRECT_SUM_BUDGET}; lower N mod "
+            f"2^(R-k)")
     total = 0.0 + 0.0j
     if full:
         total += float(Fraction(full * period, N)) * \

@@ -13,10 +13,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 from .expsum import (DIRECT_SUM_BUDGET, check_count,
                      fast_dyadic_quadratic_weyl)
-from .varnorm import check_dp_cells, variation_values
+from .varnorm import check_dp_cells, check_run_cells, variation_values
 
 
 class LacunaryTrigPoly(NamedTuple("LacunaryTrigPoly", [("terms", tuple)])):
@@ -60,6 +60,12 @@ def build_sequences(L: int, R: int) -> CounterexampleParams:
     """
     if L < 1:
         raise ParameterError("L must be >= 1")
+    # j_(l-1) = ceil((j_l - L)/2) >= 1 gives j_l >= 2 j_(l-1), so an
+    # admissible ladder has R > 2 j_(L-1) >= 2^L: refused before the
+    # lists of L rungs are made
+    if L >= int(R).bit_length():
+        raise ParameterError(
+            f"R={R} too small for L={L}: sequences leave the admissible range")
     k = [0] * L
     j = [0] * L
     k[L - 1] = 0
@@ -137,8 +143,16 @@ def eta_multipliers(params: CounterexampleParams) -> np.ndarray:
     """W[l, i]: the exact multiplier of K_{2^{j_l}} at frequency 2^{k_i}.
 
     Raises ResourceError when a dyadic tail exceeds the direct-summation
-    budget, so callers can build W before any other expensive work.
+    budget, so callers can build W before any other expensive work.  The
+    longest tail, 2^(j_L) terms at k_L = 0, is checked before any sum and
+    before 2^(j_L) is formed: j_L can have more digits than an int may.
     """
+    longest = params.j[-1]
+    if longest >= DIRECT_SUM_BUDGET.bit_length():
+        raise ResourceError(
+            f"the average over 2^{longest} terms leaves a tail of 2^{longest}"
+            f" terms at frequency 1, over the direct-summation budget "
+            f"{DIRECT_SUM_BUDGET}; lower R")
     return np.array([[fast_dyadic_quadratic_weyl(ki, params.R, 1 << jl)
                       for ki in params.k] for jl in params.j])
 
@@ -218,6 +232,9 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
     check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET,
                 "direct-summation")
     check_dp_cells(sample_count, L)
+    # every start is evaluated once and then once per iteration at most
+    check_run_cells((restarts + 1 + (init is not None)) * (iterations + 1),
+                    sample_count, L, "the restarts or the iterations")
     z = _independent_phase_matrix(L, sample_count, seed)
     # one buffer for every evaluation: a fresh (L, samples) array each time
     # can land on new pages, and each page costs a fault when first written

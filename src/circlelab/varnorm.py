@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -24,6 +26,14 @@ DP_BLOCK_ROWS = 4096
 # (17.3 M cells) and 2^20 x 6 (15.7 M) arrays of the experiments, below the
 # 8.2e9 cells of `average --modulus 1024 --scales 1,2,...,4000`
 DP_CELL_BUDGET = 1 << 28
+# most DP cells one run may visit over all its calls, checked before its
+# first draw: smooth's trials, the coefficient search's starts times its
+# evaluations per start; some 5-15 s at 5-13 ns a cell
+RUN_DP_CELL_BUDGET = 1 << 30
+# a call of at least this many DP cells is split across the process's CPUs;
+# below it a thread costs more than it saves (8192 x 8, 229K cells, broke
+# even on a 2-vCPU host, and 8192 x 4 took twice as long on two threads)
+PAR_MIN_CELLS = 1 << 19
 
 
 class IndexedSeq(NamedTuple("IndexedSeq", [("indices", tuple),
@@ -88,6 +98,22 @@ def check_dp_cells(rows: int, S: int) -> None:
             f"variation over {rows} families of length {S} needs {cells} DP "
             f"cells, over the budget {DP_CELL_BUDGET}; lower the number of "
             f"points or of scales")
+
+
+def check_run_cells(calls: int, rows: int, S: int, knobs: str) -> None:
+    """Refuse `calls` DP calls over `rows` families of length S above
+    RUN_DP_CELL_BUDGET cells in all; `knobs` names what to lower.
+
+    The message gives the cells as a power of two: `calls` is a product
+    of counts from the command line and may have more digits than str()
+    prints.
+    """
+    cells = calls * rows * (S * (S - 1) // 2)
+    if cells > RUN_DP_CELL_BUDGET:
+        raise ResourceError(
+            f"the variations over {rows} families of length {S} need >= "
+            f"2^{cells.bit_length() - 1} DP cells in all, over the run "
+            f"budget {RUN_DP_CELL_BUDGET}; lower {knobs}")
 
 
 def _dp_workspace(S: int, cols: int):
@@ -207,13 +233,28 @@ def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
                            block_subsequences=tuple(blocks))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on (`taskset -c 0` makes it one)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _dp_blocks(v, r, top, blocks, work) -> None:
+    """Each block's column max of the DP over v's columns, into top."""
+    for block in blocks:
+        _best_power_sums(v[:, block], r, work).max(axis=0, out=top[block])
+
+
 def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     """Vectorized r-variation along the last axis (values only, no optimizer).
 
     `values` has shape (..., S); the leading axes are flattened into rows,
-    the DP runs on (S, DP_BLOCK_ROWS) blocks in one workspace, and only
-    each block's column max is kept.  A call over DP_CELL_BUDGET cells
-    rows * S(S-1)/2 is refused before any work.
+    the DP runs on (S, cols) blocks of at most DP_BLOCK_ROWS columns, and
+    only each block's column max is kept.  A call of PAR_MIN_CELLS cells
+    or more is cut into at least two blocks, dealt in turn to one worker
+    per CPU (the caller and W - 1 threads), each with its own workspace;
+    every column's DP is the same either way, so the result is bitwise the
+    same.  A call over DP_CELL_BUDGET cells rows * S(S-1)/2 is refused
+    before any work.
     """
     r = check_r(r)
     values = np.asarray(values)
@@ -223,10 +264,38 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     # one (S, rows) copy, none when the caller passes the .T of (S, rows)
     v = np.asarray(values.reshape(rows, S).T, dtype=complex, order="C")
     top = np.empty(rows)
-    work = _dp_workspace(S, min(rows, DP_BLOCK_ROWS))
-    for lo in range(0, rows, DP_BLOCK_ROWS):
-        block = slice(lo, lo + DP_BLOCK_ROWS)
-        _best_power_sums(v[:, block], r, work).max(axis=0, out=top[block])
+    n = max(-(-rows // DP_BLOCK_ROWS), 1)
+    workers = 1
+    if rows * (S * (S - 1) // 2) >= PAR_MIN_CELLS:
+        n = min(max(n, 2), rows)
+        workers = min(_cpus(), n)
+    # the first `extra` blocks are one column wider, so each worker's
+    # blocks never widen, as `_dp_workspace` requires
+    width, extra = divmod(rows, n)
+    cuts = [i * width + min(i, extra) for i in range(n + 1)]
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    # every workspace is made here, in the calling thread, so none comes
+    # from a worker thread's own malloc arena
+    works = [_dp_workspace(S, width + (extra > 0)) for _ in range(workers)]
+    failed = []
+
+    def worker(w):
+        try:
+            _dp_blocks(v, r, top, blocks[w::workers], works[w])
+        except BaseException as exc:  # re-raised by the caller
+            failed.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(w,))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        _dp_blocks(v, r, top, blocks[0::workers], works[0])
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[0]
     # [()] makes a 1-D call's 0-d result a scalar, whose power is the
     # scalar one (numpy's array power can differ from it in the last bit)
     return top.reshape(lead)[()] ** (1.0 / r)

@@ -229,13 +229,14 @@ def verify_smooth(N: int, A: float, a: float, trials: int,
     trials draw clipped random walks.
     """
     from .spectral import _complex_normal, _pairwise_norm, multiplier_variation
-    from .varnorm import check_dp_cells
+    from .varnorm import check_dp_cells, check_run_cells
     if not 0 < a <= A < math.inf:
         raise ParameterError("need 0 < a <= A < inf")
     if N < 1 or trials < 1:
         raise ParameterError("N and trials must be positive")
     M = SMOOTH_MODULUS
     check_dp_cells(M, N)
+    check_run_cells(trials, M, N, "the trials")
     rng = np.random.default_rng(seed)
     bound = math.sqrt(N * A * a)
     ratios = []

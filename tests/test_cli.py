@@ -247,6 +247,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,expect", [
+        # 2^31 trials of 256 x 64(63)/2 cells each
+        (["smooth", "--N", "64", "--a", "0.05", "--trials", "2147483648"], 3),
+        # 65537 starts x 201 evaluations of 8192 x 21 cells
+        (["search-coeffs", "--L", "7", "--restarts", "65536"], 3),
+        (["search-coeffs", "--L", "7", "--iterations", "100000000"], 3),
+    ])
+    def test_run_cell_budget_before_any_draw(self, argv, expect, capsys,
+                                             monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("drew or ran the DP before the run budget")
+
+        for name in ("circlelab.varnorm._best_power_sums",
+                     "circlelab.verify._ramp_multipliers",
+                     "circlelab.torus._independent_phase_matrix"):
+            monkeypatch.setattr(name, never)
+        assert main(argv) == expect
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "run budget" in err
+
+    @pytest.mark.parametrize("argv,expect", [
+        # L rungs need R >= 2^L: refused before lists of L rungs are made
+        (["counterexample", "--L", "9223372036854775808", "--R", "14",
+          "--dry-run"], 2),
+        (["counterexample", "--L", "9223372036854775808", "--R", "14"], 2),
+        # tails of 2^(R/2) terms: refused before 2^(R/2) is formed
+        (["counterexample", "--L", "2", "--R",
+          "99999999999999999999999"], 3),
+        # a tail with more than 4300 decimal digits
+        (["counterexample", "--L", "2", "--R", "65536"], 3),
+    ])
+    def test_huge_ladders_refused(self, argv, expect, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("summed a tail before the budget")
+
+        monkeypatch.setattr("circlelab.torus.fast_dyadic_quadratic_weyl",
+                            never)
+        assert main(argv) == expect
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_farey_level_budget(self, capsys):
         # no level up to s = 9 admits 1/3000007: refused at level 10
         code, _ = run_cli(["arcs", "--n", "200", "--delta", "0.125",

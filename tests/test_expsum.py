@@ -522,6 +522,11 @@ class TestFastDyadic:
         with pytest.raises(ResourceError):
             fast_dyadic_quadratic_weyl(0, 60, (1 << 23) + 1)
 
+    def test_huge_tail_message_gives_its_bits(self):
+        # the tail has over 4300 decimal digits, more than str() may print
+        with pytest.raises(ResourceError, match=r"length >= 2\^65535 "):
+            fast_dyadic_quadratic_weyl(0, 70000, 1 << 65535)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             fast_dyadic_quadratic_weyl(5, 4, 10)

@@ -17,7 +17,8 @@ from circlelab import (IntPoly, LacunaryTrigPoly, ParameterError,
 from circlelab import expsum
 from circlelab.expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET
 from circlelab.torus import (_independent_phase_matrix, _ladder_phases,
-                             _partial_sum_objective, _partial_sums)
+                             _partial_sum_objective, _partial_sums,
+                             eta_multipliers)
 
 from oracles import (cumsum_partial_sum_objective, eval_dyadic, eval_float,
                      l2_norm)
@@ -73,6 +74,33 @@ class TestBuildSequences:
     def test_small_R_rejected(self):
         with pytest.raises(ParameterError):
             build_sequences(3, 5)
+
+    def test_up_front_bound_refuses_no_ladder(self):
+        # the recursion alone, without the R >= 2^L bound checked first
+        def admits(L, R):
+            k, j = [0] * L, [0] * L
+            j[L - 1] = -((L - R) // 2)
+            for l in range(L - 1, 0, -1):
+                k[l - 1] = R - j[l]
+                j[l - 1] = -((L + k[l - 1] - R) // 2)
+            return (min(k) >= 0 and min(j) >= 1
+                    and all(a < b for a, b in zip(j, j[1:]))
+                    and all(a > b for a, b in zip(k, k[1:])))
+
+        for L in range(1, 10):
+            for R in range(-4, 1200):
+                try:
+                    build_sequences(L, R)
+                    built = True
+                except ParameterError:
+                    built = False
+                assert built == admits(L, R), (L, R)
+
+    def test_huge_L_refused_before_its_lists(self):
+        # [0] * L would raise OverflowError or allocate 2 x 8 GB
+        for L in (1 << 63, 10 ** 9):
+            with pytest.raises(ParameterError, match="too small"):
+                build_sequences(L, 14)
 
     def test_exact_ladder_radius_divides_evenly(self):
         for L in [2, 3, 4]:
@@ -344,6 +372,27 @@ class TestSearch:
         with pytest.raises(ParameterError):
             search_coefficients(1, 10, 1, 0)
 
+    @pytest.mark.parametrize("L,iterations,restarts,init,over", [
+        # counterexample's search: 3 starts x 201 evaluations
+        (30, 200, 2, None, True),
+        (5, 200, 2, None, False),
+        # L = 2: 8192 cells an evaluation, 2^17 evaluations in the budget;
+        # a warm start is one more start
+        (2, 65536, 0, None, False),
+        (2, 65536, 0, [1.0], True),
+    ])
+    def test_run_budget_before_phases(self, L, iterations, restarts, init,
+                                      over):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        with mock.patch("circlelab.torus._independent_phase_matrix", reached):
+            with pytest.raises(ResourceError if over else Reached):
+                search_coefficients(L, iterations, restarts, 0, init=init)
+
     @pytest.mark.parametrize("iterations,restarts", [(-1, 1), (10, -1)])
     def test_negative_counts_rejected(self, iterations, restarts):
         with pytest.raises(ParameterError):
@@ -362,6 +411,45 @@ class TestSearch:
         with mock.patch("circlelab.torus._independent_phase_matrix", never):
             with pytest.raises(error):
                 search_coefficients(L, 10, 1, 0, sample_count=samples)
+
+
+class TestEtaMultipliers:
+    def test_refused_as_the_per_entry_tails_are(self):
+        # entry (j_l, k_i) sums a tail of 2^(j_l) terms when j_l < R - k_i;
+        # the one check up front refuses exactly the ladders where such a
+        # tail is over the budget, and sums nothing before it
+        cheap = mock.patch("circlelab.torus.fast_dyadic_quadratic_weyl",
+                           lambda k, R, N: 0j)
+        checked = 0
+        with cheap:
+            for L in range(1, 5):
+                for R in range(2, 200):
+                    try:
+                        params = build_sequences(L, R)
+                    except ParameterError:
+                        continue
+                    over = any(jl < R - ki and 1 << jl > DIRECT_SUM_BUDGET
+                               for jl in params.j for ki in params.k)
+                    try:
+                        eta_multipliers(params)
+                        refused = False
+                    except ResourceError:
+                        refused = True
+                    assert refused == over, (L, R)
+                    checked += 1
+        assert checked > 100
+
+    def test_longest_admitted_tail(self):
+        # L = 2: j_2 = 22 at R = 46 is summed, j_2 = 23 at R = 48 is not
+        W = eta_multipliers(build_sequences(2, 46))
+        params = build_sequences(2, 46)
+        assert_bitwise_equal(W, np.array(
+            [[fast_dyadic_quadratic_weyl(ki, 46, 1 << jl) for ki in params.k]
+             for jl in params.j]))
+        with mock.patch("circlelab.torus.fast_dyadic_quadratic_weyl",
+                        side_effect=AssertionError):
+            with pytest.raises(ResourceError, match=r"2\^23 terms"):
+                eta_multipliers(build_sequences(2, 48))
 
 
 class TestSampleCount:

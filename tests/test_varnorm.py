@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis.extra.numpy import arrays
 from circlelab import (IndexedSeq, ParameterError, ResourceError,
                        long_variation, short_variation, variation,
                        variation_values)
-from circlelab.varnorm import (DP_CELL_BUDGET, _best_power_sums,
-                               check_dp_cells)
+from circlelab import spectral, varnorm
+from circlelab.varnorm import (DP_CELL_BUDGET, PAR_MIN_CELLS,
+                               RUN_DP_CELL_BUDGET, _best_power_sums,
+                               check_dp_cells, check_run_cells)
 
 
 def brute_force_variation(values, r):
@@ -295,12 +298,203 @@ class TestBlockKernel:
                                  loop_best_power_sums(block.T, r).T)
 
 
+class TestSplitDP:
+    """A call split across workers is bitwise equal to the serial path and
+    to the broadcast loop: each column's DP is the same on any worker."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """split(W): every call at or over the gate of 0 cells runs on
+        min(W, blocks) workers; returns the list of threads started."""
+        started = []
+        real_thread = threading.Thread
+
+        def thread(*args, **kwargs):
+            t = real_thread(*args, **kwargs)
+            started.append(t)
+            return t
+
+        def split(workers):
+            monkeypatch.setattr(varnorm, "PAR_MIN_CELLS", 0)
+            monkeypatch.setattr(varnorm, "_cpus", lambda: workers)
+            monkeypatch.setattr(varnorm.threading, "Thread", thread)
+            return started
+
+        return split
+
+    @pytest.mark.parametrize("rows", (1, 2, 4095, 4097, 8193))
+    @pytest.mark.parametrize("S", (1, 2, 16, 64))
+    def test_matches_serial_and_loop(self, rows, S, split):
+        r = EXPONENTS[(rows + S) % len(EXPONENTS)]
+        values = random_values((rows, S), rows * 31 + S)
+        want = loop_variation_values(values, r)
+        assert_bitwise_equal(variation_values(values, r), want)
+        # one worker is the serial path over the split blocks
+        for workers in (1, 2, 3):
+            started = split(workers)
+            assert_bitwise_equal(variation_values(values, r), want)
+            # at least two blocks, at most one per row; the caller is the
+            # first worker
+            blocks = min(max(-(-rows // 4096), 2), rows)
+            assert len(started) == min(workers, blocks) - 1
+            started.clear()
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    @pytest.mark.parametrize("r", EXPONENTS)
+    def test_overflow_to_inf(self, workers, r, split):
+        values = random_values((4097, 6), 7)
+        values[::3, 1] = 1e200
+        values[1::3, 3] = -1e308 + 1e308j
+        values[::2, 4] = 1e308
+        serial = variation_values(values, r)
+        split(workers)
+        top = variation_values(values, r)
+        assert np.isinf(top).any() and not np.isnan(top).any()
+        assert_bitwise_equal(top, serial)
+        assert_bitwise_equal(top, loop_variation_values(values, r))
+
+    @pytest.mark.parametrize("M,S", [(256, 17), (4097, 6), (5000, 16)])
+    def test_transposed_views(self, M, S, split):
+        spatial = np.fft.ifft(random_values((S, M), M), axis=1).T
+        serial = variation_values(spatial, 3.0)
+        for workers in (2, 3):
+            split(workers)
+            assert_bitwise_equal(variation_values(spatial, 3.0), serial)
+            assert_bitwise_equal(variation_values(
+                np.ascontiguousarray(spatial), 3.0), serial)
+        assert_bitwise_equal(serial, loop_variation_values(spatial, 3.0))
+
+    def test_worker_exception_reaches_caller(self, split, monkeypatch):
+        split(3)
+        real = varnorm._best_power_sums
+
+        def fail_off_caller(v, r, work=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            return real(v, r, work)
+
+        monkeypatch.setattr(varnorm, "_best_power_sums", fail_off_caller)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            variation_values(random_values((9000, 4), 5), 2.0)
+        # every worker was joined before the exception left the call
+        assert threading.active_count() == before
+
+    def test_caller_exception_joins_workers(self, split, monkeypatch):
+        started = split(2)
+        real = varnorm._best_power_sums
+
+        def fail_on_caller(v, r, work=None):
+            if threading.current_thread() is threading.main_thread():
+                raise FloatingPointError("caller failed")
+            return real(v, r, work)
+
+        monkeypatch.setattr(varnorm, "_best_power_sums", fail_on_caller)
+        with pytest.raises(FloatingPointError, match="caller failed"):
+            variation_values(random_values((8192, 4), 5), 2.0)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_below_the_gate_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started below the gate")
+
+        monkeypatch.setattr(varnorm, "_cpus", lambda: 2)
+        monkeypatch.setattr(varnorm.threading, "Thread", no_thread)
+        # 8192 x 8 (229K cells), the search's 8192 x 5, and one cell
+        # under the gate
+        for shape in [(8192, 8), (8192, 5), (PAR_MIN_CELLS - 1, 2)]:
+            values = random_values(shape, shape[1])
+            assert_bitwise_equal(variation_values(values, 2.0),
+                                 loop_variation_values(values, 2.0))
+
+    def test_at_the_gate_splits(self, monkeypatch):
+        started = []
+        real_thread = threading.Thread
+
+        def thread(*args, **kwargs):
+            t = real_thread(*args, **kwargs)
+            started.append(t)
+            return t
+
+        monkeypatch.setattr(varnorm, "_cpus", lambda: 2)
+        monkeypatch.setattr(varnorm.threading, "Thread", thread)
+        values = random_values((PAR_MIN_CELLS, 2), 2)
+        assert_bitwise_equal(variation_values(values, 2.0),
+                             loop_variation_values(values, 2.0))
+        assert len(started) == 1
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        # taskset -c 0: one worker, the caller, over the split blocks
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started on one CPU")
+
+        monkeypatch.setattr(varnorm, "_cpus", lambda: 1)
+        monkeypatch.setattr(varnorm.threading, "Thread", no_thread)
+        values = random_values((16384, 16), 16)
+        assert_bitwise_equal(variation_values(values, 2.0),
+                             loop_variation_values(values, 2.0))
+
+    def test_workspaces_made_by_the_caller(self, monkeypatch):
+        made = []
+        real = varnorm._dp_workspace
+
+        def recorded(S, cols):
+            made.append((threading.current_thread(), cols))
+            return real(S, cols)
+
+        monkeypatch.setattr(varnorm, "_cpus", lambda: 2)
+        monkeypatch.setattr(varnorm, "_dp_workspace", recorded)
+        variation_values(random_values((16384, 16), 4), 2.0)
+        # 4 blocks of 4096, two workers, two workspaces of the widest block
+        assert made == [(threading.main_thread(), 4096)] * 2
+
+    def test_no_fft_on_a_worker(self, monkeypatch):
+        # multiplier_variation runs its FFT in the caller and only the DP
+        # blocks on the workers
+        seen = {"fft": set(), "dp": set()}
+        real_ifft, real_dp = np.fft.ifft, varnorm._best_power_sums
+
+        def ifft(*args, **kwargs):
+            seen["fft"].add(threading.current_thread())
+            return real_ifft(*args, **kwargs)
+
+        def dp(*args, **kwargs):
+            seen["dp"].add(threading.current_thread())
+            return real_dp(*args, **kwargs)
+
+        monkeypatch.setattr(varnorm, "_cpus", lambda: 2)
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+        monkeypatch.setattr(varnorm, "_best_power_sums", dp)
+        rng = np.random.default_rng(0)
+        M = 1 << 14
+        mults = np.exp(2j * np.pi * rng.random((16, M)))
+        spectral.multiplier_variation(np.fft.fft(rng.standard_normal(M)),
+                                      mults, 2.0)
+        assert seen["fft"] == {threading.main_thread()}
+        assert len(seen["dp"]) == 2
+
+
 class TestCellBudget:
     def test_experiment_shapes_admitted(self):
         # the largest arrays of the acceptance gate and of the benchmark
         check_dp_cells(1 << 20, 6)
         check_dp_cells(1 << 18, 12)
         check_dp_cells(DP_CELL_BUDGET, 2)
+
+    def test_experiment_runs_admitted(self):
+        # smooth --N 256 (8 trials; 20 in acceptance 08), the benchmark's
+        # searches (L = 5 at 100 iterations, L = 4 at 200, 3 starts each),
+        # acceptance 12's search and counterexample's at L = 5
+        check_run_cells(20, 256, 256, "")
+        check_run_cells(3 * 101, 8192, 5, "")
+        check_run_cells(3 * 201, 8192, 4, "")
+        check_run_cells(3 * 301, 8192, 3, "")
+        check_run_cells(3 * 201, 8192, 5, "")
+
+    def test_run_budget_boundary(self):
+        check_run_cells(RUN_DP_CELL_BUDGET, 1, 2, "")
+        with pytest.raises(ResourceError, match="lower the trials"):
+            check_run_cells(RUN_DP_CELL_BUDGET + 1, 1, 2, "the trials")
 
     def test_over_budget_refused(self):
         with pytest.raises(ResourceError):

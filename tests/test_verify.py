@@ -159,6 +159,15 @@ class TestSmooth:
         with pytest.raises(ResourceError):
             verify_smooth(100_000, 1.0, 1e-5, 2, 0)
 
+    def test_total_cells_checked_first(self, monkeypatch):
+        # 129 trials of 256 x 256(255)/2 cells are over the run budget
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the run budget")
+
+        monkeypatch.setattr(verify, "_ramp_multipliers", never)
+        with pytest.raises(ResourceError, match="run budget"):
+            verify_smooth(256, 1.0, 0.05, 129, 0)
+
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
             verify_smooth(8, 1.0, 2.0, 2, 0)  # a > A
