@@ -19,8 +19,10 @@ factor (the line before it).
 The output holds, per workload and seed, each side's median and
 quartiles of every end-to-end metric with the values they come from, and
 the number of pairs in which the change was better by BENCHMARK.json's
-direction of that metric.  It changes no program output and needs no
-tracer.
+direction of that metric.  An existing --out file of the same two commits
+is extended, so workloads can be measured at different seeds or pair
+counts by separate invocations.  It changes no program output and needs
+no tracer.
 """
 
 from __future__ import annotations
@@ -121,10 +123,26 @@ def main(argv=None) -> int:
         doc = measure(args, argv, workdir, metrics, workloads, seeds)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    if os.path.exists(args.out):
+        doc = merged(args.out, doc)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 0
+
+
+def merged(path: str, doc: dict) -> dict:
+    """The document at `path` with `doc`'s runs added, when both measure
+    the same two commits; each invocation's command is kept."""
+    with open(path) as fh:
+        old = json.load(fh)
+    if old["commits"] != doc["commits"]:
+        raise SystemExit(f"error: {path} measures other commits; "
+                         "write to a new file")
+    for workload, seeds in doc["workloads"].items():
+        old["workloads"].setdefault(workload, {}).update(seeds)
+    old["commands"] += doc["commands"]
+    return old
 
 
 def measure(args, argv, workdir, metrics, workloads, seeds) -> dict:
@@ -132,11 +150,12 @@ def measure(args, argv, workdir, metrics, workloads, seeds) -> dict:
     for side in ("parent", "change"):
         trees[side] = os.path.join(workdir, side)
         commits[side] = checkout(getattr(args, side), trees[side])
-    doc = {"command": ["python3", "bench/write_bench.py",
-                       *(argv if argv is not None else sys.argv[1:])],
-           "commits": commits, "seconds": args.seconds, "pairs": args.pairs,
-           "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-           "workloads": {}, "provenance": {}}
+    command = {"argv": ["python3", "bench/write_bench.py",
+                        *(argv if argv is not None else sys.argv[1:])],
+               "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                            time.gmtime())}
+    doc = {"commands": [command], "commits": commits, "workloads": {},
+           "provenance": {}}
     for workload in workloads:
         for seed in seeds:
             pairs = []
@@ -161,8 +180,10 @@ def measure(args, argv, workdir, metrics, workloads, seeds) -> dict:
                                        for p in pairs]
                                 for side in ("parent", "change")},
                 "failed_runs": {side: sum(p[side]["failed"] for p in pairs)
-                                for side in ("parent", "change")}}
-    doc["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+                                for side in ("parent", "change")},
+                "seconds": args.seconds}
+    command["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                            time.gmtime())
     return doc
 
 
