@@ -3,25 +3,26 @@
 Usage (from the repository root):
 
     python3 bench/write_bench.py --parent REV --change REV --out BENCH_21.json
-        [--workload NAME ...] [--seeds 0,3] [--pairs 5] [--seconds 30]
-        [--workdir DIR]
+        [--workload NAME ...] [--seeds 0,3] [--workdir DIR]
 
 Each revision's committed files are extracted with ``git archive`` into a
 directory of its own under --workdir, so the numbers belong to commits,
 not to a working tree.  For every workload (default: every one that
 BENCHMARK.json lists) and every seed, the script runs ``perfbench/run.py
---trace 0`` of each checkout in --pairs alternating pairs, the parent
-first in even pairs and the change first in odd ones, so that a drift of
-the host's speed falls on both sides alike.  From each run it keeps the
+--trace 0`` of each checkout for BENCHMARK.json's ``run_seconds`` in
+PAIRS alternating pairs, the parent first in even pairs and the change
+first in odd ones, so that a drift of the host's speed falls on both
+sides alike.  From each run it keeps the
 end-to-end metrics (the last stdout line) and the provenance and host
 factor (the line before it).
 
 The output holds, per workload and seed, each side's median and
 quartiles of every end-to-end metric with the values they come from, and
 the number of pairs in which the change was better by BENCHMARK.json's
-direction of that metric.  An existing --out file of the same two commits
-is extended, so workloads can be measured at different seeds or pair
-counts by separate invocations.  It changes no program output and needs
+direction of that metric.  An existing --out file is extended with
+workloads and seeds it does not hold yet, so they can be measured by
+separate invocations; one of other commits or of another provenance
+(host, Python, numpy, thread settings) is refused.  It changes no program output and needs
 no tracer.
 """
 
@@ -39,6 +40,9 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# alternating pairs per workload and seed: a claimed gain must win at
+# least nine of ten
+PAIRS = 10
 
 
 def _git(*args) -> str:
@@ -108,8 +112,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", default=None,
                    help="repeatable; default every workload")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--workdir", default=None,
                    help="where the checkouts go; default a new temp dir")
     args = p.parse_args(argv)
@@ -120,7 +122,8 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     workdir = tempfile.mkdtemp(prefix="bench-", dir=args.workdir)
     try:
-        doc = measure(args, argv, workdir, metrics, workloads, seeds)
+        doc = measure(args, argv, workdir, metrics, workloads, seeds,
+                      bench["run_seconds"])
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     if os.path.exists(args.out):
@@ -133,19 +136,28 @@ def main(argv=None) -> int:
 
 def merged(path: str, doc: dict) -> dict:
     """The document at `path` with `doc`'s runs added, when both measure
-    the same two commits; each invocation's command is kept."""
+    the same two commits with the same provenance and `doc` holds no
+    workload and seed that `path` has; each invocation's command is kept."""
     with open(path) as fh:
         old = json.load(fh)
-    if old["commits"] != doc["commits"]:
-        raise SystemExit(f"error: {path} measures other commits; "
-                         "write to a new file")
+    for key, what in (("commits", "other commits"),
+                      ("provenance", "with another provenance")):
+        if old[key] != doc[key]:
+            raise SystemExit(f"error: {path} measures {what}; "
+                             "write to a new file")
     for workload, seeds in doc["workloads"].items():
-        old["workloads"].setdefault(workload, {}).update(seeds)
+        held = old["workloads"].setdefault(workload, {})
+        for seed in seeds:
+            if seed in held:
+                raise SystemExit(f"error: {path} already holds {workload} "
+                                 f"at seed {seed}")
+        held.update(seeds)
     old["commands"] += doc["commands"]
     return old
 
 
-def measure(args, argv, workdir, metrics, workloads, seeds) -> dict:
+def measure(args, argv, workdir, metrics, workloads, seeds,
+            seconds) -> dict:
     trees, commits = {}, {}
     for side in ("parent", "change"):
         trees[side] = os.path.join(workdir, side)
@@ -159,21 +171,24 @@ def measure(args, argv, workdir, metrics, workloads, seeds) -> dict:
     for workload in workloads:
         for seed in seeds:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else \
                     ("change", "parent")
                 pair = {side: run_once(trees[side], workload, seed,
-                                       args.seconds) for side in order}
+                                       seconds) for side in order}
                 pairs.append(pair)
-                print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: "
+                print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: "
                       + ", ".join(f"{side} wall_s "
                                   f"{pair[side]['metrics']['wall_s']:.3f}"
                                   for side in ("parent", "change")),
                       file=sys.stderr, flush=True)
             for side in ("parent", "change"):
-                doc["provenance"].setdefault(side, {
-                    k: v for k, v in pairs[0][side]["provenance"].items()
-                    if k != "git_commit"})
+                for run in (pair[side] for pair in pairs):
+                    prov = {k: v for k, v in run["provenance"].items()
+                            if k != "git_commit"}
+                    if doc["provenance"].setdefault(side, prov) != prov:
+                        raise SystemExit(f"error: the {side}'s provenance "
+                                         "changed between its runs")
             doc["workloads"].setdefault(workload, {})[str(seed)] = {
                 "metrics": compare(pairs, metrics),
                 "host_factor": {side: [p[side]["host"]["host_factor"]
@@ -181,7 +196,7 @@ def measure(args, argv, workdir, metrics, workloads, seeds) -> dict:
                                 for side in ("parent", "change")},
                 "failed_runs": {side: sum(p[side]["failed"] for p in pairs)
                                 for side in ("parent", "change")},
-                "seconds": args.seconds}
+                "seconds": seconds}
     command["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                             time.gmtime())
     return doc

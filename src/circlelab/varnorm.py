@@ -234,8 +234,12 @@ def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on (`taskset -c 0` makes it one)."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on (`taskset -c 0` makes it one);
+    os.cpu_count() where the OS has no affinity call (macOS, Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return os.cpu_count() or 1
+    return len(affinity(0))
 
 
 def _dp_blocks(v, r, top, blocks, work) -> None:

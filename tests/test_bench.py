@@ -54,7 +54,25 @@ def test_merge_only_the_same_commits(tmp_path):
     assert doc["workloads"] == {"decomp": {"0": {"x": 1}, "11": {"x": 2}},
                                 "weyl": {"0": {}}}
     assert [c["argv"] for c in doc["commands"]] == [["a"], ["b"]]
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="other commits"):
         write_bench.merged(str(path), {**more,
                                        "commits": {"parent": "p",
                                                    "change": "d"}})
+
+
+def test_merge_refuses_another_provenance_or_a_held_seed(tmp_path):
+    path = tmp_path / "BENCH.json"
+    prov = {"parent": {"numpy": "2.4.6"}, "change": {"numpy": "2.4.6"}}
+    first = {"commands": [{"argv": ["a"]}], "commits": {"parent": "p",
+                                                        "change": "c"},
+             "workloads": {"decomp": {"0": {"x": 1}}}, "provenance": prov}
+    path.write_text(json.dumps(first))
+    other = {"parent": prov["parent"], "change": {"numpy": "2.5.0"}}
+    with pytest.raises(SystemExit, match="another provenance"):
+        write_bench.merged(str(path), {**first, "provenance": other,
+                                       "workloads": {"weyl": {"0": {}}}})
+    with pytest.raises(SystemExit, match="already holds decomp at seed 0"):
+        write_bench.merged(str(path), {**first,
+                                       "workloads": {"decomp": {"0": {}}}})
+    # nothing of a refused merge reached the file
+    assert json.loads(path.read_text()) == first

@@ -253,6 +253,9 @@ class TestExitCodes:
         # 65537 starts x 201 evaluations of 8192 x 21 cells
         (["search-coeffs", "--L", "7", "--restarts", "65536"], 3),
         (["search-coeffs", "--L", "7", "--iterations", "100000000"], 3),
+        # the smallest runs refused at the default counts
+        (["search-coeffs", "--L", "22"], 3),
+        (["smooth", "--N", "1025", "--a", "0.05"], 3),
     ])
     def test_run_cell_budget_before_any_draw(self, argv, expect, capsys,
                                              monkeypatch):

@@ -376,6 +376,10 @@ class TestSearch:
         # counterexample's search: 3 starts x 201 evaluations
         (30, 200, 2, None, True),
         (5, 200, 2, None, False),
+        # search-coeffs' defaults: 603 x 8192 x 210 cells at L = 21 fit
+        # the run budget, 603 x 8192 x 231 at L = 22 do not
+        (21, 200, 2, None, False),
+        (22, 200, 2, None, True),
         # L = 2: 8192 cells an evaluation, 2^17 evaluations in the budget;
         # a warm start is one more start
         (2, 65536, 0, None, False),

@@ -434,6 +434,27 @@ class TestSplitDP:
         assert_bitwise_equal(variation_values(values, 2.0),
                              loop_variation_values(values, 2.0))
 
+    @pytest.mark.parametrize("count,workers", [(2, 2), (None, 1)])
+    def test_no_affinity_call(self, count, workers, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the CPUs are
+        # os.cpu_count(), or one when it is unknown
+        started = []
+        real_thread = threading.Thread
+
+        def thread(*args, **kwargs):
+            t = real_thread(*args, **kwargs)
+            started.append(t)
+            return t
+
+        monkeypatch.delattr(varnorm.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(varnorm.os, "cpu_count", lambda: count)
+        monkeypatch.setattr(varnorm.threading, "Thread", thread)
+        assert varnorm._cpus() == workers
+        values = random_values((16384, 16), 16)
+        assert_bitwise_equal(variation_values(values, 2.0),
+                             loop_variation_values(values, 2.0))
+        assert len(started) == workers - 1
+
     def test_workspaces_made_by_the_caller(self, monkeypatch):
         made = []
         real = varnorm._dp_workspace

@@ -168,6 +168,20 @@ class TestSmooth:
         with pytest.raises(ResourceError, match="run budget"):
             verify_smooth(256, 1.0, 0.05, 129, 0)
 
+    @pytest.mark.parametrize("N,over", [(1024, False), (1025, True)])
+    def test_run_budget_at_the_default_trials(self, N, over, monkeypatch):
+        # smooth's 8 trials of 256 x N(N-1)/2 cells: 2^30 - 2^20 at
+        # N = 1024, 2^30 + 2^20 at N = 1025
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(verify, "_ramp_multipliers", reached)
+        with pytest.raises(ResourceError if over else Reached):
+            verify_smooth(N, 1.0, 0.05, 8, 0)
+
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
             verify_smooth(8, 1.0, 2.0, 2, 0)  # a > A
