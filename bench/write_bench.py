@@ -19,16 +19,19 @@ factor (the line before it).
 The output holds, per workload and seed, each side's median and
 quartiles of every end-to-end metric with the values they come from, and
 the number of pairs in which the change was better by BENCHMARK.json's
-direction of that metric.  An existing --out file is extended with
-workloads and seeds it does not hold yet, so they can be measured by
-separate invocations; one of other commits or of another provenance
-(host, Python, numpy, thread settings) is refused.  It changes no program output and needs
-no tracer.
+direction of that metric; and each side's ``src_lines``, the line count
+of its ``src/circlelab/*.py`` (as ``wc -l`` counts them).
+
+An existing --out file is extended with workloads and seeds it does not
+hold yet, so they can be measured by separate invocations; one of other
+commits or of another provenance (host, Python, numpy, thread settings)
+is refused.  It changes no program output and needs no tracer.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import shutil
@@ -61,6 +64,16 @@ def checkout(rev: str, dest: str) -> str:
         tar.extractall(dest, filter="data")
     os.remove(archive)
     return commit
+
+
+def src_lines(tree: str) -> int:
+    """The lines of `tree`'s src/circlelab/*.py, newlines counted as by
+    ``wc -l``."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "circlelab", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -167,7 +180,9 @@ def measure(args, argv, workdir, metrics, workloads, seeds,
                "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                             time.gmtime())}
     doc = {"commands": [command], "commits": commits, "workloads": {},
-           "provenance": {}}
+           "provenance": {},
+           "src_lines": {side: src_lines(trees[side])
+                         for side in ("parent", "change")}}
     for workload in workloads:
         for seed in seeds:
             pairs = []

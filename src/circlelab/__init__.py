@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 # numpy, and each CLI subcommand loads only the modules it runs
 _EXPORTS = {name: module for module, names in (
     ("arith", "ArcParams CongruenceData IntPoly ReducedFraction arc_labels "
-              "congruence_data eval_poly farey_level"),
+              "congruence_data eval_poly"),
     ("errors", "CircleLabError ParameterError ResourceError"),
-    ("expsum", "complete_dyadic_gauss fast_dyadic_quadratic_weyl "
+    ("expsum", "dyadic_gauss_mean fast_dyadic_quadratic_weyl "
                "gauss_weight weyl_sum weyl_sum_prefixes"),
     ("spectral", "CyclicSignal average_multipliers variation_experiment"),
     ("torus", "CounterexampleParams LacunaryTrigPoly build_sequences "

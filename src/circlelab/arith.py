@@ -1,27 +1,22 @@
-"""Integer polynomials, reduced rationals, Farey-level exhaustions and arcs.
+"""Integer polynomials, reduced rationals, arcs and congruence data.
 
 Everything in here is exact: polynomials are evaluated with arbitrary-width
 integers, fractions are `fractions.Fraction` under the hood, and arc
-classification reduces every distance in integers and rounds it to a float
-once, at the final comparison against the (irrational) arc width, where
-ties within 2 ulp of the boundary are resolved toward Minor.
+classification finds each point's nearest admitted fraction by continued
+fractions, reduces its distance in integers and rounds it to a float once,
+at the final comparison against the (irrational) arc width, where ties
+within 2 ulp of the boundary are resolved toward Minor.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
-
-# farey_level: largest size bound 4^s of a level we build (so s <= 9 and
-# q < 2^10; the cost grows about 4x a level, and level 9 takes seconds
-# already)
-FAREY_LEVEL_BUDGET = 1 << 18
+from .errors import ParameterError
 
 
 class IntPoly(NamedTuple("IntPoly", [("coeffs", tuple)])):
@@ -99,35 +94,6 @@ class ReducedFraction(NamedTuple("ReducedFraction", [("a", int),
         return f"{self.a}/{self.q}"
 
 
-ZERO_FRACTION = ReducedFraction(0, 1)
-
-
-@lru_cache(maxsize=None)
-def farey_level(s: int) -> tuple:
-    """All reduced a/q with q in [2^s, 2^(s+1)); level 0 is just {0/1}.
-
-    Returned sorted by value so callers can bisect for neighbours.  A level
-    whose size bound 4^s exceeds FAREY_LEVEL_BUDGET is refused.
-    """
-    if s < 0:
-        raise ParameterError("level must be non-negative")
-    if 4 ** s > FAREY_LEVEL_BUDGET:
-        raise ResourceError(
-            f"Farey level {s} may hold up to 4^{s} fractions, over the "
-            f"budget {FAREY_LEVEL_BUDGET}; lower n * delta")
-    if s == 0:
-        return (ZERO_FRACTION,)
-    out = []
-    for q in range(1 << s, 1 << (s + 1)):
-        for a in range(1, q):
-            if math.gcd(a, q) == 1:
-                out.append(ReducedFraction(a, q))
-    # level fractions lie over 4^-(s+1) apart, far above the rounding of
-    # a / q, so the float key sorts them exactly as their values
-    out.sort(key=lambda fr: fr.a / fr.q)
-    return tuple(out)
-
-
 class ArcParams(NamedTuple("ArcParams", [("n", int), ("delta", float),
                                            ("degree", int)])):
     """Scale exponent n (t ~ 2^n), the width parameter delta, and deg P."""
@@ -190,23 +156,32 @@ def _arc_dtype(q_max: int, D: int, bd: int) -> np.dtype:
     return np.dtype(object)
 
 
+def _torus_distances(X, D: int, a, q) -> np.ndarray:
+    """Torus distance of every X/D in [0, 1) to its a/q in [0, 1],
+    min(r, qD - r)/(qD) with r = |Xq - aD| <= qD, rounded once."""
+    qD = q * D
+    r = np.abs(X * q - a * D)
+    return np.asarray(np.minimum(r, qD - r) / qD, dtype=float)
+
+
 def arc_labels(P: IntPoly, params: ArcParams, k, D: int) -> ArcLabels:
     """Major/Minor labels and distance shells of every point alpha = k/D.
 
     k is a 1-D integer array, or a list of any ints, and D >= 1.  alpha
     is Major when {b_d alpha} lies within the width w of an admitted a/q,
-    of a level s <= floor(n delta); a distance within 2 ulp of w goes to
-    Minor, so labels do not depend on float jitter.  With X = b_d k mod D,
-    the torus distance of {b_d alpha} to a/q is min(r, qD - r)/(qD),
-    r = (Xq - aD) mod qD, computed on the `_arc_dtype` path and rounded
-    once.  Admitted fractions lie more than 4^-(s_max+1) > 2w apart
-    (s_max >= 1 forces n >= 8 as delta <= 1/8), so at most one is within
-    w of a point: at its level, the nearer of the point's two neighbours
-    in value order, found by bisection.  On Major points the nearest
-    admitted fraction (a, q) is the admitting one, and `shell` is the
-    annulus index of the arc decomposition.  Levels are built in order
-    while a point is not yet Major, so a batch admitted low never asks
-    for a level over the budget.
+    one with q <= Q = 2^(s_max+1) - 1; a distance within 2 ulp of w goes
+    to Minor, so labels do not depend on float jitter.  With X = b_d k
+    mod D, the admitted fraction nearest X/D is one of its two neighbours
+    in the Farey sequence of order Q, which the continued fraction of X/D
+    gives (Hardy-Wright, ch. 3 and 10): the last convergent p1/q1 with
+    q1 <= Q and the semiconvergent (p0 + t p1)/(q0 + t q1), t = floor((Q
+    - q0)/q1), where p0/q0 is the convergent before p1/q1.  The expansion
+    runs on all points at once, one partial quotient a step, on the
+    `_arc_dtype` path.  Each neighbour's distance is reduced in integers
+    and rounded once; the nearer one is kept, and on an equal float the
+    one of lower level, then the left one (1/1 is 0/1, of level 0).  On
+    Major points (a, q) is the admitting fraction, and `shell` is the
+    annulus index of the arc decomposition.
     """
     if params.degree != P.degree:
         raise ParameterError("params.degree must match the polynomial degree")
@@ -217,35 +192,49 @@ def arc_labels(P: IntPoly, params: ArcParams, k, D: int) -> ArcLabels:
     if w >= 1.0 / (2 * P.leading):
         raise ParameterError(
             "scale too small for distinct pre-intervals; increase n")
-    dtype = _arc_dtype((2 << params.s_max) - 1, D, P.leading)
+    Q = (2 << params.s_max) - 1
+    dtype = _arc_dtype(Q, D, P.leading)
     if dtype == object or not isinstance(k, np.ndarray):
         k = np.array(k, dtype=object)  # Python ints, exact at any size
     X = (k % D).astype(dtype, copy=False) * (P.leading % D) % D
-    x = np.asarray(X / D, dtype=float)
-    tie = 2 * math.ulp(w)
-    dist = np.full(len(X), np.inf)
-    major = np.zeros(len(X), dtype=bool)
-    near_a = np.zeros(len(X), dtype=dtype)
-    near_q = np.ones(len(X), dtype=dtype)
-    for s in range(params.s_max + 1):
-        if major.all():
-            break  # no later level changes a Major point's data
-        level = farey_level(s)
-        a, q = np.array([(fr.a, fr.q) for fr in level]).T
-        right = np.searchsorted(a / q, x)
-        a, q = a.astype(dtype), q.astype(dtype)
-        for c in ((right - 1) % len(level), right % len(level)):
-            qD = q[c] * D
-            r = (X * q[c] - a[c] * D) % qD
-            near = np.asarray(np.minimum(r, qD - r) / qD, dtype=float)
-            closer = near < dist
-            dist[closer] = near[closer]
-            near_a[closer] = a[c][closer]
-            near_q[closer] = q[c][closer]
-        major = (dist < w) & (w - dist > tie)
+    n = len(X)
+    # p1/q1 the last convergent, p0/q0 the one before (1/0 at the start),
+    # and u/v the complete quotient of each point still expanding
+    p0, q0 = np.ones(n, dtype), np.zeros(n, dtype)
+    p1, q1 = np.zeros(n, dtype), np.ones(n, dtype)
+    live = np.flatnonzero(X)
+    u, v = np.full(len(live), D, dtype), X[live]
+    while len(live):
+        step = u // v
+        q2 = step * q1[live] + q0[live]
+        go = q2 <= Q
+        live, step, q2, u, v = live[go], step[go], q2[go], u[go], v[go]
+        p = p1[live]
+        p0[live], p1[live] = p, step * p + p0[live]
+        q0[live], q1[live] = q1[live], q2
+        u, v = v, u - step * v
+        go = v != 0  # X/D = p1/q1
+        live, u, v = live[go], u[go], v[go]
+    t = (Q - q0) // q1
+    ps, qs = p0 + t * p1, q0 + t * q1
+    dc = _torus_distances(X, D, p1, q1)
+    ds = _torus_distances(X, D, ps, qs)
+    semi = ds < dc
+    # equal q: 0/1 and 1/1 at s_max 0, the same point
+    tie = np.flatnonzero((ds == dc) & (qs != q1))
+    if len(tie):
+        lc, ls = (np.array([int(x).bit_length() for x in q[tie]])
+                  for q in (q1, qs))
+        left = ps[tie] * D < X[tie] * qs[tie]  # ps/qs < X/D
+        semi[tie] = (ls < lc) | ((ls == lc) & left)
+    q = np.where(semi, qs, q1)
+    a = np.where(semi, ps, p1)
+    a[a == q] = 0  # 1/1
+    dist = np.where(semi, ds, dc)
+    major = (dist < w) & (w - dist > 2 * math.ulp(w))
     # dist = m 2^e with m in [1/2, 1) lies in [2^-l, 2^-l+1) for l = 1 - e
     shell = np.where(dist == 0, np.inf, 1 - np.frexp(dist)[1])
-    return ArcLabels(major, dist, shell, near_a, near_q)
+    return ArcLabels(major, dist, shell, a, q)
 
 
 class CongruenceData(NamedTuple):

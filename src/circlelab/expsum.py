@@ -349,11 +349,14 @@ def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     return _esum(r / qi for r in _residue_chunks(coeffs, qi, qi)) / qi
 
 
-def complete_dyadic_gauss(m: int) -> complex:
-    """The complete sum sum_{n=1}^{2^m} e(n^2 / 2^m), in closed form.
+def dyadic_gauss_mean(m: int) -> complex:
+    """The complete sum over a period, 2^-m sum_{n=1}^{2^m} e(n^2 / 2^m).
 
-    m = 0 -> 1; m = 1 -> 0; even m >= 2 -> 2^(m/2) (1+i);
-    odd m >= 3 -> 2^((m+1)/2) e(1/8).
+    In closed form: m = 0 -> 1; m = 1 -> 0; even m >= 2 -> 2^(-m/2) (1+i);
+    odd m >= 3 -> 2^(-(m-1)/2) e(1/8), the complete sums 2^(m/2) (1+i)
+    and 2^((m+1)/2) e(1/8) over 2^m.  The power of two goes into the
+    exponent (math.ldexp): the mean is a float at every m (0 from m = 2150
+    on, where it underflows), while 2^m is none from m = 1024 on.
     """
     if m < 0:
         raise ParameterError("m must be non-negative")
@@ -361,9 +364,9 @@ def complete_dyadic_gauss(m: int) -> complex:
         return 1.0 + 0.0j
     if m == 1:
         return 0.0 + 0.0j
-    if m % 2 == 0:
-        return 2.0 ** (m // 2) * (1.0 + 1.0j)
-    return 2.0 ** ((m + 1) // 2) * cmath.exp(1j * math.pi / 4.0)
+    z = 1.0 + 1.0j if m % 2 == 0 else cmath.exp(1j * math.pi / 4.0)
+    return complex(math.ldexp(z.real, -(m // 2)),
+                   math.ldexp(z.imag, -(m // 2)))
 
 
 def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
@@ -389,8 +392,7 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
             f"2^(R-k)")
     total = 0.0 + 0.0j
     if full:
-        total += float(Fraction(full * period, N)) * \
-            (complete_dyadic_gauss(m) / period)
+        total += float(Fraction(full * period, N)) * dyadic_gauss_mean(m)
     if tail:
         # sum_{n <= tail} e(n^2 / 2^m) is tail * conj(weyl_sum) at 1/2^m
         total += (weyl_sum(_SQUARES, tail, Fraction(1, period)).conjugate()

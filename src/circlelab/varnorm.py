@@ -257,12 +257,14 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     or more is cut into at least two blocks, dealt in turn to one worker
     per CPU (the caller and W - 1 threads), each with its own workspace;
     every column's DP is the same either way, so the result is bitwise the
-    same.  A call over DP_CELL_BUDGET cells rows * S(S-1)/2 is refused
-    before any work.
+    same.  An empty last axis (S = 0), and a call over DP_CELL_BUDGET
+    cells rows * S(S-1)/2, are refused before any work.
     """
     r = check_r(r)
     values = np.asarray(values)
     *lead, S = values.shape
+    if S == 0:
+        raise ParameterError("each family must be non-empty (last axis 0)")
     rows = math.prod(lead)
     check_dp_cells(rows, S)
     # one (S, rows) copy, none when the caller passes the .T of (S, rows)

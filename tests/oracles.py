@@ -13,8 +13,12 @@ acceptance criterion 10 bounds.
 `cumsum_partial_sum_objective` is the ladder search's objective on
 sample-major phases, by reversed cumulative sums.
 `torus_distance` is the exact distance of a `Fraction` to the nearest
-integer, and `fractions_near` the level-s fractions within a radius of
-a point, found by bisection over the level's values.
+integer.  `farey_level` builds the Farey level s, every reduced a/q
+with q in [2^s, 2^(s+1)), and `fractions_near` finds the level-s
+fractions within a radius of a point by bisection over the level's
+values.  `level_scan_labels` is the level loop that `arith.arc_labels`
+ran before its continued fractions, the bitwise oracle of all its
+fields up to level 9.
 `classify_arc` scans the admitted Farey levels for one point through
 them, in `Fraction` arithmetic, the oracle of `arith.arc_labels`'
 Major/Minor labels and admitting fractions; `shell_index` and
@@ -22,6 +26,8 @@ Major/Minor labels and admitting fractions; `shell_index` and
 `arc_labels(...).shell`.
 `bigint_phase_chunks` reduces every phase on Python ints by finite
 differences, the oracle of the residue kernel's phases.
+`complete_dyadic_gauss` is the complete sum of e(n^2/2^m) over a period
+in closed form; over 2^m it pins the bits of `expsum.dyadic_gauss_mean`.
 `exp_terms` is numpy's complex exp of -2 pi i ph, the oracle of the
 table-driven e(-ph) kernel.
 `l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial
@@ -30,19 +36,21 @@ term by term.
 the one it replaces, in ulps.
 """
 
+import cmath
 import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ReducedFraction, eval_poly, farey_level,
-                       variation_values)
+                       ReducedFraction, eval_poly, variation_values)
+from circlelab.arith import ArcLabels, _arc_dtype
 from circlelab.expsum import _PHASE_CHUNK, residue_counts
 from circlelab.spectral import _pairwise_norm
 from circlelab.torus import LacunaryTrigPoly
@@ -114,6 +122,76 @@ def torus_distance(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer, exactly."""
     f = x - math.floor(x)
     return min(f, 1 - f)
+
+
+@lru_cache(maxsize=None)
+def farey_level(s: int) -> tuple:
+    """All reduced a/q with q in [2^s, 2^(s+1)); level 0 is just {0/1}.
+
+    Returned sorted by value so callers can bisect for neighbours.  The
+    cost grows about 4x a level; level 9 takes about half a second.
+    """
+    if s < 0:
+        raise ParameterError("level must be non-negative")
+    if s == 0:
+        return (ReducedFraction(0, 1),)
+    out = []
+    for q in range(1 << s, 1 << (s + 1)):
+        for a in range(1, q):
+            if math.gcd(a, q) == 1:
+                out.append(ReducedFraction(a, q))
+    # level fractions lie over 4^-(s+1) apart, far above the rounding of
+    # a / q, so the float key sorts them exactly as their values
+    out.sort(key=lambda fr: fr.a / fr.q)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _level_arrays(s: int):
+    """Level s as int64 arrays a and q, and the float values a / q."""
+    a, q = np.array([(fr.a, fr.q) for fr in farey_level(s)]).T
+    return a, q, a / q
+
+
+def level_scan_labels(P: IntPoly, params: ArcParams, k, D: int) -> ArcLabels:
+    """`arith.arc_labels` by the level loop it replaced: at every level s
+    <= s_max, the point's two neighbours among the level's fractions,
+    found by bisection of the float X/D, each kept when its distance,
+    rounded once, is below the best so far (so the lower level, then the
+    left neighbour, wins a tie).
+
+    The caller checks the parameters; the levels are built in order while
+    some point is not yet Major.
+    """
+    D = int(D)
+    w = params.width
+    dtype = _arc_dtype((2 << params.s_max) - 1, D, P.leading)
+    if dtype == object or not isinstance(k, np.ndarray):
+        k = np.array(k, dtype=object)
+    X = (k % D).astype(dtype, copy=False) * (P.leading % D) % D
+    x = np.asarray(X / D, dtype=float)
+    tie = 2 * math.ulp(w)
+    dist = np.full(len(X), np.inf)
+    major = np.zeros(len(X), dtype=bool)
+    near_a = np.zeros(len(X), dtype=dtype)
+    near_q = np.ones(len(X), dtype=dtype)
+    for s in range(params.s_max + 1):
+        if major.all():
+            break  # no later level changes a Major point's data
+        a, q, values = _level_arrays(s)
+        right = np.searchsorted(values, x)
+        a, q = a.astype(dtype), q.astype(dtype)
+        for c in ((right - 1) % len(a), right % len(a)):
+            qD = q[c] * D
+            r = (X * q[c] - a[c] * D) % qD
+            near = np.asarray(np.minimum(r, qD - r) / qD, dtype=float)
+            closer = near < dist
+            dist[closer] = near[closer]
+            near_a[closer] = a[c][closer]
+            near_q[closer] = q[c][closer]
+        major = (dist < w) & (w - dist > tie)
+    shell = np.where(dist == 0, np.inf, 1 - np.frexp(dist)[1])
+    return ArcLabels(major, dist, shell, near_a, near_q)
 
 
 def fractions_near(s: int, x: Fraction, radius: float) -> list:
@@ -219,6 +297,22 @@ def bigint_phase_chunks(P: IntPoly, t: int, num: int, den: int):
             for j in range(d):
                 diffs[j] += diffs[j + 1]
         yield out
+
+
+def complete_dyadic_gauss(m: int) -> complex:
+    """The complete sum sum_{n=1}^{2^m} e(n^2 / 2^m), in closed form.
+
+    m = 0 -> 1; m = 1 -> 0; even m >= 2 -> 2^(m/2) (1+i);
+    odd m >= 3 -> 2^((m+1)/2) e(1/8).  Over 2^m it is the expression that
+    `expsum.dyadic_gauss_mean` replaced, a float only up to m = 1023.
+    """
+    if m == 0:
+        return 1.0 + 0.0j
+    if m == 1:
+        return 0.0 + 0.0j
+    if m % 2 == 0:
+        return 2.0 ** (m // 2) * (1.0 + 1.0j)
+    return 2.0 ** ((m + 1) // 2) * cmath.exp(1j * math.pi / 4.0)
 
 
 def exp_terms(ph: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Every name the package exports, and every member of an exported class,
 has a caller inside the package; the inverse FFT has one home, BLAS
-three, and the arc classifier one; the runtime dependencies are the
-package's third-party imports."""
+three, and the arc classifier one; no function keeps a memo; the runtime
+dependencies are the package's third-party imports."""
 
 import ast
 import importlib
@@ -192,6 +192,32 @@ def test_one_arc_classifier():
         "verify.verify_est", "verify.verify_main_decomposition"}
     assert reference_sites("fractions_near") == set()
     assert reference_sites("torus_distance") == set()
+
+
+MEMO_NAMES = {"cache", "cached_property", "lru_cache"}
+
+
+def memo_sites():
+    """(module, name) of every functools memo decorator the package
+    imports or reads: `from functools import lru_cache` and
+    `functools.cache` alike."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                sites += [(path.stem, alias.name) for alias in node.names
+                          if alias.name in MEMO_NAMES]
+            elif (isinstance(node, ast.Attribute) and node.attr in MEMO_NAMES
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                sites.append((path.stem, node.attr))
+    return sites
+
+
+def test_no_memo():
+    # the package keeps no cache between calls: each result is computed
+    # from its inputs alone, with nothing to size, evict or warm up
+    assert memo_sites() == []
 
 
 def imported_top_level_modules():

@@ -1,4 +1,5 @@
-"""Exact arithmetic layer: polynomials, Farey levels, arcs, congruence data."""
+"""Exact arithmetic layer: polynomials, fractions, arcs, congruence data;
+and the Farey-level oracles the arc kernel is checked against."""
 
 import json
 import math
@@ -11,11 +12,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
-                       arc_labels, congruence_data, eval_poly, farey_level)
+                       arc_labels, congruence_data, eval_poly)
 from circlelab.arith import _arc_dtype
 from circlelab.cli import main
-from oracles import (annulus_label, classify_arc, fractions_near,
-                     shell_index, torus_distance)
+from oracles import (annulus_label, classify_arc, farey_level,
+                     fractions_near, level_scan_labels, shell_index,
+                     torus_distance)
 
 SQUARES = IntPoly([0, 0, 1])
 LINEAR = IntPoly([0, 1])
@@ -337,6 +339,171 @@ class TestArcLabels:
             arc_labels(IntPoly([0, 1]), params, [0], 1)
         with pytest.raises(ParameterError):  # w >= 1/(2 b_d)
             arc_labels(IntPoly([0, 0, 2]), ArcParams(1, 0.05, 2), [0], 1)
+
+
+def assert_same_labels(new, old):
+    """Every field equal bit for bit, with its dtype; on the object path
+    each a and q is the same Python int."""
+    for name, x, y in zip(new._fields, new, old):
+        assert x.dtype == y.dtype, name
+        if x.dtype == object:
+            assert [(type(i), i) for i in x] == [(type(j), j) for j in y], \
+                name
+        else:
+            assert x.tobytes() == y.tobytes(), name
+
+
+def right_neighbour(fr: Fraction, Q: int) -> Fraction:
+    """The next fraction after fr in [0, 1] with denominator <= Q: c/d
+    with cq - ad = 1 and d as large as Q allows."""
+    a, q = fr.numerator, fr.denominator
+    d = -pow(a, -1, q) % q
+    d += q * ((Q - d) // q)
+    return Fraction((a * d + 1) // q, d)
+
+
+def left_neighbour(fr: Fraction, Q: int) -> Fraction:
+    """The fraction before fr in [0, 1] with denominator <= Q (fr > 0)."""
+    c, d = fr.numerator, fr.denominator
+    q = pow(c, -1, d) % d
+    q += d * ((Q - q) // d)
+    return Fraction((c * q - 1) // d, q)
+
+
+def arc_scale(data, levels):
+    """(d, b_d, params) with s_max in `levels` and w < 1/(2 b_d)."""
+    d = data.draw(st.integers(1, 3))
+    bd = data.draw(st.one_of(st.integers(1, 7), st.sampled_from(
+        [1024, 1025, 3 ** 20])))
+    delta = data.draw(st.sampled_from([0.125, 0.1, 0.05, 0.03125]))
+    lo, hi = levels
+    n_hi = min(int((hi + 1) / delta), int(1022 / (d - delta)))
+    n = data.draw(st.integers(max(1, math.ceil(lo / delta)), n_hi))
+    params = ArcParams(n, delta, d)
+    assume(lo <= params.s_max <= hi and params.width < 1.0 / (2 * bd))
+    return d, bd, params
+
+
+def admitted_fraction(data, params) -> Fraction:
+    Q = (2 << params.s_max) - 1
+    q = data.draw(st.integers(1, Q))
+    return Fraction(data.draw(st.integers(0, q - 1)), q)
+
+
+class TestContinuedFractions:
+    """arc_labels against the level loop it replaced (s_max <= 9, bit for
+    bit) and `Fraction.limit_denominator` beyond it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), D=st.one_of(
+        st.integers(12, 53).map(lambda e: 1 << e),
+        st.sampled_from([1000003, 3 ** 33, (1 << 53) + 1]),
+        st.integers(1, 1 << 200)))
+    def test_matches_the_level_scan(self, data, D):
+        d, bd, params = arc_scale(data, (0, 9))
+        P = IntPoly([0] * d + [bd])
+        w = params.width
+        ks = data.draw(st.lists(st.integers(0, D - 1), max_size=16))
+        for _ in range(16):
+            i = data.draw(st.integers(0, bd - 1))
+            centre = (admitted_fraction(data, params) + i) * D // bd
+            spread = max(1, math.ceil(2 * w * D / bd))
+            ks.append(centre + data.draw(st.integers(-spread, spread)))
+        if D <= 1 << 53 and data.draw(st.booleans()):
+            ks = np.array(ks, dtype=np.int64)
+        assert_same_labels(arc_labels(P, params, ks, D),
+                           level_scan_labels(P, params, ks, D))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), exact=st.booleans())
+    def test_ties_match_the_level_scan(self, data, exact):
+        # X/D at, or within 2^-60 relative of, the midpoint of two Farey
+        # neighbours: both distances round to one float, and the lower
+        # level, then the left one, must win as in the level loop
+        d, bd, params = arc_scale(data, (0, 9))
+        P = IntPoly([0] * d + [bd])
+        Q = (2 << params.s_max) - 1
+        left = admitted_fraction(data, params)
+        mid = (left + right_neighbour(left, Q)) / 2
+        alpha = (mid + data.draw(st.integers(0, bd - 1))) / bd
+        scale = data.draw(st.integers(1, 5)) if exact else 1 << 60
+        D = alpha.denominator * scale
+        ks = [alpha.numerator * scale + j for j in range(-2, 3)]
+        arcs = arc_labels(P, params, ks, D)
+        assert_same_labels(arcs, level_scan_labels(P, params, ks, D))
+        if exact:
+            assert Fraction(int(arcs.a[2]), int(arcs.q[2])) in (
+                left, right_neighbour(left, Q) % 1)
+
+    @pytest.mark.parametrize("n,alpha,a,q", [
+        # s_max 1 (Q = 3): 5/12 and 7/12 sit midway between two level-1
+        # neighbours, the left one wins whether it is the convergent (1/2
+        # of 7/12) or the semiconvergent (1/3 of 5/12); 1/6 sits midway
+        # between 0/1 and 1/3, and the lower level wins
+        (8, Fraction(5, 12), 1, 3), (8, Fraction(7, 12), 1, 2),
+        (8, Fraction(1, 6), 0, 1),
+        # 1/1 is reported as 0/1, at s_max 0 (Q = 1) and 1
+        (4, Fraction(3, 4), 0, 1), (8, Fraction(9, 10), 0, 1),
+        (4, Fraction(1, 2), 0, 1), (4, Fraction(1, 4), 0, 1),
+        (24, Fraction(0), 0, 1), (24, Fraction(6, 7), 6, 7)])
+    def test_tie_order_and_the_wrap(self, n, alpha, a, q):
+        params = ArcParams(n, 0.125, 1)
+        assert params.s_max == n // 8
+        arcs = arc_labels(LINEAR, params, [alpha.numerator],
+                          alpha.denominator)
+        assert (arcs.a[0], arcs.q[0]) == (a, q)
+        assert_same_labels(arcs, level_scan_labels(
+            LINEAR, params, [alpha.numerator], alpha.denominator))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), D=st.one_of(
+        st.integers(0, 400).map(lambda e: 1 << e),
+        st.integers(1, 1 << 400),
+        st.integers(1, 120).map(lambda e: 10 ** e + 7)))
+    def test_beyond_level_nine(self, data, D):
+        # the nearest fraction with q <= Q by `limit_denominator`; when
+        # its other Farey neighbour lies at the same float distance,
+        # either may be reported
+        d, bd, params = arc_scale(data, (10, 146))
+        P = IntPoly([0] * d + [bd])
+        Q = (2 << params.s_max) - 1
+        w = params.width
+        ks = data.draw(st.lists(st.integers(0, D - 1), max_size=8))
+        for _ in range(8):
+            centre = admitted_fraction(data, params) * D // bd
+            ks.append(centre + data.draw(st.integers(-3, 3)))
+        arcs = arc_labels(P, params, ks, D)
+        for i, k in enumerate(ks):
+            x = Fraction(bd * k % D, D)
+            near = x.limit_denominator(Q)
+            other = (right_neighbour(near, Q) if near <= x
+                     else left_neighbour(near, Q))
+            dist = float(torus_distance(x - near))
+            assert arcs.dist[i] == dist
+            assert arcs.major[i] == (dist < w and w - dist > 2 * math.ulp(w))
+            got = Fraction(int(arcs.a[i]), int(arcs.q[i]))
+            want = [near % 1]
+            if float(torus_distance(x - other)) == dist:
+                want.append(other % 1)
+            assert got in want
+
+    @pytest.mark.parametrize("n,delta,d", [(1168, 0.125, 1), (545, 0.125, 2),
+                                           (80, 0.125, 2)])
+    def test_every_admitted_scale_answers(self, n, delta, d):
+        # the largest admitted n at d = 1 and 2 (s_max 146 and 68), and
+        # s_max 10, the first level the level loop refused
+        params = ArcParams(n, delta, d)
+        Q = (2 << params.s_max) - 1
+        near = Fraction(Q // 2, Q)  # reduced, as Q is odd
+        # 1/D about w/4 away from near
+        shift = max(0, 3 - math.frexp(params.width)[1]
+                    - near.denominator.bit_length())
+        D, k = near.denominator << shift, near.numerator << shift
+        arcs = arc_labels(IntPoly([0] * d + [1]), params, [k + 1, k], D)
+        assert arcs.major.tolist() == [True, True]
+        assert [(int(a), int(q)) for a, q in zip(arcs.a, arcs.q)] == [
+            (near.numerator, near.denominator)] * 2
+        assert arcs.dist.tolist() == [float(Fraction(1, D)), 0.0]
 
 
 class TestShells:

@@ -1,5 +1,7 @@
-"""bench/write_bench.py: the summaries and pair counts it writes."""
+"""bench/write_bench.py: the summaries, pair counts and line counts it
+writes."""
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -76,3 +78,39 @@ def test_merge_refuses_another_provenance_or_a_held_seed(tmp_path):
                                        "workloads": {"decomp": {"0": {}}}})
     # nothing of a refused merge reached the file
     assert json.loads(path.read_text()) == first
+
+
+def test_src_lines_counts_the_package_modules(tmp_path):
+    # newlines, as `wc -l` counts them, of src/circlelab/*.py only
+    pkg = tmp_path / "src" / "circlelab"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nno_final_newline = 4")
+    (pkg / "notes.txt").write_text("1\n2\n3\n")
+    (pkg / "sub" / "c.py").write_text("w = 5\n")
+    (tmp_path / "src" / "setup.py").write_text("v = 6\n")
+    assert write_bench.src_lines(str(tmp_path)) == 3
+    assert write_bench.src_lines(str(tmp_path / "missing")) == 0
+
+
+def test_each_side_records_its_src_lines(tmp_path, monkeypatch):
+    lines = {"p": 5, "c": 3}
+
+    def checkout(rev, dest):
+        pkg = Path(dest) / "src" / "circlelab"
+        pkg.mkdir(parents=True)
+        (pkg / "m.py").write_text("pass\n" * lines[rev])
+        return rev * 40
+
+    def run_once(tree, workload, seed, seconds):
+        return {"metrics": {"wall_s": 1.0, "ok_frac": 1.0}, "failed": 0,
+                "host": {"host_factor": 1.0},
+                "provenance": {"git_commit": tree, "numpy": "2.4.6"}}
+
+    monkeypatch.setattr(write_bench, "checkout", checkout)
+    monkeypatch.setattr(write_bench, "run_once", run_once)
+    args = argparse.Namespace(parent="p", change="c")
+    doc = write_bench.measure(args, [], str(tmp_path), METRICS, ["decomp"],
+                              [0], 30)
+    assert doc["src_lines"] == {"parent": 5, "change": 3}
+    assert doc["commits"] == {"parent": "p" * 40, "change": "c" * 40}

@@ -294,12 +294,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_farey_level_budget(self, capsys):
-        # no level up to s = 9 admits 1/3000007: refused at level 10
-        code, _ = run_cli(["arcs", "--n", "200", "--delta", "0.125",
-                           "--alpha", "1/3000007"], capsys)
-        assert code == 3
-        # a point admitted at s = 3 never asks for the refused levels
+    def test_arcs_past_level_nine(self, capsys):
+        # s_max = 25: 1/3000007 is admitted, at level 21
+        code, out = run_cli(["arcs", "--n", "200", "--delta", "0.125",
+                             "--alpha", "1/3000007"], capsys)
+        assert code == 0
+        value = json.loads(out)["results"][0]["value"]
+        assert value == {"kind": "major", "fraction": "1/3000007", "s": 21,
+                         "pre_interval": 0}
+        # a point admitted at s = 3 is labelled as before
         code, out = run_cli(["arcs", "--n", "200", "--delta", "0.125",
                              "--alpha", "0.3"], capsys)
         assert code == 0

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (IntPoly, ParameterError, ReducedFraction,
-                       ResourceError, complete_dyadic_gauss, farey_level,
+                       ResourceError, dyadic_gauss_mean,
                        fast_dyadic_quadratic_weyl, gauss_weight, weyl_sum,
                        weyl_sum_prefixes)
 from circlelab import expsum
@@ -21,7 +21,8 @@ from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
                               _e_neg, _e_work, _limb_phases, _phase_chunks,
                               _residue_chunks, _residue_rows,
                               residue_counts)
-from oracles import bigint_phase_chunks, exp_terms, quadratic_gauss_row
+from oracles import (bigint_phase_chunks, complete_dyadic_gauss, exp_terms,
+                     farey_level, quadratic_gauss_row)
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -488,6 +489,33 @@ class TestFastDyadic:
         for m in range(0, 17):
             assert complete_dyadic_gauss(m) == \
                 pytest.approx(complete_dyadic_gauss_direct(m), abs=1e-7)
+            assert dyadic_gauss_mean(m) == pytest.approx(
+                complete_dyadic_gauss_direct(m) / 2 ** m, abs=1e-12)
+
+    def test_mean_keeps_the_bits_of_the_sum_over_its_period(self):
+        # the exponent-scaled mean is the old complete sum / 2^m, bit for
+        # bit, wherever 2^m is a float
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        for m in range(0, 1024):
+            assert bits(dyadic_gauss_mean(m)) == \
+                bits(complete_dyadic_gauss(m) / 2 ** m)
+        with pytest.raises(ParameterError):
+            dyadic_gauss_mean(-1)
+
+    @pytest.mark.parametrize("m,want", [
+        (1024, complex(2.0 ** -512, 2.0 ** -512)),
+        (1100, complex(2.0 ** -550, 2.0 ** -550)),
+        (2046, complex(2.0 ** -1023, 2.0 ** -1023)),
+        (2047, 2.0 ** -1023 * cmath.exp(1j * math.pi / 4.0)),
+        (3000, 0j)])
+    def test_full_periods_past_the_float_range(self, m, want):
+        # 2^m is no float from m = 1024 on, and the complete sum none from
+        # m = 2047 on; the mean is, down to its underflow (2^-1500 is 0)
+        assert dyadic_gauss_mean(m) == want
+        assert fast_dyadic_quadratic_weyl(0, m, 2 << m) == want
+        assert fast_dyadic_quadratic_weyl(5, m + 5, 3 << m) == want
 
     @pytest.mark.parametrize("R", [4, 8, 12, 16])
     def test_matches_direct_summation(self, R):

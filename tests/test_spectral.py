@@ -10,16 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ResourceError, average_multipliers, farey_level,
+                       ResourceError, average_multipliers,
                        variation_experiment, variation_values,
                        verify_main_decomposition, weyl_sum)
-from circlelab import arith, spectral
+from circlelab import spectral, verify
 from circlelab.arith import arc_labels
 from circlelab.expsum import DIRECT_SUM_BUDGET
 from circlelab.spectral import (_complex_normal, _pairwise_norm,
                                 multiplier_variation)
 from oracles import (annulus_label, assert_pin_moved, average_multiplier,
-                     classify_arc, per_row_multiplier_variation,
+                     classify_arc, farey_level, per_row_multiplier_variation,
                      polynomial_average, polynomial_average_direct,
                      shell_index, torus_distance)
 
@@ -280,33 +280,29 @@ class TestGridArcs:
         assert not arcs.major[17]
         assert arcs.major[16] and arcs.shell[16] == 2
 
-    def test_level_budget_checked_first(self, monkeypatch):
-        # s_max = floor(80 / 8) = 10: level 10 is over the budget and
-        # refused before it is built; levels are asked for in order, and
-        # only while some point is still Minor (main-decomp's grids never
-        # reach it: n <= 21 keeps s_max <= 2)
-        asked = []
-
-        def level(s):
-            asked.append(s)
-            return farey_level(s)
-
-        monkeypatch.setattr(arith, "farey_level", level)
+    def test_grid_past_level_nine(self):
+        # s_max = floor(80 / 8) = 10: every point's distance is the one to
+        # its nearest fraction with q < 2^11
         params = ArcParams(80, 0.125, 2)
-        # 0 and 1/3 are admitted at levels 0 and 1
-        assert arc_labels(SQUARES, params, [0, 1], 3).major.all()
-        assert asked == [0, 1]
-        asked.clear()
-        with pytest.raises(ResourceError):
-            grid_arcs(SQUARES, params, 1 << 10)
-        assert asked == list(range(11))
+        assert params.s_max == 10
+        M = 3000
+        arcs = grid_arcs(SQUARES, params, M)
+        for j in range(M):
+            x = Fraction(j, M)
+            near = x.limit_denominator((2 << params.s_max) - 1)
+            assert arcs.dist[j] == float(torus_distance(x - near))
+            # w is 2^-150: only the admitted grid points themselves, those
+            # whose reduced q = M / gcd(j, M) is below 2^11, are Major
+            assert arcs.major[j] == (math.gcd(j, M) > 1)
+            if arcs.major[j]:
+                assert (arcs.a[j], arcs.q[j]) == (x.numerator, x.denominator)
 
     def test_modulus_checked(self, monkeypatch):
         # the kernel takes any D >= 1; main-decomp budgets its grid first
         params = ArcParams(10, 0.05, 2)
         with pytest.raises(ParameterError):
             grid_arcs(SQUARES, params, 0)
-        monkeypatch.setattr(arith, "farey_level", never)
+        monkeypatch.setattr(verify, "arc_labels", never)
         with pytest.raises(ResourceError):
             verify_main_decomposition(SQUARES, DIRECT_SUM_BUDGET * 2, 8, 9,
                                       0.05, 0, 0.1)

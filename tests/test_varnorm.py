@@ -200,6 +200,16 @@ class TestVectorized:
         arr = np.zeros((3, 4, 5))
         assert variation_values(arr, 2).shape == (3, 4)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 4, 0), (0, 0)])
+    def test_empty_families_rejected(self, shape, monkeypatch):
+        # as `variation` refuses an empty sequence, before any DP work
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the shape check")
+
+        monkeypatch.setattr(varnorm, "_dp_workspace", never)
+        with pytest.raises(ParameterError, match="non-empty"):
+            variation_values(np.zeros(shape), 2)
+
 
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, 7.0)
 # row counts around the kernel's 4096-row blocks
