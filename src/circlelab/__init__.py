@@ -20,12 +20,12 @@ __version__ = "0.1.0"
 # numpy, and each CLI subcommand loads only the modules it runs
 _EXPORTS = {name: module for module, names in (
     ("arith", "ArcParams CongruenceData IntPoly ReducedFraction arc_labels "
-              "congruence_data eval_poly"),
+              "congruence_data"),
     ("errors", "CircleLabError ParameterError ResourceError"),
     ("expsum", "dyadic_gauss_mean fast_dyadic_quadratic_weyl "
                "gauss_weight weyl_sum weyl_sum_prefixes"),
-    ("spectral", "CyclicSignal average_multipliers variation_experiment"),
-    ("torus", "CounterexampleParams LacunaryTrigPoly build_sequences "
+    ("spectral", "average_multipliers variation_experiment"),
+    ("torus", "CounterexampleParams build_sequences "
               "eta_error exact_ladder_radius search_coefficients "
               "v2_partial_sums_norm"),
     ("varnorm", "IndexedSeq VariationResult long_variation short_variation "

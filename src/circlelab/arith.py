@@ -41,18 +41,6 @@ class IntPoly(NamedTuple("IntPoly", [("coeffs", tuple)])):
     def leading(self) -> int:
         return self.coeffs[-1]
 
-    def __call__(self, n: int) -> int:
-        return eval_poly(self, n)
-
-
-def eval_poly(P: IntPoly, n: int) -> int:
-    """Exact evaluation of P at an integer (Horner, arbitrary width)."""
-    n = int(n)
-    acc = 0
-    for c in reversed(P.coeffs):
-        acc = acc * n + c
-    return acc
-
 
 class ReducedFraction(NamedTuple("ReducedFraction", [("a", int),
                                                        ("q", int)])):

@@ -272,14 +272,11 @@ def _run(args) -> dict:
         import numpy as np
 
         from .expsum import DIRECT_SUM_BUDGET, check_count
-        from .spectral import (CyclicSignal, _complex_normal,
-                               variation_experiment)
+        from .spectral import _complex_normal, variation_experiment
         P = _parse_poly(args.poly)
         scales = _parse_list(args.scales, int)
-        M = check_count(args.modulus, "modulus M", DIRECT_SUM_BUDGET,
-                        "direct-summation")
-        rng = np.random.default_rng(args.seed)
-        f = CyclicSignal(M, _complex_normal(rng, M))
+        M = check_count(args.modulus, "modulus M", DIRECT_SUM_BUDGET)
+        f = _complex_normal(np.random.default_rng(args.seed), M)
         val = variation_experiment(f, P, scales, args.r)
         results.append({"name": "average_variation",
                         "inputs": {"poly": args.poly, "modulus": args.modulus,
@@ -336,18 +333,15 @@ def _run(args) -> dict:
         results.append(entry)
         if not args.dry_run:
             from .expsum import DIRECT_SUM_BUDGET, check_count
-            from .torus import (LacunaryTrigPoly, eta_error, eta_multipliers,
-                                search_coefficients)
+            from .torus import eta_error, eta_multipliers, search_coefficients
             # the sample count and the multipliers, which hold the
             # budgeted tail sums, are refused before the coefficient
             # search, not after it
-            check_count(args.sample_count, "sample_count", DIRECT_SUM_BUDGET,
-                        "direct-summation")
+            check_count(args.sample_count, "sample_count", DIRECT_SUM_BUDGET)
             W = eta_multipliers(params)
             coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
-            f = LacunaryTrigPoly({1 << ki: c
-                                  for ki, c in zip(params.k, coeffs)})
-            sup, rms = eta_error(f, params, args.sample_count, args.seed, W)
+            sup, rms = eta_error(coeffs, params, args.sample_count,
+                                 args.seed, W)
             results.append({"name": "counterexample_eta",
                             "inputs": {"L": args.L, "R": args.R,
                                        "sample_count": args.sample_count},

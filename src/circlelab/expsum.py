@@ -30,6 +30,9 @@ DIRECT_SUM_BUDGET = 1 << 22
 # array); it also keeps n < 2^31, which the int64 and two-limb residue
 # paths need
 PHASE_TERM_BUDGET = 1 << 28
+# the name of each budget in its refusals
+_BUDGET_NAMES = {DIRECT_SUM_BUDGET: "direct-summation",
+                 PHASE_TERM_BUDGET: "phase-term"}
 # phases are produced and consumed in chunks of this many terms
 _PHASE_CHUNK = 1 << 16
 # the e(-ph) kernel's temporaries, and a block of weyl_sum_prefixes, cover
@@ -39,8 +42,7 @@ _CACHE_CHUNK = 1 << 14
 _SQUARES = IntPoly([0, 0, 1])
 
 
-def check_count(n: int, name: str, budget: int = PHASE_TERM_BUDGET,
-                budget_name: str = "phase-term") -> int:
+def check_count(n: int, name: str, budget: int = PHASE_TERM_BUDGET) -> int:
     """n as an int, refused unless 1 <= n <= budget.
 
     ParameterError (exit 2) below 1, ResourceError (exit 3) above the
@@ -50,8 +52,8 @@ def check_count(n: int, name: str, budget: int = PHASE_TERM_BUDGET,
     if n < 1:
         raise ParameterError(f"{name} must be a positive integer")
     if n > budget:
-        raise ResourceError(f"{name}={n} exceeds the {budget_name} budget "
-                            f"{budget}; lower {name}")
+        raise ResourceError(f"{name}={n} exceeds the {_BUDGET_NAMES[budget]}"
+                            f" budget {budget}; lower {name}")
     return n
 
 

@@ -9,7 +9,7 @@ cross-checked to machine precision.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,24 +17,6 @@ from .arith import IntPoly
 from .errors import ParameterError
 from .expsum import DIRECT_SUM_BUDGET, check_count, residue_counts
 from .varnorm import check_dp_cells, check_r, variation_values
-
-
-class CyclicSignal(NamedTuple("CyclicSignal", [("modulus", int),
-                                                 ("values", np.ndarray)])):
-    """A complex-valued function on Z/M."""
-
-    __slots__ = ()
-
-    def __new__(cls, modulus: int, values: Sequence[complex]):
-        v = np.asarray(values, dtype=complex)
-        if modulus < 1 or v.shape != (modulus,):
-            raise ParameterError("values must have length M >= 1")
-        if not np.isfinite(v).all():
-            raise ParameterError("values must be finite")
-        return super().__new__(cls, int(modulus), v)
-
-    def norm(self) -> float:
-        return _pairwise_norm(self.values)
 
 
 def _pairwise_norm(x: np.ndarray) -> float:
@@ -71,9 +53,8 @@ def average_multipliers(P: IntPoly, Ns: Sequence[int], M: int) -> np.ndarray:
     once.  Every N and M are checked before the stack is allocated; the
     stack is transformed, conjugated and scaled in place.
     """
-    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation")
-    Ns = [check_count(N, "N", DIRECT_SUM_BUDGET, "direct-summation")
-          for N in Ns]
+    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET)
+    Ns = [check_count(N, "N", DIRECT_SUM_BUDGET) for N in Ns]
     m = np.empty((len(Ns), M), dtype=complex)
     for row, N in zip(m, Ns):
         row[:] = residue_counts(P.coeffs, N, M)
@@ -100,24 +81,30 @@ def multiplier_variation(fhat: np.ndarray, mults: np.ndarray,
     return _pairwise_norm(variation_values(mults.T, r))
 
 
-def variation_experiment(f: CyclicSignal, P: IntPoly,
+def variation_experiment(f: np.ndarray, P: IntPoly,
                          scales: Sequence[int], r: float) -> float:
     """||V^r(K_N * f : N in scales)||_2 / ||f||_2 on Z/M.
 
-    The averages are computed by diagonalization; the pointwise variation
-    runs vectorized over all M spatial points.  r, every scale and the
-    signal are checked before the first FFT.
+    f is the signal on Z/M, a 1-D complex array of length M.  The
+    averages are computed by diagonalization; the pointwise variation
+    runs vectorized over all M spatial points.  The signal (non-empty,
+    finite, non-zero), r and every scale are checked before the first FFT.
     """
+    f = np.asarray(f, dtype=complex)
+    if f.ndim != 1:
+        raise ParameterError("signal must be a 1-D array")
+    M = check_count(len(f), "modulus M", DIRECT_SUM_BUDGET)
+    if not np.isfinite(f).all():
+        raise ParameterError("signal must be finite")
     check_r(r)
     scales = [int(N) for N in scales]
     if any(b <= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ParameterError("scales must be non-empty and increasing")
-    M = f.modulus
     check_dp_cells(M, len(scales))
     for N in (scales[0], scales[-1]):
-        check_count(N, "N", DIRECT_SUM_BUDGET, "direct-summation")
-    denom = f.norm()
+        check_count(N, "N", DIRECT_SUM_BUDGET)
+    denom = _pairwise_norm(f)
     if denom == 0:
         raise ParameterError("signal must be non-zero")
-    return multiplier_variation(np.fft.fft(f.values),
+    return multiplier_variation(np.fft.fft(f),
                                 average_multipliers(P, scales, M), r) / denom

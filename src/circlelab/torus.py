@@ -19,20 +19,6 @@ from .expsum import (DIRECT_SUM_BUDGET, check_count,
 from .varnorm import check_dp_cells, check_run_cells, variation_values
 
 
-class LacunaryTrigPoly(NamedTuple("LacunaryTrigPoly", [("terms", tuple)])):
-    """f(x) = sum over terms of coeff * e(freq * x), frequencies distinct;
-    terms = ((freq, coeff), ...) sorted by descending frequency."""
-
-    __slots__ = ()
-
-    def __new__(cls, terms):
-        items = sorted(((int(k), complex(v)) for k, v in dict(terms).items()),
-                       key=lambda kv: -kv[0])
-        if any(k < 0 for k, _ in items):
-            raise ParameterError("frequencies must be non-negative")
-        return super().__new__(cls, tuple(items))
-
-
 class CounterexampleParams(NamedTuple):
     """The recursively built exponent ladders k_1 > ... > k_L, j_1 < ... < j_L."""
 
@@ -128,15 +114,13 @@ def _partial_sums(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _ladder_coeffs(f: LacunaryTrigPoly,
-                   params: CounterexampleParams) -> np.ndarray:
-    coeffs = dict(f.terms)
-    extra = set(coeffs) - {1 << ki for ki in params.k}
-    if extra:
+def _ladder_coeffs(coeffs, params: CounterexampleParams) -> np.ndarray:
+    """One complex coefficient per rung, in `params.k` order."""
+    a = np.asarray(coeffs, dtype=complex)
+    if a.shape != (params.L,):
         raise ParameterError(
-            f"function carries frequencies outside the ladder: {sorted(extra)}")
-    return np.array([coeffs.get(1 << ki, 0.0) for ki in params.k],
-                    dtype=complex)
+            f"need {params.L} coefficients, one per rung, not shape {a.shape}")
+    return a
 
 
 def eta_multipliers(params: CounterexampleParams) -> np.ndarray:
@@ -157,17 +141,18 @@ def eta_multipliers(params: CounterexampleParams) -> np.ndarray:
                       for ki in params.k] for jl in params.j])
 
 
-def eta_error(f: LacunaryTrigPoly, params: CounterexampleParams,
+def eta_error(coeffs: Sequence[complex], params: CounterexampleParams,
               sample_count: int, seed: int,
               W: Optional[np.ndarray] = None):
     """Monte Carlo sup and RMS of eta(f) = sum_l |S_l f - K_{2^{j_l}} * f|.
 
-    The averaging multipliers W[l, i] are exact (`eta_multipliers(params)`
-    unless given); only the spatial supremum is estimated by sampling.
+    f = sum_i coeffs[i] e(2^{k_i} x), one coefficient per rung in
+    `params.k` order.  The averaging multipliers W[l, i] are exact
+    (`eta_multipliers(params)` unless given); only the spatial supremum
+    is estimated by sampling.
     """
-    a = _ladder_coeffs(f, params)
-    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET,
-                "direct-summation")
+    a = _ladder_coeffs(coeffs, params)
+    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
     if W is None:
         W = eta_multipliers(params)
     phases = _ladder_phases(params, sample_count, seed)
@@ -182,12 +167,13 @@ def eta_error(f: LacunaryTrigPoly, params: CounterexampleParams,
     return float(eta.max()), float(np.sqrt(np.mean(eta ** 2)))
 
 
-def v2_partial_sums_norm(f: LacunaryTrigPoly, params: CounterexampleParams,
+def v2_partial_sums_norm(coeffs: Sequence[complex],
+                         params: CounterexampleParams,
                          sample_count: int, seed: int) -> float:
-    """Monte Carlo L^2(T) norm of x -> V^2((S_m f(x))_{m=1..L})."""
-    a = _ladder_coeffs(f, params)
-    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET,
-                "direct-summation")
+    """Monte Carlo L^2(T) norm of x -> V^2((S_m f(x))_{m=1..L}), with f
+    given by its coefficients as in `eta_error`."""
+    a = _ladder_coeffs(coeffs, params)
+    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
     phases = _ladder_phases(params, sample_count, seed)
     return _partial_sum_objective(a, np.exp(2j * math.pi * phases))
 
@@ -229,8 +215,7 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
         raise ParameterError("L must be >= 2")
     if iterations < 0 or restarts < 0:
         raise ParameterError("iterations and restarts must be >= 0")
-    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET,
-                "direct-summation")
+    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
     check_dp_cells(sample_count, L)
     # every start is evaluated once and then once per iteration at most
     check_run_cells((restarts + 1 + (init is not None)) * (iterations + 1),

@@ -73,9 +73,6 @@ class VariationResult(NamedTuple):
     r: float
     block_subsequences: Optional[tuple] = None
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def check_r(r: float) -> float:
     r = float(r)

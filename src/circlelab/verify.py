@@ -16,8 +16,8 @@ import numpy as np
 
 from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import ParameterError, ResourceError
-from .expsum import (DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, check_count,
-                     weyl_sum_prefixes)
+from .expsum import (_BUDGET_NAMES, DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET,
+                     check_count, weyl_sum_prefixes)
 
 # the Z/M experiments (smooth, entropy, main-decomp) import spectral and
 # varnorm inside their functions, so that `est` loads neither
@@ -89,7 +89,7 @@ def _per_alpha(stat, n: int, P: IntPoly, t_max: int, alphas) -> np.ndarray:
 
 
 def _scale_params(n_min: int, n_max: int, delta: float, degree: int,
-                  budget: int, budget_name: str) -> list:
+                  budget: int) -> list:
     """ArcParams at n = n_min..n_max, refused unless n_min <= n_max and
     the longest sum, of 2^(n_max+1) terms, fits `budget`.
     """
@@ -98,7 +98,7 @@ def _scale_params(n_min: int, n_max: int, delta: float, degree: int,
     if n_max + 1 >= budget.bit_length():  # 2^(n_max+1) > budget
         raise ResourceError(
             f"n_max={n_max} needs sums of length up to 2^{n_max + 1}, over "
-            f"the {budget_name} budget {budget}; lower n_max")
+            f"the {_BUDGET_NAMES[budget]} budget {budget}; lower n_max")
     return [ArcParams(n, delta, degree) for n in range(n_min, n_max + 1)]
 
 
@@ -118,8 +118,7 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
         raise ParameterError("verify_est needs degree >= 2")
     if samples_per_arc < 16:
         raise ParameterError("samples_per_arc must be >= 16")
-    blocks = _scale_params(n_min, n_max, delta, P.degree, PHASE_TERM_BUDGET,
-                           "phase-term")
+    blocks = _scale_params(n_min, n_max, delta, P.degree, PHASE_TERM_BUDGET)
     rows = max(16, samples_per_arc, betas_per_scale)
     if rows << (n_max + 1) > PHASE_TERM_BUDGET:
         raise ResourceError(
@@ -308,7 +307,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
             "resolution (tau too small for this sigma range)")
     ks = list(range(k_min, k_max + 1))
     check_dp_cells(M, len(ks))
-    check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation")
+    check_count(M, "modulus M", DIRECT_SUM_BUDGET)
 
     freqs = _place_separated_frequencies(N, M, int(M * tau), rng)
     dmin = _circular_distance(freqs, M)
@@ -352,12 +351,19 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
     from .varnorm import check_dp_cells
     if not math.isfinite(nu_floor):
         raise ParameterError("nu_floor must be finite")
-    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET, "direct-summation")
+    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET)
     if M & (M - 1):
         raise ParameterError("M must be a power of two")
     d = P.degree
-    blocks = _scale_params(n_min, n_max, delta, d, DIRECT_SUM_BUDGET,
-                           "direct-summation")
+    blocks = _scale_params(n_min, n_max, delta, d, DIRECT_SUM_BUDGET)
+    # the normalizer 2^(-n nu_floor / 2) must stay a normal float at every
+    # n, far from underflow to 0 and from overflow: the largest |exponent|
+    # is at n = n_max
+    if n_max * abs(nu_floor) / 2 > 1000:
+        raise ParameterError(
+            f"nu_floor={nu_floor} puts 2^(-n nu_floor / 2) outside "
+            f"2^-1000..2^1000 at n_max={n_max}; need n_max * |nu_floor| / 2 "
+            f"<= 1000")
 
     def block_scales(n):
         return sorted(set(np.linspace(1 << n, 1 << (n + 1), t_samples,

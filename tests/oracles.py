@@ -1,10 +1,12 @@
 """Reference computations that only the tests need.
 
+`eval_poly` evaluates an integer polynomial exactly, by Horner's rule.
 `average_multiplier` is the multiplier of one K_N on Z/M, one DFT of its
 hit counts, the oracle of the rows of `spectral.average_multipliers`.
-`polynomial_average` applies K_N on Z/M through that multiplier;
-`polynomial_average_direct` sums the shifted signal term by term, so the
-two check each other (acceptance criterion 04).
+`polynomial_average` applies K_N to a signal on Z/M (a 1-D complex
+array) through that multiplier; `polynomial_average_direct` sums the
+shifted signal term by term, so the two check each other (acceptance
+criterion 04).
 `per_row_multiplier_variation` fills the variation stack of a multiplier
 family one `ifft` at a time, the oracle of `multiplier_variation`.
 `quadratic_gauss_row` gives every quadratic Gauss sum mod q by one DFT
@@ -30,8 +32,8 @@ differences, the oracle of the residue kernel's phases.
 in closed form; over 2^m it pins the bits of `expsum.dyadic_gauss_mean`.
 `exp_terms` is numpy's complex exp of -2 pi i ph, the oracle of the
 table-driven e(-ph) kernel.
-`l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial
-term by term.
+`l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial,
+given by its frequencies and their coefficients, term by term.
 `assert_pin_moved` bounds how far a re-recorded float.hex pin moved from
 the one it replaces, in ulps.
 """
@@ -48,13 +50,21 @@ from typing import Optional
 
 import numpy as np
 
-from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ReducedFraction, eval_poly, variation_values)
+from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
+                       variation_values)
 from circlelab.arith import ArcLabels, _arc_dtype
 from circlelab.expsum import _PHASE_CHUNK, residue_counts
 from circlelab.spectral import _pairwise_norm
-from circlelab.torus import LacunaryTrigPoly
 from circlelab.verify import _power_fit
+
+
+def eval_poly(P: IntPoly, n: int) -> int:
+    """Exact evaluation of P at an integer (Horner, arbitrary width)."""
+    n = int(n)
+    acc = 0
+    for c in reversed(P.coeffs):
+        acc = acc * n + c
+    return acc
 
 
 def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
@@ -66,22 +76,22 @@ def average_multiplier(P: IntPoly, N: int, M: int) -> np.ndarray:
     return np.conj(np.fft.fft(residue_counts(P.coeffs, N, M))) / N
 
 
-def polynomial_average(f: CyclicSignal, P: IntPoly, N: int) -> CyclicSignal:
+def polynomial_average(f: np.ndarray, P: IntPoly, N: int) -> np.ndarray:
     """K_N * f(x) = (1/N) sum_{n<=N} f(x + P(n) mod M), via diagonalization."""
-    mult = average_multiplier(P, N, f.modulus)
-    return CyclicSignal(f.modulus, np.fft.ifft(np.fft.fft(f.values) * mult))
+    mult = average_multiplier(P, N, len(f))
+    return np.fft.ifft(np.fft.fft(f) * mult)
 
 
-def polynomial_average_direct(f: CyclicSignal, P: IntPoly,
-                              N: int) -> CyclicSignal:
+def polynomial_average_direct(f: np.ndarray, P: IntPoly,
+                              N: int) -> np.ndarray:
     """Direct spatial-summation oracle for polynomial_average."""
     if N < 1:
         raise ParameterError("N must be >= 1")
-    M = f.modulus
+    M = len(f)
     out = np.zeros(M, dtype=complex)
     for n in range(1, N + 1):
-        out += np.roll(f.values, -(eval_poly(P, n) % M))
-    return CyclicSignal(M, out / N)
+        out += np.roll(f, -(eval_poly(P, n) % M))
+    return out / N
 
 
 def per_row_multiplier_variation(fhat: np.ndarray, mults, r: float) -> float:
@@ -320,26 +330,27 @@ def exp_terms(ph: np.ndarray) -> np.ndarray:
     return np.exp(-2j * math.pi * ph)
 
 
-def l2_norm(f: LacunaryTrigPoly) -> float:
+def l2_norm(coeffs) -> float:
     """Parseval: distinct frequencies are orthonormal in L^2(T)."""
-    return math.sqrt(sum(abs(v) ** 2 for _, v in f.terms))
+    return math.sqrt(sum(abs(v) ** 2 for v in coeffs))
 
 
-def eval_dyadic(f: LacunaryTrigPoly, numer: int, bits: int) -> complex:
-    """f at x = numer / 2^bits with exact phase reduction."""
+def eval_dyadic(freqs, coeffs, numer: int, bits: int) -> complex:
+    """f = sum coeffs[i] e(freqs[i] x) at x = numer / 2^bits, with exact
+    phase reduction."""
     mask = (1 << bits) - 1
     scale = 2.0 ** (-bits)
     total = 0.0 + 0.0j
-    for k, v in f.terms:
+    for k, v in zip(freqs, coeffs):
         phase = (numer * k) & mask
         total += v * np.exp(2j * math.pi * (phase * scale))
     return total
 
 
-def eval_float(f: LacunaryTrigPoly, x: float) -> complex:
+def eval_float(freqs, coeffs, x: float) -> complex:
     """Plain double-precision evaluation (dense-grid oracle, small freqs)."""
     return complex(sum(v * np.exp(2j * math.pi * ((k * x) % 1.0))
-                       for k, v in f.terms))
+                       for k, v in zip(freqs, coeffs)))
 
 
 def _ordered_bits(x: float) -> int:

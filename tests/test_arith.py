@@ -12,10 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
-                       arc_labels, congruence_data, eval_poly)
+                       arc_labels, congruence_data)
 from circlelab.arith import _arc_dtype
 from circlelab.cli import main
-from oracles import (annulus_label, classify_arc, farey_level,
+from oracles import (annulus_label, classify_arc, eval_poly, farey_level,
                      fractions_near, level_scan_labels, shell_index,
                      torus_distance)
 

@@ -21,8 +21,8 @@ from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
                               _e_neg, _e_work, _limb_phases, _phase_chunks,
                               _residue_chunks, _residue_rows,
                               residue_counts)
-from oracles import (bigint_phase_chunks, complete_dyadic_gauss, exp_terms,
-                     farey_level, quadratic_gauss_row)
+from oracles import (bigint_phase_chunks, complete_dyadic_gauss, eval_poly,
+                     exp_terms, farey_level, quadratic_gauss_row)
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -47,7 +47,7 @@ def e_neg(ph):
 
 def weyl_sum_naive(P, t, alpha):
     """Float-arithmetic oracle (small t, tame alpha only)."""
-    return sum(cmath.exp(-2j * math.pi * ((float(alpha) * P(n)) % 1.0))
+    return sum(cmath.exp(-2j * math.pi * ((float(alpha) * eval_poly(P, n)) % 1.0))
                for n in range(1, t + 1)) / t
 
 
@@ -170,7 +170,8 @@ class TestPhaseKernel:
                          (EDGE_POLYS[2], Fraction(5, BIG * 8))]:
             a = Fraction(alpha)
             num, den = a.numerator, a.denominator
-            direct = [(num * P(n)) % den / den for n in range(1, 40)]
+            direct = [(num * eval_poly(P, n)) % den / den
+                      for n in range(1, 40)]
             assert oracle_phases(P, 39, alpha).tolist() == direct
 
     @pytest.mark.parametrize("P", EDGE_POLYS)

@@ -9,35 +9,35 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circlelab import (ArcParams, CyclicSignal, IntPoly, ParameterError,
-                       ResourceError, average_multipliers,
-                       variation_experiment, variation_values,
-                       verify_main_decomposition, weyl_sum)
+from circlelab import (ArcParams, IntPoly, ParameterError, ResourceError,
+                       average_multipliers, variation_experiment,
+                       variation_values, verify_main_decomposition, weyl_sum)
 from circlelab import spectral, verify
 from circlelab.arith import arc_labels
 from circlelab.expsum import DIRECT_SUM_BUDGET
 from circlelab.spectral import (_complex_normal, _pairwise_norm,
                                 multiplier_variation)
 from oracles import (annulus_label, assert_pin_moved, average_multiplier,
-                     classify_arc, farey_level, per_row_multiplier_variation,
-                     polynomial_average, polynomial_average_direct,
-                     shell_index, torus_distance)
+                     classify_arc, eval_poly, farey_level,
+                     per_row_multiplier_variation, polynomial_average,
+                     polynomial_average_direct, shell_index, torus_distance)
 
 SQUARES = IntPoly([0, 0, 1])
 
 
 def random_signal(M, seed):
     rng = np.random.default_rng(seed)
-    return CyclicSignal(M, rng.standard_normal(M) + 1j * rng.standard_normal(M))
+    return rng.standard_normal(M) + 1j * rng.standard_normal(M)
 
 
 class TestDFT:
-    # the DFT runs on CyclicSignal values, which must be finite
+    # the DFT runs on the signal, which must be finite: refused first
     @pytest.mark.parametrize("bad", [math.nan, math.inf,
                                      complex(0, -math.inf)])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ParameterError):
-            CyclicSignal(2, [1, bad])
+    def test_non_finite_rejected(self, bad, monkeypatch):
+        monkeypatch.setattr(np.fft, "fft", never)
+        with pytest.raises(ParameterError, match="finite"):
+            variation_experiment(np.array([1, bad]), SQUARES, [1, 2], 2)
 
 
 def same_bits(a, b):
@@ -95,7 +95,7 @@ class TestAverageMultiplier:
         P = IntPoly(coeffs + [leading])
         counts = np.zeros(M, dtype=float)
         for n in range(1, N + 1):
-            counts[P(n) % M] += 1.0
+            counts[eval_poly(P, n) % M] += 1.0
         expect = np.conj(np.fft.fft(counts)) / N
         assert np.array_equal(one_multiplier(P, N, M), expect)
 
@@ -156,23 +156,22 @@ class TestPolynomialAverage:
         f = random_signal(M, 42)
         fast = polynomial_average(f, P, N)
         direct = polynomial_average_direct(f, P, N)
-        assert np.allclose(fast.values, direct.values, atol=1e-12)
+        assert np.allclose(fast, direct, atol=1e-12)
 
     def test_constant_fixed_point(self):
-        f = CyclicSignal(9, np.full(9, 2.5 + 1j))
+        f = np.full(9, 2.5 + 1j)
         out = polynomial_average(f, SQUARES, 6)
-        assert np.allclose(out.values, f.values, atol=1e-12)
+        assert np.allclose(out, f, atol=1e-12)
 
     def test_contractive_in_l2(self):
         f = random_signal(64, 3)
         out = polynomial_average(f, SQUARES, 17)
-        assert out.norm() <= f.norm() + 1e-10
+        assert _pairwise_norm(out) <= _pairwise_norm(f) + 1e-10
 
     def test_shift_equivariance(self):
         f = random_signal(20, 4)
-        shifted = CyclicSignal(20, np.roll(f.values, 3))
-        a = polynomial_average(shifted, SQUARES, 5).values
-        b = np.roll(polynomial_average(f, SQUARES, 5).values, 3)
+        a = polynomial_average(np.roll(f, 3), SQUARES, 5)
+        b = np.roll(polynomial_average(f, SQUARES, 5), 3)
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -437,8 +436,7 @@ class TestMultiplierVariation:
 
 class TestVariationExperiment:
     def test_constant_signal_zero_variation(self):
-        f = CyclicSignal(16, np.ones(16))
-        val = variation_experiment(f, SQUARES, [1, 2, 4, 8], 2)
+        val = variation_experiment(np.ones(16), SQUARES, [1, 2, 4, 8], 2)
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_eigenvector_reduces_to_scalar_variation(self):
@@ -446,7 +444,7 @@ class TestVariationExperiment:
         # the scalar variation of the multiplier values
         from circlelab import IndexedSeq, variation
         M, j = 32, 5
-        f = CyclicSignal(M, np.exp(2j * np.pi * j * np.arange(M) / M))
+        f = np.exp(2j * np.pi * j * np.arange(M) / M)
         scales = [1, 3, 9, 27]
         mults = average_multipliers(SQUARES, scales, M)[:, j]
         expect = variation(IndexedSeq.from_values(mults), 2).value
@@ -455,7 +453,7 @@ class TestVariationExperiment:
 
     def test_phase_invariance(self):
         f = random_signal(64, 7)
-        g = CyclicSignal(64, f.values * np.exp(0.7j))
+        g = f * np.exp(0.7j)
         scales = [1, 2, 4, 8, 16]
         assert variation_experiment(f, SQUARES, scales, 2) == \
             pytest.approx(variation_experiment(g, SQUARES, scales, 2),
@@ -480,8 +478,36 @@ class TestVariationExperiment:
     def test_zero_signal_checked_before_any_fft(self, monkeypatch):
         monkeypatch.setattr(np.fft, "fft", never)
         with pytest.raises(ParameterError):
-            variation_experiment(CyclicSignal(8, np.zeros(8)), SQUARES,
-                                 [1, 2], 2)
+            variation_experiment(np.zeros(8), SQUARES, [1, 2], 2)
+
+    def test_bad_signal_checked_before_any_fft(self, monkeypatch):
+        # the signal is a non-empty 1-D array (TestDFT: and finite)
+        monkeypatch.setattr(spectral, "average_multipliers", never)
+        monkeypatch.setattr(np.fft, "fft", never)
+        for signal in (np.zeros(0), [], np.ones((2, 4)), [[1.0]], 1.0):
+            with pytest.raises(ParameterError):
+                variation_experiment(signal, SQUARES, [1, 2], 2)
+
+    def test_signal_length_budget(self, monkeypatch):
+        # M = len(f) has the modulus budget of the CLI's --modulus
+        monkeypatch.setattr(np.fft, "fft", never)
+        big = np.ones(DIRECT_SUM_BUDGET + 1, dtype=complex)
+        with pytest.raises(ResourceError, match="modulus M"):
+            variation_experiment(big, SQUARES, [1, 2], 2)
+
+    def test_signal_is_not_copied(self, monkeypatch):
+        # the DFT reads the caller's complex array itself
+        f = random_signal(16, 1)
+        seen = []
+        fft = np.fft.fft
+
+        def recorded(x, *args, **kwargs):
+            seen.append(x)
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        variation_experiment(f, SQUARES, [1, 2], 2)
+        assert seen[0] is f
 
     # (poly, M, signal seed, scales, r), the result as float.hex, and the
     # pin it replaced where that moved: recorded when the norms were

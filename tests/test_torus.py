@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circlelab import (IntPoly, LacunaryTrigPoly, ParameterError,
-                       ResourceError, build_sequences, eta_error,
-                       exact_ladder_radius, fast_dyadic_quadratic_weyl,
-                       search_coefficients, v2_partial_sums_norm, weyl_sum)
+from circlelab import (IntPoly, ParameterError, ResourceError, build_sequences,
+                       eta_error, exact_ladder_radius,
+                       fast_dyadic_quadratic_weyl, search_coefficients,
+                       v2_partial_sums_norm, weyl_sum)
 from circlelab import expsum
 from circlelab.expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET
 from circlelab.torus import (_independent_phase_matrix, _ladder_phases,
@@ -29,23 +29,14 @@ SQUARES = IntPoly([0, 0, 1])
 
 class TestTrigPoly:
     def test_l2_norm_parseval(self):
-        f = LacunaryTrigPoly({1: 3.0, 4: 4.0})
-        assert l2_norm(f) == pytest.approx(5.0, abs=1e-12)
+        assert l2_norm([3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
 
     def test_eval_dyadic_matches_float(self):
-        f = LacunaryTrigPoly({1: 1.0, 8: 0.5j, 64: -2.0})
+        freqs, coeffs = (1, 8, 64), (1.0, 0.5j, -2.0)
         for numer in [0, 1, 12345, (1 << 20) - 1]:
             x = numer / 2.0 ** 20
-            assert eval_dyadic(f, numer, 20) == \
-                pytest.approx(eval_float(f, x), abs=1e-9)
-
-    def test_negative_frequency_rejected(self):
-        with pytest.raises(ParameterError):
-            LacunaryTrigPoly({-2: 1.0})
-
-    def test_terms_sorted_descending(self):
-        f = LacunaryTrigPoly({4: 1.0, 64: 2.0, 1: 3.0})
-        assert [k for k, _ in f.terms] == [64, 4, 1]
+            assert eval_dyadic(freqs, coeffs, numer, 20) == \
+                pytest.approx(eval_float(freqs, coeffs, x), abs=1e-9)
 
 
 class TestBuildSequences:
@@ -124,22 +115,22 @@ def weyl_factor(freq, R, N):
     return weyl_sum(SQUARES, N, Fraction(freq, 1 << R)).conjugate()
 
 
-def average(f, R, N):
-    """K_N * f: each coefficient of f picks up its Weyl factor."""
-    return LacunaryTrigPoly({freq: coeff * weyl_factor(freq, R, N)
-                             for freq, coeff in f.terms})
+def average(freqs, coeffs, R, N):
+    """The coefficients of K_N * f, f = sum coeffs[i] e(freqs[i] x): each
+    coefficient picks up its Weyl factor."""
+    return [coeff * weyl_factor(freq, R, N)
+            for freq, coeff in zip(freqs, coeffs)]
 
 
 class TestAverageTrigPoly:
     def test_matches_direct_summation(self):
         R, N = 10, 32
-        f = LacunaryTrigPoly({16: 1.5, 1024: -0.5j})
-        out = average(f, R, N)
-        for freq, coeff in f.terms:
+        freqs, coeffs = (16, 1024), (1.5, -0.5j)
+        out = average(freqs, coeffs, R, N)
+        for freq, coeff, got in zip(freqs, coeffs, out):
             w = sum(cmath.exp(2j * math.pi * ((freq * n * n) % (1 << R))
                               / (1 << R)) for n in range(1, N + 1)) / N
-            expect = dict(f.terms)[freq] * w
-            assert dict(out.terms)[freq] == pytest.approx(expect, abs=1e-12)
+            assert got == pytest.approx(coeff * w, abs=1e-12)
 
     @pytest.mark.parametrize("freq", [0, 3, 12, 1 << 11, 1 << 12, 5 << 20,
                                       (1 << 40) + 1])
@@ -151,28 +142,28 @@ class TestAverageTrigPoly:
         mask, scale = (1 << R) - 1, 2.0 ** (-R)
         want = sum(np.exp(2j * math.pi * (((freq * n * n) & mask) * scale))
                    for n in range(1, N + 1)) / N
-        out = average(LacunaryTrigPoly({freq: 1.0}), R, N)
-        assert abs(dict(out.terms)[freq] - want) <= 1e-12
+        (out,) = average([freq], [1.0], R, N)
+        assert abs(out - want) <= 1e-12
 
     def test_term_budget_checked_first(self):
         # N > PHASE_TERM_BUDGET: refused before any phase is computed
-        f = LacunaryTrigPoly({3: 1.0})
         with mock.patch.object(expsum, "_phase_chunks",
                                side_effect=AssertionError):
             with pytest.raises(ResourceError):
-                average(f, 10, PHASE_TERM_BUDGET + 1)
+                average([3], [1.0], 10, PHASE_TERM_BUDGET + 1)
 
     def test_consistent_with_pointwise_average(self):
         # K_N f(x) = (1/N) sum_n f(x + n^2 2^-R) on a dense grid
         R, N, G = 8, 12, 1 << 10
-        f = LacunaryTrigPoly({4: 1.0, 32: 2.0j, 7: -1.0})
-        out = average(f, R, N)
+        freqs, coeffs = (4, 32, 7), (1.0, 2.0j, -1.0)
+        out = average(freqs, coeffs, R, N)
         xs = np.arange(G) / G
-        lhs = np.array([eval_float(out, x) for x in xs])
+        lhs = np.array([eval_float(freqs, out, x) for x in xs])
         rhs = np.zeros(G, dtype=complex)
         for n in range(1, N + 1):
             shift = (n * n) / 2.0 ** R
-            rhs += np.array([eval_float(f, x + shift) for x in xs])
+            rhs += np.array([eval_float(freqs, coeffs, x + shift)
+                             for x in xs])
         assert np.allclose(lhs, rhs / N, atol=1e-9)
 
 
@@ -204,28 +195,29 @@ class TestPartialSum:
                                             np.ascontiguousarray(z.T))
         assert_bitwise_equal(got, want)
 
-    def test_foreign_frequency_rejected(self):
-        # S_m f is read off the ladder coefficients, which refuse any
-        # frequency off the ladder
+    def test_wrong_coefficient_count_rejected(self):
+        # one coefficient per rung: a term off the ladder, a missing rung or
+        # any other shape is refused before the sample count is read and
+        # before any phase is drawn
         params = build_sequences(2, 14)
-        f = LacunaryTrigPoly({3: 1.0})
-        with pytest.raises(ParameterError):
-            eta_error(f, params, 64, 0)
-        with pytest.raises(ParameterError):
-            v2_partial_sums_norm(f, params, 64, 0)
+        with mock.patch("circlelab.torus._ladder_phases",
+                        side_effect=AssertionError):
+            for coeffs in ([1.0], [0.6, 0.8, 0.1], [], [[0.6, 0.8]], 1.0):
+                for fn in (eta_error, v2_partial_sums_norm):
+                    with pytest.raises(ParameterError,
+                                       match="2 coefficients"):
+                        fn(coeffs, params, 0, 0)
 
 
 class TestEtaError:
     def test_zero_function(self):
         params = build_sequences(2, 14)
-        f = LacunaryTrigPoly({1 << 8: 0.0, 1 << 0: 0.0})
-        sup, rms = eta_error(f, params, 64, 0)
+        sup, rms = eta_error([0.0, 0.0], params, 64, 0)
         assert sup == 0.0 and rms == 0.0
 
     def test_matches_dense_grid_oracle(self):
         params = build_sequences(2, 14)
         a = (0.8, 0.6)
-        f = LacunaryTrigPoly({1 << k: c for k, c in zip(params.k, a)})
         G = 1 << 16
         xs = np.arange(G) / G
         z = np.exp(2j * np.pi * np.outer(xs, [1 << k for k in params.k]))
@@ -236,15 +228,14 @@ class TestEtaError:
         eta_grid = np.abs(partial - az @ W.T).sum(axis=1)
         sup_oracle = float(eta_grid.max())
         rms_oracle = float(np.sqrt(np.mean(eta_grid ** 2)))
-        sup, rms = eta_error(f, params, 1 << 14, 0)
+        sup, rms = eta_error(a, params, 1 << 14, 0)
         assert sup == pytest.approx(sup_oracle, rel=0.05)
         assert rms == pytest.approx(rms_oracle, rel=0.05)
 
     def test_two_seeds_agree(self):
         params = build_sequences(2, 14)
-        f = LacunaryTrigPoly({1 << 8: 0.6, 1 << 0: 0.8})
-        _, rms1 = eta_error(f, params, 4096, 1)
-        _, rms2 = eta_error(f, params, 4096, 2)
+        _, rms1 = eta_error([0.6, 0.8], params, 4096, 1)
+        _, rms2 = eta_error([0.6, 0.8], params, 4096, 2)
         assert rms1 == pytest.approx(rms2, rel=0.1)
 
 
@@ -253,16 +244,13 @@ class TestV2PartialSums:
         # With L = 2 the variation of (S_1, S_2) is |S_1 - S_2| = |a_1|
         params = build_sequences(2, 14)
         a1, a2 = 0.8, 0.6
-        f = LacunaryTrigPoly({1 << 8: a1, 1 << 0: a2})
-        val = v2_partial_sums_norm(f, params, 4096, 0)
+        val = v2_partial_sums_norm([a1, a2], params, 4096, 0)
         assert val == pytest.approx(a1, abs=1e-10)
 
     def test_scales_linearly(self):
         params = build_sequences(2, 14)
-        f1 = LacunaryTrigPoly({1 << 8: 0.5, 1 << 0: 0.5})
-        f2 = LacunaryTrigPoly({1 << 8: 1.5, 1 << 0: 1.5})
-        v1 = v2_partial_sums_norm(f1, params, 2048, 3)
-        v2 = v2_partial_sums_norm(f2, params, 2048, 3)
+        v1 = v2_partial_sums_norm([0.5, 0.5], params, 2048, 3)
+        v2 = v2_partial_sums_norm([1.5, 1.5], params, 2048, 3)
         assert v2 == pytest.approx(3 * v1, rel=1e-10)
 
 
@@ -298,8 +286,7 @@ class TestLadderPhases:
         params = build_sequences(7, 1017)
         phases = _ladder_phases(params, 256, 3)
         assert np.all((phases >= 0) & (phases < 1))
-        f = LacunaryTrigPoly({1 << k: 1.0 for k in params.k})
-        val = v2_partial_sums_norm(f, params, 256, 3)
+        val = v2_partial_sums_norm(np.ones(params.L), params, 256, 3)
         assert math.isfinite(val) and val > 0
 
 
@@ -465,7 +452,7 @@ class TestSampleCount:
         (DIRECT_SUM_BUDGET + 1, ResourceError)])
     def test_refused_before_work(self, samples, error):
         params = build_sequences(2, 14)
-        f = LacunaryTrigPoly({1 << 8: 0.6, 1 << 0: 0.8})
+        f = [0.6, 0.8]
         with mock.patch("circlelab.torus._ladder_phases",
                         side_effect=AssertionError), \
                 mock.patch("circlelab.torus.eta_multipliers",
@@ -477,6 +464,5 @@ class TestSampleCount:
 
     def test_one_point_admitted(self):
         params = build_sequences(2, 14)
-        f = LacunaryTrigPoly({1 << 8: 0.6, 1 << 0: 0.8})
-        sup, rms = eta_error(f, params, 1, 0)
+        sup, rms = eta_error([0.6, 0.8], params, 1, 0)
         assert rms == pytest.approx(sup)

@@ -1,4 +1,4 @@
-"""The package's eleven value classes: equality, hashing, ordering,
+"""The package's nine value classes: equality, hashing, ordering,
 immutability and the validation each constructor does."""
 
 import copy
@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from circlelab import (ArcParams, BoundFitReport, CongruenceData,
-                       CounterexampleParams, CyclicSignal, DecompositionReport,
-                       IndexedSeq, IntPoly, LacunaryTrigPoly, ParameterError,
-                       ReducedFraction, VariationResult)
+                       CounterexampleParams, DecompositionReport, IndexedSeq,
+                       IntPoly, ParameterError, ReducedFraction,
+                       VariationResult)
+from oracles import eval_poly
 
 REPORT = BoundFitReport("smooth_lemma", (0, 1, 2), (0.5, 0.25, 0.125), 0.5,
                         -1.0, 0.0)
@@ -28,10 +29,6 @@ CASES = {
                   lambda: ArcParams(10, 0.05, 3), "n"),
     "CongruenceData": (lambda: CongruenceData(3, (1, 2)),
                        lambda: CongruenceData(3, (2, 1)), "q_i"),
-    "CyclicSignal": (lambda: CyclicSignal(1, [2 + 1j]),
-                     lambda: CyclicSignal(1, [2 - 1j]), "values"),
-    "LacunaryTrigPoly": (lambda: LacunaryTrigPoly({1: 0.5, 4: 1j}),
-                         lambda: LacunaryTrigPoly({1: 0.5, 8: 1j}), "terms"),
     "CounterexampleParams": (lambda: CounterexampleParams(2, 14, (9, 0),
                                                           (5, 6)),
                              lambda: CounterexampleParams(2, 15, (9, 0),
@@ -48,8 +45,6 @@ CASES = {
                                     2.0, 2.5),
         "reassembly_lhs"),
 }
-# a function on Z/M holds a numpy array, which has no hash
-UNHASHABLE = {"CyclicSignal"}
 
 
 def test_every_value_class_is_covered():
@@ -70,13 +65,10 @@ class TestValueSemantics:
         assert make() != object()
 
     def test_hashing(self, name):
+        # every value class hashes: equal values, equal hashes
         make, other, _ = CASES[name]
-        if name in UNHASHABLE:
-            with pytest.raises(TypeError):
-                hash(make())
-        else:
-            assert hash(make()) == hash(make())
-            assert len({make(), make(), other()}) == 2
+        assert hash(make()) == hash(make())
+        assert len({make(), make(), other()}) == 2
 
     def test_immutable(self, name):
         make, _, field = CASES[name]
@@ -110,7 +102,7 @@ class TestConstruction:
     def test_int_poly(self):
         P = IntPoly([0.0, 2, 3])
         assert P.coeffs == (0, 2, 3) and all(type(c) is int for c in P.coeffs)
-        assert (P.degree, P.leading, P(2)) == (2, 3, 16)
+        assert (P.degree, P.leading, eval_poly(P, 2)) == (2, 3, 16)
         for bad in ([3], [], [0, 0, 0], [0, -1]):
             with pytest.raises(ParameterError):
                 IntPoly(bad)
@@ -131,22 +123,6 @@ class TestConstruction:
             with pytest.raises(ParameterError):
                 ArcParams(*bad)
 
-    def test_cyclic_signal(self):
-        f = CyclicSignal(2, [1, 2])
-        assert f.modulus == 2 and f.values.dtype == complex
-        assert f.norm() == pytest.approx(math.sqrt(5))
-        for M, v in ((2, [1]), (0, []), (2, [1, math.nan]),
-                     (1, [[1]])):
-            with pytest.raises(ParameterError):
-                CyclicSignal(M, v)
-
-    def test_lacunary_trig_poly(self):
-        f = LacunaryTrigPoly({1: 2, 8: 0.5, 4: 1j})
-        assert f.terms == ((8, 0.5), (4, 1j), (1, 2))
-        assert all(type(v) is complex for _, v in f.terms)
-        with pytest.raises(ParameterError):
-            LacunaryTrigPoly({-1: 1.0})
-
     def test_indexed_seq(self):
         seq = IndexedSeq([2, 5], [1, 2j])
         assert seq.indices == (2, 5) and seq.values == (1 + 0j, 2j)
@@ -159,7 +135,6 @@ class TestConstruction:
 
     def test_plain_records_keep_their_fields(self):
         assert VariationResult(1.5, (1, 3), 2.0).block_subsequences is None
-        assert float(VariationResult(1.5, (1, 3), 2.0)) == 1.5
         params = CounterexampleParams(L=2, R=14, k=(9, 0), j=(5, 6))
         assert params.identity_defects() == ((1,), (7, 0))
         report = DecompositionReport(REPORT, (1,), (0.5,), 1.0, 2.0, 2.5)
