@@ -62,8 +62,6 @@ def _parse_list(text: str, kind):
 def _jsonable(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
 from .arith import IntPoly, ReducedFraction, congruence_data
 from .errors import ParameterError, ResourceError
-
-RealLike = Union[int, float, Fraction]
 
 # the most terms or frequencies one direct evaluation may take: the tail
 # that fast_dyadic_quadratic_weyl sums term by term (~0.4 us a term on
@@ -30,6 +27,12 @@ DIRECT_SUM_BUDGET = 1 << 22
 # array); it also keeps n < 2^31, which the int64 and two-limb residue
 # paths need
 PHASE_TERM_BUDGET = 1 << 28
+# verify_est: the most bytes the alphas of one scale may hold, checked
+# before part 1; an alpha holds ALPHA_BYTES (its int64 numerator, and its
+# float statistic once per block and once joined), so 2^28 bytes admit
+# 11,184,810 alphas a scale
+ALPHA_BYTE_BUDGET = 1 << 28
+ALPHA_BYTES = 24
 # the name of each budget in its refusals
 _BUDGET_NAMES = {DIRECT_SUM_BUDGET: "direct-summation",
                  PHASE_TERM_BUDGET: "phase-term"}
@@ -39,7 +42,7 @@ _PHASE_CHUNK = 1 << 16
 # at most this many terms, so they stay in cache (2^16-term blocks cost
 # `est` about 3 MB more peak memory and twice the page faults)
 _CACHE_CHUNK = 1 << 14
-_SQUARES = IntPoly([0, 0, 1])
+_SQUARES = (0, 0, 1)  # the coefficients of n^2
 
 
 def check_count(n: int, name: str, budget: int = PHASE_TERM_BUDGET) -> int:
@@ -73,54 +76,54 @@ def _residue_dtype(den: int) -> np.dtype:
     return np.dtype(np.int64 if den < 1 << 31 else object)
 
 
-def _residue_rows(coeffs, dens, start: int, stop: int) -> np.ndarray:
-    """Q_i(n) mod dens[i] for n = start..stop-1, one row per i.
+def _residue_rows(coeffs, k, dens, start: int, stop: int) -> np.ndarray:
+    """k_i Q(n) mod den_i for n = start..stop-1, one row per k_i.
 
-    coeffs[i] holds row i's ascending coefficients Q_i(n) = sum_j c_j n^j,
-    any Python ints (the leading one may vanish mod den); every row has as
-    many, and every den has one `_residue_dtype`.  For den = 2^e, Horner
-    runs in uint64 with wraparound, in one limb or two, and masks once at
-    the end, since mod 2^e factors through mod 2^64 and 2^128.  Other den
-    are reduced at every step, in int64 for den < 2^31 (callers keep
-    stop <= PHASE_TERM_BUDGET + 1 < 2^31, so every product stays below
-    2^62) and on Python ints otherwise.  Returns (rows, stop - start).
+    Q(n) = sum_j coeffs[j] n^j has any Python int coefficients (the leading
+    one may vanish mod den); k is a 1-D integer or object array, and dens
+    is as `weyl_sum_prefixes` takes D, every den of one `_residue_dtype`.
+    For den = 2^e, Horner runs in uint64 with wraparound, in one limb or
+    two, and masks once at the end, since mod 2^e factors through mod 2^64
+    and 2^128.  Other den are reduced at every step, in int64 for den <
+    2^31 (callers keep stop <= PHASE_TERM_BUDGET + 1 < 2^31, so every
+    product stays below 2^62) and on Python ints otherwise.  Returns
+    (rows, stop - start).
     """
+    dens = np.asarray(dens, dtype=object).reshape(-1)
     dtype = _residue_dtype(dens[0])
+    # cs[j]: every row's k_i times the coefficient of n^(d-j)
+    desc = np.array(coeffs[::-1], dtype=object)[:, None]
+    if dtype == np.uint64 and k.dtype != object:
+        cs = (desc % (1 << 64)).astype(np.uint64) * k.astype(np.uint64)
+    else:
+        cs = desc * k.astype(object) % dens
     if dtype == _LIMB_PAIR:
-        return _limb_residue_rows(coeffs, dens, start, stop)
-    # cs[j]: every row's coefficient of n^(d-j), as a column
-    cs = np.array([[c % den for c in reversed(row)]
-                   for row, den in zip(coeffs, dens)], dtype=dtype).T[..., None]
+        return _limb_residue_rows(cs, dens, start, stop)
+    cs = cs.astype(dtype)[..., None]
     n = np.arange(start, stop, dtype=dtype)
-    acc = np.empty((len(dens), len(n)), dtype=dtype)
+    acc = np.empty((len(k), len(n)), dtype=dtype)
     acc[...] = cs[0]
-    if dtype == np.uint64:
-        for c in cs[1:]:
-            acc *= n
-            acc += c
-        acc &= np.array([den - 1 for den in dens], dtype=dtype)[:, None]
-        return acc
-    den_col = np.array(dens, dtype=dtype)[:, None]
     for c in cs[1:]:
         acc *= n
         acc += c
-        np.remainder(acc, den_col, out=acc)
+        if dtype != np.uint64:
+            np.remainder(acc, dens.astype(dtype)[:, None], out=acc)
+    if dtype == np.uint64:
+        acc &= (dens - 1).astype(dtype)[:, None]
     return acc
 
 
-def _limb_residue_rows(coeffs, dens, start: int, stop: int) -> np.ndarray:
+def _limb_residue_rows(cs, dens, start: int, stop: int) -> np.ndarray:
     """`_residue_rows` for den = 2^e, 64 < e <= 128, in (hi, lo) uint64 limbs.
 
-    Horner multiplies by n < 2^32 with lo split into 32-bit halves, so
-    each partial product fits 64 bits, and carries by unsigned compare.
+    From cs, the reduced coefficients as Python ints, Horner multiplies by
+    n < 2^32 with lo split into 32-bit halves, so each partial product fits
+    64 bits, and carries by unsigned compare.
     """
-    cs = [[c % den for c in reversed(row)] for row, den in zip(coeffs, dens)]
-    c_hi = np.array([[c >> 64 for c in row] for row in cs],
-                    dtype=np.uint64).T[..., None]
-    c_lo = np.array([[c & ((1 << 64) - 1) for c in row] for row in cs],
-                    dtype=np.uint64).T[..., None]
+    c_hi = (cs >> 64).astype(np.uint64)[..., None]
+    c_lo = (cs & ((1 << 64) - 1)).astype(np.uint64)[..., None]
     n = np.arange(start, stop, dtype=np.uint64)
-    shape = (len(dens), len(n))
+    shape = (cs.shape[1], len(n))
     hi, lo = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
     hi[...], lo[...] = c_hi[0], c_lo[0]
     mid, tmp = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
@@ -141,17 +144,10 @@ def _limb_residue_rows(coeffs, dens, start: int, stop: int) -> np.ndarray:
         np.less(lo, cl, out=tmp)
         hi += tmp
         hi += ch
-    hi &= np.array([(den >> 64) - 1 for den in dens], dtype=np.uint64)[:, None]
+    hi &= ((dens >> 64) - 1).astype(np.uint64)[:, None]
     out = np.empty(shape, _LIMB_PAIR)
     out["hi"], out["lo"] = hi, lo
     return out
-
-
-def _residue_chunks(coeffs, t: int, den: int) -> Iterator[np.ndarray]:
-    """Q(n) mod den for n = 1..t, Q(n) = sum_j coeffs[j] n^j, in chunks."""
-    return (_residue_rows([coeffs], [den], start,
-                          min(start + _PHASE_CHUNK, t + 1))[0]
-            for start in range(1, t + 1, _PHASE_CHUNK))
 
 
 def residue_counts(coeffs, t: int, q: int) -> np.ndarray:
@@ -161,7 +157,9 @@ def residue_counts(coeffs, t: int, q: int) -> np.ndarray:
     """
     t, q = check_count(t, "t"), check_count(q, "q")
     counts = np.zeros(q, dtype=np.int64)
-    for r in _residue_chunks(coeffs, t, q):
+    for start in range(1, t + 1, _PHASE_CHUNK):
+        r = _residue_rows(coeffs, np.ones(1, np.int64), q, start,
+                          min(start + _PHASE_CHUNK, t + 1))[0]
         counts += np.bincount(r.astype(np.intp), minlength=q)
     return counts
 
@@ -186,30 +184,28 @@ def _limb_phases(r: np.ndarray, dens) -> np.ndarray:
     return np.ldexp(window.astype(float), k - exps)
 
 
-def _phase_rows(P: IntPoly, fracs, start: int, stop: int) -> np.ndarray:
-    """frac(alpha * P(n)) for n = start..stop-1, one row per alpha, exactly.
+def _phase_rows(coeffs, k, dens, start: int, stop: int) -> np.ndarray:
+    """frac(k_i Q(n) / den_i) for n = start..stop-1, one row per k_i, exactly.
 
-    alpha = num/den is the exact rational it is (every den on one residue
-    path), num * P(n) is reduced mod den by `_residue_rows`, and each
-    residue r becomes r/den correctly rounded.
+    k_i Q(n) is reduced mod den_i by `_residue_rows`, and each residue r
+    becomes r/den_i correctly rounded.
     """
-    dens = [f.denominator for f in fracs]
-    r = _residue_rows([[f.numerator * c for c in P.coeffs] for f in fracs],
-                      dens, start, stop)
+    r = _residue_rows(coeffs, k, dens, start, stop)
+    dens = np.asarray(dens, dtype=object).reshape(-1)
     if r.dtype == _LIMB_PAIR:
         return _limb_phases(r, dens)
     if r.dtype == object:
         # Python ints divide correctly rounded
-        return (r / np.array(dens, dtype=object)[:, None]).astype(float)
+        return (r / dens[:, None]).astype(float)
     # on uint64 a power-of-two den scales the correctly rounded float(r)
     # exactly, and on int64 r and den < 2^31 are exact floats: one rounding
-    return r / np.array(dens, dtype=float)[:, None]
+    return r / dens.astype(float)[:, None]
 
 
-def _phase_chunks(P: IntPoly, t: int, alpha: RealLike) -> Iterator[np.ndarray]:
-    """frac(alpha * P(n)) for n = 1..t, reduced exactly, in chunks."""
-    fracs = [alpha if isinstance(alpha, Fraction) else Fraction(alpha)]
-    return (_phase_rows(P, fracs, start, min(start + _PHASE_CHUNK, t + 1))[0]
+def _phase_chunks(coeffs, t: int, num, den) -> Iterator[np.ndarray]:
+    """frac(num Q(n) / den) for n = 1..t, reduced exactly, in chunks."""
+    return (_phase_rows(coeffs, np.array([num], dtype=object), den, start,
+                        min(start + _PHASE_CHUNK, t + 1))[0]
             for start in range(1, t + 1, _PHASE_CHUNK))
 
 
@@ -285,29 +281,32 @@ def _esum(phase_chunks) -> complex:
     return total
 
 
-def weyl_sum(P: IntPoly, t: int, alpha: RealLike) -> complex:
-    """The normalized exponential sum (1/t) sum_{n=1}^t e(-alpha P(n))."""
+def weyl_sum(P: IntPoly, t: int, alpha) -> complex:
+    """(1/t) sum_{n=1}^t e(-alpha P(n)) for an int, float or Fraction alpha."""
     t = check_count(t, "t")
-    return _esum(_phase_chunks(P, t, alpha)) / t
+    return _esum(_phase_chunks(P.coeffs, t, *alpha.as_integer_ratio())) / t
 
 
-def weyl_sum_prefixes(P: IntPoly, t_max: int,
-                      alphas) -> Iterator[np.ndarray]:
-    """K_hat_t for t = 1..t_max (column t-1) at every alpha, in row blocks.
+def weyl_sum_prefixes(P: IntPoly, t_max: int, k, D) -> Iterator[np.ndarray]:
+    """K_hat_t for t = 1..t_max (column t-1) at every alpha = k/D, in blocks.
 
-    Returns an iterator of (rows, t_max) complex arrays whose rows follow
-    `alphas`.  A block holds at most _CACHE_CHUNK terms, or one row when
-    t_max is larger, and each chunk of it takes one residue pass per
-    residue path among its alphas.  The iterator keeps no block it handed
+    k and D are as `arith.arc_labels` takes them, or D is a list of one
+    denominator per k.  Returns an iterator of (rows, t_max) complex arrays
+    whose rows follow k.  A block holds at most _CACHE_CHUNK terms, or one
+    row when t_max is larger, and each chunk of it takes one residue pass
+    per residue path among its D.  The iterator keeps no block it handed
     out, so a caller that reduces each block holds one at a time.  More
-    than PHASE_TERM_BUDGET terms in all, len(alphas) * t_max, are refused
+    than PHASE_TERM_BUDGET terms in all, len(k) * t_max, are refused
     before the first block.
     """
     t_max = check_count(t_max, "t_max")
-    fracs = [a if isinstance(a, Fraction) else Fraction(a) for a in alphas]
-    if len(fracs) * t_max > PHASE_TERM_BUDGET:
+    k = k if isinstance(k, np.ndarray) else np.array(k, dtype=object)
+    D = np.array(D, dtype=object)  # Python ints, exact at any size
+    if D.shape not in ((), k.shape) or np.any(D < 1):
+        raise ParameterError("need D >= 1, one for all k or one per k")
+    if len(k) * t_max > PHASE_TERM_BUDGET:
         raise ResourceError(
-            f"{len(fracs)} alphas of {t_max} terms exceed the phase-term "
+            f"{len(k)} alphas of {t_max} terms exceed the phase-term "
             f"budget {PHASE_TERM_BUDGET}; lower t_max or the alpha count")
     per_block = max(1, _CACHE_CHUNK // t_max)
     width = min(t_max, _CACHE_CHUNK)
@@ -317,17 +316,20 @@ def weyl_sum_prefixes(P: IntPoly, t_max: int,
     inv = 1.0 / np.arange(1, t_max + 1)
 
     def block(first: int) -> np.ndarray:
-        rows = fracs[first:first + per_block]
-        paths = {}
-        for i, f in enumerate(rows):
-            paths.setdefault(_residue_dtype(f.denominator), []).append(i)
+        rows = k[first:first + per_block]
+        # (row indices, numerators, denominators) of each residue path
+        paths = [(slice(None), rows, D)]
+        if D.ndim:
+            dens, by_path = D[first:first + per_block], {}
+            for i, den in enumerate(dens):
+                by_path.setdefault(_residue_dtype(den), []).append(i)
+            paths = [(idx, rows[idx], dens[idx]) for idx in by_path.values()]
         sums = np.empty((len(rows), t_max), dtype=complex)
         for start in range(0, t_max, width):
             stop = min(start + width, t_max)
             ph = phases[:len(rows) * (stop - start)].reshape(len(rows), -1)
-            for idx in paths.values():
-                ph[idx] = _phase_rows(P, [rows[i] for i in idx],
-                                      start + 1, stop + 1)
+            for idx, ks, ds in paths:
+                ph[idx] = _phase_rows(P.coeffs, ks, ds, start + 1, stop + 1)
             # a full-width block, or a slice of its one row: contiguous
             _e_neg(ph.reshape(-1), sums[:, start:stop].reshape(-1), work)
         np.cumsum(sums, axis=1, out=sums)
@@ -335,7 +337,7 @@ def weyl_sum_prefixes(P: IntPoly, t_max: int,
         sums.imag *= inv
         return sums
 
-    return map(block, range(0, len(fracs), per_block))
+    return map(block, range(0, len(k), per_block))
 
 
 def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
@@ -348,7 +350,7 @@ def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     qi = check_count(cd.q_i, "q_i")
     # phases are a_d r^d + ... + a_1 r, no constant term
     coeffs = (0,) + cd.numerators[::-1]
-    return _esum(r / qi for r in _residue_chunks(coeffs, qi, qi)) / qi
+    return _esum(_phase_chunks(coeffs, qi, 1, qi)) / qi
 
 
 def dyadic_gauss_mean(m: int) -> complex:
@@ -393,10 +395,10 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
             f"direct-summation budget {DIRECT_SUM_BUDGET}; lower N mod "
             f"2^(R-k)")
     total = 0.0 + 0.0j
-    if full:
-        total += float(Fraction(full * period, N)) * dyadic_gauss_mean(m)
+    if full:  # an int over an int divides correctly rounded
+        total += full * period / N * dyadic_gauss_mean(m)
     if tail:
         # sum_{n <= tail} e(n^2 / 2^m) is tail * conj(weyl_sum) at 1/2^m
-        total += (weyl_sum(_SQUARES, tail, Fraction(1, period)).conjugate()
-                  * float(Fraction(tail, N)))
+        total += (_esum(_phase_chunks(_SQUARES, tail, 1, period)) / tail
+                  ).conjugate() * (tail / N)
     return complex(total)

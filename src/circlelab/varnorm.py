@@ -135,8 +135,8 @@ def _best_power_sums(v: np.ndarray, r: float, work=None) -> np.ndarray:
     column, so every step of the DP works on contiguous rows.  The table
     and every step live in `work`, a `_dp_workspace` of at least cols
     columns (one is made when none is given), so no step allocates.  A
-    singleton chain has power sum 0.  Overflow to inf is a valid answer,
-    so it is not reported.
+    singleton chain has power sum 0.  Overflow to inf is wrong (V^r stays
+    finite as r grows); it waits for ROADMAP item 2's scale-safe DP.
     """
     S, cols = v.shape
     if work is None:

@@ -9,15 +9,15 @@ default) rather than absolute thresholds.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import ParameterError, ResourceError
-from .expsum import (_BUDGET_NAMES, DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET,
-                     check_count, weyl_sum_prefixes)
+from .expsum import (_BUDGET_NAMES, ALPHA_BYTE_BUDGET, ALPHA_BYTES,
+                     DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, check_count,
+                     weyl_sum_prefixes)
 
 # the Z/M experiments (smooth, entropy, main-decomp) import spectral and
 # varnorm inside their functions, so that `est` loads neither
@@ -26,6 +26,9 @@ from .expsum import (_BUDGET_NAMES, DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET,
 # (major arcs cover about half the circle at n = 1, delta = 1/8, and under
 # 1 % from n = 6 on, so only a broken classifier reaches this)
 REJECTION_ATTEMPT_FACTOR = 64
+# verify_est part 2: the most draws one arc_labels call labels, so that its
+# temporaries do not grow with the sample count
+LABEL_BATCH = 1 << 16
 # verify_est part 3: the fractions whose major arcs are probed
 EST_FRACTIONS = (ReducedFraction(0, 1), ReducedFraction(1, 3))
 # verify_smooth: the multipliers and signals live on Z/SMOOTH_MODULUS
@@ -82,10 +85,10 @@ def _max_block_diffs(n: int, prefixes: np.ndarray) -> np.ndarray:
     return np.abs(block - block[:, :1]).max(axis=1)
 
 
-def _per_alpha(stat, n: int, P: IntPoly, t_max: int, alphas) -> np.ndarray:
-    """stat(n, prefixes) at every alpha, one block of prefixes at a time."""
-    return np.concatenate(list(map(partial(stat, n),
-                                   weyl_sum_prefixes(P, t_max, alphas))))
+def _per_alpha(stat, n: int, P: IntPoly, t_max: int, k, D) -> np.ndarray:
+    """stat(n, prefixes) at each alpha k/D, one block of prefixes at a time."""
+    return np.concatenate([stat(n, prefixes)
+                           for prefixes in weyl_sum_prefixes(P, t_max, k, D)])
 
 
 def _scale_params(n_min: int, n_max: int, delta: float, degree: int,
@@ -110,9 +113,10 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
     Part 2: minor-arc decay of max |C_hat_t|, power-law fitted in n.
     Part 3: major-arc asymptotics near each of EST_FRACTIONS, with the
     part-2 fitted exponent feeding the right-hand side.
-    Each part draws a scale's alphas first and takes their prefixes in one
-    `weyl_sum_prefixes` call (part 3: one per fraction).  Every parameter
-    is checked before part 1, the terms of the largest call too.
+    Each part draws a scale's alphas first, as integer numerators, and
+    takes their prefixes in one `weyl_sum_prefixes` call (part 3: one per
+    fraction).  Every parameter, the terms of the largest call and the
+    bytes of a scale's alphas are checked before part 1.
     """
     if P.degree < 2:
         raise ParameterError("verify_est needs degree >= 2")
@@ -124,38 +128,43 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
         raise ResourceError(
             f"{rows} alphas of 2^{n_max + 1} terms exceed the phase-term "
             f"budget {PHASE_TERM_BUDGET}; lower the samples or n_max")
+    if rows * ALPHA_BYTES > ALPHA_BYTE_BUDGET:
+        raise ResourceError(
+            f"{rows} alphas a scale, {ALPHA_BYTES} bytes each, exceed the "
+            f"alpha-byte budget {ALPHA_BYTE_BUDGET}; lower the samples")
     ns = tuple(range(n_min, n_max + 1))
     rng = np.random.default_rng(seed)
     d, bd = P.degree, P.leading
+    D = 1 << 53  # rng.random() draws k / 2^53 for an integer k
 
     part1_vals = []
     for n in ns:
-        alphas = [rng.random() for _ in range(16)]
-        steps = _per_alpha(_max_steps, n, P, 1 << (n + 1), alphas)
+        k = (rng.random(16) * D).astype(np.int64)
+        steps = _per_alpha(_max_steps, n, P, 1 << (n + 1), k, D)
         part1_vals.append(float(steps.max()) / 2.0 ** (-n))
     report1 = _make_report("est_part1_triangle", ns, part1_vals)
 
     part2_vals = []
+    cap = REJECTION_ATTEMPT_FACTOR * samples_per_arc
     for params in blocks:
         n = params.n
-        alphas = []
-        attempts = 0
-        while len(alphas) < samples_per_arc:
-            if attempts == REJECTION_ATTEMPT_FACTOR * samples_per_arc:
+        k = np.empty(samples_per_arc, dtype=np.int64)
+        got = attempts = 0
+        while got < samples_per_arc:
+            if attempts == cap:
                 raise ResourceError(
-                    f"only {len(alphas)} of {samples_per_arc} minor-arc "
-                    f"samples at n={n} after {attempts} draws; lower delta "
-                    f"or raise n")
-            # as many draws as samples are missing (fewer at the cap): a
+                    f"only {got} of {samples_per_arc} minor-arc samples at "
+                    f"n={n} after {attempts} draws; lower delta or raise n")
+            # as many draws as samples are missing (fewer at the caps): a
             # batch fills the samples only if it keeps all its draws, so
             # the stream and the draw count are those of one at a time
-            need = min(samples_per_arc - len(alphas),
-                       REJECTION_ATTEMPT_FACTOR * samples_per_arc - attempts)
+            need = min(samples_per_arc - got, cap - attempts, LABEL_BATCH)
             attempts += need
-            draws = rng.random(need)  # k / 2^53, integer k
-            k = (draws * 2.0 ** 53).astype(np.int64)
-            alphas += draws[~arc_labels(P, params, k, 1 << 53).major].tolist()
-        diffs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1, alphas)
+            draws = (rng.random(need) * D).astype(np.int64)
+            kept = draws[~arc_labels(P, params, draws, D).major]
+            k[got:got + len(kept)] = kept
+            got += len(kept)
+        diffs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1, k, D)
         part2_vals.append(float(diffs.max()))
     report2 = _make_report("est_part2_minor_decay", ns, part2_vals)
     nu_hat = max(-report2.slope, 1e-6)
@@ -171,15 +180,16 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
             for _ in range(betas_per_scale):
                 beta = 2.0 ** rng.uniform(lo, hi)
                 sign = 1 if rng.random() < 0.5 else -1
-                alpha = (float(frac.value) + sign * beta) / bd
+                alpha = (frac.a / frac.q + sign * beta) / bd
                 betas.append(beta)
-                alphas.append(alpha % 1.0)
+                # a float, passed as the dyadic rational it is
+                alphas.append((alpha % 1.0).as_integer_ratio())
             lhs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1,
-                             alphas).tolist()
+                             *zip(*alphas))
             for beta, lhs_b in zip(betas, lhs):
                 x = 2.0 ** n * beta ** (1.0 / d)
                 rhs = 2.0 ** (-nu_hat * s) * (min(x, 1.0 / x) + 2.0 ** (-n / 2))
-                worst = max(worst, lhs_b / rhs)
+                worst = max(worst, float(lhs_b) / rhs)
         part3_vals.append(worst)
     report3 = _make_report("est_part3_major_asymptotics", ns, part3_vals)
     return report1, report2, report3
@@ -225,12 +235,14 @@ def verify_smooth(N: int, A: float, a: float, trials: int,
     """Tests ||V^2(B_n f)||_2 <= C sqrt(N A a) ||f||_2 on multiplier families.
 
     Trial 0 uses the deterministic saturating zigzag family; the remaining
-    trials draw clipped random walks.
+    trials draw clipped random walks.  2^-256 <= a <= A <= 2^256 keeps
+    sqrt(N A a) a normal float and fhat * m and its squared differences
+    finite, and A <= 2^40 a keeps a step of a resolvable against |m| <= A.
     """
     from .spectral import _complex_normal, _pairwise_norm, multiplier_variation
     from .varnorm import check_dp_cells, check_run_cells
-    if not 0 < a <= A < math.inf:
-        raise ParameterError("need 0 < a <= A < inf")
+    if not (2.0 ** -256 <= a <= A <= 2.0 ** 256 and A <= 2.0 ** 40 * a):
+        raise ParameterError("need 2^-256 <= a <= A <= 2^256 and A <= 2^40 a")
     if N < 1 or trials < 1:
         raise ParameterError("N and trials must be positive")
     M = SMOOTH_MODULUS

@@ -1,7 +1,8 @@
 """Every name the package exports, and every member of an exported class,
 has a caller inside the package; the inverse FFT has one home, BLAS
-three, and the arc classifier one; no function keeps a memo; the runtime
-dependencies are the package's third-party imports."""
+three, and the arc classifier one; alphas stay integer numerators; no
+function keeps a memo; the runtime dependencies are the package's
+third-party imports."""
 
 import ast
 import importlib
@@ -202,6 +203,23 @@ def test_one_arc_classifier():
         "verify.verify_est", "verify.verify_main_decomposition"}
     assert reference_sites("fractions_near") == set()
     assert reference_sites("torus_distance") == set()
+
+
+def test_alphas_stay_integer_numerators():
+    # an alpha goes from est's draws to the residue kernel as an integer
+    # numerator over a denominator; Fraction appears only where an exact
+    # rational enters from outside, in the CLI's parser and in arith's
+    # reduced fractions, and never in verify or expsum
+    assert reference_sites("Fraction") == {
+        "cli.<module>", "cli._parse_rational", "arith.<module>",
+        "arith.ReducedFraction", "arith.congruence_data"}
+    # weyl_sum takes its rational's numerator and denominator once, and
+    # est its part-3 floats'; no alpha becomes a list of Python floats
+    assert reference_sites("as_integer_ratio") == {"expsum.weyl_sum",
+                                                   "verify.verify_est"}
+    assert not reference_sites("tolist") & {
+        "verify.verify_est", "verify._per_alpha", "verify._draws",
+        "expsum.weyl_sum_prefixes"}
 
 
 MEMO_NAMES = {"cache", "cached_property", "lru_cache"}

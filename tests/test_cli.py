@@ -148,7 +148,7 @@ class TestExitCodes:
 
     def test_gauss_modulus_budget(self, capsys, monkeypatch):
         # q_i = 10^11 > PHASE_TERM_BUDGET: refused before any residue
-        monkeypatch.setattr("circlelab.expsum._residue_chunks", None)
+        monkeypatch.setattr("circlelab.expsum._residue_rows", None)
         code = main(["gauss", "--poly", "0,0,1", "--frac", "1/100000000000"])
         assert code == 3
         err = capsys.readouterr().err
@@ -379,6 +379,10 @@ class TestExitCodes:
         (["est", "--n-min", "22", "--n-max", "22"], 3),
         (["est", "--samples", "100000000", "--n-min", "8", "--n-max", "8"],
          3),
+        # 2^26 alphas of 2^2 terms fit the phase-term budget, but not the
+        # alpha-byte budget: 24 bytes each, 1.5 GB against 2^28 bytes
+        (["est", "--samples", "67108864", "--n-min", "1", "--n-max", "1"],
+         3),
     ])
     def test_est_checked_before_part_one(self, argv, expect, capsys,
                                          monkeypatch):
@@ -423,6 +427,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: nu_floor=") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("A,a", [("1e-170", "1e-170"), ("1e306", "0.5"),
+                                     ("1e308", "0.5"), ("1", "1e-300")])
+    def test_smooth_out_of_float_range(self, A, a, capsys, monkeypatch):
+        # sqrt(N A a) underflowed to 0 (ZeroDivisionError), the multipliers
+        # overflowed (null values after RuntimeWarnings), or a step of a
+        # was lost against A (C about 7.7e133); refused before the first draw
+        def never(*args, **kwargs):
+            raise AssertionError("a draw ran before the A and a check")
+
+        monkeypatch.setattr("numpy.random.default_rng", never)
+        code = main(["smooth", "--N", "4", "--trials", "2", f"--A={A}",
+                     f"--a={a}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: need 2^-256") and err.count("\n") == 1
 
     @pytest.mark.parametrize("nu", ["400", "-400", "0"])
     def test_nu_floor_inside_float_range(self, nu, capsys):

@@ -19,7 +19,7 @@ from circlelab import expsum
 from circlelab.arith import congruence_data
 from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
                               _e_neg, _e_work, _limb_phases, _phase_chunks,
-                              _residue_chunks, _residue_rows,
+                              _residue_rows,
                               residue_counts)
 from oracles import (bigint_phase_chunks, complete_dyadic_gauss, eval_poly,
                      exp_terms, farey_level, quadratic_gauss_row)
@@ -36,8 +36,14 @@ def complete_dyadic_gauss_direct(m):
 
 def prefix(P, t, alpha):
     """One alpha's K_hat_1..K_hat_t, from a one-row weyl_sum_prefixes call."""
-    (block,) = weyl_sum_prefixes(P, t, [alpha])
+    a = Fraction(alpha)
+    (block,) = weyl_sum_prefixes(P, t, [a.numerator], a.denominator)
     return block[0]
+
+
+def same_bits(a, b):
+    """a and b hold the same floats, bit for bit."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def e_neg(ph):
@@ -124,11 +130,10 @@ def as_ints(r):
 def kernel_phases(P, t, alpha):
     """_phase_chunks, with its residues required in the dtype den allows."""
     a = Fraction(alpha)
-    residues = _residue_chunks([a.numerator * c for c in P.coeffs], t,
-                               a.denominator)
-    assert {r.dtype for r in residues} == {np.dtype(residue_dtype(
-        a.denominator))}
-    return np.concatenate(list(_phase_chunks(P, t, alpha)))
+    num, den = a.numerator, a.denominator
+    r = _residue_rows(P.coeffs, np.array([num], dtype=object), den, 1, t + 1)
+    assert r.dtype == np.dtype(residue_dtype(den))
+    return np.concatenate(list(_phase_chunks(P.coeffs, t, num, den)))
 
 
 def assert_matches_oracle(P, t, alpha):
@@ -141,6 +146,8 @@ def assert_matches_oracle(P, t, alpha):
 
 
 CHUNK = expsum._PHASE_CHUNK
+# the numerator k = 1 of a one-row _residue_rows call
+ONE = np.ones(1, dtype=np.int64)
 BIG = 1 << 64
 EDGE_POLYS = [SQUARES, IntPoly([0, 0, 0, 1]),
               IntPoly([-BIG * 64 - 1, -3, BIG * 2 + 7]),
@@ -198,7 +205,8 @@ class TestPhaseKernel:
         # every residue path, mixed in the blocks, in the callers' order
         P = IntPoly([-1, 2, 0, 1])
         alphas = EDGE_ALPHAS + BRANCH_ALPHAS
-        blocks = list(weyl_sum_prefixes(P, t, alphas))
+        nums, dens = zip(*(Fraction(a).as_integer_ratio() for a in alphas))
+        blocks = list(weyl_sum_prefixes(P, t, list(nums), list(dens)))
         assert all(b.size <= max(t, _CACHE_CHUNK) for b in blocks)
         rows = np.concatenate(blocks)
         assert rows.shape == (len(alphas), t)
@@ -210,12 +218,17 @@ class TestPhaseKernel:
         with mock.patch.object(expsum, "_phase_rows",
                                side_effect=AssertionError):
             with pytest.raises(ResourceError):
-                weyl_sum_prefixes(SQUARES, PHASE_TERM_BUDGET + 1, [0.5])
-            assert list(weyl_sum_prefixes(SQUARES, 10, [])) == []
+                weyl_sum_prefixes(SQUARES, PHASE_TERM_BUDGET + 1, [1], 2)
+            assert list(weyl_sum_prefixes(SQUARES, 10, [], 2)) == []
+            assert list(weyl_sum_prefixes(SQUARES, 10, [], [])) == []
             # the terms of all alphas together: 2^14 rows of 2^14 fit
-            weyl_sum_prefixes(SQUARES, 1 << 14, [0.5] * (1 << 14))
+            weyl_sum_prefixes(SQUARES, 1 << 14, [1] * (1 << 14), 2)
             with pytest.raises(ResourceError):
-                weyl_sum_prefixes(SQUARES, 1 << 14, [0.5] * ((1 << 14) + 1))
+                weyl_sum_prefixes(SQUARES, 1 << 14, [1] * ((1 << 14) + 1), 2)
+            # a denominator below 1, or not one per k
+            for k, D in [([1], 0), ([1, 2], [3, -1]), ([1, 2], [3])]:
+                with pytest.raises(ParameterError):
+                    weyl_sum_prefixes(SQUARES, 10, k, D)
 
     @given(coeffs=st.lists(st.integers(-BIG * 16, BIG * 16), min_size=1,
                            max_size=4),
@@ -234,12 +247,58 @@ class TestPhaseKernel:
     def test_differential(self, coeffs, leading, alpha, t):
         assert_matches_oracle(IntPoly(coeffs + [leading]), t, alpha)
 
+    @given(k=st.lists(st.tuples(st.integers(0, (1 << 53) - 1),
+                                st.integers(0, 53)).map(
+                                    lambda p: p[0] >> p[1] << p[1]),
+                      min_size=1, max_size=40),
+           t=st.integers(1, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_draw_rows_match_reduced_rows(self, k, t):
+        # est's draws: an int64 array of k over 2^53, some k with trailing
+        # zeros, against each reduced fraction k'/2^j on its own and the
+        # big-int oracle
+        P = IntPoly([-1, 2, 0, 1])
+        rows = np.concatenate(list(weyl_sum_prefixes(
+            P, t, np.array(k, dtype=np.int64), 1 << 53)))
+        for ki, row in zip(k, rows):
+            alpha = Fraction(ki, 1 << 53)
+            assert same_bits(row, prefix(P, t, alpha))
+            want = np.cumsum(e_neg(oracle_phases(P, t, alpha))) \
+                / np.arange(1, t + 1)
+            assert same_bits(row, want)
+
+    @given(fracs=st.lists(st.tuples(
+               st.one_of(
+                   st.integers(0, (1 << 53) - 1).map(
+                       lambda k: Fraction(k, 1 << 53)),
+                   st.builds(Fraction, st.integers(-BIG * BIG, BIG * BIG),
+                             st.integers(0, 140).map(lambda e: 1 << e)),
+                   st.builds(Fraction, st.integers(-BIG, BIG),
+                             st.integers(1, 1 << 40))),
+               st.one_of(st.integers(0, 40).map(lambda e: 1 << e),
+                         st.integers(1, 1 << 40))),
+               min_size=1, max_size=8),
+           t=st.integers(1, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_unreduced_rows_match_reduced_rows_and_oracle(self, fracs, t):
+        # a/q passed as (a m)/(q m), each with its own D, every residue
+        # path mixed in one call (m can move a row to another path): the
+        # same rational, so the same correctly rounded phases
+        P = IntPoly([-1, 2, 0, 1])
+        nums = [f.numerator * m for f, m in fracs]
+        dens = [f.denominator * m for f, m in fracs]
+        rows = np.concatenate(list(weyl_sum_prefixes(P, t, nums, dens)))
+        for (f, _), row in zip(fracs, rows):
+            assert same_bits(row, prefix(P, t, f))
+            want = np.cumsum(e_neg(oracle_phases(P, t, f))) \
+                / np.arange(1, t + 1)
+            assert same_bits(row, want)
+
     def test_term_budget(self):
         with pytest.raises(ResourceError):
             weyl_sum(SQUARES, PHASE_TERM_BUDGET + 1, Fraction(1, 3))
         with pytest.raises(ResourceError):
-            weyl_sum_prefixes(SQUARES, PHASE_TERM_BUDGET + 1,
-                              [Fraction(1, 3)])
+            weyl_sum_prefixes(SQUARES, PHASE_TERM_BUDGET + 1, [1], 3)
 
 
 class TestResidueKernel:
@@ -256,13 +315,13 @@ class TestResidueKernel:
         # any leading coefficient, 0 mod den included: no IntPoly needed
         want = [sum(c * n ** j for j, c in enumerate(coeffs)) % den
                 for n in range(1, t + 1)]
-        chunks = list(_residue_chunks(coeffs, t, den))
-        assert {r.dtype for r in chunks} == {np.dtype(residue_dtype(den))}
-        assert as_ints(np.concatenate(chunks)) == want
+        r = _residue_rows(coeffs, ONE, den, 1, t + 1)[0]
+        assert r.dtype == np.dtype(residue_dtype(den))
+        assert as_ints(r) == want
 
     @pytest.mark.parametrize("den", [3 << 40, (1 << 31) + 1, 1 << 129])
     def test_wide_den_left_to_big_ints(self, den):
-        (r,) = _residue_chunks([0, 0, 1], 10, den)
+        r = _residue_rows([0, 0, 1], ONE, den, 1, 11)[0]
         assert r.dtype == object
         assert r.tolist() == [n * n % den for n in range(1, 11)]
 
@@ -309,7 +368,7 @@ class TestLimbPath:
     def test_rounding_boundaries(self):
         cases = limb_cases()
         for r, den in cases:
-            res = _residue_rows([[r]], [den], 1, 2)
+            res = _residue_rows([r], ONE, den, 1, 2)
             assert res.dtype == _LIMB_PAIR and as_ints(res[0]) == [r]
             got = _limb_phases(res, [den])[0, 0]
             want = np.float64(r / den)
@@ -320,8 +379,8 @@ class TestLimbPath:
         # 2^52 (even) and half an ulp, at bit 60; the 1 sits at bit 0
         den = 1 << 128
         tie = ((1 << 53) + 1) << 60
-        down = _limb_phases(_residue_rows([[tie]], [den], 1, 2), [den])[0, 0]
-        up = _limb_phases(_residue_rows([[tie + 1]], [den], 1, 2),
+        down = _limb_phases(_residue_rows([tie], ONE, den, 1, 2), [den])[0, 0]
+        up = _limb_phases(_residue_rows([tie + 1], ONE, den, 1, 2),
                           [den])[0, 0]
         assert down == 2.0 ** (113 - 128) == tie / den
         assert up == (tie + 1) / den > down
@@ -336,7 +395,7 @@ class TestLimbPath:
         for coeffs in ([0, c1], [c1, c1, c1]):
             want = [sum(c * n ** j for j, c in enumerate(coeffs)) % den
                     for n in range(1, 41)]
-            got = _residue_rows([coeffs], [den], 1, 41)[0]
+            got = _residue_rows(coeffs, ONE, den, 1, 41)[0]
             assert as_ints(got) == want
 
     @given(r=st.integers(0, (1 << 128) - 1), e=st.integers(65, 128))
@@ -344,7 +403,7 @@ class TestLimbPath:
     def test_random_residues(self, r, e):
         den = 1 << e
         r %= den
-        got = _limb_phases(_residue_rows([[r]], [den], 1, 2), [den])[0, 0]
+        got = _limb_phases(_residue_rows([r], ONE, den, 1, 2), [den])[0, 0]
         assert got.view(np.uint64) == np.float64(r / den).view(np.uint64)
 
 
@@ -464,7 +523,7 @@ class TestGaussWeight:
 
     def test_modulus_budget_checked_first(self):
         # q_i = 10^11 would need a 745 GiB residue array
-        with mock.patch.object(expsum, "_residue_chunks",
+        with mock.patch.object(expsum, "_residue_rows",
                                side_effect=AssertionError):
             with pytest.raises(ResourceError):
                 gauss_weight(SQUARES, ReducedFraction(1, 10 ** 11), 0)

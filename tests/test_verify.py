@@ -1,6 +1,7 @@
 """Fit helpers and the named verification experiments at modest parameters."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -103,6 +104,46 @@ PINNED_EST_PART3_WIDE = {
 }
 
 
+# verify_est(P, 8, 12, 0.05, 64, 5) as `report_hex` per part, recorded
+# when weyl_sum_prefixes took every alpha as a Fraction: at this seed part
+# 3 of n^3 draws alphas near 0 of dyadic den > 2^64 beside ones of den
+# <= 2^53, so its prefix calls mix residue paths
+PINNED_EST_SEED5 = {
+    (0, 0, 1): (
+        (["0x1.13b6e7d9c7b46p+0", "0x1.1be228a609722p+0",
+          "0x1.13c60aecb34b7p+0", "0x1.11accb410bb8ap+0",
+          "0x1.072ee45952948p+0"],
+         "0x1.1be228a609722p+0", "-0x1.3276bc2292c78p-6",
+         "0x1.23f1f307708d2p-5"),
+        (["0x1.796294cbffccdp-4", "0x1.215aacb13d248p-4",
+          "0x1.5acf40e1d91c8p-5", "0x1.491dd9410707fp-5",
+          "0x1.7b54894d3b149p-6"],
+         "0x1.796294cbffccdp-4", "-0x1.eb757ed140760p-2",
+         "0x1.bb38ea8290566p-3"),
+        (["0x1.19d7724060ddbp+0", "0x1.fe1324451bb3cp-1",
+          "0x1.2287ffea28350p+0", "0x1.0f3b2b5aefc3cp+0",
+          "0x1.2e65694309482p+0"],
+         "0x1.2e65694309482p+0", "0x1.de49fbff65f12p-6",
+         "0x1.d24dabf43b63ep-4")),
+    (0, 0, 0, 1): (
+        (["0x1.1a85e817105e0p+0", "0x1.0fd63ee27a683p+0",
+          "0x1.0c4d72a306e03p+0", "0x1.0a8ccec6733f9p+0",
+          "0x1.05c7a9836392ep+0"],
+         "0x1.1a85e817105e0p+0", "-0x1.96eb2254a53bep-6",
+         "0x1.1ae3df2777f21p-6"),
+        (["0x1.7bd36afe07175p-4", "0x1.0a10d9c71aacep-4",
+          "0x1.c8c01027be71cp-5", "0x1.288328871f9dbp-5",
+          "0x1.bed84ee54bd53p-6"],
+         "0x1.7bd36afe07175p-4", "-0x1.bffb3eafcec6fp-2",
+         "0x1.da6f758839245p-4"),
+        (["0x1.580a609eb2ad1p-1", "0x1.9b6c144f8b252p-1",
+          "0x1.418fbfef69069p-1", "0x1.abd90c2dd53fcp-1",
+          "0x1.9c0a29e248b89p-1"],
+         "0x1.abd90c2dd53fcp-1", "0x1.d896245e46874p-5",
+         "0x1.c3d5eac3749c1p-3")),
+}
+
+
 class TestConfig:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -193,6 +234,39 @@ class TestSmooth:
     def test_non_finite_rejected(self, A, a):
         with pytest.raises(ParameterError):
             verify_smooth(8, A, a, 2, 0)
+
+    @pytest.mark.parametrize("A,a", [
+        # sqrt(N A a) underflowed to 0: ZeroDivisionError
+        (1e-170, 1e-170),
+        # the ramp family and fhat * m overflowed: null values
+        (1e306, 0.5), (1e308, 0.5),
+        # a step below ulp(A): C was FFT roundoff over a vanishing bound
+        (1.0, 1e-300),
+        # just outside each edge of the range
+        (2.0 ** 256 * (1 + 2.0 ** -52), 2.0 ** 256),
+        (2.0 ** -256, 2.0 ** -256 * (1 - 2.0 ** -52)),
+        (1.0, 2.0 ** -40 * (1 - 2.0 ** -52))])
+    def test_out_of_range_refused_before_the_first_draw(self, A, a,
+                                                       monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a draw came before the range check")
+
+        monkeypatch.setattr(np.random, "default_rng", never)
+        with pytest.raises(ParameterError, match="2\\^-256"):
+            verify_smooth(4, A, a, 2, 0)
+
+    @pytest.mark.parametrize("A,a", [
+        (2.0 ** 256, 2.0 ** 256), (2.0 ** 256, 2.0 ** 216),
+        (2.0 ** -216, 2.0 ** -256), (2.0 ** -256, 2.0 ** -256),
+        (1.0, 2.0 ** -40), (3000.0, 0.5)])
+    def test_range_edges_finite(self, A, a):
+        # at every edge of the range the report is finite and positive,
+        # with no floating-point warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_smooth(16, A, a, 3, 0)
+        assert all(0 < v < 2 for v in rep.values[1:])
+        assert 0 < rep.constant < 2
 
     # (N, A, a, trials, seed), the report as float.hex, and the pin it
     # replaced where that moved: recorded when the norms were
@@ -355,13 +429,15 @@ class TestEst:
         batched = verify.weyl_sum_prefixes
         calls = []
 
-        def counted(P, t_max, alphas):
-            calls.append(len(alphas))
-            return batched(P, t_max, alphas)
+        def counted(P, t_max, k, D):
+            calls.append(len(k))
+            return batched(P, t_max, k, D)
 
-        def one_per_draw(P, t_max, alphas):
-            return (block for alpha in alphas
-                    for block in batched(P, t_max, [alpha]))
+        def one_per_draw(P, t_max, k, D):
+            # k[i] over D, or over D[i] where each alpha has its own
+            return (block for i in range(len(k))
+                    for block in batched(P, t_max, k[i:i + 1],
+                                         D if np.ndim(D) == 0 else D[i:i + 1]))
 
         monkeypatch.setattr(verify, "weyl_sum_prefixes", counted)
         want = verify_est(*args)
@@ -394,9 +470,12 @@ class TestEst:
         batched = verify.weyl_sum_prefixes
         seen = []
 
-        def recorded(P, t_max, alphas):
-            seen.append(list(alphas))
-            return batched(P, t_max, alphas)
+        def recorded(P, t_max, k, D):
+            # parts 1 and 2 pass their draws as int64 numerators over 2^53
+            if len(seen) < 2 * (n_max - n_min + 1):
+                assert k.dtype == np.int64 and D == 1 << 53
+                seen.append((k / D).tolist())
+            return batched(P, t_max, k, D)
 
         monkeypatch.setattr(verify, "weyl_sum_prefixes", recorded)
         verify_est(P, n_min, n_max, delta, samples, seed, betas_per_scale=4)
@@ -424,6 +503,12 @@ class TestEst:
             want = want[:2] + (PINNED_EST_PART3_WIDE[poly],)
         assert tuple(map(report_hex, reps)) == want
 
+    @pytest.mark.parametrize("poly", [(0, 0, 1), (0, 0, 0, 1)],
+                             ids=["squares", "cubes"])
+    def test_pinned_reports_seed_5(self, poly):
+        reps = verify_est(IntPoly(poly), 8, 12, 0.05, 64, 5)
+        assert tuple(map(report_hex, reps)) == PINNED_EST_SEED5[poly]
+
     def test_samples_budgeted_before_part_one(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("work began before the budget check")
@@ -431,12 +516,46 @@ class TestEst:
         monkeypatch.setattr(verify, "weyl_sum_prefixes", fail)
         monkeypatch.setattr(verify, "arc_labels", fail)
         # 64 alphas of 2^23 terms, 10^8 of 2^9 and 2^20 of 2^9 are over
-        # the budget of 2^28 terms
-        for n_max, samples in ((22, 64), (8, 10 ** 8)):
+        # the budget of 2^28 terms; 2^26 alphas of 2^2 terms fit it, but
+        # their 24 bytes each are over the alpha-byte budget of 2^28
+        for n_max, samples in ((22, 64), (8, 10 ** 8), (1, 1 << 26)):
             with pytest.raises(ResourceError):
                 verify_est(SQUARES, n_max, n_max, 0.05, samples, 0)
         with pytest.raises(ResourceError):
             verify_est(SQUARES, 8, 8, 0.05, 16, 0, betas_per_scale=1 << 20)
+
+    @pytest.mark.parametrize("samples,over", [
+        (verify.ALPHA_BYTE_BUDGET // verify.ALPHA_BYTES, False),
+        (verify.ALPHA_BYTE_BUDGET // verify.ALPHA_BYTES + 1, True)])
+    def test_alpha_byte_budget_edge(self, samples, over, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(verify, "weyl_sum_prefixes", reached)
+        with pytest.raises(ResourceError if over else Reached):
+            verify_est(SQUARES, 1, 1, 0.125, samples, 0)
+
+    def test_draws_labelled_in_capped_batches(self, monkeypatch):
+        # 3 LABEL_BATCH samples at n = 8 (no draw is Major there): the
+        # first three batches are full, and every batch is labelled
+        # before the next is drawn
+        monkeypatch.setattr(verify, "LABEL_BATCH", 64)
+        labels = verify.arc_labels
+        sizes = []
+
+        def sized(P, params, k, D):
+            sizes.append(len(k))
+            return labels(P, params, k, D)
+
+        monkeypatch.setattr(verify, "arc_labels", sized)
+        reps = verify_est(SQUARES, 8, 8, 0.05, 3 * 64, 0, betas_per_scale=4)
+        assert sizes[:3] == [64, 64, 64] and max(sizes) == 64
+        monkeypatch.setattr(verify, "LABEL_BATCH", 1 << 16)
+        assert verify_est(SQUARES, 8, 8, 0.05, 3 * 64, 0,
+                          betas_per_scale=4) == reps
 
 
 # main-decomp --poly P --modulus M --n-max n_max (n_min 8, seed 0), as
