@@ -19,8 +19,11 @@ factor (the line before it).
 The output holds, per workload and seed, each side's median and
 quartiles of every end-to-end metric with the values they come from, and
 the number of pairs in which the change was better by BENCHMARK.json's
-direction of that metric; and each side's ``src_lines``, the line count
-of its ``src/circlelab/*.py`` (as ``wc -l`` counts them).
+direction of that metric; each op's raw wall time, the median of its
+runs in one benchmark run as the detail line gives them, summarized per
+side over the pairs (uncalibrated, so the wall time of each CLI
+subcommand); and each side's ``src_lines``, the line count of its
+``src/circlelab/*.py`` (as ``wc -l`` counts them).
 
 An existing --out file is extended with workloads and seeds it does not
 hold yet, so they can be measured by separate invocations; one of other
@@ -77,8 +80,9 @@ def src_lines(tree: str) -> int:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in `tree`: its metrics and
-    the provenance and host lines it printed."""
+    """One ``perfbench/run.py --trace 0`` run in `tree`: its metrics, the
+    provenance and host lines it printed, and each op's argv with the
+    median of its raw wall times."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -88,7 +92,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "host": detail["host"],
-            "provenance": detail["provenance"]}
+            "provenance": detail["provenance"],
+            "ops": [{"argv": op["argv"],
+                     "wall_s": statistics.median(op["walls_s"])}
+                    for op in detail["ops"]]}
 
 
 def summary(values: list) -> dict:
@@ -115,6 +122,21 @@ def compare(pairs: list, metrics: dict) -> dict:
                                        for p, c in zip(parent, change)),
             "pairs": len(pairs)}
     return out
+
+
+def op_walls(pairs: list) -> list:
+    """Per op, in run order: its argv and each side's summary of the op's
+    median raw wall time over the pairs.  Ops are matched by position and
+    argv, so an op only one side runs keeps only that side."""
+    ops = {}
+    for pair in pairs:
+        for side in ("parent", "change"):
+            for i, op in enumerate(pair[side]["ops"]):
+                entry = ops.setdefault((i, tuple(op["argv"])),
+                                       {"argv": op["argv"]})
+                entry.setdefault(side, []).append(op["wall_s"])
+    return [{k: v if k == "argv" else summary(v) for k, v in entry.items()}
+            for entry in ops.values()]
 
 
 def main(argv=None) -> int:
@@ -206,6 +228,7 @@ def measure(args, argv, workdir, metrics, workloads, seeds,
                                          "changed between its runs")
             doc["workloads"].setdefault(workload, {})[str(seed)] = {
                 "metrics": compare(pairs, metrics),
+                "op_raw_wall_s": op_walls(pairs),
                 "host_factor": {side: [p[side]["host"]["host_factor"]
                                        for p in pairs]
                                 for side in ("parent", "change")},

@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("arith", "ArcParams CongruenceData IntPoly ReducedFraction arc_labels "
               "congruence_data"),
+    ("dyadic", "dyadic_gauss_mean fast_dyadic_quadratic_weyl"),
     ("errors", "CircleLabError ParameterError ResourceError"),
-    ("expsum", "dyadic_gauss_mean fast_dyadic_quadratic_weyl "
-               "gauss_weight weyl_sum weyl_sum_prefixes"),
+    ("expsum", "gauss_weight weyl_sum weyl_sum_prefixes"),
     ("spectral", "average_multipliers variation_experiment"),
     ("torus", "CounterexampleParams build_sequences "
               "eta_error exact_ladder_radius search_coefficients "

@@ -331,11 +331,13 @@ def _run(args) -> dict:
         results.append(entry)
         if not args.dry_run:
             from .expsum import DIRECT_SUM_BUDGET, check_count
-            from .torus import eta_error, eta_multipliers, search_coefficients
-            # the sample count and the multipliers, which hold the
-            # budgeted tail sums, are refused before the coefficient
+            from .torus import (check_sample_bits, eta_error,
+                                eta_multipliers, search_coefficients)
+            # the sample count, the sample bits and the multipliers, whose
+            # tails must fit a regime, are refused before the coefficient
             # search, not after it
             check_count(args.sample_count, "sample_count", DIRECT_SUM_BUDGET)
+            check_sample_bits(params, args.sample_count)
             W = eta_multipliers(params)
             coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
             sup, rms = eta_error(coeffs, params, args.sample_count,

@@ -1,4 +1,4 @@
-"""Multiplier-side objects: Weyl sums, Gauss weights, dyadic quadratic sums.
+"""Multiplier-side objects: Weyl sums and Gauss weights.
 
 Phase arithmetic is exact: alpha is treated as the exact rational it is
 (floats are dyadic rationals), and alpha * P(n) is reduced mod 1 with
@@ -8,7 +8,6 @@ sums are correct to machine precision even when P(n) is huge.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Iterator
 
@@ -17,10 +16,9 @@ import numpy as np
 from .arith import IntPoly, ReducedFraction, congruence_data
 from .errors import ParameterError, ResourceError
 
-# the most terms or frequencies one direct evaluation may take: the tail
-# that fast_dyadic_quadratic_weyl sums term by term (~0.4 us a term on
-# the object-array path, m > 128), in `spectral` the modulus M (arrays of
-# length M) and the average length N, and the ladder's sample points
+# the most terms or frequencies one direct evaluation may take: in
+# `spectral` the modulus M (arrays of length M) and the average length N,
+# and the ladder's sample points
 DIRECT_SUM_BUDGET = 1 << 22
 # weyl_sum / weyl_sum_prefixes: most terms one call may ask for, all its
 # alphas together, checked before any work (a 2^28-term prefix is a 4 GB
@@ -42,7 +40,6 @@ _PHASE_CHUNK = 1 << 16
 # at most this many terms, so they stay in cache (2^16-term blocks cost
 # `est` about 3 MB more peak memory and twice the page faults)
 _CACHE_CHUNK = 1 << 14
-_SQUARES = (0, 0, 1)  # the coefficients of n^2
 
 
 def check_count(n: int, name: str, budget: int = PHASE_TERM_BUDGET) -> int:
@@ -351,54 +348,3 @@ def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     # phases are a_d r^d + ... + a_1 r, no constant term
     coeffs = (0,) + cd.numerators[::-1]
     return _esum(_phase_chunks(coeffs, qi, 1, qi)) / qi
-
-
-def dyadic_gauss_mean(m: int) -> complex:
-    """The complete sum over a period, 2^-m sum_{n=1}^{2^m} e(n^2 / 2^m).
-
-    In closed form: m = 0 -> 1; m = 1 -> 0; even m >= 2 -> 2^(-m/2) (1+i);
-    odd m >= 3 -> 2^(-(m-1)/2) e(1/8), the complete sums 2^(m/2) (1+i)
-    and 2^((m+1)/2) e(1/8) over 2^m.  The power of two goes into the
-    exponent (math.ldexp): the mean is a float at every m (0 from m = 2150
-    on, where it underflows), while 2^m is none from m = 1024 on.
-    """
-    if m < 0:
-        raise ParameterError("m must be non-negative")
-    if m == 0:
-        return 1.0 + 0.0j
-    if m == 1:
-        return 0.0 + 0.0j
-    z = 1.0 + 1.0j if m % 2 == 0 else cmath.exp(1j * math.pi / 4.0)
-    return complex(math.ldexp(z.real, -(m // 2)),
-                   math.ldexp(z.imag, -(m // 2)))
-
-
-def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
-    """(1/N) sum_{n=1}^N e(2^(k-R) n^2), exactly, exploiting periodicity.
-
-    The summand has period 2^(R-k) in n: full periods contribute the
-    closed-form complete Gauss sum, and the remaining tail (which must fit
-    the direct-summation budget) is summed outright.
-    """
-    if not 0 <= k <= R:
-        raise ParameterError("need 0 <= k <= R")
-    if N < 1:
-        raise ParameterError("N must be a positive integer")
-    m = R - k
-    if m == 0:
-        return 1.0 + 0.0j
-    period = 1 << m
-    full, tail = divmod(N, period)
-    if tail > DIRECT_SUM_BUDGET:
-        raise ResourceError(
-            f"tail of length >= 2^{tail.bit_length() - 1} exceeds the "
-            f"direct-summation budget {DIRECT_SUM_BUDGET}; lower N mod "
-            f"2^(R-k)")
-    total = 0.0 + 0.0j
-    if full:  # an int over an int divides correctly rounded
-        total += full * period / N * dyadic_gauss_mean(m)
-    if tail:
-        # sum_{n <= tail} e(n^2 / 2^m) is tail * conj(weyl_sum) at 1/2^m
-        total += (_esum(_phase_chunks(_SQUARES, tail, 1, period)) / tail
-                  ).conjugate() * (tail / N)
-    return complex(total)

@@ -14,9 +14,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceError
-from .expsum import (DIRECT_SUM_BUDGET, check_count,
-                     fast_dyadic_quadratic_weyl)
+from .dyadic import dyadic_tail_regime, fast_dyadic_quadratic_weyl
+from .expsum import DIRECT_SUM_BUDGET, check_count
 from .varnorm import check_dp_cells, check_run_cells, variation_values
+
+# the most random bits the sample points of one ladder may hold, samples x
+# (R + 64): 128 MB of draws, which admits DIRECT_SUM_BUDGET samples up to
+# R = 192 and the default 4096 up to R = 262080
+SAMPLE_BIT_BUDGET = 1 << 30
 
 
 class CounterexampleParams(NamedTuple):
@@ -90,19 +95,43 @@ def _admissible(L: int, R: int) -> bool:
         return False
 
 
+def check_sample_bits(params: CounterexampleParams,
+                      sample_count: int) -> None:
+    """Refuse (ResourceError) more than SAMPLE_BIT_BUDGET random bits in all,
+    sample_count sample points of R + 64 bits each, before any draw."""
+    if sample_count * (params.R + 64) > SAMPLE_BIT_BUDGET:
+        raise ResourceError(
+            f"{sample_count} sample points of R + 64 bits exceed the "
+            f"sample-bit budget {SAMPLE_BIT_BUDGET}; lower the sample count"
+            f" or R")
+
+
 def _ladder_phases(params: CounterexampleParams, sample_count: int,
                    seed: int) -> np.ndarray:
-    """(L, samples) phases {2^{k_i} x} at exact dyadic sample points."""
+    """(L, samples) phases {2^{k_i} x} at exact dyadic sample points.
+
+    Each point is an (R + 64)-bit numerator, the big-endian value of the
+    first nbytes bytes of a row of little-endian uint32 words, masked to
+    R + 64 bits: one draw of every row gives the bytes and leaves the
+    generator as `sample_count` calls of `Generator.bytes(nbytes)` would.
+    """
     bits = params.R + 64
+    nbytes = (bits + 7) // 8
     rng = np.random.default_rng(seed)
-    mask = (1 << bits) - 1
-    den = 1 << bits
+    words = rng.integers(0, 1 << 32, size=(sample_count, -(-nbytes // 4)),
+                         dtype=np.uint32)
+    raw = words.astype("<u4", copy=False).view(np.uint8)[:, :nbytes].tobytes()
+    del words
+    numers = np.fromiter((int.from_bytes(raw[i:i + nbytes], "big")
+                          for i in range(0, len(raw), nbytes)),
+                         dtype=object, count=sample_count)
+    del raw
     phases = np.empty((params.L, sample_count), dtype=float)
-    for s in range(sample_count):
-        numer = int.from_bytes(rng.bytes((bits + 7) // 8), "big") & mask
-        for i, ki in enumerate(params.k):
-            # int / int rounds once, correctly, at any width
-            phases[i, s] = ((numer << ki) & mask) / den
+    for i, ki in enumerate(params.k):
+        # {2^{k_i} x} is the numerator's low bits - k_i bits over
+        # 2^(bits - k_i); an int over an int divides correctly rounded
+        den = 1 << (bits - ki)
+        phases[i] = (numers & (den - 1)) / den
     return phases
 
 
@@ -126,17 +155,20 @@ def _ladder_coeffs(coeffs, params: CounterexampleParams) -> np.ndarray:
 def eta_multipliers(params: CounterexampleParams) -> np.ndarray:
     """W[l, i]: the exact multiplier of K_{2^{j_l}} at frequency 2^{k_i}.
 
-    Raises ResourceError when a dyadic tail exceeds the direct-summation
-    budget, so callers can build W before any other expensive work.  The
-    longest tail, 2^(j_L) terms at k_L = 0, is checked before any sum and
-    before 2^(j_L) is formed: j_L can have more digits than an int may.
+    Raises ResourceError, before any sum, when an entry leaves a dyadic
+    tail that no regime of `fast_dyadic_quadratic_weyl` computes, so
+    callers can build W before any other expensive work.  Entry (l, i) has
+    a tail of 2^(j_l) terms at m = R - k_i when j_l < m; the check reads
+    exponents only, and forms no 2^(j_l) before it passes.
     """
-    longest = params.j[-1]
-    if longest >= DIRECT_SUM_BUDGET.bit_length():
-        raise ResourceError(
-            f"the average over 2^{longest} terms leaves a tail of 2^{longest}"
-            f" terms at frequency 1, over the direct-summation budget "
-            f"{DIRECT_SUM_BUDGET}; lower R")
+    for jl in params.j:
+        for ki in params.k:
+            m = params.R - ki
+            if jl < m and dyadic_tail_regime(m, jl + 1) is None:
+                raise ResourceError(
+                    f"the average over 2^{jl} terms leaves a tail of 2^{jl} "
+                    f"terms at frequency 2^{ki}, which no regime computes; "
+                    f"lower R")
     return np.array([[fast_dyadic_quadratic_weyl(ki, params.R, 1 << jl)
                       for ki in params.k] for jl in params.j])
 
@@ -153,6 +185,7 @@ def eta_error(coeffs: Sequence[complex], params: CounterexampleParams,
     """
     a = _ladder_coeffs(coeffs, params)
     check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
+    check_sample_bits(params, sample_count)
     if W is None:
         W = eta_multipliers(params)
     phases = _ladder_phases(params, sample_count, seed)
@@ -174,6 +207,7 @@ def v2_partial_sums_norm(coeffs: Sequence[complex],
     given by its coefficients as in `eta_error`."""
     a = _ladder_coeffs(coeffs, params)
     check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
+    check_sample_bits(params, sample_count)
     phases = _ladder_phases(params, sample_count, seed)
     return _partial_sum_objective(a, np.exp(2j * math.pi * phases))
 

@@ -29,7 +29,12 @@ Major/Minor labels and admitting fractions; `shell_index` and
 `bigint_phase_chunks` reduces every phase on Python ints by finite
 differences, the oracle of the residue kernel's phases.
 `complete_dyadic_gauss` is the complete sum of e(n^2/2^m) over a period
-in closed form; over 2^m it pins the bits of `expsum.dyadic_gauss_mean`.
+in closed form; over 2^m it pins the bits of `dyadic.dyadic_gauss_mean`.
+`direct_dyadic_tail_mean` sums a dyadic tail term by term on exact
+phases, as `fast_dyadic_quadratic_weyl` did before its fast regimes, the
+oracle of each regime at its gate edges.
+`per_sample_ladder_phases` draws the ladder's sample points one
+`Generator.bytes` call at a time, the oracle of `torus._ladder_phases`.
 `exp_terms` is numpy's complex exp of -2 pi i ph, the oracle of the
 table-driven e(-ph) kernel.
 `l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial,
@@ -53,7 +58,8 @@ import numpy as np
 from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
                        variation_values)
 from circlelab.arith import ArcLabels, _arc_dtype
-from circlelab.expsum import _PHASE_CHUNK, residue_counts
+from circlelab.expsum import (_PHASE_CHUNK, _esum, _phase_chunks,
+                              residue_counts)
 from circlelab.spectral import _pairwise_norm
 from circlelab.verify import _power_fit
 
@@ -314,7 +320,7 @@ def complete_dyadic_gauss(m: int) -> complex:
 
     m = 0 -> 1; m = 1 -> 0; even m >= 2 -> 2^(m/2) (1+i);
     odd m >= 3 -> 2^((m+1)/2) e(1/8).  Over 2^m it is the expression that
-    `expsum.dyadic_gauss_mean` replaced, a float only up to m = 1023.
+    `dyadic.dyadic_gauss_mean` replaced, a float only up to m = 1023.
     """
     if m == 0:
         return 1.0 + 0.0j
@@ -323,6 +329,28 @@ def complete_dyadic_gauss(m: int) -> complex:
     if m % 2 == 0:
         return 2.0 ** (m // 2) * (1.0 + 1.0j)
     return 2.0 ** ((m + 1) // 2) * cmath.exp(1j * math.pi / 4.0)
+
+
+def direct_dyadic_tail_mean(m: int, T: int) -> complex:
+    """(1/T) sum_{n=1}^T e(n^2/2^m), term by term: each phase reduced
+    exactly, as the conjugate of the Weyl sum of n^2 at 1/2^m."""
+    return (_esum(_phase_chunks((0, 0, 1), T, 1, 1 << m)) / T).conjugate()
+
+
+def per_sample_ladder_phases(params, sample_count: int, seed: int):
+    """(L, samples) ladder phases, one `rng.bytes` draw per sample point;
+    returns them with the generator, to compare its next draw."""
+    bits = params.R + 64
+    rng = np.random.default_rng(seed)
+    mask = (1 << bits) - 1
+    den = 1 << bits
+    phases = np.empty((params.L, sample_count), dtype=float)
+    for s in range(sample_count):
+        numer = int.from_bytes(rng.bytes((bits + 7) // 8), "big") & mask
+        for i, ki in enumerate(params.k):
+            # int / int rounds once, correctly, at any width
+            phases[i, s] = ((numer << ki) & mask) / den
+    return phases, rng
 
 
 def exp_terms(ph: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ writes."""
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,7 +106,8 @@ def test_each_side_records_its_src_lines(tmp_path, monkeypatch):
     def run_once(tree, workload, seed, seconds):
         return {"metrics": {"wall_s": 1.0, "ok_frac": 1.0}, "failed": 0,
                 "host": {"host_factor": 1.0},
-                "provenance": {"git_commit": tree, "numpy": "2.4.6"}}
+                "provenance": {"git_commit": tree, "numpy": "2.4.6"},
+                "ops": [{"argv": ["smooth"], "wall_s": 0.5}]}
 
     monkeypatch.setattr(write_bench, "checkout", checkout)
     monkeypatch.setattr(write_bench, "run_once", run_once)
@@ -114,3 +116,48 @@ def test_each_side_records_its_src_lines(tmp_path, monkeypatch):
                               [0], 30)
     assert doc["src_lines"] == {"parent": 5, "change": 3}
     assert doc["commits"] == {"parent": "p" * 40, "change": "c" * 40}
+    op = doc["workloads"]["decomp"]["0"]["op_raw_wall_s"]
+    assert op == [{"argv": ["smooth"],
+                   "parent": write_bench.summary([0.5] * write_bench.PAIRS),
+                   "change": write_bench.summary([0.5] * write_bench.PAIRS)}]
+
+
+def test_run_once_keeps_each_ops_median_raw_wall(monkeypatch):
+    # the last two stdout lines of perfbench/run.py: the detail line, with
+    # each op's raw walls, and the result line
+    detail = {"ops": [{"argv": ["counterexample", "--L", "3"],
+                       "walls_s": [0.3, 0.1, 0.2], "runs": 3},
+                      {"argv": ["smooth"], "walls_s": [0.7, 0.5],
+                       "runs": 2}],
+              "host": {"host_factor": 1.1}, "provenance": {"numpy": "x"}}
+    result = {"metrics": {"wall_s": {"value": 2.0, "unit": "s"}},
+              "correct": True, "attempted": 5, "failed": 0}
+    out = "ladder wall_s 2.0 s\n" + json.dumps(detail) + "\n" + \
+        json.dumps(result) + "\n"
+
+    def run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+    monkeypatch.setattr(write_bench.subprocess, "run", run)
+    got = write_bench.run_once("tree", "ladder", 0, 30)
+    assert got["ops"] == [{"argv": ["counterexample", "--L", "3"],
+                           "wall_s": 0.2},
+                          {"argv": ["smooth"], "wall_s": 0.6}]
+    assert got["metrics"] == {"wall_s": 2.0}
+
+
+def test_op_walls_match_ops_by_position_and_argv():
+    def run(*walls, argv=("a", "b")):
+        return {"ops": [{"argv": [name], "wall_s": w}
+                        for name, w in zip(argv, walls)]}
+
+    pairs = [{"parent": run(1.0, 2.0), "change": run(0.5, 2.0)},
+             {"parent": run(3.0, 4.0), "change": run(1.5, 4.0,
+                                                     argv=("a", "c"))}]
+    out = write_bench.op_walls(pairs)
+    assert [op["argv"] for op in out] == [["a"], ["b"], ["c"]]
+    assert out[0]["parent"]["median"] == 2.0
+    assert out[0]["change"]["values"] == [0.5, 1.5]
+    # an op one side ran in a pair the other did not keeps its own runs
+    assert out[1]["change"]["values"] == [2.0]
+    assert "parent" not in out[2] and out[2]["change"]["values"] == [4.0]

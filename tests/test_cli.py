@@ -122,18 +122,33 @@ class TestExitCodes:
         assert code == 2
 
     def test_resource_error(self, capsys):
-        # counterexample at a radius whose tails exceed the direct budget
-        code, _ = run_cli(["counterexample", "--L", "2", "--R", "60"], capsys)
+        # counterexample at a radius whose 4096 sample points of R + 64 bits
+        # exceed the sample-bit budget
+        code, _ = run_cli(["counterexample", "--L", "2", "--R", "300000"],
+                          capsys)
         assert code == 3
 
     def test_budget_checked_before_search(self, capsys, monkeypatch):
-        # L = 4, R = 92 has a tail over the budget: refused before the search
+        # 4096 x (262081 + 64) bits is one sample point's worth over the
+        # sample-bit budget: refused before the multipliers and the search
         def never(*args, **kwargs):
-            raise AssertionError("coefficient search ran before the budget")
+            raise AssertionError("work ran before the budget")
 
-        monkeypatch.setattr("circlelab.torus.search_coefficients", never)
-        code, _ = run_cli(["counterexample", "--L", "4", "--R", "92"], capsys)
+        for name in ("search_coefficients", "fast_dyadic_quadratic_weyl",
+                     "_ladder_phases"):
+            monkeypatch.setattr(f"circlelab.torus.{name}", never)
+        code, _ = run_cli(["counterexample", "--L", "4", "--R", "262081"],
+                          capsys)
         assert code == 3
+
+    def test_four_rung_ladder_runs(self, capsys):
+        # L = 4, R = 92 leaves a tail of 2^44 terms at m = 92, which
+        # Euler-Maclaurin takes
+        code, out = run_cli(["counterexample", "--L", "4", "--R", "92"],
+                            capsys)
+        assert code == 0
+        value = json.loads(out)["results"][1]["value"]
+        assert 0 < value["eta_rms"] <= value["eta_sup"] < math.inf
 
     def test_dry_run_never_sums(self, capsys):
         code, _ = run_cli(["counterexample", "--L", "2", "--R", "60",
@@ -282,18 +297,22 @@ class TestExitCodes:
         (["counterexample", "--L", "9223372036854775808", "--R", "14",
           "--dry-run"], 2),
         (["counterexample", "--L", "9223372036854775808", "--R", "14"], 2),
-        # tails of 2^(R/2) terms: refused before 2^(R/2) is formed
+        # sample points of R + 64 bits over the sample-bit budget, refused
+        # before any tail (of 2^(R/2) terms) is formed or summed and
+        # before any draw
         (["counterexample", "--L", "2", "--R",
           "99999999999999999999999"], 3),
-        # a tail with more than 4300 decimal digits
-        (["counterexample", "--L", "2", "--R", "65536"], 3),
+        # tails with more than 4300 decimal digits, and more sample bits
+        # than the budget admits (R = 65536 runs at 4096 samples)
+        (["counterexample", "--L", "2", "--R", "65536", "--sample-count",
+          "65536"], 3),
     ])
     def test_huge_ladders_refused(self, argv, expect, capsys, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("summed a tail before the budget")
+            raise AssertionError("summed a tail or drew before the budget")
 
-        monkeypatch.setattr("circlelab.torus.fast_dyadic_quadratic_weyl",
-                            never)
+        for name in ("fast_dyadic_quadratic_weyl", "_ladder_phases"):
+            monkeypatch.setattr(f"circlelab.torus.{name}", never)
         assert main(argv) == expect
         out, err = capsys.readouterr()
         assert out == ""
@@ -682,6 +701,12 @@ class TestImports:
          ["arith", "cli", "errors", "expsum"]),
         (["est", "--n-min", "8", "--n-max", "8", "--samples", "16"],
          ["arith", "cli", "errors", "expsum", "verify"]),
+        # only the ladder subcommands sum dyadic tails
+        (["smooth", "--N", "4", "--a", "0.5", "--trials", "2"],
+         ["arith", "cli", "errors", "expsum", "spectral", "varnorm",
+          "verify"]),
+        (["counterexample", "--L", "2", "--R", "14", "--sample-count", "64"],
+         ["arith", "cli", "dyadic", "errors", "expsum", "torus", "varnorm"]),
     ])
     def test_subcommand_loads_only_its_modules(self, argv, modules):
         # no spectral, varnorm or torus after either, no verify after

@@ -17,12 +17,14 @@ from circlelab import (IntPoly, ParameterError, ReducedFraction,
                        weyl_sum_prefixes)
 from circlelab import expsum
 from circlelab.arith import congruence_data
+from circlelab.dyadic import (_PI_FIXED, _euler_maclaurin_mean,
+                              _fresnel_mean, _sin_pi, dyadic_tail_regime)
 from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, PHASE_TERM_BUDGET,
                               _e_neg, _e_work, _limb_phases, _phase_chunks,
-                              _residue_rows,
-                              residue_counts)
-from oracles import (bigint_phase_chunks, complete_dyadic_gauss, eval_poly,
-                     exp_terms, farey_level, quadratic_gauss_row)
+                              _residue_rows, residue_counts)
+from oracles import (bigint_phase_chunks, complete_dyadic_gauss,
+                     direct_dyadic_tail_mean, eval_poly, exp_terms,
+                     farey_level, quadratic_gauss_row)
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -600,23 +602,147 @@ class TestFastDyadic:
     @given(k=st.integers(0, 3), N=st.integers(1, 1500))
     @settings(max_examples=25, deadline=None)
     def test_tail_against_python_ints(self, m, k, N):
-        # m = 65..128 takes the two-limb residues, m > 128 Python ints
+        # m = 1 and 44 take the sqrt split, m >= 62 Euler-Maclaurin
         T = 1 << m
         direct = sum(cmath.exp(2j * math.pi * ((n * n) % T) / T)
                      for n in range(1, N + 1)) / N
         assert abs(fast_dyadic_quadratic_weyl(k, k + m, N) - direct) <= 1e-12
 
     def test_budget_enforced(self):
-        with pytest.raises(ResourceError):
-            fast_dyadic_quadratic_weyl(0, 60, (1 << 23) + 1)
+        # m = 60 and a tail of 2^45 terms, within 2^16 of its period: no
+        # regime takes it, and nothing is summed before the refusal
+        with mock.patch("circlelab.dyadic._e_neg", side_effect=AssertionError):
+            with pytest.raises(ResourceError):
+                fast_dyadic_quadratic_weyl(0, 60, 1 << 45)
+        # a tail of 2^23 + 1 terms at m = 60 takes Euler-Maclaurin
+        assert abs(fast_dyadic_quadratic_weyl(0, 60, (1 << 23) + 1)
+                   - direct_dyadic_tail_mean(60, (1 << 23) + 1)) <= 4e-16
 
     def test_huge_tail_message_gives_its_bits(self):
         # the tail has over 4300 decimal digits, more than str() may print
-        with pytest.raises(ResourceError, match=r"length >= 2\^65535 "):
-            fast_dyadic_quadratic_weyl(0, 70000, 1 << 65535)
+        with pytest.raises(ResourceError, match=r"length >= 2\^69990 "):
+            fast_dyadic_quadratic_weyl(0, 70000, 1 << 69990)
+        # 2^65535 terms at m = 70000 take Euler-Maclaurin: the mean,
+        # about 2^-30537, underflows
+        assert fast_dyadic_quadratic_weyl(0, 70000, 1 << 65535) == 0j
+
+    def test_huge_exponent_small_tail(self):
+        # five terms at m = 10^20: 2^m is never formed, and every phase is
+        # below 2^-(10^20), so the mean is 1
+        val = fast_dyadic_quadratic_weyl(0, 10 ** 20, 5)
+        assert abs(val.real - 1.0) <= 2.0 ** -52 and val.imag == 0.0
+        assert fast_dyadic_quadratic_weyl(7, 10 ** 20 + 7, 5) == val
+
+    def test_numpy_integers(self):
+        # np.int64 k and R wrapped in 1 << m (0j at m = 70), and an
+        # np.int64 N has no bit_length
+        for args in [(0, 20, 1000), (0, 70, 5), (3, 30, 1 << 20)]:
+            assert fast_dyadic_quadratic_weyl(*map(np.int64, args)) == \
+                fast_dyadic_quadratic_weyl(*args)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             fast_dyadic_quadratic_weyl(5, 4, 10)
         with pytest.raises(ParameterError):
             fast_dyadic_quadratic_weyl(0, 4, 0)
+
+
+def near_period_mean(m, j):
+    """(1/T) sum_{n=1}^T e(n^2/2^m) at T = 2^m - j: the complete sum less
+    its last j terms, which are e(i^2/2^m) for i = 0..j-1."""
+    short = (j - 1) * direct_dyadic_tail_mean(m, j - 1) if j > 1 else 0
+    return (complete_dyadic_gauss(m) - 1 - short) / ((1 << m) - j)
+
+
+class TestTailRegimes:
+    @pytest.mark.parametrize("m,bits,regime", [
+        (17, 1, "split"), (26, 1, "split"), (27, 11, "euler-maclaurin"),
+        (27, 12, "split"), (44, 28, "euler-maclaurin"), (44, 29, "split"),
+        (44, 44, "split"), (45, 29, "euler-maclaurin"), (45, 30, None),
+        (10 ** 20, 10 ** 20 - 16, "euler-maclaurin"),
+        (10 ** 20, 10 ** 20 - 15, None)])
+    def test_gates(self, m, bits, regime):
+        assert dyadic_tail_regime(m, bits) == regime
+
+    def test_gate_on_m(self):
+        # the three-term form is off by about 0.66 4^-m at T = 1: 4e-11 at
+        # m = 17, which the gate leaves to the split, 1e-16 from m = 26 on
+        for m, worst in [(17, 5e-11), (26, 2.5e-16), (27, 1e-16)]:
+            err = abs(_euler_maclaurin_mean(m, 1)
+                      - direct_dyadic_tail_mean(m, 1))
+            assert err <= worst
+        assert abs(_euler_maclaurin_mean(17, 1) - 1.0) > 1e-11
+
+    # at and next to the gate edges: m = 27 and T = 2^(m-16) - 1, and the
+    # ladder tails of the benchmark and of L = 2, R = 48
+    @pytest.mark.parametrize("m,T", [
+        (27, (1 << 11) - 1), (27, 1), (28, (1 << 12) - 1), (36, 1 << 19),
+        (36, (1 << 20) - 1), (47, 1 << 22), (48, 1 << 23), (200, 1 << 20),
+        (1100, 12345)])
+    def test_euler_maclaurin_against_direct(self, m, T):
+        assert dyadic_tail_regime(m, T.bit_length()) == "euler-maclaurin"
+        got = fast_dyadic_quadratic_weyl(3, m + 3, T)
+        assert abs(got - direct_dyadic_tail_mean(m, T)) <= 4e-16
+
+    @given(m=st.integers(1, 30), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_split_against_direct(self, m, data):
+        # from m = 27 on, the tails below 2^(m-16) take Euler-Maclaurin
+        T = data.draw(st.integers(1 << max(m - 16, 0) if m >= 27 else 1,
+                                  min((1 << m) - 1, 1 << 15)))
+        assert dyadic_tail_regime(m, T.bit_length()) == "split"
+        got = fast_dyadic_quadratic_weyl(0, m, T)
+        assert abs(got - direct_dyadic_tail_mean(m, T)) <= 4e-16
+
+    # the split's other edges: its first tail above the Euler-Maclaurin
+    # gate at m = 30, and tails just short of the period up to m = 44,
+    # whose oracle is the complete sum less a short direct one
+    @pytest.mark.parametrize("m,j", [(26, 1), (31, 3), (44, 1),
+                                     (44, 1 << 20)])
+    def test_split_near_the_period(self, m, j):
+        got = fast_dyadic_quadratic_weyl(0, m, (1 << m) - j)
+        assert abs(got - near_period_mean(m, j)) <= 4e-16
+
+    def test_sin_pi_is_relatively_exact(self):
+        # sin(pi r / 2^e) near each zero of sin, where an angle rounded
+        # as pi * r / 2^e would leave ~1e-10 of a 1.5e-6 value
+        e = 21
+        r = np.array([1, 3, (1 << e) - 1, (1 << e) + 1, (2 << e) - 1,
+                      (1 << (e - 1)), 3 << (e - 1), (5 << e) + 7],
+                     dtype=np.int64)
+        got = _sin_pi(r, e)
+        with mpmath.workdps(40):
+            want = [mpmath.sin(mpmath.pi * int(x) / 2 ** e) for x in r]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 2.0 ** -52 * abs(w)
+
+    def test_split_at_its_edge(self):
+        assert dyadic_tail_regime(30, 15) == "split"
+        got = fast_dyadic_quadratic_weyl(0, 30, 1 << 14)
+        assert abs(got - direct_dyadic_tail_mean(30, 1 << 14)) <= 4e-16
+
+
+def mp_fresnel_mean(num, m):
+    """int_0^1 e(c s^2) ds = (C(z) + i S(z)) / z, z = 2 sqrt(c), in 40-digit
+    mpmath."""
+    with mpmath.workdps(40):
+        z = 2 * mpmath.sqrt(mpmath.mpf(num) / mpmath.mpf(2) ** m)
+        if z == 0:
+            return 1 + 0j
+        return complex((mpmath.fresnelc(z) + 1j * mpmath.fresnels(z)) / z)
+
+
+class TestFresnel:
+    # c = num / 2^m from 2^-1000 to 2^40, closest around the branch switch
+    # at c = 8: series below it, the asymptotic form from it on
+    @pytest.mark.parametrize("num,m", [
+        (0, 5), (1, 1000), (1, 40), (3, 40), ((1 << 40) // 7, 40),
+        (5, 0), (63, 3), (64, 3), (65, 3), ((8 << 40) - 1, 40),
+        (8 << 40, 40), ((8 << 40) + 1, 40), ((9 << 40) + 7, 40),
+        (100, 0), (12345 << 30, 30), (1 << 40, 0), (3 ** 60, 60)])
+    def test_against_mpmath(self, num, m):
+        assert abs(_fresnel_mean(num, m) - mp_fresnel_mean(num, m)) <= 4e-17
+
+    def test_fixed_point_pi(self):
+        with mpmath.workdps(100):
+            assert _PI_FIXED == int(mpmath.floor(mpmath.pi * 2 ** 256))

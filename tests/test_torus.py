@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circlelab import (IntPoly, ParameterError, ResourceError, build_sequences,
+from circlelab import (CounterexampleParams, IntPoly, ParameterError,
+                       ResourceError, build_sequences, dyadic_gauss_mean,
                        eta_error, exact_ladder_radius,
                        fast_dyadic_quadratic_weyl, search_coefficients,
                        v2_partial_sums_norm, weyl_sum)
@@ -18,10 +19,11 @@ from circlelab import expsum
 from circlelab.expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET
 from circlelab.torus import (_independent_phase_matrix, _ladder_phases,
                              _partial_sum_objective, _partial_sums,
-                             eta_multipliers)
+                             check_sample_bits, eta_multipliers)
 
-from oracles import (cumsum_partial_sum_objective, eval_dyadic, eval_float,
-                     l2_norm)
+from oracles import (cumsum_partial_sum_objective, direct_dyadic_tail_mean,
+                     eval_dyadic, eval_float, l2_norm,
+                     per_sample_ladder_phases)
 from test_varnorm import assert_bitwise_equal
 
 SQUARES = IntPoly([0, 0, 1])
@@ -270,6 +272,35 @@ def scaled_ladder_phases(params, sample_count, seed):
 
 
 class TestLadderPhases:
+    @given(L=st.integers(1, 5), R=st.integers(1, 400),
+           samples=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sample_draws(self, L, R, samples, seed):
+        try:
+            params = build_sequences(L, R)
+        except ParameterError:
+            assume(False)
+        want, rng = per_sample_ladder_phases(params, samples, seed)
+        gen = np.random.default_rng(seed)
+        with mock.patch("numpy.random.default_rng", return_value=gen):
+            got = _ladder_phases(params, samples, seed)
+        assert_bitwise_equal(got, want)
+        assert gen.integers(0, 1 << 63) == rng.integers(0, 1 << 63)
+
+    # R + 64 bits in 12, 13, 14, 15, 16 and 17 bytes: every byte count mod
+    # 4, in odd (3, 5) and even (4) word counts, which the draws above may
+    # miss
+    @pytest.mark.parametrize("R", [32, 33, 41, 49, 57, 65])
+    def test_byte_counts_and_the_next_draw(self, R):
+        params = build_sequences(2, R)
+        want, rng = per_sample_ladder_phases(params, 33, R)
+        gen = np.random.default_rng(R)
+        with mock.patch("numpy.random.default_rng", return_value=gen):
+            got = _ladder_phases(params, 33, R)
+        assert_bitwise_equal(got, want)
+        # the generator is left where the per-sample draws leave it
+        assert gen.integers(0, 1 << 63) == rng.integers(0, 1 << 63)
+
     @given(L=st.integers(1, 7), R=st.integers(1, 900),
            samples=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -404,43 +435,82 @@ class TestSearch:
                 search_coefficients(L, 10, 1, 0, sample_count=samples)
 
 
+def oracle_multipliers(params):
+    """W entry by entry: the closed form where 2^(j_l) is a whole number of
+    periods, else the tail summed term by term."""
+    W = np.empty((params.L, params.L), dtype=complex)
+    for l, jl in enumerate(params.j):
+        for i, ki in enumerate(params.k):
+            m = params.R - ki
+            W[l, i] = (dyadic_gauss_mean(m) if jl >= m
+                       else direct_dyadic_tail_mean(m, 1 << jl))
+    return W
+
+
 class TestEtaMultipliers:
+    # (m, j): one rung at k = 0 whose average over 2^j terms leaves a
+    # tail of 2^j terms at modulus 2^m, on both sides of each gate
+    EDGES = [(26, 10), (27, 10), (27, 11), (44, 27), (45, 28), (45, 29),
+             (60, 43), (60, 44), (100, 84), (100, 85), (1000, 984),
+             (1000, 985)]
+
     def test_refused_as_the_per_entry_tails_are(self):
-        # entry (j_l, k_i) sums a tail of 2^(j_l) terms when j_l < R - k_i;
-        # the one check up front refuses exactly the ladders where such a
-        # tail is over the budget, and sums nothing before it
-        cheap = mock.patch("circlelab.torus.fast_dyadic_quadratic_weyl",
-                           lambda k, R, N: 0j)
+        # the one check up front refuses exactly the entries whose tail the
+        # kernel refuses, and sums nothing before it
+        refused = []
+        for m, jl in self.EDGES:
+            params = CounterexampleParams(1, m, (0,), (jl,))
+            try:
+                fast_dyadic_quadratic_weyl(0, m, 1 << jl)
+                kernel_refused = False
+            except ResourceError:
+                kernel_refused = True
+            with mock.patch("circlelab.torus.fast_dyadic_quadratic_weyl",
+                            lambda k, R, N: 0j):
+                try:
+                    eta_multipliers(params)
+                    check_refused = False
+                except ResourceError:
+                    check_refused = True
+            assert check_refused == kernel_refused, (m, jl)
+            refused.append(check_refused)
+        assert any(refused) and not all(refused)
+
+    def test_every_admissible_ladder_is_admitted(self):
+        # no ladder with L <= 9 and R < 6000 leaves a tail that no regime
+        # computes
         checked = 0
-        with cheap:
-            for L in range(1, 5):
-                for R in range(2, 200):
+        with mock.patch("circlelab.torus.fast_dyadic_quadratic_weyl",
+                        lambda k, R, N: 0j):
+            for L in range(1, 10):
+                for R in range(1 << L, 6000):
                     try:
                         params = build_sequences(L, R)
                     except ParameterError:
                         continue
-                    over = any(jl < R - ki and 1 << jl > DIRECT_SUM_BUDGET
-                               for jl in params.j for ki in params.k)
-                    try:
-                        eta_multipliers(params)
-                        refused = False
-                    except ResourceError:
-                        refused = True
-                    assert refused == over, (L, R)
+                    eta_multipliers(params)
                     checked += 1
-        assert checked > 100
+        assert checked > 45000
 
     def test_longest_admitted_tail(self):
-        # L = 2: j_2 = 22 at R = 46 is summed, j_2 = 23 at R = 48 is not
-        W = eta_multipliers(build_sequences(2, 46))
+        # L = 2: W is the per-entry kernel values at R = 46, and at R = 48,
+        # where j_2 = 23 leaves a tail of 2^23 terms, it matches the
+        # term-by-term sums
         params = build_sequences(2, 46)
+        W = eta_multipliers(params)
         assert_bitwise_equal(W, np.array(
             [[fast_dyadic_quadratic_weyl(ki, 46, 1 << jl) for ki in params.k]
              for jl in params.j]))
+        params = build_sequences(2, 48)
+        assert params.j[-1] == 23
+        assert np.abs(eta_multipliers(params)
+                      - oracle_multipliers(params)).max() <= 4e-16
+        # a tail of 2^29 terms at m = 45 is within 2^16 of its period, and
+        # m > 44: refused before any sum
         with mock.patch("circlelab.torus.fast_dyadic_quadratic_weyl",
                         side_effect=AssertionError):
-            with pytest.raises(ResourceError, match=r"2\^23 terms"):
-                eta_multipliers(build_sequences(2, 48))
+            with pytest.raises(ResourceError, match=r"2\^29 terms"):
+                eta_multipliers(CounterexampleParams(1, 45, (0,), (29,)))
 
 
 class TestSampleCount:
@@ -461,6 +531,25 @@ class TestSampleCount:
                 eta_error(f, params, samples, 0)
             with pytest.raises(error):
                 v2_partial_sums_norm(f, params, samples, 0)
+
+    @pytest.mark.parametrize("L,R,samples", [
+        (4, 262081, 4096), (2, 193, DIRECT_SUM_BUDGET),
+        (2, 99999999999999999999999, 1)])
+    def test_sample_bits_refused_before_work(self, L, R, samples):
+        # samples x (R + 64) bits over the budget, by one sample point's
+        # bits at the first two; one point fewer bits is admitted
+        params = build_sequences(L, R)
+        f = np.ones(L)
+        with mock.patch("circlelab.torus._ladder_phases",
+                        side_effect=AssertionError), \
+                mock.patch("circlelab.torus.eta_multipliers",
+                           side_effect=AssertionError):
+            with pytest.raises(ResourceError, match="sample-bit budget"):
+                eta_error(f, params, samples, 0)
+            with pytest.raises(ResourceError, match="sample-bit budget"):
+                v2_partial_sums_norm(f, params, samples, 0)
+        check_sample_bits(build_sequences(L, min(R - 1, 262080)),
+                          samples)
 
     def test_one_point_admitted(self):
         params = build_sequences(2, 14)
