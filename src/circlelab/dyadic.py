@@ -95,10 +95,11 @@ def _fresnel_mean(num: int, m: int) -> complex:
 
     Below c = 8 it sums sum_n (2 pi i c)^n / (n! (2n+1)) in 256-bit fixed
     point: the terms stay below 2^69 there, so the cancellation between
-    them costs none of the bits a float keeps.  From c = 8 on it takes (1+i)/(4 sqrt c) - e(c) (y^2 G(y^2) +
-    i y F(y^2)), y = 1/(4 pi c), with the asymptotic series of the Fresnel
-    auxiliary functions F(u) = sum (-1)^n (4n-1)!! u^n and G(u) =
-    sum (-1)^n (4n+1)!! u^n cut after 12 terms (below 1e-20 from c = 8).
+    them costs none of the bits a float keeps.  From c = 8 on it takes
+    (1+i)/(4 sqrt c) - e(c) (y^2 G(y^2) + i y F(y^2)), y = 1/(4 pi c),
+    with the asymptotic series of the Fresnel auxiliary functions
+    F(u) = sum (-1)^n (4n-1)!! u^n and G(u) = sum (-1)^n (4n+1)!! u^n cut
+    after 12 terms (below 1e-20 from c = 8).
     """
     if num.bit_length() <= m + _FRESNEL_SWITCH:
         x = (2 * _PI_FIXED * ((num << _FIXED_BITS) >> m)) >> _FIXED_BITS
