@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ParameterError, ResourceError
+from .errors import LENGTH_BUDGET, ParameterError, ResourceError
 
 # At exit, finalization runs full cyclic collections, each a pass over every
 # tracked object (over 20,000 once numpy is loaded).  Freezing the heap
@@ -269,11 +269,11 @@ def _run(args) -> dict:
     elif args.command == "average":
         import numpy as np
 
-        from .expsum import DIRECT_SUM_BUDGET, check_count
+        from .expsum import check_count
         from .spectral import _complex_normal, variation_experiment
         P = _parse_poly(args.poly)
         scales = _parse_list(args.scales, int)
-        M = check_count(args.modulus, "modulus M", DIRECT_SUM_BUDGET)
+        M = check_count(args.modulus, "modulus M", LENGTH_BUDGET)
         f = _complex_normal(np.random.default_rng(args.seed), M)
         val = variation_experiment(f, P, scales, args.r)
         results.append({"name": "average_variation",
@@ -330,14 +330,12 @@ def _run(args) -> dict:
                            "closure_defects": list(closure)}}
         results.append(entry)
         if not args.dry_run:
-            from .expsum import DIRECT_SUM_BUDGET, check_count
-            from .torus import (check_sample_bits, eta_error,
-                                eta_multipliers, search_coefficients)
+            from .torus import (check_samples, eta_error, eta_multipliers,
+                                search_coefficients)
             # the sample count, the sample bits and the multipliers, whose
             # tails must fit a regime, are refused before the coefficient
             # search, not after it
-            check_count(args.sample_count, "sample_count", DIRECT_SUM_BUDGET)
-            check_sample_bits(params, args.sample_count)
+            check_samples(params, args.sample_count)
             W = eta_multipliers(params)
             coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
             sup, rms = eta_error(coeffs, params, args.sample_count,

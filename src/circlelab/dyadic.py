@@ -63,13 +63,24 @@ def dyadic_tail_regime(m: int, tail_bits: int):
     1.32 4^-m + 4.8 f'(T)^2 2^-m, about 1e-16 at m = 27 (at m = 17, T = 1
     it would be 4e-11).  The sqrt split takes any tail with m <= 44, in
     O(min(T, 2^(m/2))).  A tail neither takes has m > 44 and T >= 2^29,
-    more than DIRECT_SUM_BUDGET, so no tail is ever summed term by term.
+    and `check_tail_regime` refuses it: no tail is summed term by term.
     """
     if m >= _EM_MIN_M and tail_bits <= m - _EM_TAIL_GAP:
         return "euler-maclaurin"
     if m <= _SPLIT_MAX_M:
         return "split"
     return None
+
+
+def check_tail_regime(m: int, tail_bits: int) -> str:
+    """`dyadic_tail_regime(m, tail_bits)`, or a ResourceError for a tail
+    that no regime computes; it reads exponents only."""
+    regime = dyadic_tail_regime(m, tail_bits)
+    if regime is None:
+        raise ResourceError(
+            f"no regime computes a tail of length >= 2^{tail_bits - 1} "
+            f"terms, at least 2^(R-k-16), at R-k > 44; lower R or N")
+    return regime
 
 
 def _dyadic_frac(num: int, m: int) -> float:
@@ -192,8 +203,9 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
     With m = R - k the summand has period 2^m in n: full periods give the
     closed-form `dyadic_gauss_mean(m)`, and the tail of N mod 2^m terms
     takes the first regime of `dyadic_tail_regime` that admits it,
-    Euler-Maclaurin in O(1) or the sqrt split in O(2^(m/2)), or a
-    ResourceError.  2^m is formed only when it is at most N.
+    Euler-Maclaurin in O(1) or the sqrt split in O(2^(m/2)), or is
+    refused by `check_tail_regime`.  2^m is formed only when it is at
+    most N.
     """
     # Python ints: a numpy int would wrap in 1 << m and has no bit_length
     k, R, N = map(operator.index, (k, R, N))
@@ -209,12 +221,7 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
     if full:  # an int over an int divides correctly rounded
         total += (N - tail) / N * dyadic_gauss_mean(m)
     if tail:
-        regime = dyadic_tail_regime(m, tail.bit_length())
-        if regime is None:
-            raise ResourceError(
-                f"tail of length >= 2^{tail.bit_length() - 1} is neither "
-                f"below 2^(R-k-16), for Euler-Maclaurin, nor at R-k <= 44, "
-                f"for the square-root split; lower N mod 2^(R-k)")
+        regime = check_tail_regime(m, tail.bit_length())
         mean = (_euler_maclaurin_mean(m, tail) if regime == "euler-maclaurin"
                 else _split_sum(m, tail) / tail)
         total += mean * (tail / N)

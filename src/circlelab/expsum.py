@@ -14,26 +14,9 @@ from typing import Iterator
 import numpy as np
 
 from .arith import IntPoly, ReducedFraction, congruence_data
-from .errors import ParameterError, ResourceError
+from .errors import (PHASE_TERM_BUDGET, Budget, ParameterError,
+                     check_budget)
 
-# the most terms or frequencies one direct evaluation may take: in
-# `spectral` the modulus M (arrays of length M) and the average length N,
-# and the ladder's sample points
-DIRECT_SUM_BUDGET = 1 << 22
-# weyl_sum / weyl_sum_prefixes: most terms one call may ask for, all its
-# alphas together, checked before any work (a 2^28-term prefix is a 4 GB
-# array); it also keeps n < 2^31, which the int64 and two-limb residue
-# paths need
-PHASE_TERM_BUDGET = 1 << 28
-# verify_est: the most bytes the alphas of one scale may hold, checked
-# before part 1; an alpha holds ALPHA_BYTES (its int64 numerator, and its
-# float statistic once per block and once joined), so 2^28 bytes admit
-# 11,184,810 alphas a scale
-ALPHA_BYTE_BUDGET = 1 << 28
-ALPHA_BYTES = 24
-# the name of each budget in its refusals
-_BUDGET_NAMES = {DIRECT_SUM_BUDGET: "direct-summation",
-                 PHASE_TERM_BUDGET: "phase-term"}
 # phases are produced and consumed in chunks of this many terms
 _PHASE_CHUNK = 1 << 16
 # the e(-ph) kernel's temporaries, and a block of weyl_sum_prefixes, cover
@@ -42,18 +25,18 @@ _PHASE_CHUNK = 1 << 16
 _CACHE_CHUNK = 1 << 14
 
 
-def check_count(n: int, name: str, budget: int = PHASE_TERM_BUDGET) -> int:
-    """n as an int, refused unless 1 <= n <= budget.
+def check_count(n: int, name: str, budget: Budget = PHASE_TERM_BUDGET,
+                lower: str = "") -> int:
+    """n as an int, refused unless 1 <= n <= the budget's limit.
 
     ParameterError (exit 2) below 1, ResourceError (exit 3) above the
-    budget; callers check a count before any work that it sizes.
+    budget, with `lower` (by default the count's name) as what to lower;
+    callers check a count before any work that it sizes.
     """
     n = int(n)
     if n < 1:
         raise ParameterError(f"{name} must be a positive integer")
-    if n > budget:
-        raise ResourceError(f"{name}={n} exceeds the {_BUDGET_NAMES[budget]}"
-                            f" budget {budget}; lower {name}")
+    check_budget(budget, n, name, lower or name)
     return n
 
 
@@ -301,10 +284,9 @@ def weyl_sum_prefixes(P: IntPoly, t_max: int, k, D) -> Iterator[np.ndarray]:
     D = np.array(D, dtype=object)  # Python ints, exact at any size
     if D.shape not in ((), k.shape) or np.any(D < 1):
         raise ParameterError("need D >= 1, one for all k or one per k")
-    if len(k) * t_max > PHASE_TERM_BUDGET:
-        raise ResourceError(
-            f"{len(k)} alphas of {t_max} terms exceed the phase-term "
-            f"budget {PHASE_TERM_BUDGET}; lower t_max or the alpha count")
+    check_budget(PHASE_TERM_BUDGET, len(k) * t_max,
+                 f"a prefix call of {len(k)} alphas to t_max={t_max}",
+                 "t_max or the alpha count")
     per_block = max(1, _CACHE_CHUNK // t_max)
     width = min(t_max, _CACHE_CHUNK)
     work = _e_work(per_block * width)
@@ -344,7 +326,8 @@ def gauss_weight(P: IntPoly, frac: ReducedFraction, i: int) -> complex:
     q_i above PHASE_TERM_BUDGET is refused before any work.
     """
     cd = congruence_data(P, frac, i)
-    qi = check_count(cd.q_i, "q_i")
+    # q_i divides q b_d, b_d the leading coefficient
+    qi = check_count(cd.q_i, "q_i", lower="q or P's leading coefficient")
     # phases are a_d r^d + ... + a_1 r, no constant term
     coeffs = (0,) + cd.numerators[::-1]
     return _esum(_phase_chunks(coeffs, qi, 1, qi)) / qi

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .arith import IntPoly
-from .errors import ParameterError
-from .expsum import DIRECT_SUM_BUDGET, check_count, residue_counts
+from .errors import LENGTH_BUDGET, ParameterError
+from .expsum import check_count, residue_counts
 from .varnorm import check_dp_cells, check_r, variation_values
 
 
@@ -53,8 +53,8 @@ def average_multipliers(P: IntPoly, Ns: Sequence[int], M: int) -> np.ndarray:
     once.  Every N and M are checked before the stack is allocated; the
     stack is transformed, conjugated and scaled in place.
     """
-    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET)
-    Ns = [check_count(N, "N", DIRECT_SUM_BUDGET) for N in Ns]
+    M = check_count(M, "modulus M", LENGTH_BUDGET)
+    Ns = [check_count(N, "N", LENGTH_BUDGET, "the scales") for N in Ns]
     m = np.empty((len(Ns), M), dtype=complex)
     for row, N in zip(m, Ns):
         row[:] = residue_counts(P.coeffs, N, M)
@@ -75,7 +75,7 @@ def multiplier_variation(fhat: np.ndarray, mults: np.ndarray,
     `fhat * m`, never `m * fhat`: the two can differ in the last bit.
     """
     S, M = mults.shape
-    check_dp_cells(M, S)
+    check_dp_cells(M, S, "the modulus or the number of multipliers")
     np.multiply(fhat, mults, out=mults)
     np.fft.ifft(mults, axis=1, out=mults)
     return _pairwise_norm(variation_values(mults.T, r))
@@ -93,16 +93,16 @@ def variation_experiment(f: np.ndarray, P: IntPoly,
     f = np.asarray(f, dtype=complex)
     if f.ndim != 1:
         raise ParameterError("signal must be a 1-D array")
-    M = check_count(len(f), "modulus M", DIRECT_SUM_BUDGET)
+    M = check_count(len(f), "modulus M", LENGTH_BUDGET)
     if not np.isfinite(f).all():
         raise ParameterError("signal must be finite")
     check_r(r)
     scales = [int(N) for N in scales]
     if any(b <= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ParameterError("scales must be non-empty and increasing")
-    check_dp_cells(M, len(scales))
+    check_dp_cells(M, len(scales), "the modulus or the number of scales")
     for N in (scales[0], scales[-1]):
-        check_count(N, "N", DIRECT_SUM_BUDGET)
+        check_count(N, "N", LENGTH_BUDGET, "the scales")
     denom = _pairwise_norm(f)
     if denom == 0:
         raise ParameterError("signal must be non-zero")

@@ -13,15 +13,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
-from .dyadic import dyadic_tail_regime, fast_dyadic_quadratic_weyl
-from .expsum import DIRECT_SUM_BUDGET, check_count
-from .varnorm import check_dp_cells, check_run_cells, variation_values
-
-# the most random bits the sample points of one ladder may hold, samples x
-# (R + 64): 128 MB of draws, which admits DIRECT_SUM_BUDGET samples up to
-# R = 192 and the default 4096 up to R = 262080
-SAMPLE_BIT_BUDGET = 1 << 30
+from .errors import (LENGTH_BUDGET, RUN_DP_CELL_BUDGET, SAMPLE_BIT_BUDGET,
+                     ParameterError, check_budget)
+from .dyadic import check_tail_regime, fast_dyadic_quadratic_weyl
+from .expsum import check_count
+from .varnorm import check_dp_cells, variation_values
 
 
 class CounterexampleParams(NamedTuple):
@@ -95,15 +91,14 @@ def _admissible(L: int, R: int) -> bool:
         return False
 
 
-def check_sample_bits(params: CounterexampleParams,
-                      sample_count: int) -> None:
-    """Refuse (ResourceError) more than SAMPLE_BIT_BUDGET random bits in all,
-    sample_count sample points of R + 64 bits each, before any draw."""
-    if sample_count * (params.R + 64) > SAMPLE_BIT_BUDGET:
-        raise ResourceError(
-            f"{sample_count} sample points of R + 64 bits exceed the "
-            f"sample-bit budget {SAMPLE_BIT_BUDGET}; lower the sample count"
-            f" or R")
+def check_samples(params: CounterexampleParams, sample_count: int) -> None:
+    """Refuse a sample count below 1 (exit 2), over LENGTH_BUDGET, or over
+    SAMPLE_BIT_BUDGET at R + 64 random bits a point (exit 3)."""
+    n = check_count(sample_count, "sample_count", LENGTH_BUDGET,
+                    "the sample count")
+    check_budget(SAMPLE_BIT_BUDGET, n * (params.R + 64),
+                 f"drawing {n} sample points of R + 64 bits",
+                 "the sample count or R")
 
 
 def _ladder_phases(params: CounterexampleParams, sample_count: int,
@@ -155,20 +150,15 @@ def _ladder_coeffs(coeffs, params: CounterexampleParams) -> np.ndarray:
 def eta_multipliers(params: CounterexampleParams) -> np.ndarray:
     """W[l, i]: the exact multiplier of K_{2^{j_l}} at frequency 2^{k_i}.
 
-    Raises ResourceError, before any sum, when an entry leaves a dyadic
-    tail that no regime of `fast_dyadic_quadratic_weyl` computes, so
-    callers can build W before any other expensive work.  Entry (l, i) has
-    a tail of 2^(j_l) terms at m = R - k_i when j_l < m; the check reads
-    exponents only, and forms no 2^(j_l) before it passes.
+    Any entry's dyadic tail that no regime computes is refused first, so
+    callers can build W before any other expensive work: entry (l, i) has
+    a tail of 2^(j_l) terms at m = R - k_i when j_l < m, and
+    `check_tail_regime` reads exponents only.
     """
     for jl in params.j:
         for ki in params.k:
-            m = params.R - ki
-            if jl < m and dyadic_tail_regime(m, jl + 1) is None:
-                raise ResourceError(
-                    f"the average over 2^{jl} terms leaves a tail of 2^{jl} "
-                    f"terms at frequency 2^{ki}, which no regime computes; "
-                    f"lower R")
+            if jl < params.R - ki:
+                check_tail_regime(params.R - ki, jl + 1)
     return np.array([[fast_dyadic_quadratic_weyl(ki, params.R, 1 << jl)
                       for ki in params.k] for jl in params.j])
 
@@ -184,8 +174,7 @@ def eta_error(coeffs: Sequence[complex], params: CounterexampleParams,
     is estimated by sampling.
     """
     a = _ladder_coeffs(coeffs, params)
-    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
-    check_sample_bits(params, sample_count)
+    check_samples(params, sample_count)
     if W is None:
         W = eta_multipliers(params)
     phases = _ladder_phases(params, sample_count, seed)
@@ -206,8 +195,7 @@ def v2_partial_sums_norm(coeffs: Sequence[complex],
     """Monte Carlo L^2(T) norm of x -> V^2((S_m f(x))_{m=1..L}), with f
     given by its coefficients as in `eta_error`."""
     a = _ladder_coeffs(coeffs, params)
-    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
-    check_sample_bits(params, sample_count)
+    check_samples(params, sample_count)
     phases = _ladder_phases(params, sample_count, seed)
     return _partial_sum_objective(a, np.exp(2j * math.pi * phases))
 
@@ -249,11 +237,14 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
         raise ParameterError("L must be >= 2")
     if iterations < 0 or restarts < 0:
         raise ParameterError("iterations and restarts must be >= 0")
-    check_count(sample_count, "sample_count", DIRECT_SUM_BUDGET)
-    check_dp_cells(sample_count, L)
+    check_count(sample_count, "sample_count", LENGTH_BUDGET,
+                "the sample count")
+    check_dp_cells(sample_count, L, "L")
     # every start is evaluated once and then once per iteration at most
-    check_run_cells((restarts + 1 + (init is not None)) * (iterations + 1),
-                    sample_count, L, "the restarts or the iterations")
+    check_budget(RUN_DP_CELL_BUDGET,
+                 (restarts + 1 + (init is not None)) * (iterations + 1)
+                 * sample_count * (L * (L - 1) // 2),
+                 "the coefficient search", "the restarts or the iterations")
     z = _independent_phase_matrix(L, sample_count, seed)
     # one buffer for every evaluation: a fresh (L, samples) array each time
     # can land on new pages, and each page costs a fault when first written

@@ -17,19 +17,11 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import DP_CELL_BUDGET, ParameterError, check_budget
 
 # families per DP block: the kernel runs on (S, 4096) slices whose rows are
 # contiguous, so every DP step is a pass over 4096 adjacent slot values
 DP_BLOCK_ROWS = 4096
-# most DP cells rows * S(S-1)/2 one call may visit: above the 2^18 x 12
-# (17.3 M cells) and 2^20 x 6 (15.7 M) arrays of the experiments, below the
-# 8.2e9 cells of `average --modulus 1024 --scales 1,2,...,4000`
-DP_CELL_BUDGET = 1 << 28
-# most DP cells one run may visit over all its calls, checked before its
-# first draw: smooth's trials, the coefficient search's starts times its
-# evaluations per start; some 5-15 s at 5-13 ns a cell
-RUN_DP_CELL_BUDGET = 1 << 30
 # a call of at least this many DP cells is split across the process's CPUs;
 # below it a thread costs more than it saves (8192 x 8, 229K cells, broke
 # even on a 2-vCPU host, and 8192 x 4 took twice as long on two threads)
@@ -83,34 +75,12 @@ def check_r(r: float) -> float:
     return r
 
 
-def check_dp_cells(rows: int, S: int) -> None:
-    """Refuse a DP over `rows` families of length S above DP_CELL_BUDGET.
-
-    The DP visits S(S-1)/2 pairs per family; callers that know the shape
-    before they build the values check here first.
-    """
-    cells = rows * (S * (S - 1) // 2)
-    if cells > DP_CELL_BUDGET:
-        raise ResourceError(
-            f"variation over {rows} families of length {S} needs {cells} DP "
-            f"cells, over the budget {DP_CELL_BUDGET}; lower the number of "
-            f"points or of scales")
-
-
-def check_run_cells(calls: int, rows: int, S: int, knobs: str) -> None:
-    """Refuse `calls` DP calls over `rows` families of length S above
-    RUN_DP_CELL_BUDGET cells in all; `knobs` names what to lower.
-
-    The message gives the cells as a power of two: `calls` is a product
-    of counts from the command line and may have more digits than str()
-    prints.
-    """
-    cells = calls * rows * (S * (S - 1) // 2)
-    if cells > RUN_DP_CELL_BUDGET:
-        raise ResourceError(
-            f"the variations over {rows} families of length {S} need >= "
-            f"2^{cells.bit_length() - 1} DP cells in all, over the run "
-            f"budget {RUN_DP_CELL_BUDGET}; lower {knobs}")
+def check_dp_cells(rows: int, S: int, lower: str = "the rows or S") -> None:
+    """Refuse a DP over `rows` families of length S, S(S-1)/2 cells each,
+    above DP_CELL_BUDGET, naming `lower` as what to lower; callers that
+    know the shape before they build the values check here first."""
+    check_budget(DP_CELL_BUDGET, rows * (S * (S - 1) // 2),
+                 f"a variation over {rows} families of length {S}", lower)
 
 
 def _dp_workspace(S: int, cols: int):
@@ -162,7 +132,7 @@ def _optimal_chain(values: Sequence[complex], r: float):
     i whose candidate, recomputed with the DP's own expression, is largest.
     """
     v = np.asarray(values, dtype=complex)
-    check_dp_cells(1, len(v))
+    check_dp_cells(1, len(v), "the number of values")
     best = _best_power_sums(v[:, None], r)[:, 0]
     end = j = int(np.argmax(best))
     chain = [end]

@@ -14,10 +14,10 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
-from .errors import ParameterError, ResourceError
-from .expsum import (_BUDGET_NAMES, ALPHA_BYTE_BUDGET, ALPHA_BYTES,
-                     DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET, check_count,
-                     weyl_sum_prefixes)
+from .errors import (ALPHA_BYTE_BUDGET, LENGTH_BUDGET, PHASE_TERM_BUDGET,
+                     RUN_DP_CELL_BUDGET, Budget, ParameterError,
+                     ResourceError, check_budget)
+from .expsum import check_count, weyl_sum_prefixes
 
 # the Z/M experiments (smooth, entropy, main-decomp) import spectral and
 # varnorm inside their functions, so that `est` loads neither
@@ -29,6 +29,9 @@ REJECTION_ATTEMPT_FACTOR = 64
 # verify_est part 2: the most draws one arc_labels call labels, so that its
 # temporaries do not grow with the sample count
 LABEL_BATCH = 1 << 16
+# verify_est: the bytes of an alpha, its int64 numerator (parts 1 and 2
+# keep a running max of the statistics, not one per alpha)
+ALPHA_BYTES = 8
 # verify_est part 3: the fractions whose major arcs are probed
 EST_FRACTIONS = (ReducedFraction(0, 1), ReducedFraction(1, 3))
 # verify_smooth: the multipliers and signals live on Z/SMOOTH_MODULUS
@@ -85,23 +88,23 @@ def _max_block_diffs(n: int, prefixes: np.ndarray) -> np.ndarray:
     return np.abs(block - block[:, :1]).max(axis=1)
 
 
-def _per_alpha(stat, n: int, P: IntPoly, t_max: int, k, D) -> np.ndarray:
-    """stat(n, prefixes) at each alpha k/D, one block of prefixes at a time."""
-    return np.concatenate([stat(n, prefixes)
-                           for prefixes in weyl_sum_prefixes(P, t_max, k, D)])
+def _max_stat(stat, n: int, P: IntPoly, t_max: int, k, D) -> float:
+    """The max of stat(n, prefixes) over the alphas k/D, a running max over
+    the blocks of prefixes, so that no statistic outlives its block."""
+    return max(float(stat(n, prefixes).max())
+               for prefixes in weyl_sum_prefixes(P, t_max, k, D))
 
 
 def _scale_params(n_min: int, n_max: int, delta: float, degree: int,
-                  budget: int) -> list:
+                  budget: Budget) -> list:
     """ArcParams at n = n_min..n_max, refused unless n_min <= n_max and
     the longest sum, of 2^(n_max+1) terms, fits `budget`.
     """
     if n_min > n_max:
         raise ParameterError("need n_min <= n_max")
-    if n_max + 1 >= budget.bit_length():  # 2^(n_max+1) > budget
-        raise ResourceError(
-            f"n_max={n_max} needs sums of length up to 2^{n_max + 1}, over "
-            f"the {_BUDGET_NAMES[budget]} budget {budget}; lower n_max")
+    # 2^(n_max+1), its exponent capped far past every limit
+    check_budget(budget, 1 << max(min(n_max + 1, 1 << 16), 0),
+                 f"n_max={n_max}", "n_max")
     return [ArcParams(n, delta, degree) for n in range(n_min, n_max + 1)]
 
 
@@ -124,14 +127,11 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
         raise ParameterError("samples_per_arc must be >= 16")
     blocks = _scale_params(n_min, n_max, delta, P.degree, PHASE_TERM_BUDGET)
     rows = max(16, samples_per_arc, betas_per_scale)
-    if rows << (n_max + 1) > PHASE_TERM_BUDGET:
-        raise ResourceError(
-            f"{rows} alphas of 2^{n_max + 1} terms exceed the phase-term "
-            f"budget {PHASE_TERM_BUDGET}; lower the samples or n_max")
-    if rows * ALPHA_BYTES > ALPHA_BYTE_BUDGET:
-        raise ResourceError(
-            f"{rows} alphas a scale, {ALPHA_BYTES} bytes each, exceed the "
-            f"alpha-byte budget {ALPHA_BYTE_BUDGET}; lower the samples")
+    check_budget(PHASE_TERM_BUDGET, rows << (n_max + 1),
+                 f"the largest prefix call, of 2^{n_max + 1} terms an alpha,",
+                 "the samples or n_max")
+    check_budget(ALPHA_BYTE_BUDGET, rows * ALPHA_BYTES, "each scale",
+                 "the samples")
     ns = tuple(range(n_min, n_max + 1))
     rng = np.random.default_rng(seed)
     d, bd = P.degree, P.leading
@@ -140,8 +140,8 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
     part1_vals = []
     for n in ns:
         k = (rng.random(16) * D).astype(np.int64)
-        steps = _per_alpha(_max_steps, n, P, 1 << (n + 1), k, D)
-        part1_vals.append(float(steps.max()) / 2.0 ** (-n))
+        part1_vals.append(_max_stat(_max_steps, n, P, 1 << (n + 1), k, D)
+                          / 2.0 ** (-n))
     report1 = _make_report("est_part1_triangle", ns, part1_vals)
 
     part2_vals = []
@@ -164,8 +164,8 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
             kept = draws[~arc_labels(P, params, draws, D).major]
             k[got:got + len(kept)] = kept
             got += len(kept)
-        diffs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1, k, D)
-        part2_vals.append(float(diffs.max()))
+        part2_vals.append(_max_stat(_max_block_diffs, n, P,
+                                    (1 << (n + 1)) - 1, k, D))
     report2 = _make_report("est_part2_minor_decay", ns, part2_vals)
     nu_hat = max(-report2.slope, 1e-6)
 
@@ -184,8 +184,9 @@ def verify_est(P: IntPoly, n_min: int, n_max: int, delta: float,
                 betas.append(beta)
                 # a float, passed as the dyadic rational it is
                 alphas.append((alpha % 1.0).as_integer_ratio())
-            lhs = _per_alpha(_max_block_diffs, n, P, (1 << (n + 1)) - 1,
-                             *zip(*alphas))
+            lhs = np.concatenate([_max_block_diffs(n, prefixes) for prefixes
+                                  in weyl_sum_prefixes(P, (1 << (n + 1)) - 1,
+                                                       *zip(*alphas))])
             for beta, lhs_b in zip(betas, lhs):
                 x = 2.0 ** n * beta ** (1.0 / d)
                 rhs = 2.0 ** (-nu_hat * s) * (min(x, 1.0 / x) + 2.0 ** (-n / 2))
@@ -240,14 +241,15 @@ def verify_smooth(N: int, A: float, a: float, trials: int,
     finite, and A <= 2^40 a keeps a step of a resolvable against |m| <= A.
     """
     from .spectral import _complex_normal, _pairwise_norm, multiplier_variation
-    from .varnorm import check_dp_cells, check_run_cells
+    from .varnorm import check_dp_cells
     if not (2.0 ** -256 <= a <= A <= 2.0 ** 256 and A <= 2.0 ** 40 * a):
         raise ParameterError("need 2^-256 <= a <= A <= 2^256 and A <= 2^40 a")
     if N < 1 or trials < 1:
         raise ParameterError("N and trials must be positive")
     M = SMOOTH_MODULUS
-    check_dp_cells(M, N)
-    check_run_cells(trials, M, N, "the trials")
+    check_dp_cells(M, N, "N")
+    check_budget(RUN_DP_CELL_BUDGET, trials * M * (N * (N - 1) // 2),
+                 "the run of trials", "the trials or N")
     rng = np.random.default_rng(seed)
     bound = math.sqrt(N * A * a)
     ratios = []
@@ -318,8 +320,9 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
             "no admissible k: neighbourhoods overlap or fall below the grid "
             "resolution (tau too small for this sigma range)")
     ks = list(range(k_min, k_max + 1))
-    check_dp_cells(M, len(ks))
-    check_count(M, "modulus M", DIRECT_SUM_BUDGET)
+    check_dp_cells(M, len(ks), "the number of frequencies")
+    check_budget(LENGTH_BUDGET, M, f"modulus M={M} ({N} frequencies x "
+                 f"{grid_factor})", "the number of frequencies")
 
     freqs = _place_separated_frequencies(N, M, int(M * tau), rng)
     dmin = _circular_distance(freqs, M)
@@ -363,11 +366,11 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
     from .varnorm import check_dp_cells
     if not math.isfinite(nu_floor):
         raise ParameterError("nu_floor must be finite")
-    M = check_count(M, "modulus M", DIRECT_SUM_BUDGET)
+    M = check_count(M, "modulus M", LENGTH_BUDGET)
     if M & (M - 1):
         raise ParameterError("M must be a power of two")
     d = P.degree
-    blocks = _scale_params(n_min, n_max, delta, d, DIRECT_SUM_BUDGET)
+    blocks = _scale_params(n_min, n_max, delta, d, LENGTH_BUDGET)
     # the normalizer 2^(-n nu_floor / 2) must stay a normal float at every
     # n, far from underflow to 0 and from overflow: the largest |exponent|
     # is at n = n_max
@@ -382,7 +385,7 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
                                       dtype=int).tolist()))
 
     # the last block has the most distinct scales
-    check_dp_cells(M, len(block_scales(n_max)))
+    check_dp_cells(M, len(block_scales(n_max)), "the modulus")
     rng = np.random.default_rng(seed)
     f = _complex_normal(rng, M)
     fhat = np.fft.fft(f)

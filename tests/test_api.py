@@ -1,8 +1,8 @@
 """Every name the package exports, and every member of an exported class,
 has a caller inside the package; the inverse FFT has one home, BLAS
-three, and the arc classifier one; alphas stay integer numerators; no
-function keeps a memo; the runtime dependencies are the package's
-third-party imports."""
+three, the arc classifier one, and the refusal of a size one; alphas
+stay integer numerators; no function keeps a memo; the runtime
+dependencies are the package's third-party imports."""
 
 import ast
 import importlib
@@ -82,6 +82,26 @@ def inverse_fft_sites():
             if isinstance(name, str) and re.fullmatch(r"i[rh]?fft[2n]?",
                                                       name):
                 sites.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+def call_sites(name):
+    """(module, innermost enclosing function) of every call of `name`, as
+    a bare name or an attribute, in the package, in file order."""
+    sites = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            sites.append((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
@@ -185,6 +205,18 @@ def test_ifft_only_in_multiplier_variation():
     assert inverse_fft_sites() == [("spectral", "multiplier_variation")]
 
 
+def test_one_size_refusal():
+    # every size limit is a row of the budget table in `errors`, and every
+    # refusal of a size goes through its one check and one message format;
+    # the two refusals that are not a count against a limit are named here
+    assert call_sites("ResourceError") == [
+        ("dyadic", "check_tail_regime"),  # a tail that no regime computes
+        ("errors", "check_budget"),
+        ("verify", "verify_est"),  # too few minor-arc samples after the cap
+    ]
+    assert call_sites("Budget") == [("errors", None)] * 6
+
+
 def test_blas_only_where_its_threads_and_bits_are_wanted():
     # the norms of M-length arrays go through spectral._pairwise_norm,
     # whose sum order and thread count never depend on BLAS; each site
@@ -218,7 +250,7 @@ def test_alphas_stay_integer_numerators():
     assert reference_sites("as_integer_ratio") == {"expsum.weyl_sum",
                                                    "verify.verify_est"}
     assert not reference_sites("tolist") & {
-        "verify.verify_est", "verify._per_alpha", "verify._draws",
+        "verify.verify_est", "verify._max_stat", "verify._draws",
         "expsum.weyl_sum_prefixes"}
 
 

@@ -399,7 +399,7 @@ class TestExitCodes:
         (["est", "--samples", "100000000", "--n-min", "8", "--n-max", "8"],
          3),
         # 2^26 alphas of 2^2 terms fit the phase-term budget, but not the
-        # alpha-byte budget: 24 bytes each, 1.5 GB against 2^28 bytes
+        # alpha-byte budget: 8 bytes each, 512 MB against 2^28 bytes
         (["est", "--samples", "67108864", "--n-min", "1", "--n-max", "1"],
          3),
     ])

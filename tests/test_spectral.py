@@ -14,7 +14,7 @@ from circlelab import (ArcParams, IntPoly, ParameterError, ResourceError,
                        variation_values, verify_main_decomposition, weyl_sum)
 from circlelab import spectral, verify
 from circlelab.arith import arc_labels
-from circlelab.expsum import DIRECT_SUM_BUDGET
+from circlelab.errors import LENGTH_BUDGET
 from circlelab.spectral import (_complex_normal, _pairwise_norm,
                                 multiplier_variation)
 from oracles import (annulus_label, assert_pin_moved, average_multiplier,
@@ -79,7 +79,7 @@ class TestAverageMultiplier:
 
     def test_length_budget_checked_first(self):
         with pytest.raises(ResourceError):
-            one_multiplier(SQUARES, DIRECT_SUM_BUDGET + 1, 8)
+            one_multiplier(SQUARES, LENGTH_BUDGET.limit + 1, 8)
 
     @given(coeffs=st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=1,
                            max_size=4),
@@ -130,11 +130,11 @@ class TestAverageMultiplier:
         monkeypatch.setattr(spectral, "residue_counts", never)
         monkeypatch.setattr(np.fft, "fft", never)
         with pytest.raises(ResourceError):
-            average_multipliers(SQUARES, [1, 2, DIRECT_SUM_BUDGET + 1], 8)
+            average_multipliers(SQUARES, [1, 2, LENGTH_BUDGET.limit + 1], 8)
         with pytest.raises(ParameterError):
             average_multipliers(SQUARES, [1, 0], 8)
         with pytest.raises(ResourceError):
-            average_multipliers(SQUARES, [1], DIRECT_SUM_BUDGET + 1)
+            average_multipliers(SQUARES, [1], LENGTH_BUDGET.limit + 1)
 
 
 class TestComplexNormal:
@@ -303,7 +303,7 @@ class TestGridArcs:
             grid_arcs(SQUARES, params, 0)
         monkeypatch.setattr(verify, "arc_labels", never)
         with pytest.raises(ResourceError):
-            verify_main_decomposition(SQUARES, DIRECT_SUM_BUDGET * 2, 8, 9,
+            verify_main_decomposition(SQUARES, LENGTH_BUDGET.limit * 2, 8, 9,
                                       0.05, 0, 0.1)
 
 
@@ -468,7 +468,7 @@ class TestVariationExperiment:
 
     @pytest.mark.parametrize("scales,error", [
         ([0, 1], ParameterError),
-        ([1, 2, 4, DIRECT_SUM_BUDGET + 1], ResourceError)])
+        ([1, 2, 4, LENGTH_BUDGET.limit + 1], ResourceError)])
     def test_scales_checked_before_any_fft(self, monkeypatch, scales, error):
         f = random_signal(8, 8)
         monkeypatch.setattr(np.fft, "fft", never)
@@ -491,7 +491,7 @@ class TestVariationExperiment:
     def test_signal_length_budget(self, monkeypatch):
         # M = len(f) has the modulus budget of the CLI's --modulus
         monkeypatch.setattr(np.fft, "fft", never)
-        big = np.ones(DIRECT_SUM_BUDGET + 1, dtype=complex)
+        big = np.ones(LENGTH_BUDGET.limit + 1, dtype=complex)
         with pytest.raises(ResourceError, match="modulus M"):
             variation_experiment(big, SQUARES, [1, 2], 2)
 

@@ -16,10 +16,10 @@ from circlelab import (CounterexampleParams, IntPoly, ParameterError,
                        fast_dyadic_quadratic_weyl, search_coefficients,
                        v2_partial_sums_norm, weyl_sum)
 from circlelab import expsum
-from circlelab.expsum import DIRECT_SUM_BUDGET, PHASE_TERM_BUDGET
+from circlelab.errors import LENGTH_BUDGET, PHASE_TERM_BUDGET
 from circlelab.torus import (_independent_phase_matrix, _ladder_phases,
                              _partial_sum_objective, _partial_sums,
-                             check_sample_bits, eta_multipliers)
+                             check_samples, eta_multipliers)
 
 from oracles import (cumsum_partial_sum_objective, direct_dyadic_tail_mean,
                      eval_dyadic, eval_float, l2_norm,
@@ -152,7 +152,7 @@ class TestAverageTrigPoly:
         with mock.patch.object(expsum, "_phase_chunks",
                                side_effect=AssertionError):
             with pytest.raises(ResourceError):
-                average([3], [1.0], 10, PHASE_TERM_BUDGET + 1)
+                average([3], [1.0], 10, PHASE_TERM_BUDGET.limit + 1)
 
     def test_consistent_with_pointwise_average(self):
         # K_N f(x) = (1/N) sum_n f(x + n^2 2^-R) on a dense grid
@@ -423,7 +423,7 @@ class TestSearch:
     @pytest.mark.parametrize("L,samples,error", [
         # (8192, 2000) is 1.6e10 DP cells; the phase matrix would be 262 MB
         (2000, 8192, ResourceError),
-        (3, DIRECT_SUM_BUDGET + 1, ResourceError),
+        (3, LENGTH_BUDGET.limit + 1, ResourceError),
         (3, 0, ParameterError),
     ])
     def test_refused_before_phases(self, L, samples, error):
@@ -519,7 +519,7 @@ class TestSampleCount:
 
     @pytest.mark.parametrize("samples,error", [
         (0, ParameterError), (-1, ParameterError),
-        (DIRECT_SUM_BUDGET + 1, ResourceError)])
+        (LENGTH_BUDGET.limit + 1, ResourceError)])
     def test_refused_before_work(self, samples, error):
         params = build_sequences(2, 14)
         f = [0.6, 0.8]
@@ -533,7 +533,7 @@ class TestSampleCount:
                 v2_partial_sums_norm(f, params, samples, 0)
 
     @pytest.mark.parametrize("L,R,samples", [
-        (4, 262081, 4096), (2, 193, DIRECT_SUM_BUDGET),
+        (4, 262081, 4096), (2, 193, LENGTH_BUDGET.limit),
         (2, 99999999999999999999999, 1)])
     def test_sample_bits_refused_before_work(self, L, R, samples):
         # samples x (R + 64) bits over the budget, by one sample point's
@@ -548,8 +548,7 @@ class TestSampleCount:
                 eta_error(f, params, samples, 0)
             with pytest.raises(ResourceError, match="sample-bit budget"):
                 v2_partial_sums_norm(f, params, samples, 0)
-        check_sample_bits(build_sequences(L, min(R - 1, 262080)),
-                          samples)
+        check_samples(build_sequences(L, min(R - 1, 262080)), samples)
 
     def test_one_point_admitted(self):
         params = build_sequences(2, 14)

@@ -14,9 +14,15 @@ from circlelab import (IndexedSeq, ParameterError, ResourceError,
                        long_variation, short_variation, variation,
                        variation_values)
 from circlelab import spectral, varnorm
-from circlelab.varnorm import (DP_CELL_BUDGET, PAR_MIN_CELLS,
-                               RUN_DP_CELL_BUDGET, _best_power_sums,
-                               check_dp_cells, check_run_cells)
+from circlelab.errors import DP_CELL_BUDGET, RUN_DP_CELL_BUDGET, check_budget
+from circlelab.varnorm import PAR_MIN_CELLS, _best_power_sums, check_dp_cells
+
+
+def check_run_cells(calls, rows, S, lower):
+    """The run budget's check of `calls` DP calls over `rows` families of
+    length S, as `smooth` and the coefficient search make it."""
+    check_budget(RUN_DP_CELL_BUDGET, calls * rows * (S * (S - 1) // 2),
+                 "the run", lower)
 
 
 def brute_force_variation(values, r):
@@ -510,7 +516,7 @@ class TestCellBudget:
         # the largest arrays of the acceptance gate and of the benchmark
         check_dp_cells(1 << 20, 6)
         check_dp_cells(1 << 18, 12)
-        check_dp_cells(DP_CELL_BUDGET, 2)
+        check_dp_cells(DP_CELL_BUDGET.limit, 2)
 
     def test_experiment_runs_admitted(self):
         # smooth --N 256 (8 trials; 20 in acceptance 08), the benchmark's
@@ -523,13 +529,13 @@ class TestCellBudget:
         check_run_cells(3 * 201, 8192, 5, "")
 
     def test_run_budget_boundary(self):
-        check_run_cells(RUN_DP_CELL_BUDGET, 1, 2, "")
+        check_run_cells(RUN_DP_CELL_BUDGET.limit, 1, 2, "")
         with pytest.raises(ResourceError, match="lower the trials"):
-            check_run_cells(RUN_DP_CELL_BUDGET + 1, 1, 2, "the trials")
+            check_run_cells(RUN_DP_CELL_BUDGET.limit + 1, 1, 2, "the trials")
 
     def test_over_budget_refused(self):
         with pytest.raises(ResourceError):
-            check_dp_cells(DP_CELL_BUDGET + 1, 2)
+            check_dp_cells(DP_CELL_BUDGET.limit + 1, 2)
         with pytest.raises(ResourceError):
             check_dp_cells(1024, 4000)
 

@@ -517,7 +517,7 @@ class TestEst:
         monkeypatch.setattr(verify, "arc_labels", fail)
         # 64 alphas of 2^23 terms, 10^8 of 2^9 and 2^20 of 2^9 are over
         # the budget of 2^28 terms; 2^26 alphas of 2^2 terms fit it, but
-        # their 24 bytes each are over the alpha-byte budget of 2^28
+        # their 8 bytes each are over the alpha-byte budget of 2^28
         for n_max, samples in ((22, 64), (8, 10 ** 8), (1, 1 << 26)):
             with pytest.raises(ResourceError):
                 verify_est(SQUARES, n_max, n_max, 0.05, samples, 0)
@@ -525,8 +525,11 @@ class TestEst:
             verify_est(SQUARES, 8, 8, 0.05, 16, 0, betas_per_scale=1 << 20)
 
     @pytest.mark.parametrize("samples,over", [
-        (verify.ALPHA_BYTE_BUDGET // verify.ALPHA_BYTES, False),
-        (verify.ALPHA_BYTE_BUDGET // verify.ALPHA_BYTES + 1, True)])
+        (verify.ALPHA_BYTE_BUDGET.limit // verify.ALPHA_BYTES, False),
+        (verify.ALPHA_BYTE_BUDGET.limit // verify.ALPHA_BYTES + 1, True),
+        # parts 1 and 2 keep a running max: an alpha costs only its int64
+        # numerator, so 2^25 samples a scale fit
+        (1 << 25, False), ((1 << 25) + 1, True)])
     def test_alpha_byte_budget_edge(self, samples, over, monkeypatch):
         class Reached(Exception):
             pass
