@@ -9,7 +9,7 @@ cross-checked to machine precision.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,19 +66,22 @@ def average_multipliers(P: IntPoly, Ns: Sequence[int], M: int) -> np.ndarray:
     return m
 
 
-def multiplier_variation(fhat: np.ndarray, mults: np.ndarray,
-                         r: float) -> float:
+def multiplier_variation(fhat: np.ndarray, mults: np.ndarray, r: float,
+                         out: Optional[np.ndarray] = None) -> float:
     """||V^r(ifft(fhat * mults[k]) : k < S)||_2 on Z/M, DP cells checked first.
 
-    `mults` is an (S, M) complex stack, overwritten: the products and one
-    inverse FFT over all rows run in it, and the DP reads it as it is.
+    `mults` is an (S, M) stack.  The products and one inverse FFT over all
+    rows run in `out`, an (S, M) complex array, and the DP reads it as it
+    is; with no `out` they run in `mults`, which must then be complex.
     `fhat * m`, never `m * fhat`: the two can differ in the last bit.
     """
     S, M = mults.shape
     check_dp_cells(M, S, "the modulus or the number of multipliers")
-    np.multiply(fhat, mults, out=mults)
-    np.fft.ifft(mults, axis=1, out=mults)
-    return _pairwise_norm(variation_values(mults.T, r))
+    if out is None:
+        out = mults
+    np.multiply(fhat, mults, out=out)
+    np.fft.ifft(out, axis=1, out=out)
+    return _pairwise_norm(variation_values(out.T, r))
 
 
 def variation_experiment(f: np.ndarray, P: IntPoly,

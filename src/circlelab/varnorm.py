@@ -21,6 +21,7 @@ from .errors import DP_CELL_BUDGET, ParameterError, check_budget
 
 # families per DP block: the kernel runs on (S, 4096) slices whose rows are
 # contiguous, so every DP step is a pass over 4096 adjacent slot values
+# (`_block_columns` doubles it for the short steps of small split calls)
 DP_BLOCK_ROWS = 4096
 # a call of at least this many DP cells is split across the process's CPUs;
 # below it a thread costs more than it saves (8192 x 8, 229K cells, broke
@@ -98,6 +99,24 @@ def _dp_workspace(S: int, cols: int):
     return np.zeros(S * cols), np.empty(n, dtype=complex), np.empty(n)
 
 
+def _power(c: np.ndarray, r: float, sq: Optional[np.ndarray] = None):
+    """c **= r in place, and c: the DP's one rule for |f_b - f_a|^r.
+
+    r = 3 is (c*c)*c through `sq`, a buffer of c's shape that is not c
+    (made when None): about 7x cheaper than pow, within 1 ulp of c ** 3.0
+    and inf exactly where it overflows.  r = 2 is numpy's square path, and
+    every other r is pow.
+    """
+    if r == 3.0:
+        if sq is None:
+            sq = np.empty_like(c)
+        np.multiply(c, c, out=sq)
+        np.multiply(sq, c, out=c)
+    else:
+        c **= r
+    return c
+
+
 def _best_power_sums(v: np.ndarray, r: float, work=None) -> np.ndarray:
     """b[j, c]: the largest sum of |f_b - f_a|^r over chains ending at j.
 
@@ -114,12 +133,15 @@ def _best_power_sums(v: np.ndarray, r: float, work=None) -> np.ndarray:
     n = max(S - 1, 0)
     b, diff, cand = (buf[:rows * cols].reshape(rows, cols)
                      for buf, rows in zip(work, (S, n, n)))
+    # r = 3's squares go to diff's memory, which a step no longer reads
+    # once its |.| is taken (a fourth buffer re-faulted in small calls)
+    sq = work[1].view(float)[:n * cols].reshape(n, cols)
     with np.errstate(over="ignore"):
         for j in range(1, S):
             c = cand[:j]
             np.subtract(v[:j], v[j], out=diff[:j])
             np.abs(diff[:j], out=c)
-            c **= r
+            _power(c, r, sq[:j])
             c += b[:j]
             c.max(axis=0, out=b[j])
     return b
@@ -138,7 +160,8 @@ def _optimal_chain(values: Sequence[complex], r: float):
     chain = [end]
     with np.errstate(over="ignore"):
         while best[j] > 0:
-            j = int(np.argmax(best[:j] + np.abs(v[j:j + 1] - v[:j]) ** r))
+            j = int(np.argmax(best[:j] + _power(np.abs(v[j:j + 1] - v[:j]),
+                                                r)))
             chain.append(j)
     return float(best[end]), chain[::-1]
 
@@ -209,18 +232,37 @@ def _cpus() -> int:
     return len(affinity(0))
 
 
+def _block_columns(S: int, split: bool) -> int:
+    """The widest DP block of a call over families of length S, split
+    across workers or not.
+
+    A split call of S <= 10 takes 2 * DP_BLOCK_ROWS columns: its steps are
+    short, so halving their number saves more numpy call overhead than the
+    larger workspace costs in cache.  Warm, 2^18 rows on 2 threads, ns a
+    cell at 4096 -> 8192 columns: S = 4 3.54 -> 2.43, S = 6 (r = 3)
+    2.77 -> 2.21, S = 10 1.93 -> 1.83, S = 12 1.83 -> 1.81 and S = 16
+    1.78 -> 1.79.  Serial calls keep DP_BLOCK_ROWS: the coefficient
+    search's 8192 x 4 took 4.2 ns a cell in two blocks, 9.3 in one.
+    """
+    return 2 * DP_BLOCK_ROWS if split and S <= 10 else DP_BLOCK_ROWS
+
+
 def _dp_blocks(v, r, top, blocks, work) -> None:
-    """Each block's column max of the DP over v's columns, into top."""
+    """Each block's column max of the DP over v's columns, into top.
+
+    That max is the table's last row: b[j] >= b[j-1] + |f_j - f_(j-1)|^r
+    >= b[j-1], as no power is negative, so no row exceeds the one below.
+    """
     for block in blocks:
-        _best_power_sums(v[:, block], r, work).max(axis=0, out=top[block])
+        top[block] = _best_power_sums(v[:, block], r, work)[-1]
 
 
 def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     """Vectorized r-variation along the last axis (values only, no optimizer).
 
     `values` has shape (..., S); the leading axes are flattened into rows,
-    the DP runs on (S, cols) blocks of at most DP_BLOCK_ROWS columns, and
-    only each block's column max is kept.  A call of PAR_MIN_CELLS cells
+    the DP runs on (S, cols) blocks of at most `_block_columns` columns,
+    and only each block's column max is kept.  A call of PAR_MIN_CELLS cells
     or more is cut into at least two blocks, dealt in turn to one worker
     per CPU (the caller and W - 1 threads), each with its own workspace;
     every column's DP is the same either way, so the result is bitwise the
@@ -237,9 +279,10 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     # one (S, rows) copy, none when the caller passes the .T of (S, rows)
     v = np.asarray(values.reshape(rows, S).T, dtype=complex, order="C")
     top = np.empty(rows)
-    n = max(-(-rows // DP_BLOCK_ROWS), 1)
+    split = rows * (S * (S - 1) // 2) >= PAR_MIN_CELLS
+    n = max(-(-rows // _block_columns(S, split)), 1)
     workers = 1
-    if rows * (S * (S - 1) // 2) >= PAR_MIN_CELLS:
+    if split:
         n = min(max(n, 2), rows)
         workers = min(_cpus(), n)
     # the first `extra` blocks are one column wider, so each worker's

@@ -332,8 +332,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
     ratios = []
     for _ in range(trials):
         f = _complex_normal(rng, M)
-        np.copyto(work, inds)
-        v = multiplier_variation(np.fft.fft(f), work, r)
+        v = multiplier_variation(np.fft.fft(f), inds, r, out=work)
         ratios.append(v / _pairwise_norm(f))
     value = max(ratios)
     envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)
@@ -403,8 +402,8 @@ def verify_main_decomposition(P: IntPoly, M: int, n_min: int, n_max: int,
         work = np.empty_like(cmults)
 
         def block_norm(indicator: np.ndarray) -> float:
-            np.copyto(work, cmults)
-            return multiplier_variation(fhat * indicator, work, 2.0)
+            return multiplier_variation(fhat * indicator, cmults, 2.0,
+                                        out=work)
 
         arcs = arc_labels(P, params, np.arange(M), M)
         val = block_norm((~arcs.major).astype(float))

@@ -1,5 +1,5 @@
 """bench/write_bench.py: the summaries, pair counts and line counts it
-writes."""
+writes; bench/kernels.py: what it times and how it reports it."""
 
 import argparse
 import json
@@ -11,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import kernels  # noqa: E402
 import write_bench  # noqa: E402
 
 METRICS = {"wall_s": {"name": "wall_s", "unit": "s", "better": "lower"},
@@ -161,3 +162,21 @@ def test_op_walls_match_ops_by_position_and_argv():
     # an op one side ran in a pair the other did not keeps its own runs
     assert out[1]["change"]["values"] == [2.0]
     assert "parent" not in out[2] and out[2]["change"]["values"] == [4.0]
+
+
+def test_kernel_timings_reset_outside_each_timed_call(monkeypatch):
+    clock = iter(range(100))
+    monkeypatch.setattr(kernels.time, "perf_counter", lambda: next(clock))
+    calls = []
+    secs = kernels.timings(lambda: calls.append("run"), 3,
+                           lambda: calls.append("reset"))
+    # one untimed call, then three timed ones, each after its reset
+    assert calls == ["reset", "run"] * 4
+    assert secs == [1, 1, 1]
+
+
+def test_kernel_summary_per_unit_of_work():
+    s = kernels.summary([3e-3, 1e-3, 2e-3], 1000, "cell")
+    assert (s["q1_s"], s["median_s"], s["q3_s"]) == (1.5e-3, 2e-3, 2.5e-3)
+    assert s["ns_per_cell"] == pytest.approx(2000.0)
+    assert s["cells"] == 1000 and s["repeats"] == 3

@@ -358,20 +358,20 @@ class TestPairwiseNorm:
 class TestMultiplierVariation:
     @staticmethod
     def family(kind, S, M, seed):
-        """fhat and an (S, M) complex multiplier stack on Z/M of one kind.
+        """fhat and an (S, M) multiplier stack on Z/M of one kind.
 
-        "array" is a drawn stack; "rows" copies drawn rows into an empty
-        stack and "indicator" 0/1 indicators, as `entropy` fills its work
-        stack.
+        "array" is a drawn complex stack and "mask" a bool stack of 0/1
+        indicators, as `entropy` passes its masks; "rows" copies drawn
+        rows into an empty complex stack and "indicator" the indicators.
         """
         rng = np.random.default_rng(seed)
         fhat = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        if kind == "indicator":
+        if kind in ("indicator", "mask"):
             rows = np.stack([rng.random(M) < 0.5 for _ in range(S)])
         else:
             rows = (rng.standard_normal((S, M))
                     + 1j * rng.standard_normal((S, M)))
-        if kind == "array":
+        if kind in ("array", "mask"):
             return fhat, rows
         stack = np.empty((S, M), dtype=complex)
         np.copyto(stack, rows)
@@ -390,9 +390,26 @@ class TestMultiplierVariation:
         assert got.hex() == want.hex()
         assert _pairwise_norm(variation_values(spatial, r)) == got
 
+    @given(st.sampled_from(["array", "mask"]), st.integers(1, 12),
+           st.integers(1, 300), st.floats(1.0, 6.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_out_is_the_in_place_path(self, kind, S, M, r, seed):
+        # the products and the ifft go to `out`, bitwise as they went to a
+        # complex copy of the stack, and the stack is left as it was
+        fhat, mults = self.family(kind, S, M, seed)
+        kept = mults.copy()
+        out = np.empty((S, M), dtype=complex)
+        got = multiplier_variation(fhat, mults, r, out=out)
+        assert mults.tobytes() == kept.tobytes()
+        stack = np.empty((S, M), dtype=complex)
+        np.copyto(stack, mults)
+        assert got.hex() == multiplier_variation(fhat, stack, r).hex()
+        assert out.tobytes() == stack.tobytes()
+
     @pytest.mark.parametrize("kind", ["rows", "array", "indicator"])
     def test_matches_per_row_loop_over_dp_blocks(self, kind):
-        # more points than one DP block of DP_BLOCK_ROWS = 4096 columns
+        # more points than one serial DP block of 4096 columns
         fhat, mults = self.family(kind, 9, 5000, 11)
         want = per_row_multiplier_variation(fhat, mults, 2.5)
         assert multiplier_variation(fhat, mults, 2.5).hex() == want.hex()

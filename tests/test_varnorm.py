@@ -15,7 +15,8 @@ from circlelab import (IndexedSeq, ParameterError, ResourceError,
                        variation_values)
 from circlelab import spectral, varnorm
 from circlelab.errors import DP_CELL_BUDGET, RUN_DP_CELL_BUDGET, check_budget
-from circlelab.varnorm import PAR_MIN_CELLS, _best_power_sums, check_dp_cells
+from circlelab.varnorm import (PAR_MIN_CELLS, _best_power_sums, _power,
+                               check_dp_cells)
 
 
 def check_run_cells(calls, rows, S, lower):
@@ -49,13 +50,14 @@ def loop_best_power_sums(values, r):
     """The DP as one broadcast step per slot over every leading axis.
 
     This was the library kernel before the block kernels; it stays as
-    their bitwise oracle.
+    their bitwise oracle.  |.|^r is the kernel's own power rule, which
+    TestPowerRule checks against `**`.
     """
     best = np.zeros(values.shape, dtype=float)
     with np.errstate(over="ignore"):
         for j in range(1, values.shape[-1]):
-            cand = best[..., :j] + np.abs(values[..., j:j + 1]
-                                          - values[..., :j]) ** r
+            cand = best[..., :j] + _power(np.abs(values[..., j:j + 1]
+                                                 - values[..., :j]), r)
             best[..., j] = np.maximum(cand.max(axis=-1), 0.0)
     return best
 
@@ -314,6 +316,99 @@ class TestBlockKernel:
                                  loop_best_power_sums(block.T, r).T)
 
 
+def ulps(a, b):
+    """|a - b| in units in the last place, elementwise, for a, b >= 0."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+# every non-negative double: subnormals, exact powers and overflowing cubes
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+class TestPowerRule:
+    """The DP's |.|^r: r = 3 by two multiplications, every other r `**`."""
+
+    @given(st.lists(non_negative, min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_cube_within_one_ulp_of_pow(self, xs):
+        x = np.array(xs)
+        with np.errstate(over="ignore"):
+            want = x ** 3.0
+            got = _power(x.copy(), 3.0)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert ulps(got, want).max() <= 1
+
+    @given(st.lists(non_negative, min_size=1, max_size=50),
+           st.sampled_from([1.0, 1.5, 2.0, 7.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_other_exponents_are_pow(self, xs, r):
+        x = np.array(xs)
+        with np.errstate(over="ignore"):
+            assert_bitwise_equal(_power(x.copy(), r), x ** r)
+
+    def test_cube_overflow_edge(self):
+        # every double within 2^17 ulps of the cube root of the largest
+        # double: inf exactly where pow overflows
+        edge = np.cbrt(np.finfo(float).max)
+        x = edge * (1 + np.arange(-1 << 17, 1 << 17) * 2.0 ** -52)
+        with np.errstate(over="ignore"):
+            want = x ** 3.0
+            got = _power(x.copy(), 3.0)
+        assert np.isinf(want).any() and not np.isinf(want).all()
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert ulps(got[~np.isinf(got)], want[~np.isinf(want)]).max() <= 1
+
+    @given(arrays(complex, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                  elements=st.complex_numbers(max_magnitude=1e300,
+                                              allow_nan=False,
+                                              allow_infinity=False)))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_pairs_are_cubes(self, pairs):
+        # a family of two values has the one chain: its power sum is the
+        # cube of its gap, formed in the kernel's own buffers
+        v = np.ascontiguousarray(pairs.T[[0, -1]])
+        gap = np.abs(v[1] - v[0])
+        with np.errstate(over="ignore"):
+            want = gap ** 3.0
+        got = _best_power_sums(v, 3.0)[1]
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert ulps(got, want).max() <= 1
+
+
+class TestLastRowMaxima:
+    """Each block's column max is the DP table's last row."""
+
+    @given(arrays(complex, st.tuples(st.integers(1, 8), st.integers(1, 6)),
+                  elements=st.complex_numbers(max_magnitude=1e300,
+                                              allow_nan=False,
+                                              allow_infinity=False)),
+           st.sampled_from(EXPONENTS), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_top_is_the_table_max(self, values, r, lattice):
+        if lattice:
+            # ties everywhere: small Gaussian integers
+            values = np.round(values / 1e300 * 2)
+        S, cols = values.shape
+        table = _best_power_sums(values, r)
+        assert (table[1:] >= table[:-1]).all()
+        top = np.empty(cols)
+        varnorm._dp_blocks(values, r, top, [slice(0, cols)],
+                           varnorm._dp_workspace(S, cols))
+        assert_bitwise_equal(top, table.max(axis=0))
+
+    @pytest.mark.parametrize("r", EXPONENTS)
+    def test_overflow_columns(self, r):
+        values = random_values((6, 50), 3)
+        values[1, ::3] = 1e200
+        values[3, 1::3] = -1e308 + 1e308j
+        values[4, ::2] = 1e308
+        top = np.empty(50)
+        varnorm._dp_blocks(values, r, top, [slice(0, 25), slice(25, 50)],
+                           varnorm._dp_workspace(6, 25))
+        assert np.isinf(top).any()
+        assert_bitwise_equal(top, _best_power_sums(values, r).max(axis=0))
+
+
 class TestSplitDP:
     """A call split across workers is bitwise equal to the serial path and
     to the broadcast loop: each column's DP is the same on any worker."""
@@ -351,7 +446,8 @@ class TestSplitDP:
             assert_bitwise_equal(variation_values(values, r), want)
             # at least two blocks, at most one per row; the caller is the
             # first worker
-            blocks = min(max(-(-rows // 4096), 2), rows)
+            width = varnorm._block_columns(S, split=True)
+            blocks = min(max(-(-rows // width), 2), rows)
             assert len(started) == min(workers, blocks) - 1
             started.clear()
 

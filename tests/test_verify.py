@@ -389,6 +389,20 @@ class TestEntropy:
           "0x0.0p+0")),
     ]
 
+    def test_trials_copy_no_stack(self, monkeypatch):
+        # each trial reads the masks through multiplier_variation's `out`
+        # and copies no (scales, M) stack
+        shapes = []
+        copyto = np.copyto
+
+        def recorded(dst, *args, **kwargs):
+            shapes.append(np.shape(dst))
+            return copyto(dst, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", recorded)
+        verify_entropy(2, 2.0, 3.0, 1, trials=3, grid_factor=1 << 10)
+        assert not [shape for shape in shapes if len(shape) == 2]
+
     @pytest.mark.parametrize("args,want,was", PINNED, ids=["N2", "N3"])
     def test_pinned_report(self, args, want, was):
         num_freqs, sigma, r, seed, trials, grid_factor = args
