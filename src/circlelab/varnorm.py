@@ -233,16 +233,13 @@ def _cpus() -> int:
 
 
 def _block_columns(S: int, split: bool) -> int:
-    """The widest DP block of a call over families of length S, split
-    across workers or not.
+    """The widest DP block of a call over families of length S.
 
-    A split call of S <= 10 takes 2 * DP_BLOCK_ROWS columns: its steps are
-    short, so halving their number saves more numpy call overhead than the
-    larger workspace costs in cache.  Warm, 2^18 rows on 2 threads, ns a
-    cell at 4096 -> 8192 columns: S = 4 3.54 -> 2.43, S = 6 (r = 3)
-    2.77 -> 2.21, S = 10 1.93 -> 1.83, S = 12 1.83 -> 1.81 and S = 16
-    1.78 -> 1.79.  Serial calls keep DP_BLOCK_ROWS: the coefficient
-    search's 8192 x 4 took 4.2 ns a cell in two blocks, 9.3 in one.
+    A call split across workers with S <= 10 takes 2 * DP_BLOCK_ROWS
+    columns: its steps are short, so halving their number saves more call
+    overhead than the wider workspace costs in cache (2^18 x 6 at r = 3:
+    2.77 -> 2.21 ns a cell; no gain from S = 12 on).  A serial 8192 x 4
+    call took 2.2x as long in one such block as in two of DP_BLOCK_ROWS.
     """
     return 2 * DP_BLOCK_ROWS if split and S <= 10 else DP_BLOCK_ROWS
 
