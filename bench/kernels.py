@@ -29,11 +29,13 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (rows, S, r): the search's serial 8192 x 4, entropy's 2^18 x 6 at its
-# default r = 3, average's 2^18 x 12, the split gate's 16384 x 16 and
-# smooth's 256 x 256
-DP_SHAPES = ((8192, 4, 2.0), (1 << 18, 6, 3.0), (1 << 18, 12, 2.0),
-             (16384, 16, 2.0), (256, 256, 2.0))
+# (rows, S, r): the search's serial 8192 x 4 and 8192 x 5 (L = 4 and 5),
+# entropy's 2^18 x 6 at its default r = 3, average's 2^18 x 12, the split
+# gate's 16384 x 16, smooth's 256 x 256, and 12288 x 12, a split call of
+# three blocks' worth of columns
+DP_SHAPES = ((8192, 4, 2.0), (8192, 5, 2.0), (1 << 18, 6, 3.0),
+             (1 << 18, 12, 2.0), (16384, 16, 2.0), (256, 256, 2.0),
+             (12288, 12, 2.0))
 IFFT_SHAPE = (6, 1 << 18)
 
 

@@ -39,7 +39,7 @@ def dyadic_gauss_mean(m: int) -> complex:
 
 
 # the Euler-Maclaurin form's gate: m >= 27 and a tail below 2^(m - 16),
-# from its remainder (see `dyadic_tail_regime`); the sqrt split's reach
+# from its remainder (see `check_tail_regime`); the sqrt split's reach
 _EM_MIN_M = 27
 _EM_TAIL_GAP = 16
 _SPLIT_MAX_M = 44
@@ -53,34 +53,26 @@ _FRESNEL_SWITCH = 3
 _FRESNEL_TERMS = 12
 
 
-def dyadic_tail_regime(m: int, tail_bits: int):
+def check_tail_regime(m: int, tail_bits: int) -> str:
     """How `fast_dyadic_quadratic_weyl` sums a tail of T terms of e(n^2/2^m),
-    0 < T < 2^m, given tail_bits = T.bit_length(): "euler-maclaurin",
-    "split", or None when it refuses the tail.  Decided from exponents.
+    0 < T < 2^m, given tail_bits = T.bit_length(): "euler-maclaurin" or
+    "split", or a ResourceError for a tail that no regime computes.
+    Decided from exponents only.
 
     Euler-Maclaurin takes T < 2^(m-16), where f'(T) = 2T/2^m <= 2^-15, and
     m >= 27: past its three terms the remainder is within
     1.32 4^-m + 4.8 f'(T)^2 2^-m, about 1e-16 at m = 27 (at m = 17, T = 1
     it would be 4e-11).  The sqrt split takes any tail with m <= 44, in
     O(min(T, 2^(m/2))).  A tail neither takes has m > 44 and T >= 2^29,
-    and `check_tail_regime` refuses it: no tail is summed term by term.
+    and is refused: no tail is summed term by term.
     """
     if m >= _EM_MIN_M and tail_bits <= m - _EM_TAIL_GAP:
         return "euler-maclaurin"
     if m <= _SPLIT_MAX_M:
         return "split"
-    return None
-
-
-def check_tail_regime(m: int, tail_bits: int) -> str:
-    """`dyadic_tail_regime(m, tail_bits)`, or a ResourceError for a tail
-    that no regime computes; it reads exponents only."""
-    regime = dyadic_tail_regime(m, tail_bits)
-    if regime is None:
-        raise ResourceError(
-            f"no regime computes a tail of length >= 2^{tail_bits - 1} "
-            f"terms, at least 2^(R-k-16), at R-k > 44; lower R or N")
-    return regime
+    raise ResourceError(
+        f"no regime computes a tail of length >= 2^{tail_bits - 1} "
+        f"terms, at least 2^(R-k-16), at R-k > 44; lower R or N")
 
 
 def _dyadic_frac(num: int, m: int) -> float:
@@ -202,10 +194,9 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
 
     With m = R - k the summand has period 2^m in n: full periods give the
     closed-form `dyadic_gauss_mean(m)`, and the tail of N mod 2^m terms
-    takes the first regime of `dyadic_tail_regime` that admits it,
+    takes the first regime of `check_tail_regime` that admits it,
     Euler-Maclaurin in O(1) or the sqrt split in O(2^(m/2)), or is
-    refused by `check_tail_regime`.  2^m is formed only when it is at
-    most N.
+    refused by it.  2^m is formed only when it is at most N.
     """
     # Python ints: a numpy int would wrap in 1 << m and has no bit_length
     k, R, N = map(operator.index, (k, R, N))

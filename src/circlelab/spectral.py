@@ -9,7 +9,7 @@ cross-checked to machine precision.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,18 +67,16 @@ def average_multipliers(P: IntPoly, Ns: Sequence[int], M: int) -> np.ndarray:
 
 
 def multiplier_variation(fhat: np.ndarray, mults: np.ndarray, r: float,
-                         out: Optional[np.ndarray] = None) -> float:
+                         out: np.ndarray) -> float:
     """||V^r(ifft(fhat * mults[k]) : k < S)||_2 on Z/M, DP cells checked first.
 
     `mults` is an (S, M) stack.  The products and one inverse FFT over all
-    rows run in `out`, an (S, M) complex array, and the DP reads it as it
-    is; with no `out` they run in `mults`, which must then be complex.
-    `fhat * m`, never `m * fhat`: the two can differ in the last bit.
+    rows run in `out`, an (S, M) complex array that may be `mults` itself,
+    and the DP reads it as it is.  `fhat * m`, never `m * fhat`: the two
+    can differ in the last bit.
     """
     S, M = mults.shape
     check_dp_cells(M, S, "the modulus or the number of multipliers")
-    if out is None:
-        out = mults
     np.multiply(fhat, mults, out=out)
     np.fft.ifft(out, axis=1, out=out)
     return _pairwise_norm(variation_values(out.T, r))
@@ -109,5 +107,6 @@ def variation_experiment(f: np.ndarray, P: IntPoly,
     denom = _pairwise_norm(f)
     if denom == 0:
         raise ParameterError("signal must be non-zero")
-    return multiplier_variation(np.fft.fft(f),
-                                average_multipliers(P, scales, M), r) / denom
+    fhat = np.fft.fft(f)
+    mults = average_multipliers(P, scales, M)
+    return multiplier_variation(fhat, mults, r, mults) / denom

@@ -63,7 +63,6 @@ class IndexedSeq(NamedTuple("IndexedSeq", [("indices", tuple),
 class VariationResult(NamedTuple):
     value: float
     optimal_subsequence: tuple
-    r: float
     block_subsequences: Optional[tuple] = None
 
 
@@ -90,13 +89,10 @@ def _dp_workspace(S: int, cols: int):
 
     Flat, so that `_best_power_sums` can view C-ordered (S, c) and
     (S-1, c) arrays of any c <= cols in them, as the temporaries they
-    replace were.  The table is zeroed once: row 0 (the singleton chains)
-    of a c-column view is its first c entries, and the steps of a block
-    of c' columns write only from entry c' on, so row 0 stays zero while
-    blocks never widen.
+    replace were.
     """
     n = max(S - 1, 0) * cols
-    return np.zeros(S * cols), np.empty(n, dtype=complex), np.empty(n)
+    return np.empty(S * cols), np.empty(n, dtype=complex), np.empty(n)
 
 
 def _power(c: np.ndarray, r: float, sq: Optional[np.ndarray] = None):
@@ -117,25 +113,24 @@ def _power(c: np.ndarray, r: float, sq: Optional[np.ndarray] = None):
     return c
 
 
-def _best_power_sums(v: np.ndarray, r: float, work=None) -> np.ndarray:
+def _best_power_sums(v: np.ndarray, r: float, work) -> np.ndarray:
     """b[j, c]: the largest sum of |f_b - f_a|^r over chains ending at j.
 
     `v` is an (S, cols) complex array with contiguous rows, one family per
     column, so every step of the DP works on contiguous rows.  The table
     and every step live in `work`, a `_dp_workspace` of at least cols
-    columns (one is made when none is given), so no step allocates.  A
-    singleton chain has power sum 0.  Overflow to inf is wrong (V^r stays
-    finite as r grows); it waits for ROADMAP item 2's scale-safe DP.
+    columns, so no step allocates.  A singleton chain has power sum 0.
+    Overflow to inf is wrong (V^r stays finite as r grows); it waits for
+    ROADMAP item 2's scale-safe DP.
     """
     S, cols = v.shape
-    if work is None:
-        work = _dp_workspace(S, cols)
     n = max(S - 1, 0)
     b, diff, cand = (buf[:rows * cols].reshape(rows, cols)
                      for buf, rows in zip(work, (S, n, n)))
     # r = 3's squares go to diff's memory, which a step no longer reads
     # once its |.| is taken (a fourth buffer re-faulted in small calls)
     sq = work[1].view(float)[:n * cols].reshape(n, cols)
+    b[0] = 0.0
     with np.errstate(over="ignore"):
         for j in range(1, S):
             c = cand[:j]
@@ -155,7 +150,7 @@ def _optimal_chain(values: Sequence[complex], r: float):
     """
     v = np.asarray(values, dtype=complex)
     check_dp_cells(1, len(v), "the number of values")
-    best = _best_power_sums(v[:, None], r)[:, 0]
+    best = _best_power_sums(v[:, None], r, _dp_workspace(len(v), 1))[:, 0]
     end = j = int(np.argmax(best))
     chain = [end]
     with np.errstate(over="ignore"):
@@ -173,7 +168,7 @@ def variation(seq: IndexedSeq, r: float) -> VariationResult:
         raise ParameterError("sequence must be non-empty")
     power, chain = _optimal_chain(seq.values, r)
     value = power ** (1.0 / r)
-    return VariationResult(value, tuple(seq.indices[j] for j in chain), r)
+    return VariationResult(value, tuple(seq.indices[j] for j in chain))
 
 
 def long_variation(seq: IndexedSeq, r: float) -> VariationResult:
@@ -181,7 +176,7 @@ def long_variation(seq: IndexedSeq, r: float) -> VariationResult:
     r = check_r(r)
     keep = [j for j, i in enumerate(seq.indices) if i & (i - 1) == 0]
     if not keep:
-        return VariationResult(0.0, (), r)
+        return VariationResult(0.0, ())
     sub = IndexedSeq([seq.indices[j] for j in keep],
                      [seq.values[j] for j in keep])
     return variation(sub, r)
@@ -219,7 +214,7 @@ def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
             picked = tuple(seq.indices[members[j]] for j in chain)
             blocks.append(picked)
             flat.extend(picked)
-    return VariationResult(total ** (1.0 / r), tuple(flat), r,
+    return VariationResult(total ** (1.0 / r), tuple(flat),
                            block_subsequences=tuple(blocks))
 
 
@@ -244,27 +239,20 @@ def _block_columns(S: int, split: bool) -> int:
     return 2 * DP_BLOCK_ROWS if split and S <= 10 else DP_BLOCK_ROWS
 
 
-def _dp_blocks(v, r, top, blocks, work) -> None:
-    """Each block's column max of the DP over v's columns, into top.
-
-    That max is the table's last row: b[j] >= b[j-1] + |f_j - f_(j-1)|^r
-    >= b[j-1], as no power is negative, so no row exceeds the one below.
-    """
-    for block in blocks:
-        top[block] = _best_power_sums(v[:, block], r, work)[-1]
-
-
 def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     """Vectorized r-variation along the last axis (values only, no optimizer).
 
     `values` has shape (..., S); the leading axes are flattened into rows,
-    the DP runs on (S, cols) blocks of at most `_block_columns` columns,
-    and only each block's column max is kept.  A call of PAR_MIN_CELLS cells
-    or more is cut into at least two blocks, dealt in turn to one worker
-    per CPU (the caller and W - 1 threads), each with its own workspace;
-    every column's DP is the same either way, so the result is bitwise the
-    same.  An empty last axis (S = 0), and a call over DP_CELL_BUDGET
-    cells rows * S(S-1)/2, are refused before any work.
+    one family per column of an (S, rows) array.  A call of PAR_MIN_CELLS
+    cells or more runs on W = min(CPUs, max(blocks, 2), rows) workers, the
+    caller and W - 1 threads, where blocks is rows over `_block_columns`
+    rounded up; a smaller call runs on the caller alone.  Worker w takes
+    the adjacent columns rows*w//W .. rows*(w+1)//W, in blocks of at most
+    `_block_columns` columns, in a workspace of its own, and keeps only
+    each block's column max.  Every column's DP is the same in any block
+    on any worker, so the result is bitwise the same.  An empty last axis
+    (S = 0), and a call over DP_CELL_BUDGET cells rows * S(S-1)/2, are
+    refused before any work.
     """
     r = check_r(r)
     values = np.asarray(values)
@@ -277,36 +265,32 @@ def variation_values(values: np.ndarray, r: float) -> np.ndarray:
     v = np.asarray(values.reshape(rows, S).T, dtype=complex, order="C")
     top = np.empty(rows)
     split = rows * (S * (S - 1) // 2) >= PAR_MIN_CELLS
-    n = max(-(-rows // _block_columns(S, split)), 1)
-    workers = 1
-    if split:
-        n = min(max(n, 2), rows)
-        workers = min(_cpus(), n)
-    # the first `extra` blocks are one column wider, so each worker's
-    # blocks never widen, as `_dp_workspace` requires
-    width, extra = divmod(rows, n)
-    cuts = [i * width + min(i, extra) for i in range(n + 1)]
-    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    cols = _block_columns(S, split)
+    workers = min(_cpus(), max(-(-rows // cols), 2), rows) if split else 1
+    cuts = [rows * w // workers for w in range(workers + 1)]
     # every workspace is made here, in the calling thread, so none comes
-    # from a worker thread's own malloc arena
-    works = [_dp_workspace(S, width + (extra > 0)) for _ in range(workers)]
+    # from a worker thread's own malloc arena; the last run is the widest
+    works = [_dp_workspace(S, min(cols, rows - cuts[-2]))
+             for _ in range(workers)]
     failed = []
 
     def worker(w):
+        # a column's max is the table's last row: b[j] >= b[j-1] +
+        # |f_j - f_(j-1)|^r >= b[j-1], as no power is negative
         try:
-            _dp_blocks(v, r, top, blocks[w::workers], works[w])
-        except BaseException as exc:  # re-raised by the caller
+            for a in range(cuts[w], cuts[w + 1], cols):
+                block = slice(a, min(a + cols, cuts[w + 1]))
+                top[block] = _best_power_sums(v[:, block], r, works[w])[-1]
+        except BaseException as exc:  # re-raised once every thread is joined
             failed.append(exc)
 
     threads = [threading.Thread(target=worker, args=(w,))
                for w in range(1, workers)]
     for t in threads:
         t.start()
-    try:
-        _dp_blocks(v, r, top, blocks[0::workers], works[0])
-    finally:
-        for t in threads:
-            t.join()
+    worker(0)
+    for t in threads:
+        t.join()
     if failed:
         raise failed[0]
     # [()] makes a 1-D call's 0-d result a scalar, whose power is the

@@ -259,7 +259,7 @@ def verify_smooth(N: int, A: float, a: float, trials: int,
         else:
             mults = _clipped_walk_multipliers(N, M, A, a, rng)
         f = _complex_normal(rng, M)
-        v = multiplier_variation(np.fft.fft(f), mults, 2.0)
+        v = multiplier_variation(np.fft.fft(f), mults, 2.0, mults)
         ratios.append(v / _pairwise_norm(f) / bound)
     return _make_report("smooth_lemma", tuple(range(trials)), tuple(ratios))
 

@@ -18,7 +18,7 @@ from circlelab import (IntPoly, ParameterError, ReducedFraction,
 from circlelab import expsum
 from circlelab.arith import congruence_data
 from circlelab.dyadic import (_PI_FIXED, _euler_maclaurin_mean,
-                              _fresnel_mean, _sin_pi, dyadic_tail_regime)
+                              _fresnel_mean, _sin_pi, check_tail_regime)
 from circlelab.errors import PHASE_TERM_BUDGET
 from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, _e_neg, _e_work,
                               _limb_phases, _phase_chunks, _residue_rows,
@@ -684,7 +684,11 @@ class TestTailRegimes:
         (10 ** 20, 10 ** 20 - 16, "euler-maclaurin"),
         (10 ** 20, 10 ** 20 - 15, None)])
     def test_gates(self, m, bits, regime):
-        assert dyadic_tail_regime(m, bits) == regime
+        if regime is None:
+            with pytest.raises(ResourceError, match="no regime computes"):
+                check_tail_regime(m, bits)
+        else:
+            assert check_tail_regime(m, bits) == regime
 
     def test_gate_on_m(self):
         # the three-term form is off by about 0.66 4^-m at T = 1: 4e-11 at
@@ -702,7 +706,7 @@ class TestTailRegimes:
         (36, (1 << 20) - 1), (47, 1 << 22), (48, 1 << 23), (200, 1 << 20),
         (1100, 12345)])
     def test_euler_maclaurin_against_direct(self, m, T):
-        assert dyadic_tail_regime(m, T.bit_length()) == "euler-maclaurin"
+        assert check_tail_regime(m, T.bit_length()) == "euler-maclaurin"
         got = fast_dyadic_quadratic_weyl(3, m + 3, T)
         assert abs(got - direct_dyadic_tail_mean(m, T)) <= 4e-16
 
@@ -716,7 +720,7 @@ class TestTailRegimes:
     @settings(max_examples=80, deadline=None)
     def test_split_against_direct(self, case):
         m, T = case
-        assert dyadic_tail_regime(m, T.bit_length()) == "split"
+        assert check_tail_regime(m, T.bit_length()) == "split"
         got = fast_dyadic_quadratic_weyl(0, m, T)
         assert abs(np.clongdouble(got) - precise_dyadic_tail_mean(m, T)) \
             <= 4e-16
@@ -744,7 +748,7 @@ class TestTailRegimes:
             assert abs(g - w) <= 2.0 ** -52 * abs(w)
 
     def test_split_at_its_edge(self):
-        assert dyadic_tail_regime(30, 15) == "split"
+        assert check_tail_regime(30, 15) == "split"
         got = fast_dyadic_quadratic_weyl(0, 30, 1 << 14)
         assert abs(got - direct_dyadic_tail_mean(30, 1 << 14)) <= 4e-16
 

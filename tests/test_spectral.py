@@ -386,7 +386,7 @@ class TestMultiplierVariation:
         want = per_row_multiplier_variation(fhat, mults, r)
         # the one 2-D ifft that smooth and main-decomp once used
         spatial = np.fft.ifft(fhat[None, :] * mults, axis=1).T
-        got = multiplier_variation(fhat, mults, r)  # overwrites mults
+        got = multiplier_variation(fhat, mults, r, mults)  # overwrites mults
         assert got.hex() == want.hex()
         assert _pairwise_norm(variation_values(spatial, r)) == got
 
@@ -395,24 +395,27 @@ class TestMultiplierVariation:
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_out_is_the_in_place_path(self, kind, S, M, r, seed):
-        # the products and the ifft go to `out`, bitwise as they went to a
-        # complex copy of the stack, and the stack is left as it was
+        # the products and the ifft go to a work stack `out`, bitwise as
+        # they go to a complex copy of the stack that is its own `out`, and
+        # the stack is left as it was
         fhat, mults = self.family(kind, S, M, seed)
         kept = mults.copy()
-        out = np.empty((S, M), dtype=complex)
-        got = multiplier_variation(fhat, mults, r, out=out)
+        work = np.empty((S, M), dtype=complex)
+        got = multiplier_variation(fhat, mults, r, out=work)
         assert mults.tobytes() == kept.tobytes()
         stack = np.empty((S, M), dtype=complex)
         np.copyto(stack, mults)
-        assert got.hex() == multiplier_variation(fhat, stack, r).hex()
-        assert out.tobytes() == stack.tobytes()
+        assert got.hex() == multiplier_variation(fhat, stack, r,
+                                                 out=stack).hex()
+        assert work.tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("kind", ["rows", "array", "indicator"])
     def test_matches_per_row_loop_over_dp_blocks(self, kind):
         # more points than one serial DP block of 4096 columns
         fhat, mults = self.family(kind, 9, 5000, 11)
         want = per_row_multiplier_variation(fhat, mults, 2.5)
-        assert multiplier_variation(fhat, mults, 2.5).hex() == want.hex()
+        assert multiplier_variation(fhat, mults, 2.5, mults).hex() \
+            == want.hex()
 
     @pytest.mark.parametrize("M", [4095, 4096, 4097])
     @pytest.mark.parametrize("S", [1, 2, 7])
@@ -420,7 +423,8 @@ class TestMultiplierVariation:
         # S = 1 runs the DP with an empty workspace
         fhat, mults = self.family("array", S, M, M + S)
         want = per_row_multiplier_variation(fhat, mults, 3.0)
-        assert multiplier_variation(fhat, mults, 3.0).hex() == want.hex()
+        assert multiplier_variation(fhat, mults, 3.0, mults).hex() \
+            == want.hex()
 
     @pytest.mark.parametrize("S", [2, 5])
     def test_one_inverse_fft_per_stack(self, monkeypatch, S):
@@ -432,7 +436,8 @@ class TestMultiplierVariation:
             return ifft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "ifft", counted)
-        multiplier_variation(*self.family("array", S, 64, 3), 2.0)
+        fhat, mults = self.family("array", S, 64, 3)
+        multiplier_variation(fhat, mults, 2.0, mults)
         assert len(calls) == 1
 
     def test_dp_cells_checked_before_the_stack_is_allocated(self,
@@ -446,9 +451,9 @@ class TestMultiplierVariation:
                                  range(1, 1001), 2.0)
         # a stack handed in is refused before its products and ifft:
         # 23171 rows of one point, 2.68e8 cells
+        stack = np.zeros((23171, 1), complex)
         with pytest.raises(ResourceError):
-            multiplier_variation(np.zeros(1, complex),
-                                 np.zeros((23171, 1), complex), 2.0)
+            multiplier_variation(np.zeros(1, complex), stack, 2.0, stack)
 
 
 class TestVariationExperiment:

@@ -35,8 +35,8 @@ CASES = {
                                                           (5, 6)), "R"),
     "IndexedSeq": (lambda: IndexedSeq([1, 3], [0.5, 1j]),
                    lambda: IndexedSeq([1, 4], [0.5, 1j]), "values"),
-    "VariationResult": (lambda: VariationResult(1.5, (1, 3), 2.0),
-                        lambda: VariationResult(1.5, (1, 3), 3.0), "value"),
+    "VariationResult": (lambda: VariationResult(1.5, (1, 3)),
+                        lambda: VariationResult(1.5, (1, 4)), "value"),
     "BoundFitReport": (lambda: REPORT, lambda: OTHER_REPORT, "slope"),
     "DecompositionReport": (
         lambda: DecompositionReport(REPORT, (1, 2), (0.5, 0.25), 1.0, 2.0,
@@ -134,7 +134,7 @@ class TestConstruction:
                 IndexedSeq(idx, vals)
 
     def test_plain_records_keep_their_fields(self):
-        assert VariationResult(1.5, (1, 3), 2.0).block_subsequences is None
+        assert VariationResult(1.5, (1, 3)).block_subsequences is None
         params = CounterexampleParams(L=2, R=14, k=(9, 0), j=(5, 6))
         assert params.identity_defects() == ((1,), (7, 0))
         report = DecompositionReport(REPORT, (1,), (0.5,), 1.0, 2.0, 2.5)

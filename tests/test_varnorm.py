@@ -15,8 +15,8 @@ from circlelab import (IndexedSeq, ParameterError, ResourceError,
                        variation_values)
 from circlelab import spectral, varnorm
 from circlelab.errors import DP_CELL_BUDGET, RUN_DP_CELL_BUDGET, check_budget
-from circlelab.varnorm import (PAR_MIN_CELLS, _best_power_sums, _power,
-                               check_dp_cells)
+from circlelab.varnorm import (PAR_MIN_CELLS, _best_power_sums,
+                               _dp_workspace, _power, check_dp_cells)
 
 
 def check_run_cells(calls, rows, S, lower):
@@ -312,8 +312,25 @@ class TestBlockKernel:
         # array and on a column block of a wider one
         v = random_values((S, 2 * cols), S * 7 + cols)
         for block in (np.ascontiguousarray(v[:, :cols]), v[:, cols:]):
-            assert_bitwise_equal(_best_power_sums(block, r),
+            assert_bitwise_equal(_best_power_sums(block, r,
+                                                  _dp_workspace(S, cols)),
                                  loop_best_power_sums(block.T, r).T)
+
+    @pytest.mark.parametrize("r", EXPONENTS)
+    def test_workspace_contents_are_never_read(self, r):
+        # the kernel sets the table's row 0 itself: a workspace full of NaN,
+        # and one left by narrower blocks before a wider one, give the
+        # table of a fresh one
+        v = random_values((9, 40), 9)
+        want = loop_best_power_sums(v.T, r).T
+        dirty = _dp_workspace(9, 40)
+        for buf in dirty:
+            buf.fill(np.nan)
+        assert_bitwise_equal(_best_power_sums(v, r, dirty), want)
+        for cols in (7, 40, 13, 29, 40):
+            block = np.ascontiguousarray(v[:, :cols])
+            assert_bitwise_equal(_best_power_sums(block, r, dirty),
+                                 want[:, :cols])
 
 
 def ulps(a, b):
@@ -370,13 +387,14 @@ class TestPowerRule:
         gap = np.abs(v[1] - v[0])
         with np.errstate(over="ignore"):
             want = gap ** 3.0
-        got = _best_power_sums(v, 3.0)[1]
+        got = _best_power_sums(v, 3.0, _dp_workspace(2, v.shape[1]))[1]
         assert np.array_equal(np.isinf(got), np.isinf(want))
         assert ulps(got, want).max() <= 1
 
 
 class TestLastRowMaxima:
-    """Each block's column max is the DP table's last row."""
+    """The column max of the DP table, all that `variation_values` keeps of
+    it, is the table's last row."""
 
     @given(arrays(complex, st.tuples(st.integers(1, 8), st.integers(1, 6)),
                   elements=st.complex_numbers(max_magnitude=1e300,
@@ -389,24 +407,23 @@ class TestLastRowMaxima:
             # ties everywhere: small Gaussian integers
             values = np.round(values / 1e300 * 2)
         S, cols = values.shape
-        table = _best_power_sums(values, r)
+        table = _best_power_sums(values, r, _dp_workspace(S, cols))
         assert (table[1:] >= table[:-1]).all()
-        top = np.empty(cols)
-        varnorm._dp_blocks(values, r, top, [slice(0, cols)],
-                           varnorm._dp_workspace(S, cols))
-        assert_bitwise_equal(top, table.max(axis=0))
+        assert_bitwise_equal(variation_values(values.T, r),
+                             table.max(axis=0) ** (1.0 / r))
 
     @pytest.mark.parametrize("r", EXPONENTS)
-    def test_overflow_columns(self, r):
+    def test_overflow_columns(self, r, monkeypatch):
+        # 50 columns in blocks of 16, 16, 16 and 2
+        monkeypatch.setattr(varnorm, "DP_BLOCK_ROWS", 16)
         values = random_values((6, 50), 3)
         values[1, ::3] = 1e200
         values[3, 1::3] = -1e308 + 1e308j
         values[4, ::2] = 1e308
-        top = np.empty(50)
-        varnorm._dp_blocks(values, r, top, [slice(0, 25), slice(25, 50)],
-                           varnorm._dp_workspace(6, 25))
+        top = variation_values(values.T, r)
         assert np.isinf(top).any()
-        assert_bitwise_equal(top, _best_power_sums(values, r).max(axis=0))
+        table = _best_power_sums(values, r, _dp_workspace(6, 50))
+        assert_bitwise_equal(top, table.max(axis=0) ** (1.0 / r))
 
 
 class TestSplitDP:
@@ -441,7 +458,7 @@ class TestSplitDP:
         want = loop_variation_values(values, r)
         assert_bitwise_equal(variation_values(values, r), want)
         # one worker is the serial path over the split blocks
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             started = split(workers)
             assert_bitwise_equal(variation_values(values, r), want)
             # at least two blocks, at most one per row; the caller is the
@@ -465,6 +482,63 @@ class TestSplitDP:
         assert_bitwise_equal(top, serial)
         assert_bitwise_equal(top, loop_variation_values(values, r))
 
+    @pytest.mark.parametrize("rows", (12288, 20480, 20481, 40000))
+    def test_odd_block_counts(self, rows, split):
+        # 3, 5, 6 and 10 blocks' worth of columns (S = 12, 4096 columns
+        # a block), which no longer need dealing out in turn
+        r = EXPONENTS[rows % len(EXPONENTS)]
+        values = random_values((rows, 12), rows)
+        want = loop_variation_values(values, r)
+        for workers in (2, 3, 8):
+            started = split(workers)
+            assert_bitwise_equal(variation_values(values, r), want)
+            assert len(started) == min(workers, -(-rows // 4096)) - 1
+            started.clear()
+
+    @pytest.mark.parametrize("rows,S", [(7, 2), (256, 256), (8193, 4),
+                                        (12288, 12), (20481, 12)])
+    @pytest.mark.parametrize("workers", (2, 3, 8))
+    def test_adjacent_columns_per_worker(self, rows, S, workers, split,
+                                         monkeypatch):
+        # the columns each call of the kernel reads, found from where its
+        # (S, c) view starts in the (S, rows) array that the DP reads
+        split(workers)
+        values = random_values((S, rows), rows + S)
+        seen = []
+        real = varnorm._best_power_sums
+
+        def recorded(v, r, work):
+            first = (v.ctypes.data - values.ctypes.data) // v.itemsize
+            seen.append((threading.current_thread(), first, v.shape[1]))
+            return real(v, r, work)
+
+        monkeypatch.setattr(varnorm, "_best_power_sums", recorded)
+        assert_bitwise_equal(variation_values(values.T, 2.0),
+                             loop_variation_values(values.T, 2.0))
+        width = varnorm._block_columns(S, split=True)
+        runs = {}
+        for thread, first, cols in seen:
+            assert 0 < cols <= width
+            runs.setdefault(thread, []).append((first, cols))
+        assert len(runs) == min(workers, max(-(-rows // width), 2), rows)
+        spans = []
+        for blocks in runs.values():
+            # one adjacent run of columns, in as few blocks as fit in it
+            blocks.sort()
+            for (a, cols), (b, _) in zip(blocks, blocks[1:]):
+                assert b == a + cols
+            start, end = blocks[0][0], blocks[-1][0] + blocks[-1][1]
+            assert len(blocks) == -(-(end - start) // width)
+            spans.append((start, end))
+        # the runs tile the columns, the caller's first, and differ in
+        # width by at most one column
+        spans.sort()
+        assert min(runs[threading.main_thread()])[0] == 0
+        assert spans[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        widths = [end - start for start, end in spans]
+        assert max(widths) - min(widths) <= 1
+
     @pytest.mark.parametrize("M,S", [(256, 17), (4097, 6), (5000, 16)])
     def test_transposed_views(self, M, S, split):
         spatial = np.fft.ifft(random_values((S, M), M), axis=1).T
@@ -480,7 +554,7 @@ class TestSplitDP:
         split(3)
         real = varnorm._best_power_sums
 
-        def fail_off_caller(v, r, work=None):
+        def fail_off_caller(v, r, work):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError("worker failed")
             return real(v, r, work)
@@ -496,7 +570,7 @@ class TestSplitDP:
         started = split(2)
         real = varnorm._best_power_sums
 
-        def fail_on_caller(v, r, work=None):
+        def fail_on_caller(v, r, work):
             if threading.current_thread() is threading.main_thread():
                 raise FloatingPointError("caller failed")
             return real(v, r, work)
@@ -575,11 +649,18 @@ class TestSplitDP:
             made.append((threading.current_thread(), cols))
             return real(S, cols)
 
-        monkeypatch.setattr(varnorm, "_cpus", lambda: 2)
         monkeypatch.setattr(varnorm, "_dp_workspace", recorded)
-        variation_values(random_values((16384, 16), 4), 2.0)
-        # 4 blocks of 4096, two workers, two workspaces of the widest block
-        assert made == [(threading.main_thread(), 4096)] * 2
+        # (shape, CPUs, workspace columns): 16384 x 16 is two runs of 8192
+        # columns in blocks of 4096; smooth's 256 x 256 two runs of 128;
+        # 8195 x 16 on three CPUs runs of 2731, 2732 and 2732 columns,
+        # and each workspace is as wide as the last, the widest
+        for shape, cpus, cols in [((16384, 16), 2, 4096),
+                                  ((256, 256), 2, 128),
+                                  ((8195, 16), 3, 2732)]:
+            monkeypatch.setattr(varnorm, "_cpus", lambda: cpus)
+            made.clear()
+            variation_values(random_values(shape, 4), 2.0)
+            assert made == [(threading.main_thread(), cols)] * cpus
 
     def test_no_fft_on_a_worker(self, monkeypatch):
         # multiplier_variation runs its FFT in the caller and only the DP
@@ -602,7 +683,7 @@ class TestSplitDP:
         M = 1 << 14
         mults = np.exp(2j * np.pi * rng.random((16, M)))
         spectral.multiplier_variation(np.fft.fft(rng.standard_normal(M)),
-                                      mults, 2.0)
+                                      mults, 2.0, mults)
         assert seen["fft"] == {threading.main_thread()}
         assert len(seen["dp"]) == 2
 
