@@ -208,10 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> dict:
+    # --poly is checked before any other argument that _run parses
+    P = _parse_poly(args.poly) if "poly" in args else None
     results = []
     if args.command == "weyl-sum":
         from .expsum import weyl_sum
-        P = _parse_poly(args.poly)
         val = weyl_sum(P, args.t, _parse_rational(args.alpha))
         results.append({"name": "weyl_sum",
                         "inputs": {"poly": args.poly, "t": args.t,
@@ -220,7 +221,6 @@ def _run(args) -> dict:
     elif args.command == "gauss":
         from .arith import ReducedFraction
         from .expsum import gauss_weight
-        P = _parse_poly(args.poly)
         fr = _parse_rational(args.frac)
         frac = ReducedFraction.make(fr.numerator, fr.denominator)
         val = gauss_weight(P, frac, args.pre_interval)
@@ -230,7 +230,6 @@ def _run(args) -> dict:
                         "value": val})
     elif args.command == "arcs":
         from .arith import ArcParams, arc_labels
-        P = _parse_poly(args.poly)
         params = ArcParams(args.n, args.delta, P.degree)
         alpha = _parse_rational(args.alpha)
         arcs = arc_labels(P, params, [alpha.numerator], alpha.denominator)
@@ -271,7 +270,6 @@ def _run(args) -> dict:
 
         from .expsum import check_count
         from .spectral import _complex_normal, variation_experiment
-        P = _parse_poly(args.poly)
         scales = _parse_list(args.scales, int)
         M = check_count(args.modulus, "modulus M", LENGTH_BUDGET)
         f = _complex_normal(np.random.default_rng(args.seed), M)
@@ -296,14 +294,12 @@ def _run(args) -> dict:
                         **_report_result(rep)})
     elif args.command == "est":
         from .verify import verify_est
-        P = _parse_poly(args.poly)
         for rep in verify_est(P, args.n_min, args.n_max, args.delta,
                               args.samples, args.seed):
             results.append({"name": rep.name, "inputs": {"poly": args.poly},
                             **_report_result(rep)})
     elif args.command == "main-decomp":
         from .verify import verify_main_decomposition
-        P = _parse_poly(args.poly)
         rep = verify_main_decomposition(P, args.modulus, args.n_min,
                                         args.n_max, args.delta, args.seed,
                                         args.nu_floor)

@@ -60,13 +60,11 @@ def build_sequences(L: int, R: int) -> CounterexampleParams:
     for l in range(L - 1, 0, -1):
         k[l - 1] = R - j[l]
         j[l - 1] = -((L + k[l - 1] - R) // 2)  # ceil((R - L - k)/2)
+    # j_(l-1) = ceil((j_l - L)/2) < j_l once j_l >= 1, and k_(l-1) =
+    # R - j_l, so a ladder in range has j rising and k falling
     if any(x < 0 for x in k) or any(x < 1 for x in j):
         raise ParameterError(
             f"R={R} too small for L={L}: sequences leave the admissible range")
-    if any(b <= a for a, b in zip(j, j[1:])) or \
-            any(b >= a for a, b in zip(k, k[1:])):
-        raise ParameterError(
-            f"(L={L}, R={R}) yields non-monotone exponent ladders")
     return CounterexampleParams(L, R, tuple(k), tuple(j))
 
 

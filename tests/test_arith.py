@@ -47,6 +47,10 @@ class TestFractions:
         assert ReducedFraction.make(4, 4) == ReducedFraction(0, 1)
         assert ReducedFraction.make(-1, 3) == ReducedFraction(2, 3)
 
+    def test_make_refuses_denominator_zero(self):
+        with pytest.raises(ParameterError, match="nonzero"):
+            ReducedFraction.make(1, 0)
+
     def test_level(self):
         assert ReducedFraction(0, 1).level == 0
         assert ReducedFraction(1, 2).level == 1

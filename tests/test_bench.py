@@ -1,10 +1,13 @@
 """bench/write_bench.py: the summaries, pair counts and line counts it
-writes; bench/kernels.py: what it times and how it reports it."""
+writes; bench/kernels.py: what it times and how it reports it;
+bench/never_run.py: which statements it counts as never run."""
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import kernels  # noqa: E402
+import never_run  # noqa: E402
 import write_bench  # noqa: E402
 
 METRICS = {"wall_s": {"name": "wall_s", "unit": "s", "better": "lower"},
@@ -180,3 +184,53 @@ def test_kernel_summary_per_unit_of_work():
     assert (s["q1_s"], s["median_s"], s["q3_s"]) == (1.5e-3, 2e-3, 2.5e-3)
     assert s["ns_per_cell"] == pytest.approx(2000.0)
     assert s["cells"] == 1000 and s["repeats"] == 3
+
+
+SYNTHETIC = '''"""Module docstring."""
+
+
+def f(x):
+    """Function docstring."""
+    if x > 0:
+        return 1
+    elif x < 0:
+        raise ValueError(
+            "negative")
+    return 0
+
+
+@staticmethod
+def g():
+    pass
+'''
+
+
+def test_statements_skip_docstrings_and_start_at_decorators():
+    assert never_run.statements(SYNTHETIC) == [
+        (4, 11), (6, 10), (7, 7), (8, 10), (9, 10), (11, 11), (14, 16),
+        (16, 16)]
+
+
+def test_a_statement_ran_if_any_of_its_lines_did():
+    # the if ran through its body; the elif, its raise, the last return
+    # and g's body did not; docstrings are never listed
+    assert never_run.never_run(SYNTHETIC, {4, 7, 14}) == [8, 9, 11, 16]
+    assert never_run.never_run(SYNTHETIC, {10}) == [7, 11, 14, 16]
+
+
+def test_tracer_follows_the_traced_files_and_new_threads(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(SYNTHETIC)
+    before = sys.gettrace()
+    with never_run.LineTracer([str(path)]) as tracer:
+        spec = importlib.util.spec_from_file_location("synthetic", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.f(1) == 1
+        # f(0) runs only on a thread, so only its tracer sees the elif
+        worker = threading.Thread(target=module.f, args=(0,))
+        worker.start()
+        worker.join()
+    assert sys.gettrace() is before
+    assert never_run.report(tracer) == ["synthetic.py:9  raise ValueError(",
+                                        "synthetic.py:16  pass"]

@@ -318,6 +318,10 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_ladder_of_no_rungs_refused(self, capsys):
+        assert main(["counterexample", "--L", "0", "--R", "10"]) == 2
+        assert capsys.readouterr() == ("", "error: L must be >= 1\n")
+
     def test_arcs_past_level_nine(self, capsys):
         # s_max = 25: 1/3000007 is admitted, at level 21
         code, out = run_cli(["arcs", "--n", "200", "--delta", "0.125",

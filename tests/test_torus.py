@@ -68,6 +68,26 @@ class TestBuildSequences:
         with pytest.raises(ParameterError):
             build_sequences(3, 5)
 
+    def test_L_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="^L must be >= 1$"):
+            build_sequences(0, 10)
+
+    @given(st.integers(1, 64).flatmap(lambda L: st.tuples(
+        st.just(L), st.one_of(st.integers(0, 1 << 40),
+                              st.integers(1 << L, (1 << L) + (1 << (L + 2)))))))
+    @settings(max_examples=500, deadline=None)
+    def test_admitted_ladders_are_monotone(self, data):
+        # the range check alone makes j rise and k fall: j_(l-1) =
+        # ceil((j_l - L)/2) < j_l once j_l >= 1, and k_(l-1) = R - j_l
+        L, R = data
+        try:
+            params = build_sequences(L, R)
+        except ParameterError:
+            return
+        assert params.k[-1] == 0
+        assert all(a > b for a, b in zip(params.k, params.k[1:]))
+        assert all(a < b for a, b in zip(params.j, params.j[1:]))
+
     def test_up_front_bound_refuses_no_ladder(self):
         # the recursion alone, without the R >= 2^L bound checked first
         def admits(L, R):
@@ -389,6 +409,24 @@ class TestSearch:
     def test_L_validation(self):
         with pytest.raises(ParameterError):
             search_coefficients(1, 10, 1, 0)
+
+    def test_init_longer_than_L_rejected(self):
+        with pytest.raises(ParameterError, match="init longer than L"):
+            search_coefficients(2, 0, 0, 0, sample_count=64,
+                                init=[1.0, 0.5, 0.25])
+
+    def test_zero_init_starts_uniform(self):
+        # a start of norm 0 cannot be normalized: it becomes 1/sqrt(L)
+        starts = []
+
+        def recorded(c, z, out):
+            starts.append(c.copy())
+            return _partial_sum_objective(c, z, out)
+
+        with mock.patch("circlelab.torus._partial_sum_objective", recorded):
+            search_coefficients(3, 0, 0, 0, sample_count=64, init=[0.0, 0.0])
+        assert_bitwise_equal(starts[0], np.full(3, 1 / math.sqrt(3)))
+        assert_bitwise_equal(starts[1], np.array([1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("L,iterations,restarts,init,over", [
         # counterexample's search: 3 starts x 201 evaluations

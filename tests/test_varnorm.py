@@ -165,6 +165,10 @@ class TestLongShort:
         block2 = 0.0  # values at 8 and 9 coincide
         assert res.value == pytest.approx((block1 + block2) ** 0.5, abs=1e-12)
 
+    def test_short_of_no_values_rejected(self):
+        with pytest.raises(ParameterError, match="non-empty"):
+            short_variation(IndexedSeq([], []), 2)
+
     def test_short_endpoint_in_two_blocks(self):
         # index 4 belongs to [2, 4] and to [4, 8]
         seq = IndexedSeq([2, 4, 8], [0, 1, 0])

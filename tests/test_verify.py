@@ -33,11 +33,20 @@ class TestFits:
 
     def test_power_law_validation(self):
         with pytest.raises(ParameterError):
-            fit_power_law([(1, 1.0), (2, 0.5)])  # too few
-        with pytest.raises(ParameterError):
             fit_power_law([(1, 1.0), (2, 0.0), (3, 1.0)])  # non-positive
-        with pytest.raises(ParameterError):
-            fit_power_law([(1, 1.0), (1, 2.0), (1, 3.0)])  # degenerate
+
+    @given(st.lists(st.integers(-1000, 1000), max_size=12, unique=True)
+           .flatmap(lambda ns: st.tuples(st.just(ns), st.lists(
+               st.floats(allow_nan=False, allow_infinity=False),
+               min_size=len(ns), max_size=len(ns)))))
+    @settings(max_examples=200, deadline=None)
+    def test_report_on_distinct_scales_never_raises(self, data):
+        # _power_fit sees only the report's positive values, and only when
+        # three or more of them are left, each at its own scale
+        ns, vs = data
+        rep = verify._make_report("r", ns, vs)
+        assert rep.values == tuple(vs)
+        assert rep.constant == (max(vs) if vs else 0.0)
 
     def test_power_fit_residual_zero_on_exact(self):
         slope, residual = _power_fit([1, 2, 3], [0.5, 0.25, 0.125])
@@ -321,14 +330,12 @@ class TestEntropy:
                          (2.0, math.inf)]:
             with pytest.raises(ParameterError):
                 verify_entropy(4, sigma=sigma, r=r, seed=0)
-        with pytest.raises(ParameterError):
-            # tau so tiny no admissible neighbourhood scale remains
-            verify_entropy(4, sigma=2.0, r=3.0, seed=0, tau=1e-12,
-                           grid_factor=1 << 10)
+        with pytest.raises(ParameterError, match="lower sigma$"):
+            # sigma so large no admissible neighbourhood scale remains
+            verify_entropy(4, sigma=1e6, r=3.0, seed=0)
 
     @pytest.mark.parametrize("bad", [
-        {"trials": 0}, {"trials": -2}, {"tau": math.nan}, {"tau": math.inf},
-        {"tau": 0.0}, {"tau": -1.0}, {"grid_factor": 0},
+        {"trials": 0}, {"trials": -2}, {"grid_factor": 0},
         {"grid_factor": -8}], ids=repr)
     def test_library_parameters_checked_before_any_fft(self, monkeypatch,
                                                        bad):
@@ -362,9 +369,22 @@ class TestEntropy:
     def test_circular_distance_placed_frequencies(self):
         M = 64 << 14
         freqs = verify._place_separated_frequencies(
-            64, M, M // 128, np.random.default_rng(4))
+            64, M, np.random.default_rng(4))
         assert np.array_equal(_circular_distance(freqs, M),
                               self.loop_circular_distance(freqs, M))
+
+    @given(st.integers(1, 256), st.integers(1, 1 << 14),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_placed_frequencies_are_separated(self, N, grid_factor, seed):
+        # the tau = 1/(2N) separation that verify_entropy assumes: spacing
+        # M/N less twice the jitter, M // (8N), is at least M/(2N)
+        M = N * grid_factor
+        freqs = verify._place_separated_frequencies(
+            N, M, np.random.default_rng(seed))
+        assert len(freqs) == N and 0 <= freqs[0] and freqs[-1] < M
+        gaps = np.diff(np.concatenate([freqs, [freqs[0] + M]]))
+        assert 2 * N * int(gaps.min()) >= M
 
     def test_dp_cells_checked_first(self, monkeypatch):
         def never(*args, **kwargs):
