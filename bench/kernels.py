@@ -1,4 +1,4 @@
-"""Time circlelab's variation DP and inverse FFT in-process, at pinned shapes.
+"""Time circlelab's kernels in-process, at pinned shapes.
 
 Usage (from the repository root):
 
@@ -9,17 +9,22 @@ on the (rows, S) transposed view of a C-ordered (S, rows) complex array
 of standard complex Gaussians (seed 0), so no copy is made, and large
 calls split across the process's CPUs as they do in a run.  The inverse
 FFT is `multiplier_variation`'s batched in-place transform of a (6, 2^18)
-stack, restored from a copy outside the timed region.  Each kernel runs
-once untimed, then --repeats times; the script prints one JSON document
-with each kernel's median and quartiles in seconds, and ns per DP cell
-(rows * S(S-1)/2 cells) or per FFT point.  --src times another tree's
-package (its ``src`` directory), so a parent commit and a change can be
-measured by one script on one host.
+stack, restored from a copy outside the timed region.  The coefficient
+search's phase matrix is `torus._independent_phase_matrix` at L = 5 and
+8192 samples, seed 0; the Weyl prefixes are `est` part 2's call at
+n = 12, `weyl_sum_prefixes` of squares at 64 int64 alphas k / 2^53
+(seed 0) to t_max = 2^13 - 1, every block drawn.  Each kernel runs once
+untimed, then --repeats times; the script prints one JSON document with
+each kernel's median and quartiles in seconds, and ns per DP cell
+(rows * S(S-1)/2 cells), per FFT point or per term.  --src times another
+tree's package (its ``src`` directory), so a parent commit and a change
+can be measured by one script on one host.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import platform
@@ -37,6 +42,10 @@ DP_SHAPES = ((8192, 4, 2.0), (8192, 5, 2.0), (1 << 18, 6, 3.0),
              (1 << 18, 12, 2.0), (16384, 16, 2.0), (256, 256, 2.0),
              (12288, 12, 2.0))
 IFFT_SHAPE = (6, 1 << 18)
+# (L, samples, seed) of the search's phase matrix
+PHASE_MATRIX = (5, 8192, 0)
+# est part 2's prefix call at n = 12: alphas, each k / 2^53, and t_max
+PREFIX_ALPHAS, PREFIX_DEN, PREFIX_T_MAX = 64, 1 << 53, (1 << 13) - 1
 
 
 def timings(fn, repeats: int, reset=None) -> list:
@@ -70,7 +79,8 @@ def main(argv=None) -> int:
         p.error("--repeats must be at least 2, for quartiles")
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    from circlelab import variation_values
+    from circlelab import IntPoly, variation_values, weyl_sum_prefixes
+    from circlelab.torus import _independent_phase_matrix
 
     rng = np.random.default_rng(0)
     kernels = []
@@ -88,6 +98,19 @@ def main(argv=None) -> int:
                    args.repeats, lambda: np.copyto(stack, src))
     kernels.append({"kernel": "ifft", "shape": list(IFFT_SHAPE),
                     **summary(secs, stack.size, "point")})
+    L, samples, seed = PHASE_MATRIX
+    secs = timings(lambda: _independent_phase_matrix(L, samples, seed),
+                   args.repeats)
+    kernels.append({"kernel": "_independent_phase_matrix", "L": L,
+                    "samples": samples, **summary(secs, L * samples, "term")})
+    k = (np.random.default_rng(0).random(PREFIX_ALPHAS)
+         * PREFIX_DEN).astype(np.int64)
+    squares = IntPoly([0, 0, 1])
+    secs = timings(lambda: collections.deque(weyl_sum_prefixes(
+        squares, PREFIX_T_MAX, k, PREFIX_DEN), maxlen=0), args.repeats)
+    kernels.append({"kernel": "weyl_sum_prefixes", "alphas": PREFIX_ALPHAS,
+                    "t_max": PREFIX_T_MAX,
+                    **summary(secs, PREFIX_ALPHAS * PREFIX_T_MAX, "term")})
     print(json.dumps({
         "src": os.path.abspath(args.src),
         "provenance": {"python": platform.python_version(),

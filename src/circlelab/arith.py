@@ -54,7 +54,7 @@ class ReducedFraction(NamedTuple("ReducedFraction", [("a", int),
     def __new__(cls, a: int, q: int):
         if q <= 0:
             raise ParameterError("denominator must be positive")
-        if not (0 <= a < q) and not (a == 0 and q == 1):
+        if not 0 <= a < q:
             raise ParameterError("numerator must satisfy 0 <= a < q")
         if math.gcd(a, q) != 1:
             raise ParameterError(f"{a}/{q} is not reduced")

@@ -8,14 +8,13 @@ subcommands that never sum a dyadic tail do not load it.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 
 import numpy as np
 
 from .errors import ParameterError, ResourceError
-from .expsum import _PHASE_CHUNK, _e_neg, _e_work
+from .expsum import _PHASE_CHUNK, _e_neg, _e_pos, _e_work
 
 
 def dyadic_gauss_mean(m: int) -> complex:
@@ -33,7 +32,7 @@ def dyadic_gauss_mean(m: int) -> complex:
         return 1.0 + 0.0j
     if m == 1:
         return 0.0 + 0.0j
-    z = 1.0 + 1.0j if m % 2 == 0 else cmath.exp(1j * math.pi / 4.0)
+    z = 1.0 + 1.0j if m % 2 == 0 else complex(_e_pos(0.125))
     return complex(math.ldexp(z.real, -(m // 2)),
                    math.ldexp(z.imag, -(m // 2)))
 
@@ -87,12 +86,6 @@ def _dyadic_frac(num: int, m: int) -> float:
     return math.ldexp(num / (1 << b), b - m)
 
 
-def _e_pos(x: float) -> complex:
-    """e(x) = exp(2 pi i x) for one phase 0 <= x <= 1, by the table kernel."""
-    out = np.empty(1, dtype=complex)
-    return complex(_e_neg(np.array([x]), out, _e_work(1))[0]).conjugate()
-
-
 def _fresnel_mean(num: int, m: int) -> complex:
     """int_0^1 e(c s^2) ds at c = num / 2^m, num >= 0, within about 2e-17.
 
@@ -128,8 +121,8 @@ def _fresnel_mean(num: int, m: int) -> complex:
         F = F * u + f_n
         G = G * u + g_n
     half = math.sqrt(inv_c) / 4.0
-    return complex(half, half) - _e_pos(_dyadic_frac(num, m)) * complex(
-        u * G, y * F)
+    ec = complex(_e_pos(_dyadic_frac(num, m)))
+    return complex(half, half) - ec * complex(u * G, y * F)
 
 
 def _euler_maclaurin_mean(m: int, T: int) -> complex:
@@ -138,7 +131,7 @@ def _euler_maclaurin_mean(m: int, T: int) -> complex:
     c = T^2/2^m, where g'(T)/(12T) = (pi i / 3) 2^-m e(c).  The odd
     derivatives of g vanish at 0, so no other boundary term appears."""
     sq = T * T
-    ec = _e_pos(_dyadic_frac(sq, m))
+    ec = complex(_e_pos(_dyadic_frac(sq, m)))
     # 1/(2T) as an int quotient: T may be past the float range
     return (_fresnel_mean(sq, m) + (ec - 1.0) * (1 / (2 * T))
             + complex(0.0, math.ldexp(math.pi / 3.0, -m)) * ec)
@@ -205,8 +198,6 @@ def fast_dyadic_quadratic_weyl(k: int, R: int, N: int) -> complex:
     if N < 1:
         raise ParameterError("N must be a positive integer")
     m = R - k
-    if m == 0:
-        return 1.0 + 0.0j
     full, tail = divmod(N, 1 << m) if N.bit_length() > m else (0, N)
     total = 0.0 + 0.0j
     if full:  # an int over an int divides correctly rounded

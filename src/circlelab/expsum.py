@@ -251,6 +251,14 @@ def _e_neg(ph: np.ndarray, out: np.ndarray, work) -> np.ndarray:
     return out
 
 
+def _e_pos(ph) -> np.ndarray:
+    """e(ph) = exp(2 pi i ph) for phases 0 <= ph <= 1 of any shape: the
+    package's one e(x), `_e_neg` on the flattened phases, conjugated."""
+    flat = np.reshape(ph, -1)
+    out = _e_neg(flat, np.empty(flat.size, dtype=complex), _e_work(flat.size))
+    return np.conjugate(out, out=out).reshape(np.shape(ph))
+
+
 def _esum(phase_chunks) -> complex:
     """sum e(-ph) over every phase of every chunk."""
     total = 0.0 + 0.0j

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (LENGTH_BUDGET, RUN_DP_CELL_BUDGET, SAMPLE_BIT_BUDGET,
                      ParameterError, check_budget)
 from .dyadic import check_tail_regime, fast_dyadic_quadratic_weyl
-from .expsum import check_count
+from .expsum import _e_pos, check_count
 from .varnorm import check_dp_cells, variation_values
 
 
@@ -55,7 +55,6 @@ def build_sequences(L: int, R: int) -> CounterexampleParams:
             f"R={R} too small for L={L}: sequences leave the admissible range")
     k = [0] * L
     j = [0] * L
-    k[L - 1] = 0
     j[L - 1] = -((L - R) // 2)  # ceil((R - L) / 2)
     for l in range(L - 1, 0, -1):
         k[l - 1] = R - j[l]
@@ -176,7 +175,7 @@ def eta_error(coeffs: Sequence[complex], params: CounterexampleParams,
     if W is None:
         W = eta_multipliers(params)
     phases = _ladder_phases(params, sample_count, seed)
-    az = np.exp(2j * math.pi * phases) * a[:, None]   # (L, samples)
+    az = _e_pos(phases) * a[:, None]   # (L, samples)
     partial = _partial_sums(az.copy())
     # row l-1 = K_{2^{j_l}} * f, formed sample-major: W @ az rounds
     # differently in the last bit.  BLAS on purpose: these are the
@@ -195,7 +194,7 @@ def v2_partial_sums_norm(coeffs: Sequence[complex],
     a = _ladder_coeffs(coeffs, params)
     check_samples(params, sample_count)
     phases = _ladder_phases(params, sample_count, seed)
-    return _partial_sum_objective(a, np.exp(2j * math.pi * phases))
+    return _partial_sum_objective(a, _e_pos(phases))
 
 
 def _independent_phase_matrix(L: int, sample_count: int,
@@ -208,7 +207,7 @@ def _independent_phase_matrix(L: int, sample_count: int,
     """
     rows = [np.random.default_rng([seed, i]).random(sample_count)
             for i in range(L)]
-    return np.exp(2j * math.pi * np.stack(rows))
+    return _e_pos(np.stack(rows))
 
 
 def _partial_sum_objective(coeffs: np.ndarray, z: np.ndarray,

@@ -206,8 +206,6 @@ def short_variation(seq: IndexedSeq, r: float) -> VariationResult:
     blocks = []
     flat = []
     for _, members in _dyadic_blocks(seq.indices):
-        if len(members) < 2:
-            continue
         power, chain = _optimal_chain([seq.values[j] for j in members], r)
         if power > 0:
             total += power

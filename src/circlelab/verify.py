@@ -17,7 +17,7 @@ from .arith import ArcParams, IntPoly, ReducedFraction, arc_labels
 from .errors import (ALPHA_BYTE_BUDGET, LENGTH_BUDGET, PHASE_TERM_BUDGET,
                      RUN_DP_CELL_BUDGET, Budget, ParameterError,
                      ResourceError, check_budget)
-from .expsum import check_count, weyl_sum_prefixes
+from .expsum import _e_pos, check_count, weyl_sum_prefixes
 
 # the Z/M experiments (smooth, entropy, main-decomp) import spectral and
 # varnorm inside their functions, so that `est` loads neither
@@ -224,7 +224,7 @@ def _ramp_multipliers(N: int, M: int, A: float, a: float, rng) -> np.ndarray:
         if pos > A or pos < -A:
             step = -step
             pos += 2 * step
-    phases = np.exp(2j * math.pi * rng.random(M))
+    phases = _e_pos(rng.random(M))
     return path[:, None] * phases[None, :]
 
 

@@ -237,6 +237,14 @@ def test_one_arc_classifier():
     assert reference_sites("torus_distance") == set()
 
 
+def test_one_e_kernel():
+    # every e(x) of the package, from the ladder's samples and the search's
+    # phases to smooth's ramp and the dyadic tails, comes from expsum's
+    # table kernel, _e_neg or its conjugate _e_pos; np.exp, cmath.exp and
+    # mpmath are the tests' oracles
+    assert reference_sites("exp") == set()
+
+
 def test_alphas_stay_integer_numerators():
     # an alpha goes from est's draws to the residue kernel as an integer
     # numerator over a denominator; Fraction appears only where an exact

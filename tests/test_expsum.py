@@ -20,9 +20,9 @@ from circlelab.arith import congruence_data
 from circlelab.dyadic import (_PI_FIXED, _euler_maclaurin_mean,
                               _fresnel_mean, _sin_pi, check_tail_regime)
 from circlelab.errors import PHASE_TERM_BUDGET
-from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, _e_neg, _e_work,
-                              _limb_phases, _phase_chunks, _residue_rows,
-                              residue_counts)
+from circlelab.expsum import (_CACHE_CHUNK, _LIMB_PAIR, _e_neg, _e_pos,
+                              _e_work, _limb_phases, _phase_chunks,
+                              _residue_rows, residue_counts)
 from oracles import (bigint_phase_chunks, complete_dyadic_gauss,
                      direct_dyadic_tail_mean, eval_poly, exp_terms,
                      farey_level, quadratic_gauss_row)
@@ -410,10 +410,10 @@ class TestLimbPath:
         assert got.view(np.uint64) == np.float64(r / den).view(np.uint64)
 
 
-def e_mp_error(ph: float, z: complex) -> float:
-    """Largest component error of z against e(-ph) to 40 digits."""
+def e_mp_error(ph: float, z: complex, sign: int = -1) -> float:
+    """Largest component error of z against e(sign ph) to 40 digits."""
     with mpmath.workdps(40):
-        want = mpmath.exp(-2j * mpmath.pi * mpmath.mpf(ph))
+        want = mpmath.exp(sign * 2j * mpmath.pi * mpmath.mpf(ph))
         return float(max(abs(mpmath.mpf(z.real) - want.real),
                          abs(mpmath.mpf(z.imag) - want.imag)))
 
@@ -453,6 +453,28 @@ class TestExpKernel:
         # several in-cache sub-chunks, and their seams
         ph = np.random.default_rng(seed).random(n)
         assert np.abs(e_neg(ph) - exp_terms(ph)).max() <= 1.5e-15
+
+
+class TestEPos:
+    """e(ph), the package's one e(x): e(-ph) conjugated, in any shape."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_conjugate_of_e_neg_in_its_shape(self, shape):
+        ph = np.random.default_rng(len(shape)).random(shape)
+        want = np.conjugate(e_neg(np.reshape(ph, -1)))
+        for arg in (ph, ph.tolist()):  # a Python float at shape ()
+            got = _e_pos(arg)
+            assert got.shape == shape
+            assert same_bits(got.reshape(-1), want)
+
+    def test_edges_against_mpmath(self):
+        ph = np.array(EDGE_PHASES)
+        n = len(ph) // 3
+        for arr in (ph[:3 * n].reshape(3, n), ph):
+            got = _e_pos(arr)
+            worst = max(e_mp_error(p, z, 1) for p, z
+                        in zip(arr.reshape(-1).tolist(), got.reshape(-1)))
+            assert worst <= 7e-16
 
 
 class TestGaussWeight:
