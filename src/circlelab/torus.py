@@ -17,7 +17,12 @@ from .errors import (LENGTH_BUDGET, RUN_DP_CELL_BUDGET, SAMPLE_BIT_BUDGET,
                      ParameterError, check_budget)
 from .dyadic import check_tail_regime, fast_dyadic_quadratic_weyl
 from .expsum import _e_pos, check_count
-from .varnorm import check_dp_cells, variation_values
+from .varnorm import (_best_power_sums, _dp_workspace, check_dp_cells,
+                      variation_values)
+
+# a start of the coefficient search stops once a power step raises its
+# objective by no more than this, relatively
+POWER_RISE_TOL = 1e-12
 
 
 class CounterexampleParams(NamedTuple):
@@ -210,25 +215,90 @@ def _independent_phase_matrix(L: int, sample_count: int,
     return _e_pos(np.stack(rows))
 
 
-def _partial_sum_objective(coeffs: np.ndarray, z: np.ndarray,
-                           out: Optional[np.ndarray] = None) -> float:
-    """RMS over the samples of V^2 of the partial sums of coeffs * z; they
-    are built in `out`, an (L, samples) complex array, when it is given."""
-    p = _partial_sums(np.multiply(z, coeffs[:, None], out=out))
-    v = variation_values(p.T, 2.0)
+def _v2_rms(v: np.ndarray) -> float:
+    """The RMS of the samples' V^2 values."""
     return float(np.sqrt(np.mean(v ** 2)))
+
+
+def _partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:
+    """RMS over the samples of V^2 of the partial sums of coeffs * z."""
+    p = _partial_sums(z * coeffs[:, None])
+    return _v2_rms(variation_values(p.T, 2.0))
+
+
+def _chain_gradient(b, pred, p, z, d) -> np.ndarray:
+    """The gradient of Phi^2 = mean V^2(S f)^2 in the real coefficients.
+
+    b and pred are the chain-mode DP of the partial sums p = S f (L,
+    samples) of the coefficients times z.  A sample's chain ends at its
+    first slot at the max and follows pred to slot 0; t in its block
+    [i, j) gains 2 Re(conj(p_i - p_j) z_t), averaged over the samples, so
+    t = L - 1 gains 0.  d is an (L - 1, samples) complex buffer.  This is
+    `_optimal_chain`'s chain, which stops at a slot of power sum 0: a
+    slot s > 0 of power sum 0 has p_i = p_s for i < s, so a successor's
+    first maximal predecessor is never s (unless |p_s - p_i|^2 underflows).
+    """
+    L, n = p.shape
+    end = (b < b[-1]).sum(axis=0)   # b rises along j
+    on = np.empty((L, n), dtype=bool)   # the slots of each sample's chain
+    on[0] = True
+    nxt = end.copy()
+    for j in range(L - 1, 0, -1):
+        np.equal(nxt, j, out=on[j])
+        # an arithmetic select: masked ones cost about 3 ns an element
+        nxt += on[j] * (pred[j] - j)
+    # d[t] = p at the last chain slot <= t minus p at the first one > t;
+    # past the chain's end d is 0, as p_j = p_end there (b[j] = b[end])
+    fill = p[0]
+    for t in range(L - 1):
+        d[t] = fill = np.where(on[t], p[t], fill)
+    fill = p[-1]
+    for t in range(L - 2, -1, -1):
+        fill = np.where(on[t + 1], p[t + 1], fill)
+        d[t] -= fill
+    # Re(conj(d) z) summed as the interleaved (re, im) products
+    prods = d.view(float)
+    prods *= z[:L - 1].view(float)
+    return np.append(prods.sum(axis=1) * (2.0 / n), 0.0)
+
+
+def _power_ascent(a: np.ndarray, z: np.ndarray, steps: int, bufs):
+    """Boyd's power method for Phi(a) = ||V^2(S f)||_2 from unit a.
+
+    A step moves to g / ||g||, g the gradient of the convex Phi^2, so
+    g . a = 2 Phi^2 > 0 and Phi never falls.  At most `steps` steps; it
+    stops once Phi rises by no more than POWER_RISE_TOL, relatively.  Phi
+    is `_partial_sum_objective`'s, from the DP's last row.  `bufs` is the
+    held (workspace, pred, p, d).  Returns Phi's history and the best a.
+    """
+    work, pred, p, d = bufs
+    history, best = [], a
+    for step in range(steps + 1):
+        _partial_sums(np.multiply(z, a[:, None], out=p))
+        b = _best_power_sums(p, 2.0, work, pred)
+        phi = _v2_rms(b[-1] ** (1.0 / 2.0))
+        risen = not history or phi > history[-1] * (1.0 + POWER_RISE_TOL)
+        if not history or phi > history[-1]:
+            best = a
+        history.append(phi)
+        if not risen or step == steps:
+            break
+        g = _chain_gradient(b, pred, p, z, d)
+        a = g / math.hypot(*g)
+    return history, best
 
 
 def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
                         sample_count: int = 8192,
                         init: Optional[Sequence[float]] = None):
-    """Maximize ||V^2(S_m f)||_2 over unit-norm coefficient vectors.
+    """Maximize ||V^2(S_m f)||_2 over unit-norm real coefficient vectors.
 
-    Projected random-direction ascent with restarts over non-negative real
-    coefficients (the objective is invariant under per-term phase
-    rotations since the sampled phases are uniform).  Deterministic given
-    the seed; common random numbers are reused across all candidate
-    evaluations.
+    `_power_ascent` from `init` (made non-negative, zero-padded and
+    normalized; one with no weight off the last rung has Phi = 0 and is
+    replaced), else from the uniform vector, then from `restarts` random
+    starts of the generator of (seed, 999), each for at most `iterations`
+    steps.  Returns the best iterate and its objective.  All steps share
+    the phases, one DP workspace, one predecessor table and one buffer.
     """
     if L < 2:
         raise ParameterError("L must be >= 2")
@@ -238,53 +308,28 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
                 "the sample count")
     check_dp_cells(sample_count, L, "L")
     # every start is evaluated once and then once per iteration at most
+    # (an init takes the uniform start's place, so it counts one too many)
     check_budget(RUN_DP_CELL_BUDGET,
                  (restarts + 1 + (init is not None)) * (iterations + 1)
                  * sample_count * (L * (L - 1) // 2),
                  "the coefficient search", "the restarts or the iterations")
-    z = _independent_phase_matrix(L, sample_count, seed)
-    # one buffer for every evaluation: a fresh (L, samples) array each time
-    # can land on new pages, and each page costs a fault when first written
-    buf = np.empty_like(z)
-    rng = np.random.default_rng([seed, 999])
-
-    def project(a):
-        a = np.abs(np.asarray(a, dtype=float))
-        # BLAS on purpose: L coefficients, far below a threaded dot, and
-        # its bits steer the accept/reject path of the search
-        nrm = np.linalg.norm(a)
-        if nrm == 0:
-            a = np.ones(L)
-            nrm = math.sqrt(L)
-        return a / nrm
-
-    starts = []
+    first = np.ones(L)
     if init is not None:
         if len(init) > L:
             raise ParameterError("init longer than L")
         padded = np.zeros(L)
         padded[:len(init)] = np.abs(np.asarray(init, dtype=float))
-        starts.append(project(padded))
-    e1 = np.zeros(L)
-    e1[0] = 1.0
-    starts.append(e1)
-    while len(starts) < restarts + (init is not None) + 1:
-        starts.append(project(rng.random(L)))
-
-    best_a, best_val = None, -math.inf
-    for start in starts:
-        a = start.copy()
-        val = _partial_sum_objective(a, z, buf)
-        step = 0.3
-        for _ in range(iterations):
-            cand = project(a + step * rng.standard_normal(L))
-            cval = _partial_sum_objective(cand, z, buf)
-            if cval > val:
-                a, val = cand, cval
-            else:
-                step *= 0.97
-                if step < 1e-4:
-                    break
-        if val > best_val:
-            best_a, best_val = a, val
-    return tuple(best_a), best_val
+        if padded[:-1].any():
+            first = padded
+    z = _independent_phase_matrix(L, sample_count, seed)
+    rng = np.random.default_rng([seed, 999])
+    bufs = (_dp_workspace(L, sample_count),
+            np.empty((L, sample_count), dtype=np.intp), np.empty_like(z),
+            np.empty((L - 1, sample_count), dtype=complex))
+    best_a, best_phi = None, -math.inf
+    for start in [first] + [rng.random(L) for _ in range(restarts)]:
+        history, a = _power_ascent(start / math.hypot(*start), z,
+                                   iterations, bufs)
+        if max(history) > best_phi:
+            best_a, best_phi = a, max(history)
+    return tuple(best_a), best_phi

@@ -113,7 +113,8 @@ def _power(c: np.ndarray, r: float, sq: Optional[np.ndarray] = None):
     return c
 
 
-def _best_power_sums(v: np.ndarray, r: float, work) -> np.ndarray:
+def _best_power_sums(v: np.ndarray, r: float, work,
+                     pred: Optional[np.ndarray] = None) -> np.ndarray:
     """b[j, c]: the largest sum of |f_b - f_a|^r over chains ending at j.
 
     `v` is an (S, cols) complex array with contiguous rows, one family per
@@ -122,6 +123,11 @@ def _best_power_sums(v: np.ndarray, r: float, work) -> np.ndarray:
     columns, so no step allocates.  A singleton chain has power sum 0.
     Overflow to inf is wrong (V^r stays finite as r grows); it waits for
     ROADMAP item 2's scale-safe DP.
+
+    Chain mode: given an (S, cols) intp table `pred`, the kernel also
+    writes pred[j, c], the first i < j whose candidate b[i, c] +
+    |f_j - f_i|^r is b[j, c] (row 0, which has no predecessor, gets 0).
+    The power sums are the default mode's bits.
     """
     S, cols = v.shape
     n = max(S - 1, 0)
@@ -131,6 +137,8 @@ def _best_power_sums(v: np.ndarray, r: float, work) -> np.ndarray:
     # once its |.| is taken (a fourth buffer re-faulted in small calls)
     sq = work[1].view(float)[:n * cols].reshape(n, cols)
     b[0] = 0.0
+    if pred is not None:
+        pred[0] = 0
     with np.errstate(over="ignore"):
         for j in range(1, S):
             c = cand[:j]
@@ -139,25 +147,33 @@ def _best_power_sums(v: np.ndarray, r: float, work) -> np.ndarray:
             _power(c, r, sq[:j])
             c += b[:j]
             c.max(axis=0, out=b[j])
+            if pred is not None:
+                # the least i at the max: a scan down from j - 1 moving to
+                # each i at it, selecting by arithmetic (a masked copy of
+                # random masks costs about 3 ns an element)
+                pred[j] = j - 1
+                for i in range(j - 2, -1, -1):
+                    pred[j] += (c[i] == b[j]) * (i - pred[j])
     return b
 
 
 def _optimal_chain(values: Sequence[complex], r: float):
     """Max over increasing chains of sum |f_j - f_i|^r, and one such chain.
 
-    The chain is read back from `best`: the predecessor of j is the first
-    i whose candidate, recomputed with the DP's own expression, is largest.
+    The chain ends at the first maximal slot and is read back from the
+    kernel's chain mode: each slot's first maximal predecessor, until a
+    slot whose best power sum is 0.
     """
     v = np.asarray(values, dtype=complex)
     check_dp_cells(1, len(v), "the number of values")
-    best = _best_power_sums(v[:, None], r, _dp_workspace(len(v), 1))[:, 0]
+    pred = np.empty((len(v), 1), dtype=np.intp)
+    best = _best_power_sums(v[:, None], r, _dp_workspace(len(v), 1),
+                            pred)[:, 0]
     end = j = int(np.argmax(best))
     chain = [end]
-    with np.errstate(over="ignore"):
-        while best[j] > 0:
-            j = int(np.argmax(best[:j] + _power(np.abs(v[j:j + 1] - v[:j]),
-                                                r)))
-            chain.append(j)
+    while best[j] > 0:
+        j = int(pred[j, 0])
+        chain.append(j)
     return float(best[end]), chain[::-1]
 
 

@@ -14,6 +14,11 @@ family one `ifft` at a time, the oracle of `multiplier_variation`.
 acceptance criterion 10 bounds.
 `cumsum_partial_sum_objective` is the ladder search's objective on
 sample-major phases, by reversed cumulative sums.
+`recomputed_predecessors` and `recomputed_chain` read the variation DP's
+first maximal predecessors back by recomputing each candidate from the
+default mode's table, the oracles of the DP's chain mode.
+`chain_gradient` is the gradient of the ladder objective's square,
+sample by sample along `recomputed_chain`'s chains.
 `torus_distance` is the exact distance of a `Fraction` to the nearest
 integer.  `farey_level` builds the Farey level s, every reduced a/q
 with q in [2^s, 2^(s+1)), and `fractions_near` finds the level-s
@@ -61,6 +66,7 @@ from circlelab.arith import ArcLabels, _arc_dtype
 from circlelab.expsum import (_PHASE_CHUNK, _esum, _phase_chunks,
                               residue_counts)
 from circlelab.spectral import _pairwise_norm
+from circlelab.varnorm import _best_power_sums, _dp_workspace, _power
 from circlelab.verify import _power_fit
 
 
@@ -132,6 +138,57 @@ def cumsum_partial_sum_objective(coeffs: np.ndarray, z: np.ndarray) -> float:
     partial = np.cumsum((z * coeffs[None, :])[:, ::-1], axis=1)[:, ::-1]
     v = variation_values(partial, 2.0)
     return float(np.sqrt(np.mean(v ** 2)))
+
+
+def recomputed_predecessors(v: np.ndarray, r: float) -> np.ndarray:
+    """pred[j, c] for the (S, cols) family columns of v: the first i < j
+    whose candidate best[i] + |v_j - v_i|^r, recomputed column by column
+    with the DP's own expression from its default-mode table, is largest;
+    row 0 is 0."""
+    S, cols = v.shape
+    best = _best_power_sums(v, r, _dp_workspace(S, cols))
+    pred = np.zeros((S, cols), dtype=np.intp)
+    with np.errstate(over="ignore"):
+        for c in range(cols):
+            col = np.ascontiguousarray(v[:, c])
+            for j in range(1, S):
+                pred[j, c] = np.argmax(
+                    best[:j, c] + _power(np.abs(col[j:j + 1] - col[:j]), r))
+    return pred
+
+
+def recomputed_chain(values, r: float):
+    """Max over increasing chains of sum |f_j - f_i|^r, and one such chain:
+    it ends at the first maximal slot, and the predecessor of j is the
+    first i whose candidate, recomputed with the DP's own expression, is
+    largest, until a slot whose best power sum is 0."""
+    v = np.asarray(values, dtype=complex)
+    best = _best_power_sums(v[:, None], r, _dp_workspace(len(v), 1))[:, 0]
+    end = j = int(np.argmax(best))
+    chain = [end]
+    with np.errstate(over="ignore"):
+        while best[j] > 0:
+            j = int(np.argmax(best[:j] + _power(np.abs(v[j:j + 1] - v[:j]),
+                                                r)))
+            chain.append(j)
+    return float(best[end]), chain[::-1]
+
+
+def chain_gradient(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The gradient of the mean over the samples of V^2(S f)^2 in the real
+    coefficients, for (L, samples) phases z: t in a block [i, j) of a
+    sample's `recomputed_chain` gains 2 Re(conj(S_i f - S_j f) z_t),
+    summed sample by sample in Python floats."""
+    L, n = z.shape
+    p = np.cumsum((z * coeffs[:, None])[::-1], axis=0)[::-1]
+    g = [0.0] * L
+    for s in range(n):
+        _, chain = recomputed_chain(p[:, s], 2.0)
+        for i, j in zip(chain, chain[1:]):
+            d = complex(p[i, s] - p[j, s])
+            for t in range(i, j):
+                g[t] += 2.0 * (d.conjugate() * complex(z[t, s])).real
+    return np.array(g) / n
 
 
 def torus_distance(x: Fraction) -> Fraction:

@@ -221,8 +221,7 @@ def test_blas_only_where_its_threads_and_bits_are_wanted():
     # the norms of M-length arrays go through spectral._pairwise_norm,
     # whose sum order and thread count never depend on BLAS; each site
     # left says in a comment why it keeps BLAS
-    assert blas_sites() == {"torus.eta_error", "torus.search_coefficients",
-                            "verify._power_fit"}
+    assert blas_sites() == {"torus.eta_error", "verify._power_fit"}
 
 
 def test_one_arc_classifier():

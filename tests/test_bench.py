@@ -234,3 +234,46 @@ def test_tracer_follows_the_traced_files_and_new_threads(tmp_path):
     assert sys.gettrace() is before
     assert never_run.report(tracer) == ["synthetic.py:9  raise ValueError(",
                                         "synthetic.py:16  pass"]
+
+
+def test_kernel_pairs_alternate_and_count_wins(monkeypatch):
+    # the parent runs first in even pairs; the change's lower medians win
+    calls = []
+    medians = {"parent": iter([3.0, 2.0, 5.0, 1.0]),
+               "change": iter([2.5, 2.0, 4.0, 1.5])}
+
+    def child(src, name, repeats):
+        calls.append(src)
+        return {"name": name, "kernel": "k", "median_s": next(medians[src]),
+                "q1_s": 0.0, "ns_per_cell": 1.0, "cells": 4}
+
+    monkeypatch.setattr(kernels, "run_child", child)
+    (out,) = kernels.compare_trees({"parent": "parent", "change": "change"},
+                                   ["dp-8192x4-r2"], 4, 3)
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    assert out["parent"]["values"] == [3.0, 2.0, 5.0, 1.0]
+    assert out["pairs_change_better"] == 2 and out["pairs"] == 4
+    assert out["name"] == "dp-8192x4-r2" and out["cells"] == 4
+    assert "ns_per_cell" not in out and "q1_s" not in out
+
+
+def test_kernel_one_side_lacks(monkeypatch):
+    # a kernel only the change has keeps the change's runs and no count
+    monkeypatch.setattr(kernels, "run_child", lambda src, name, repeats:
+                        None if src == "parent" else
+                        {"name": name, "median_s": 1.0})
+    (out,) = kernels.compare_trees({"parent": "parent", "change": "change"},
+                                   ["chain-dp-8192x5-r2"], 2, 3)
+    assert "parent" not in out and out["change"]["values"] == [1.0, 1.0]
+    assert "pairs_change_better" not in out
+
+
+def test_every_kernel_is_named_and_set_up():
+    # the search and chain-mode kernels beside the DP shapes, each set up
+    # from this tree (nothing is timed here)
+    assert {"chain-dp-8192x5-r2", "search-L4-200-2",
+            "search-L5-100-2"} <= set(kernels.KERNELS)
+    for name, (setup, args) in kernels.KERNELS.items():
+        if name.startswith(("chain", "search")):
+            fn, reset, work, unit, fields = setup(*args)
+            assert callable(fn) and work > 0 and fields["kernel"]

@@ -15,15 +15,16 @@ from circlelab import (CounterexampleParams, IntPoly, ParameterError,
                        eta_error, exact_ladder_radius,
                        fast_dyadic_quadratic_weyl, search_coefficients,
                        v2_partial_sums_norm, weyl_sum)
-from circlelab import expsum
+from circlelab import expsum, torus
 from circlelab.errors import LENGTH_BUDGET, PHASE_TERM_BUDGET
 from circlelab.torus import (_independent_phase_matrix, _ladder_phases,
                              _partial_sum_objective, _partial_sums,
                              check_samples, eta_multipliers)
 
-from oracles import (cumsum_partial_sum_objective, direct_dyadic_tail_mean,
-                     eval_dyadic, eval_float, l2_norm,
-                     per_sample_ladder_phases)
+from oracles import (chain_gradient, cumsum_partial_sum_objective,
+                     direct_dyadic_tail_mean, eval_dyadic, eval_float,
+                     l2_norm, per_sample_ladder_phases,
+                     recomputed_predecessors)
 from test_varnorm import assert_bitwise_equal
 
 SQUARES = IntPoly([0, 0, 1])
@@ -341,16 +342,40 @@ class TestLadderPhases:
         assert math.isfinite(val) and val > 0
 
 
+def recorded_ascents(monkeypatch):
+    """Each start's `_power_ascent` call of the searches that follow: its
+    start vector, its history and the iterate it returned."""
+    calls = []
+    real = torus._power_ascent
+
+    def recorded(a, z, steps, bufs):
+        history, best = real(a, z, steps, bufs)
+        calls.append((a.copy(), history, best))
+        return history, best
+
+    monkeypatch.setattr(torus, "_power_ascent", recorded)
+    return calls
+
+
 class TestSearch:
-    def test_zero_iterations_and_restarts_return_e1(self):
+    def test_zero_iterations_and_restarts_return_uniform(self):
         coeffs, val = search_coefficients(3, 0, 0, 1)
-        assert coeffs == (1.0, 0.0, 0.0)
+        assert coeffs == (1 / math.sqrt(3),) * 3
         z = _independent_phase_matrix(3, 8192, 1)
         assert val == _partial_sum_objective(np.array(coeffs), z)
 
-    def test_L2_optimum_is_one(self):
-        _, val = search_coefficients(2, iterations=150, restarts=2, seed=0)
-        assert val == pytest.approx(1.0, abs=0.01)
+    def test_L2_optimum_is_exactly_one(self):
+        # V^2 of two partial sums is |a_1 z_1|: the step moves to e_1
+        for seed in range(3):
+            coeffs, val = search_coefficients(2, 150, 2, seed)
+            assert coeffs == (1.0, 0.0) and val == 1.0
+
+    @pytest.mark.parametrize("L", [3, 4, 5, 6])
+    def test_last_coefficient_is_exactly_zero(self, L):
+        # a_L z_L is in every partial sum and cancels in every difference,
+        # so no chain block reaches it and its gradient entry is 0
+        coeffs, _ = search_coefficients(L, 200, 2, 0)
+        assert coeffs[-1] == 0.0 and all(c > 0 for c in coeffs[:-1])
 
     def test_L3_matches_grid_oracle(self):
         z = _independent_phase_matrix(3, 4096, 0)
@@ -380,31 +405,127 @@ class TestSearch:
         a = search_coefficients(2, 50, 1, 7)
         b = search_coefficients(2, 50, 1, 7)
         assert a == b
+        assert search_coefficients(5, 50, 2, 7) == \
+            search_coefficients(5, 50, 2, 7)
+
+    @pytest.mark.parametrize("L,seed", [(L, seed) for L in (2, 3, 4, 5, 6)
+                                        for seed in (0, 1)])
+    def test_history_never_decreases(self, L, seed, monkeypatch):
+        # Boyd: Phi^2 is convex and g . a = 2 Phi^2, so a step to g/|g|
+        # never lowers Phi; in floats a fixed point can fall by an ulp
+        # (seen at L = 3, the uniform start's second step), which stops it
+        calls = recorded_ascents(monkeypatch)
+        coeffs, val = search_coefficients(L, 200, 2, seed)
+        assert len(calls) == 3
+        for start, history, best in calls:
+            assert all(b >= a * (1 - 2.0 ** -50)
+                       for a, b in zip(history, history[1:]))
+            assert all(b > a * (1 + torus.POWER_RISE_TOL)
+                       for a, b in zip(history[:-2], history[1:-1]))
+        # the best iterate of the best start is returned
+        top = max(max(h) for _, h, _ in calls)
+        assert any(tuple(best) == coeffs and max(h) == top
+                   for _, h, best in calls)
+        assert val == top == _partial_sum_objective(
+            np.array(coeffs), _independent_phase_matrix(L, 8192, seed))
+
+    def test_best_iterate_when_the_last_step_falls(self, monkeypatch):
+        # at L = 3, seed 3 and 2048 samples the uniform start's second
+        # step falls by an ulp: the first step's iterate is returned
+        calls = recorded_ascents(monkeypatch)
+        coeffs, val = search_coefficients(3, 200, 0, 3, sample_count=2048)
+        ((start, history, best),) = calls
+        assert len(history) == 3 and history[2] < history[1]
+        assert val == history[1] == _partial_sum_objective(
+            np.array(coeffs), _independent_phase_matrix(3, 2048, 3))
+        assert coeffs == tuple(best)
+
+    def test_both_stops(self, monkeypatch):
+        calls = recorded_ascents(monkeypatch)
+        # the cap: one step each, from every start
+        search_coefficients(5, 1, 2, 0)
+        assert [len(h) for _, h, _ in calls] == [2, 2, 2]
+        assert all(h[1] > h[0] for _, h, _ in calls)
+        # the rise: every start stops before the cap, at the first step
+        # that raises Phi by no more than 1e-12, relatively
+        calls.clear()
+        search_coefficients(5, 200, 2, 0)
+        for _, h, _ in calls:
+            assert len(h) < 201
+            assert h[-1] <= h[-2] * (1 + 1e-12)
+            assert all(b > a * (1 + 1e-12) for a, b in zip(h[:-2], h[1:-1]))
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
-    def test_same_search_with_cumsum_objective(self, L):
-        # the search path depends on every bit of every objective value
-        got = search_coefficients(L, 60, 2, L)
-        with mock.patch("circlelab.torus._partial_sum_objective",
-                        lambda c, z, out: cumsum_partial_sum_objective(
-                            c, np.ascontiguousarray(z.T))):
-            want = search_coefficients(L, 60, 2, L)
+    def test_same_search_with_recomputed_chains(self, L, monkeypatch):
+        # the chain mode's predecessors replaced by the recompute loop's:
+        # every step, and so the whole search, is bitwise the same; the
+        # objective is the cumsum oracle's at the returned coefficients
+        got = search_coefficients(L, 60, 2, L, sample_count=256)
+        real = torus._best_power_sums
+
+        def recomputed(v, r, work, pred=None):
+            table = real(v, r, work)
+            if pred is not None:
+                pred[...] = recomputed_predecessors(v, r)
+            return table
+
+        monkeypatch.setattr(torus, "_best_power_sums", recomputed)
+        want = search_coefficients(L, 60, 2, L, sample_count=256)
         assert got == want
+        z = _independent_phase_matrix(L, 256, L)
+        assert got[1] == cumsum_partial_sum_objective(
+            np.array(got[0]), np.ascontiguousarray(z.T))
 
-    def test_one_buffer_for_every_evaluation(self):
-        # a fresh (L, samples) product per evaluation can land on new
-        # pages, each faulted in when first written
-        outs = []
+    @given(L=st.integers(2, 6), samples=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1), lattice=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_gradient_matches_chain_oracle(self, L, samples, seed, lattice):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            # phases on the eighths and coefficients 0, 1 or 2: equal
+            # partial sums and tied chains
+            z = expsum._e_pos(rng.integers(0, 8, (L, samples)) / 8.0)
+            a = rng.integers(0, 3, L).astype(float)
+        else:
+            z = expsum._e_pos(rng.random((L, samples)))
+            a = rng.random(L)
+        p = _partial_sums(z * a[:, None])
+        work = torus._dp_workspace(L, samples)
+        pred = np.empty((L, samples), dtype=np.intp)
+        b = torus._best_power_sums(p, 2.0, work, pred)
+        d = np.empty((L - 1, samples), dtype=complex)
+        g = torus._chain_gradient(b, pred, p, z, d)
+        want = chain_gradient(a, z)
+        assert g[-1] == 0.0 and want[-1] == 0.0
+        assert g == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-        def recorded(c, z, out):
-            outs.append(out)
-            return _partial_sum_objective(c, z, out)
+    def test_one_workspace_for_every_step(self, monkeypatch):
+        # a fresh workspace, table or (L, samples) buffer per step can land
+        # on new pages, each faulted in when first written; the reported
+        # objective comes from the kept table row, so variation_values
+        # (which makes a workspace per call) is never called
+        calls = []
+        real_dp = torus._best_power_sums
 
-        with mock.patch("circlelab.torus._partial_sum_objective", recorded):
-            got = search_coefficients(3, 20, 1, 0)
+        def dp(v, r, work, pred=None):
+            calls.append((v, work, pred))
+            return real_dp(v, r, work, pred)
+
+        def never(*args):
+            raise AssertionError("a DP outside the held workspace")
+
+        monkeypatch.setattr(torus, "_best_power_sums", dp)
+        monkeypatch.setattr(torus, "variation_values", never)
+        got = search_coefficients(3, 20, 1, 0)
+        monkeypatch.undo()
         assert got == search_coefficients(3, 20, 1, 0)
-        assert len(outs) > 2 and all(out is outs[0] for out in outs)
-        assert outs[0].shape == (3, 8192)
+        v0, work0, pred0 = calls[0]
+        assert len(calls) > 4 and all(
+            v is v0 and pred is pred0
+            and all(a is b for a, b in zip(work, work0))
+            for v, work, pred in calls)
+        assert v0.shape == pred0.shape == (3, 8192)
+        assert pred0.dtype == np.intp
 
     def test_L_validation(self):
         with pytest.raises(ParameterError):
@@ -415,18 +536,23 @@ class TestSearch:
             search_coefficients(2, 0, 0, 0, sample_count=64,
                                 init=[1.0, 0.5, 0.25])
 
-    def test_zero_init_starts_uniform(self):
-        # a start of norm 0 cannot be normalized: it becomes 1/sqrt(L)
-        starts = []
-
-        def recorded(c, z, out):
-            starts.append(c.copy())
-            return _partial_sum_objective(c, z, out)
-
-        with mock.patch("circlelab.torus._partial_sum_objective", recorded):
-            search_coefficients(3, 0, 0, 0, sample_count=64, init=[0.0, 0.0])
+    @pytest.mark.parametrize("init", [[0.0, 0.0], [0.0, 0.0, 2.0]])
+    def test_zero_init_starts_uniform(self, init, monkeypatch):
+        # an init with no weight off the last rung has Phi = 0 and no
+        # gradient: the uniform vector starts in its place
+        calls = recorded_ascents(monkeypatch)
+        search_coefficients(3, 0, 1, 0, sample_count=64, init=init)
+        starts = [start for start, _, _ in calls]
         assert_bitwise_equal(starts[0], np.full(3, 1 / math.sqrt(3)))
-        assert_bitwise_equal(starts[1], np.array([1.0, 0.0, 0.0]))
+        rand = np.random.default_rng([0, 999]).random(3)
+        assert_bitwise_equal(starts[1], rand / math.hypot(*rand))
+        assert len(starts) == 2
+
+    def test_init_is_the_first_start(self, monkeypatch):
+        calls = recorded_ascents(monkeypatch)
+        search_coefficients(4, 0, 0, 0, sample_count=64, init=[-3.0, 4.0])
+        (start, _, _), = calls
+        assert_bitwise_equal(start, np.array([0.6, 0.8, 0.0, 0.0]))
 
     @pytest.mark.parametrize("L,iterations,restarts,init,over", [
         # counterexample's search: 3 starts x 201 evaluations

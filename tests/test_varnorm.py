@@ -16,7 +16,10 @@ from circlelab import (IndexedSeq, ParameterError, ResourceError,
 from circlelab import spectral, varnorm
 from circlelab.errors import DP_CELL_BUDGET, RUN_DP_CELL_BUDGET, check_budget
 from circlelab.varnorm import (PAR_MIN_CELLS, _best_power_sums,
-                               _dp_workspace, _power, check_dp_cells)
+                               _dp_workspace, _optimal_chain, _power,
+                               check_dp_cells)
+
+from oracles import recomputed_chain, recomputed_predecessors
 
 
 def check_run_cells(calls, rows, S, lower):
@@ -335,6 +338,80 @@ class TestBlockKernel:
             block = np.ascontiguousarray(v[:, :cols])
             assert_bitwise_equal(_best_power_sums(block, r, dirty),
                                  want[:, :cols])
+
+
+# r = 2.5 takes pow, as every r but 2 and 3 does
+CHAIN_EXPONENTS = (1.0, 2.0, 3.0, 2.5)
+
+
+def gaussian_integers(shape, seed):
+    """Values in {-2, ..., 2} + i {-2, ..., 2}: many equal values and
+    equal gaps, so that candidates tie."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+
+
+class TestChainMode:
+    """The kernel's chain mode writes each cell's first maximal
+    predecessor, as the candidates recomputed from the default mode's
+    table give it, and leaves the power sums bitwise as they are."""
+
+    @given(st.integers(1, 9), st.integers(1, 12), st.sampled_from(
+        CHAIN_EXPONENTS), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_recomputed_predecessors(self, S, cols, r, seed,
+                                                   lattice):
+        if lattice:
+            v = gaussian_integers((S, cols), seed)
+        else:
+            v = random_values((S, cols), seed)
+        want = _best_power_sums(v, r, _dp_workspace(S, cols)).copy()
+        pred = np.full((S, cols), -7, dtype=np.intp)
+        got = _best_power_sums(v, r, _dp_workspace(S, cols), pred)
+        assert_bitwise_equal(got, want)
+        assert np.array_equal(pred, recomputed_predecessors(v, r))
+
+    @given(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                       allow_infinity=False).map(
+        lambda z: complex(round(z.real), round(z.imag))),
+        min_size=1, max_size=10), st.sampled_from(CHAIN_EXPONENTS))
+    @settings(max_examples=300, deadline=None)
+    def test_chains_match_the_recompute_loop(self, values, r):
+        # small Gaussian integers: ties among candidates and chain ends
+        assert _optimal_chain(values, r) == recomputed_chain(values, r)
+
+    @pytest.mark.parametrize("r", CHAIN_EXPONENTS)
+    def test_ties_take_the_first_maximal_predecessor(self, r):
+        # 0, 1, 1: slot 2's candidates 0 + 1 (from 0) and 1 + 0 (from 1)
+        # tie, and the table ties at slots 1 and 2, so the chain is 0, 1
+        v = np.array([[0], [1], [1]], dtype=complex)
+        pred = np.empty(v.shape, dtype=np.intp)
+        _best_power_sums(v, r, _dp_workspace(3, 1), pred)
+        assert pred[:, 0].tolist() == [0, 0, 0]
+        assert _optimal_chain([0, 1, 1], r) == (1.0, [0, 1])
+        # on small Gaussian integers many cells tie; each takes the least
+        # maximal i
+        v = gaussian_integers((6, 4096), 11)
+        pred = np.empty(v.shape, dtype=np.intp)
+        table = _best_power_sums(v, r, _dp_workspace(6, 4096), pred)
+        ties = 0
+        for j in range(1, 6):
+            at_max = table[:j] + _power(np.abs(v[j] - v[:j]), r) == table[j]
+            ties += int((at_max.sum(axis=0) > 1).sum())
+            assert np.array_equal(pred[j], at_max.argmax(axis=0))
+        assert ties > 1000
+
+    @pytest.mark.parametrize("r", CHAIN_EXPONENTS)
+    def test_dirty_workspace_and_table(self, r):
+        # neither the workspace's nor the table's contents are read
+        v = random_values((7, 300), 5)
+        want = recomputed_predecessors(v, r)
+        work = _dp_workspace(7, 300)
+        for buf in work:
+            buf.fill(np.nan)
+        pred = np.full((7, 300), 123456, dtype=np.intp)
+        _best_power_sums(v, r, work, pred)
+        assert np.array_equal(pred, want)
 
 
 def ulps(a, b):
