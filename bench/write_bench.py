@@ -7,7 +7,10 @@ Usage (from the repository root):
 
 Each revision's committed files are extracted with ``git archive`` into a
 directory of its own under --workdir, so the numbers belong to commits,
-not to a working tree.  For every workload (default: every one that
+not to a working tree, and compiled there with ``compileall``, so that no
+run of either side compiles a module (a shell that sets
+PYTHONDONTWRITEBYTECODE would otherwise recompile every module in every
+run).  For every workload (default: every one that
 BENCHMARK.json lists) and every seed, the script runs ``perfbench/run.py
 --trace 0`` of each checkout for BENCHMARK.json's ``run_seconds`` in
 PAIRS alternating pairs, the parent first in even pairs and the change
@@ -34,6 +37,7 @@ is refused.  It changes no program output and needs no tracer.
 from __future__ import annotations
 
 import argparse
+import compileall
 import glob
 import json
 import os
@@ -57,7 +61,8 @@ def _git(*args) -> str:
 
 
 def checkout(rev: str, dest: str) -> str:
-    """The commit id of `rev`, with its files extracted into `dest`."""
+    """The commit id of `rev`, with its files extracted into `dest` and
+    compiled."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
     os.makedirs(dest)
     archive = os.path.join(dest, ".archive.tar")
@@ -66,6 +71,7 @@ def checkout(rev: str, dest: str) -> str:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     os.remove(archive)
+    compileall.compile_dir(dest, quiet=1)
     return commit
 
 

@@ -277,3 +277,13 @@ def test_every_kernel_is_named_and_set_up():
         if name.startswith(("chain", "search")):
             fn, reset, work, unit, fields = setup(*args)
             assert callable(fn) and work > 0 and fields["kernel"]
+
+
+def test_checkout_is_compiled(tmp_path):
+    # every module of the extracted commit has its bytecode before a run
+    dest = tmp_path / "tree"
+    commit = write_bench.checkout("HEAD", str(dest))
+    assert len(commit) == 40
+    torus = dest / "src" / "circlelab" / "torus.py"
+    assert torus.exists()
+    assert list((torus.parent / "__pycache__").glob("torus.*.pyc"))
