@@ -95,22 +95,36 @@ def _dp_workspace(S: int, cols: int):
     return np.empty(S * cols), np.empty(n, dtype=complex), np.empty(n)
 
 
-def _power(c: np.ndarray, r: float, sq: Optional[np.ndarray] = None):
-    """c **= r in place, and c: the DP's one rule for |f_b - f_a|^r.
+def _power(d: np.ndarray, r: float, out: Optional[np.ndarray] = None):
+    """out = |d|^r for complex differences d, and out: the DP's one rule
+    for |f_b - f_a|^r.  d is scratch: the rule may overwrite it.
 
-    r = 3 is (c*c)*c through `sq`, a buffer of c's shape that is not c
-    (made when None): about 7x cheaper than pow, within 1 ulp of c ** 3.0
-    and inf exactly where it overflows.  r = 2 is numpy's square path, and
-    every other r is pow.
+    r = 2 is re^2 + im^2 of d's float view, squared in place, with no
+    modulus: 1.10 ulp at most from the exact |d|^2 over 2000 draws, where
+    fl(|d|)^2 strayed 3.58; bitwise fl(|d|)^2 where d is real or
+    imaginary; and inf where the rounded exact square overflows, but for
+    squares within an ulp of the threshold.  r = 3 is |d| and then
+    (c*c)*c, its squares in d's memory (a buffer of their own re-faulted
+    in small calls): about 7x cheaper than pow, within 1 ulp of
+    |d| ** 3.0 and inf exactly where it overflows.  Every other r
+    is |d| and then pow.  d's last axis is contiguous, and `out` is a
+    float array of d's shape (made when None).
     """
+    if out is None:
+        out = np.empty(d.shape)
+    if r == 2.0:
+        f = d.view(float)
+        np.multiply(f, f, out=f)
+        np.add(f[..., 0::2], f[..., 1::2], out=out)
+        return out
+    np.abs(d, out=out)
     if r == 3.0:
-        if sq is None:
-            sq = np.empty_like(c)
-        np.multiply(c, c, out=sq)
-        np.multiply(sq, c, out=c)
+        sq = d.reshape(-1).view(float)[:out.size].reshape(out.shape)
+        np.multiply(out, out, out=sq)
+        np.multiply(sq, out, out=out)
     else:
-        c **= r
-    return c
+        out **= r
+    return out
 
 
 def _best_power_sums(v: np.ndarray, r: float, work,
@@ -133,9 +147,6 @@ def _best_power_sums(v: np.ndarray, r: float, work,
     n = max(S - 1, 0)
     b, diff, cand = (buf[:rows * cols].reshape(rows, cols)
                      for buf, rows in zip(work, (S, n, n)))
-    # r = 3's squares go to diff's memory, which a step no longer reads
-    # once its |.| is taken (a fourth buffer re-faulted in small calls)
-    sq = work[1].view(float)[:n * cols].reshape(n, cols)
     b[0] = 0.0
     if pred is not None:
         pred[0] = 0
@@ -143,8 +154,7 @@ def _best_power_sums(v: np.ndarray, r: float, work,
         for j in range(1, S):
             c = cand[:j]
             np.subtract(v[:j], v[j], out=diff[:j])
-            np.abs(diff[:j], out=c)
-            _power(c, r, sq[:j])
+            _power(diff[:j], r, c)
             c += b[:j]
             c.max(axis=0, out=b[j])
             if pred is not None:

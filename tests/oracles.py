@@ -153,7 +153,7 @@ def recomputed_predecessors(v: np.ndarray, r: float) -> np.ndarray:
             col = np.ascontiguousarray(v[:, c])
             for j in range(1, S):
                 pred[j, c] = np.argmax(
-                    best[:j, c] + _power(np.abs(col[j:j + 1] - col[:j]), r))
+                    best[:j, c] + _power(col[j:j + 1] - col[:j], r))
     return pred
 
 
@@ -168,8 +168,7 @@ def recomputed_chain(values, r: float):
     chain = [end]
     with np.errstate(over="ignore"):
         while best[j] > 0:
-            j = int(np.argmax(best[:j] + _power(np.abs(v[j:j + 1] - v[:j]),
-                                                r)))
+            j = int(np.argmax(best[:j] + _power(v[j:j + 1] - v[:j], r)))
             chain.append(j)
     return float(best[end]), chain[::-1]
 
