@@ -24,8 +24,10 @@ the benchmark's ladder ops, seed 0.  Each kernel runs once untimed, then
 median and quartiles in seconds, and ns per DP cell (rows * S(S-1)/2
 cells), per FFT point, per term or per search run.  --src times another
 tree's package (its ``src`` directory); a kernel that tree does not have
-(the chain mode before it existed) is left out.  --kernel picks kernels
-by name (default: all).
+(the chain mode before it existed) is left out.  A --src, --parent or
+--change directory with no ``circlelab`` package in it (a checkout's root,
+say) is refused with one line and exit status 2 before any kernel runs.
+--kernel picks kernels by name (default: all).
 
 With --parent and --change, each kernel is timed in fresh processes of
 this script, one per tree and pair, for --pairs alternating pairs (the
@@ -252,6 +254,13 @@ def main(argv=None) -> int:
         p.error("--repeats must be at least 2, for quartiles")
     if (args.parent is None) != (args.change is None):
         p.error("--parent and --change go together")
+    for flag in ("src", "parent", "change"):
+        src = getattr(args, flag)
+        if src is not None and not os.path.isfile(
+                os.path.join(src, "circlelab", "__init__.py")):
+            print(f"{p.prog}: error: --{flag} {src} holds no circlelab "
+                  "package; give a tree's src directory", file=sys.stderr)
+            return 2
     names = args.kernel or list(KERNELS)
     if args.parent is not None:
         if args.pairs < 1:

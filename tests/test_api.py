@@ -244,6 +244,14 @@ def test_one_e_kernel():
     assert reference_sites("exp") == set()
 
 
+def test_one_power_rule():
+    # every |f_b - f_a|^r of the package is varnorm._power applied to the
+    # step's differences in the one DP kernel; the tests' oracles call the
+    # same rule, so a second site would fork the DP's bits from theirs
+    assert reference_sites("_power") == {"varnorm.<module>",
+                                         "varnorm._best_power_sums"}
+
+
 def test_alphas_stay_integer_numerators():
     # an alpha goes from est's draws to the residue kernel as an integer
     # numerator over a denominator; Fraction appears only where an exact

@@ -268,6 +268,25 @@ def test_kernel_one_side_lacks(monkeypatch):
     assert "pairs_change_better" not in out
 
 
+@pytest.mark.parametrize("flags", [["--src", "."], ["--parent", ".",
+                                                    "--change", "src"],
+                                    ["--parent", "src", "--change", "."]])
+def test_a_checkout_root_is_refused_before_any_child(flags, monkeypatch,
+                                                     capsys):
+    # the repository's root holds src/, not the package: one line, exit 2,
+    # and no kernel timed in this process or a child
+    def never(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    monkeypatch.setattr(kernels, "run_child", never)
+    monkeypatch.setattr(kernels, "time_kernels", never)
+    assert kernels.main(flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "holds no circlelab package" in err
+
+
 def test_every_kernel_is_named_and_set_up():
     # the search and chain-mode kernels beside the DP shapes, each set up
     # from this tree (nothing is timed here)

@@ -611,10 +611,13 @@ class TestOptions:
 # sha256 of the stdout of `variation` at every flavor and r = 1, 2, 3 and
 # 2.5, concatenated in that order, as the chains read back by recomputing
 # each candidate gave it: ties among candidates (equal values and equal
-# gaps), a constant family, and irregular indices over several blocks
+# gaps), a constant family, and irregular indices over several blocks.
+# The first family's full r = 2 value is sqrt(12) correctly rounded,
+# 3.4641016151377544, since its squares are re^2 + im^2; squaring |.|
+# gave 3.464101615137755, one ulp above, with the same subsequence
 VARIATION_DIGESTS = [
     ("0,1,1,0,2j,2j,1,0", "1,2,3,4,6,8,9,16",
-     "6255a34bbe6ac09ec9c04769864541d3cd4bec71d389d8fca96d972ec1aa2a3e"),
+     "f080eb3d0f17c719049552afa25a57c7db20f8f0e2ce0977a2eaf35874142f6d"),
     ("1,1,1,1", None,
      "7deea0a0aef03f5e2c8504031fd038aef3c1408b1edb1c64bed2e1b18d65da3e"),
     ("0,1,0,1,0,1,0,1,0", None,

@@ -4,6 +4,7 @@ import itertools
 import math
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -424,8 +425,76 @@ def ulps(a, b):
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
 
 
+def assert_rounded_squares(got, d):
+    """Each of got is within 2 ulps of |z|^2 for its z of d, summed in 60
+    digits and rounded once, and inf where that square rounds to inf, but
+    for squares within an ulp of the overflow threshold (2^1024 - 2^970,
+    the largest double plus half its ulp)."""
+    got, d = np.ravel(got), np.ravel(d)
+    with mpmath.workdps(60):
+        threshold = mpmath.mpf((1 << 1024) - (1 << 970))
+        exact = [mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+                 for z in d]
+        judged = np.array([abs(e - threshold) >= 2 ** 971 for e in exact])
+        want = np.array([float(e) for e in exact])
+    got, want = got[judged], want[judged]
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = ~np.isinf(want)
+    assert ulps(got[finite], want[finite]).max(initial=0) <= 2
+    return judged
+
+
 class TestPowerRule:
-    """The DP's |.|^r: r = 3 by two multiplications, every other r `**`."""
+    """The DP's |.|^r: r = 2 by re^2 + im^2, r = 3 by two
+    multiplications, every other r `**`."""
+
+    @given(arrays(complex, st.integers(1, 50),
+                  elements=st.complex_numbers(allow_nan=False,
+                                              allow_infinity=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_square_within_two_ulps_of_exact(self, d):
+        # every finite complex: subnormal parts, parts of far apart
+        # scales and squares that overflow
+        with np.errstate(over="ignore"):
+            got = _power(d.copy(), 2.0)
+        assert_rounded_squares(got, d)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_real_or_imaginary_square_is_abs_squared(self, xs):
+        # re^2 + 0 and 0 + im^2 are fl(|d|)^2 to the bit, so a family of
+        # real (or imaginary) values keeps every pin it had
+        x = np.array(xs)
+        for d in (x + 0j, x * 1j):
+            with np.errstate(over="ignore"):
+                assert_bitwise_equal(_power(d.copy(), 2.0), np.abs(d) ** 2)
+
+    def test_square_overflow_edge(self):
+        # |d| within 2^17 ulps of the square root of the largest double,
+        # and within 4, at random angles: inf where the rounded exact
+        # square overflows, but for squares within an ulp of the
+        # threshold, where re^2 + im^2 may round either way
+        rng = np.random.default_rng(0)
+        k = np.concatenate([rng.integers(-1 << 17, 1 << 17, 1 << 13),
+                            rng.integers(-4, 5, 1 << 13)])
+        m = np.sqrt(np.finfo(float).max) * (1 + k * 2.0 ** -52)
+        angle = rng.uniform(0, 2 * np.pi, len(k))
+        d = m * np.cos(angle) + 1j * (m * np.sin(angle))
+        with np.errstate(over="ignore"):
+            got = _power(d.copy(), 2.0)
+        assert np.isinf(got).any() and not np.isinf(got).all()
+        judged = assert_rounded_squares(got, d)
+        assert not judged.all()
+
+    def test_square_is_sqrt12_correctly_rounded(self):
+        # the chain 0, 1, 2j, 1, 0 of this family has squares 1, 5, 5, 1:
+        # fl(|1 - 2j|)^2 is 5 + 1 ulp, so squaring |.| read one ulp high
+        seq = IndexedSeq([1, 2, 3, 4, 6, 8, 9, 16],
+                         [0, 1, 1, 0, 2j, 2j, 1, 0])
+        got = variation(seq, 2.0)
+        assert got.value == math.sqrt(12.0)
+        assert got.optimal_subsequence == (1, 2, 6, 9, 16)
 
     @given(st.lists(non_negative, min_size=1, max_size=50))
     @settings(max_examples=300, deadline=None)
@@ -472,6 +541,20 @@ class TestPowerRule:
         got = _best_power_sums(v, 3.0, _dp_workspace(2, v.shape[1]))[1]
         assert np.array_equal(np.isinf(got), np.isinf(want))
         assert ulps(got, want).max() <= 1
+
+    @given(arrays(complex, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                  elements=st.complex_numbers(max_magnitude=1e300,
+                                              allow_nan=False,
+                                              allow_infinity=False)))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_pairs_are_squares(self, pairs):
+        # a family of two values has the one chain: its power sum is the
+        # square of its gap, formed in the kernel's own buffers
+        v = np.ascontiguousarray(pairs.T[[0, -1]])
+        with np.errstate(over="ignore"):
+            gap = v[1] - v[0]
+        got = _best_power_sums(v, 2.0, _dp_workspace(2, v.shape[1]))[1]
+        assert_rounded_squares(got, gap)
 
 
 class TestLastRowMaxima:

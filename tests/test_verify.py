@@ -278,8 +278,8 @@ class TestSmooth:
         assert 0 < rep.constant < 2
 
     # (N, A, a, trials, seed), the report as float.hex, and the pin it
-    # replaced where that moved: N16's was recorded when the norms were
-    # np.linalg.norm, whose BLAS dot sums in another order, and N5's when
+    # replaced where that moved: N16's was recorded when the r = 2 DP
+    # squared |f_b - f_a| rather than summing re^2 + im^2, and N5's when
     # the ramp's phases were np.exp(2j pi x), not the table kernel's e(x)
     PINNED = [
         ((1, 1.0, 0.5, 2, 0),
@@ -294,11 +294,11 @@ class TestSmooth:
           "-0x1.eefd9f625fb9cp-2", "0x1.1ccaa0a9547e3p-2")),
         ((16, 2.0, 0.125, 3, 1),
          (["0x1.e000000000000p-1", "0x1.4411ef43b786ap-2",
+           "0x1.46d491cc504c8p-2"], "0x1.e000000000000p-1",
+          "-0x1.8df3378b46c93p-1", "0x1.c988682ff7ccep-2"),
+         (["0x1.e000000000000p-1", "0x1.4411ef43b786ap-2",
            "0x1.46d491cc504c7p-2"], "0x1.e000000000000p-1",
-          "-0x1.8df3378b46c96p-1", "0x1.c988682ff7ccdp-2"),
-         (["0x1.e000000000002p-1", "0x1.4411ef43b786ap-2",
-           "0x1.46d491cc504c6p-2"], "0x1.e000000000002p-1",
-          "-0x1.8df3378b46c98p-1", "0x1.c988682ff7ccep-2")),
+          "-0x1.8df3378b46c96p-1", "0x1.c988682ff7ccdp-2")),
     ]
 
     @pytest.mark.parametrize("args,want,was", PINNED,
@@ -599,20 +599,22 @@ class TestEst:
 # main-decomp --poly P --modulus M --n-max n_max (n_min 8, seed 0), as
 # float.hex: minor values, annulus offsets and values, reassembly lhs and
 # rhs; the number of distinct indicators that get a variation; and the
-# minor and annulus values that these replaced, recorded when the norms
-# were np.linalg.norm, whose BLAS dot sums in another order
+# minor and annulus values that these replaced: squares' recorded when the
+# r = 2 DP squared |f_b - f_a| rather than summing re^2 + im^2, and
+# 0,1,3's when the norms were np.linalg.norm, whose BLAS dot sums in
+# another order
 PINNED_DECOMPOSITIONS = [
     ("0,0,1", 1 << 14, 10,
      ["0x1.597f7c74333c7p-4", "0x1.f5620f7cda214p-5", "0x1.6525dea7d256fp-5"],
      (10, 9, 8, 7, 6),
-     ["0x1.e6206a10a8366p-6", "0x1.e9c6faf15577ap-6", "0x1.03ab76b5f80a4p-5",
+     ["0x1.e6206a10a8367p-6", "0x1.e9c6faf15577ap-6", "0x1.03ab76b5f80a4p-5",
       "0x1.afdae46c9ecbep-7", "0x1.5f5c21f355745p-6"],
      "0x1.645a6a93d2a62p+2", "0x1.a819fec8297a3p+3", 19,
-     (["0x1.597f7c74333c8p-4", "0x1.f5620f7cda216p-5",
-       "0x1.6525dea7d2570p-5"],
+     (["0x1.597f7c74333c7p-4", "0x1.f5620f7cda214p-5",
+       "0x1.6525dea7d256fp-5"],
       ["0x1.e6206a10a8366p-6", "0x1.e9c6faf15577ap-6",
        "0x1.03ab76b5f80a4p-5", "0x1.afdae46c9ecbep-7",
-       "0x1.5f5c21f355746p-6"])),
+       "0x1.5f5c21f355745p-6"])),
     ("0,1,3", 1 << 13, 9,
      ["0x1.5fb4657fd8c83p-4", "0x1.00a70aac58ffcp-4"],
      (9, 8, 7, 6, 5),
