@@ -95,7 +95,8 @@ def _dp_workspace(S: int, cols: int):
     return np.empty(S * cols), np.empty(n, dtype=complex), np.empty(n)
 
 
-def _power(d: np.ndarray, r: float, out: Optional[np.ndarray] = None):
+def _power(d: np.ndarray, r: float, out: Optional[np.ndarray] = None,
+           sq: Optional[np.ndarray] = None):
     """out = |d|^r for complex differences d, and out: the DP's one rule
     for |f_b - f_a|^r.  d is scratch: the rule may overwrite it.
 
@@ -104,11 +105,10 @@ def _power(d: np.ndarray, r: float, out: Optional[np.ndarray] = None):
     fl(|d|)^2 strayed 3.58; bitwise fl(|d|)^2 where d is real or
     imaginary; and inf where the rounded exact square overflows, but for
     squares within an ulp of the threshold.  r = 3 is |d| and then
-    (c*c)*c, its squares in d's memory (a buffer of their own re-faulted
-    in small calls): about 7x cheaper than pow, within 1 ulp of
-    |d| ** 3.0 and inf exactly where it overflows.  Every other r
-    is |d| and then pow.  d's last axis is contiguous, and `out` is a
-    float array of d's shape (made when None).
+    (c*c)*c through `sq`: about 7x cheaper than pow, within 1 ulp of
+    |d| ** 3.0 and inf exactly where it overflows.  Every other r is |d|
+    and then pow.  d's last axis is contiguous; `out` and `sq` are float
+    arrays of d's shape, not the same one (each made when None).
     """
     if out is None:
         out = np.empty(d.shape)
@@ -119,7 +119,8 @@ def _power(d: np.ndarray, r: float, out: Optional[np.ndarray] = None):
         return out
     np.abs(d, out=out)
     if r == 3.0:
-        sq = d.reshape(-1).view(float)[:out.size].reshape(out.shape)
+        if sq is None:
+            sq = np.empty_like(out)
         np.multiply(out, out, out=sq)
         np.multiply(sq, out, out=out)
     else:
@@ -147,6 +148,9 @@ def _best_power_sums(v: np.ndarray, r: float, work,
     n = max(S - 1, 0)
     b, diff, cand = (buf[:rows * cols].reshape(rows, cols)
                      for buf, rows in zip(work, (S, n, n)))
+    # r = 3's squares go to diff's memory, which a step no longer reads
+    # once its |.| is taken (a fourth buffer re-faulted in small calls)
+    sq = work[1].view(float)[:n * cols].reshape(n, cols)
     b[0] = 0.0
     if pred is not None:
         pred[0] = 0
@@ -154,7 +158,7 @@ def _best_power_sums(v: np.ndarray, r: float, work,
         for j in range(1, S):
             c = cand[:j]
             np.subtract(v[:j], v[j], out=diff[:j])
-            _power(diff[:j], r, c)
+            _power(diff[:j], r, c, sq[:j])
             c += b[:j]
             c.max(axis=0, out=b[j])
             if pred is not None:
