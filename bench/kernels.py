@@ -19,10 +19,13 @@ timed region.  The coefficient search's phase matrix is
 Weyl prefixes are `est` part 2's call at n = 12, `weyl_sum_prefixes` of
 squares at 64 int64 alphas k / 2^53 (seed 0) to t_max = 2^13 - 1, every
 block drawn; the searches are `search_coefficients` at the arguments of
-the benchmark's ladder ops, seed 0.  Each kernel runs once untimed, then
---repeats times; the script prints one JSON document with each kernel's
-median and quartiles in seconds, and ns per DP cell (rows * S(S-1)/2
-cells), per FFT point, per term or per search run.  --src times another
+the benchmark's ladder ops, seed 0; the entropy pipeline is
+`verify_entropy` at the spectrum workload's entropy op's arguments (16
+frequencies, sigma = 2, r = 3, its default 8 trials), seed 0.  Each
+kernel runs once untimed, then --repeats times; the script prints one
+JSON document with each kernel's median and quartiles in seconds, and ns
+per DP cell (rows * S(S-1)/2 cells), per FFT point, per term or per
+search run.  --src times another
 tree's package (its ``src`` directory); a kernel that tree does not have
 (the chain mode before it existed) is left out.  A --src, --parent or
 --change directory with no ``circlelab`` package in it (a checkout's root,
@@ -70,6 +73,8 @@ PREFIX_ALPHAS, PREFIX_DEN, PREFIX_T_MAX = 64, 1 << 53, (1 << 13) - 1
 # defaults at L = 4 (counterexample --L 3 runs the same counts), and
 # search-coeffs --L 5 --iterations 100
 SEARCHES = ((4, 200, 2), (5, 100, 2))
+# (num_freqs, sigma, r, seed) of the spectrum workload's entropy op
+ENTROPY = (16, 2.0, 3.0, 0)
 
 
 def timings(fn, repeats: int, reset=None) -> list:
@@ -160,6 +165,13 @@ def _search(L, iterations, restarts):
              "iterations": iterations, "restarts": restarts})
 
 
+def _entropy(num_freqs, sigma, r, seed):
+    from circlelab import verify_entropy
+    return (lambda: verify_entropy(num_freqs, sigma, r, seed), None, 1,
+            "run", {"kernel": "verify_entropy", "num_freqs": num_freqs,
+                    "sigma": sigma, "r": r, "seed": seed})
+
+
 # name -> (setup, args): a setup imports what it times and returns (fn,
 # reset, work, unit, fields), or None where the tree has no such kernel
 KERNELS = {
@@ -171,6 +183,7 @@ KERNELS = {
     "weyl-prefixes": (_prefixes, ()),
     **{f"search-L{L}-{it}-{rs}": (_search, (L, it, rs))
        for L, it, rs in SEARCHES},
+    "entropy": (_entropy, ENTROPY),
 }
 
 

@@ -25,8 +25,11 @@ the number of pairs in which the change was better by BENCHMARK.json's
 direction of that metric; each op's raw wall time, the median of its
 runs in one benchmark run as the detail line gives them, summarized per
 side over the pairs (uncalibrated, so the wall time of each CLI
-subcommand); and each side's ``src_lines``, the line count of its
-``src/circlelab/*.py`` (as ``wc -l`` counts them).
+subcommand); each side's ``src_lines``, the line count of its
+``src/circlelab/*.py`` (as ``wc -l`` counts them); and, once per file,
+each side's ``tier1``: the wall time, exit status and summary line of one
+run of the tier-1 tests (ROADMAP.md's command) in its checkout, the
+parent's first, before any workload runs.
 
 An existing --out file is extended with workloads and seeds it does not
 hold yet, so they can be measured by separate invocations; one of other
@@ -53,6 +56,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # alternating pairs per workload and seed: a claimed gain must win at
 # least nine of ten
 PAIRS = 10
+# the tier-1 tests, run in a checkout with its src on PYTHONPATH
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def _git(*args) -> str:
@@ -102,6 +107,21 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
             "ops": [{"argv": op["argv"],
                      "wall_s": statistics.median(op["walls_s"])}
                     for op in detail["ops"]]}
+
+
+def tier1(tree: str) -> dict:
+    """One tier-1 run in `tree`: its wall seconds, exit status and
+    pytest's last output line."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")
+           + (os.pathsep + path if path else "")}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": proc.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def summary(values: list) -> dict:
@@ -164,7 +184,8 @@ def main(argv=None) -> int:
     workdir = tempfile.mkdtemp(prefix="bench-", dir=args.workdir)
     try:
         doc = measure(args, argv, workdir, metrics, workloads, seeds,
-                      bench["run_seconds"])
+                      bench["run_seconds"],
+                      with_tier1=not os.path.exists(args.out))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     if os.path.exists(args.out):
@@ -198,7 +219,7 @@ def merged(path: str, doc: dict) -> dict:
 
 
 def measure(args, argv, workdir, metrics, workloads, seeds,
-            seconds) -> dict:
+            seconds, with_tier1: bool = False) -> dict:
     trees, commits = {}, {}
     for side in ("parent", "change"):
         trees[side] = os.path.join(workdir, side)
@@ -211,6 +232,9 @@ def measure(args, argv, workdir, metrics, workloads, seeds,
            "provenance": {},
            "src_lines": {side: src_lines(trees[side])
                          for side in ("parent", "change")}}
+    if with_tier1:
+        doc["tier1"] = {side: tier1(trees[side])
+                        for side in ("parent", "change")}
     for workload in workloads:
         for seed in seeds:
             pairs = []

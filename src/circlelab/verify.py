@@ -9,6 +9,7 @@ default) rather than absolute thresholds.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -295,6 +296,12 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
     ||V^r(proj_k f)|| / ||f|| over random f against the
     (r/(r-2) log N)^2 / (sigma - 1) envelope.  Every parameter is checked
     before the first FFT.
+
+    The caller draws trial 0's f.  While it runs trial t's mask product,
+    inverse FFT and DP, one helper thread draws trial t+1's f, takes its
+    norm and transforms it in place; each helper is joined before the next
+    one starts, so the draws come from `rng` in the sequential order and
+    the report is bitwise that of one trial after another.
     """
     from .spectral import _complex_normal, _pairwise_norm, multiplier_variation
     from .varnorm import check_dp_cells
@@ -314,7 +321,8 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
         raise ParameterError(
             "no admissible k: neighbourhoods overlap or fall below the grid "
             "resolution; lower sigma")
-    ks = list(range(k_min, k_max + 1))
+    # a range, so that a sigma near 1 is refused before any k is made
+    ks = range(k_min, k_max + 1)
     check_dp_cells(M, len(ks), "the number of frequencies")
     check_budget(LENGTH_BUDGET, M, f"modulus M={M} ({N} frequencies x "
                  f"{grid_factor})", "the number of frequencies")
@@ -323,12 +331,33 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
     dmin = _circular_distance(freqs, M)
     inds = np.stack([dmin <= sigma ** (-k) * M for k in ks])
 
+    def draw(slot):
+        # a trial's (||f||, fhat), fhat made in f's own memory; an exception
+        # is kept, to be re-raised once its thread is joined
+        try:
+            f = _complex_normal(rng, M)
+            slot[0] = (_pairwise_norm(f), np.fft.fft(f, out=f))
+        except BaseException as exc:
+            slot[0] = exc
+
     work = np.empty(inds.shape, dtype=complex)
     ratios = []
-    for _ in range(trials):
-        f = _complex_normal(rng, M)
-        v = multiplier_variation(np.fft.fft(f), inds, r, out=work)
-        ratios.append(v / _pairwise_norm(f))
+    slot = [None]
+    draw(slot)
+    for t in range(trials):
+        if isinstance(slot[0], BaseException):
+            raise slot[0]
+        norm, fhat = slot[0]
+        helper = None
+        if t + 1 < trials:
+            helper = threading.Thread(target=draw, args=(slot,))
+            helper.start()
+        try:
+            ratios.append(multiplier_variation(fhat, inds, r, out=work)
+                          / norm)
+        finally:
+            if helper is not None:
+                helper.join()
     value = max(ratios)
     envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)
     return BoundFitReport("entropy_surrogate", (N,), (value,),

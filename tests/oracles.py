@@ -44,6 +44,10 @@ oracle of each regime at its gate edges.
 table-driven e(-ph) kernel.
 `l2_norm`, `eval_dyadic` and `eval_float` evaluate a lacunary polynomial,
 given by its frequencies and their coefficients, term by term.
+`sequential_entropy` is `verify.verify_entropy` with its trials run one
+after another in the calling thread, each signal drawn, transformed into
+a new array and normalized only when its trial starts, the oracle of
+the draw-ahead pipeline.
 `assert_pin_moved` bounds how far a re-recorded float.hex pin moved from
 the one it replaces, in ulps.
 """
@@ -65,9 +69,11 @@ from circlelab import (ArcParams, IntPoly, ParameterError, ReducedFraction,
 from circlelab.arith import ArcLabels, _arc_dtype
 from circlelab.expsum import (_PHASE_CHUNK, _esum, _phase_chunks,
                               residue_counts)
-from circlelab.spectral import _pairwise_norm
+from circlelab.spectral import (_complex_normal, _pairwise_norm,
+                                multiplier_variation)
 from circlelab.varnorm import _best_power_sums, _dp_workspace, _power
-from circlelab.verify import _power_fit
+from circlelab.verify import (BoundFitReport, _circular_distance,
+                              _place_separated_frequencies, _power_fit)
 
 
 def eval_poly(P: IntPoly, n: int) -> int:
@@ -116,6 +122,33 @@ def per_row_multiplier_variation(fhat: np.ndarray, mults, r: float) -> float:
     for idx, m in enumerate(mults):
         spatial[idx] = np.fft.ifft(fhat * m)
     return _pairwise_norm(variation_values(spatial.T, r))
+
+
+def sequential_entropy(num_freqs: int, sigma: float, r: float, seed: int,
+                       trials: int, grid_factor: int) -> BoundFitReport:
+    """`verify_entropy`'s report, trials one after another (sigma > 1,
+    r > 2)."""
+    N = num_freqs
+    tau = 1.0 / (2 * N)
+    M = N * grid_factor
+    rng = np.random.default_rng(seed)
+    k_min = int(math.floor(math.log(100.0 / tau) / math.log(sigma))) + 1
+    k_max = int(math.floor(math.log(M / 2.0) / math.log(sigma)))
+    if k_max < k_min:
+        raise ParameterError("no admissible k")
+    dmin = _circular_distance(_place_separated_frequencies(N, M, rng), M)
+    inds = np.stack([dmin <= sigma ** (-k) * M
+                     for k in range(k_min, k_max + 1)])
+    work = np.empty(inds.shape, dtype=complex)
+    ratios = []
+    for _ in range(trials):
+        f = _complex_normal(rng, M)
+        v = multiplier_variation(np.fft.fft(f), inds, r, out=work)
+        ratios.append(v / _pairwise_norm(f))
+    value = max(ratios)
+    envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)
+    return BoundFitReport("entropy_surrogate", (N,), (value,),
+                          value / envelope, 0.0, 0.0)
 
 
 def quadratic_gauss_row(q: int) -> np.ndarray:

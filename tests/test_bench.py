@@ -127,6 +127,47 @@ def test_each_side_records_its_src_lines(tmp_path, monkeypatch):
                    "change": write_bench.summary([0.5] * write_bench.PAIRS)}]
 
 
+def test_tier1_is_timed_once_per_file(tmp_path, monkeypatch):
+    # the first invocation for a file times tier-1; one that extends the
+    # file keeps its record and times nothing
+    asked = []
+
+    def measure(args, argv, workdir, metrics, workloads, seeds, seconds,
+                with_tier1=False):
+        asked.append(with_tier1)
+        doc = {"commands": [{"argv": argv}], "provenance": {},
+               "commits": {"parent": "p", "change": "c"},
+               "workloads": {workloads[0]: {"0": {}}}}
+        if with_tier1:
+            doc["tier1"] = {"parent": {"wall_s": 2.0},
+                            "change": {"wall_s": 1.0}}
+        return doc
+
+    monkeypatch.setattr(write_bench, "measure", measure)
+    out = tmp_path / "BENCH.json"
+    for workload in ("decomp", "weyl"):
+        assert write_bench.main(["--parent", "p", "--change", "c", "--out",
+                                 str(out), "--workload", workload,
+                                 "--workdir", str(tmp_path)]) == 0
+    assert asked == [True, False]
+    doc = json.loads(out.read_text())
+    assert doc["tier1"] == {"parent": {"wall_s": 2.0},
+                            "change": {"wall_s": 1.0}}
+    assert set(doc["workloads"]) == {"decomp", "weyl"}
+
+
+def test_tier1_runs_the_trees_tests_on_its_src(tmp_path):
+    # a tree whose one test imports a module from the tree's own src
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe.py").write_text("VALUE = 7\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(
+        "import probe\n\n\ndef test_value():\n    assert probe.VALUE == 7\n")
+    out = write_bench.tier1(str(tmp_path))
+    assert out["exit"] == 0 and out["wall_s"] > 0
+    assert out["summary"].startswith("1 passed")
+
+
 def test_run_once_keeps_each_ops_median_raw_wall(monkeypatch):
     # the last two stdout lines of perfbench/run.py: the detail line, with
     # each op's raw walls, and the result line
@@ -288,14 +329,25 @@ def test_a_checkout_root_is_refused_before_any_child(flags, monkeypatch,
 
 
 def test_every_kernel_is_named_and_set_up():
-    # the search and chain-mode kernels beside the DP shapes, each set up
-    # from this tree (nothing is timed here)
-    assert {"chain-dp-8192x5-r2", "search-L4-200-2",
-            "search-L5-100-2"} <= set(kernels.KERNELS)
+    # the search, chain-mode and entropy kernels beside the DP shapes, each
+    # set up from this tree (nothing is timed here)
+    assert {"chain-dp-8192x5-r2", "search-L4-200-2", "search-L5-100-2",
+            "entropy"} <= set(kernels.KERNELS)
     for name, (setup, args) in kernels.KERNELS.items():
-        if name.startswith(("chain", "search")):
+        if name.startswith(("chain", "search", "entropy")):
             fn, reset, work, unit, fields = setup(*args)
             assert callable(fn) and work > 0 and fields["kernel"]
+
+
+def test_entropy_kernel_runs_the_spectrum_op():
+    # the spectrum workload's entropy op: 16 frequencies at the CLI's
+    # default sigma, r and trials, here at seed 0
+    setup, args = kernels.KERNELS["entropy"]
+    fn, reset, work, unit, fields = setup(*args)
+    assert reset is None and (work, unit) == (1, "run")
+    assert {k: fields[k] for k in ("num_freqs", "sigma", "r", "seed")} == {
+        "num_freqs": 16, "sigma": 2.0, "r": 3.0, "seed": 0}
+    assert fields["kernel"] == "verify_entropy"
 
 
 def test_checkout_is_compiled(tmp_path):

@@ -1,6 +1,9 @@
 """Fit helpers and the named verification experiments at modest parameters."""
 
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -15,7 +18,8 @@ from circlelab import (ArcParams, IntPoly, ParameterError, ResourceError,
 from circlelab import spectral, verify
 from circlelab.verify import (_circular_distance, _clipped_walk_multipliers,
                               _power_fit)
-from oracles import assert_pin_moved, classify_arc, fit_power_law
+from oracles import (assert_pin_moved, classify_arc, fit_power_law,
+                     sequential_entropy)
 
 SQUARES = IntPoly([0, 0, 1])
 
@@ -437,6 +441,99 @@ class TestEntropy:
         rep = verify_entropy(4, sigma=2.0, r=3.0, seed=2, trials=4,
                              grid_factor=1 << 12)
         assert 0 < rep.values[0] < 50
+
+    def test_sigma_near_one_refused_before_any_k(self):
+        # 3.7 million admissible k at M = 2^18: the DP-cell budget refuses
+        # them from their count, before a k or a mask is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="DP-cell budget"):
+                verify_entropy(16, sigma=1 + 1e-6, r=3.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 21
+
+    @given(st.integers(1, 8),
+           st.one_of(st.integers(1, 1 << 10), st.integers(400, 1 << 10)),
+           st.integers(1, 4), st.sampled_from([1.5, 2.0, 3.0]),
+           st.sampled_from([2.5, 3.0, 4.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_pipeline_matches_sequential_oracle(self, num_freqs, grid_factor,
+                                                trials, sigma, r, seed):
+        args = (num_freqs, sigma, r, seed, trials, grid_factor)
+        try:
+            want = sequential_entropy(*args)
+        except ParameterError:
+            with pytest.raises(ParameterError, match="no admissible k"):
+                verify_entropy(num_freqs, sigma, r, seed, trials=trials,
+                               grid_factor=grid_factor)
+            return
+        rep = verify_entropy(num_freqs, sigma, r, seed, trials=trials,
+                             grid_factor=grid_factor)
+        assert report_hex(rep) == report_hex(want)
+
+    def test_pipeline_under_fast_thread_switches(self):
+        # the caller and each helper share `rng` only one after the other:
+        # switching threads every microsecond must not reorder its draws
+        args = (4, 2.0, 3.0, 11, 6, 1 << 10)
+        want = sequential_entropy(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = verify_entropy(*args[:4], trials=args[4],
+                                 grid_factor=args[5])
+        finally:
+            sys.setswitchinterval(interval)
+        assert report_hex(rep) == report_hex(want)
+
+    def test_a_helper_error_surfaces_after_its_join(self, monkeypatch):
+        # trial 1's draw runs on the helper and fails there
+        threads = []
+        draw = spectral._complex_normal
+
+        def failing(rng, M):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise RuntimeError("second draw failed")
+            return draw(rng, M)
+
+        monkeypatch.setattr(spectral, "_complex_normal", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second draw failed"):
+            verify_entropy(2, 2.0, 3.0, 1, trials=3, grid_factor=1 << 10)
+        assert threading.active_count() == before
+        assert threads[0] is threading.current_thread()
+        assert threads[1] is not threads[0] and len(threads) == 2
+
+    def test_a_trial_error_waits_for_the_helper(self, monkeypatch):
+        # trial 0's DP fails while the helper draws trial 1
+        draws = []
+        draw = spectral._complex_normal
+
+        def recorded(rng, M):
+            draws.append(M)
+            return draw(rng, M)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(spectral, "_complex_normal", recorded)
+        monkeypatch.setattr(spectral, "multiplier_variation", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="trial failed"):
+            verify_entropy(2, 2.0, 3.0, 1, trials=3, grid_factor=1 << 10)
+        assert threading.active_count() == before and len(draws) == 2
+
+    def test_one_trial_starts_no_thread(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a thread was made")
+
+        args = (2, 2.0, 3.0, 1, 1, 1 << 10)
+        want = sequential_entropy(*args)
+        monkeypatch.setattr(verify.threading, "Thread", never)
+        rep = verify_entropy(*args[:4], trials=1, grid_factor=args[5])
+        assert report_hex(rep) == report_hex(want)
 
 
 class TestEst:
