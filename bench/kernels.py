@@ -21,7 +21,11 @@ squares at 64 int64 alphas k / 2^53 (seed 0) to t_max = 2^13 - 1, every
 block drawn; the searches are `search_coefficients` at the arguments of
 the benchmark's ladder ops, seed 0; the entropy pipeline is
 `verify_entropy` at the spectrum workload's entropy op's arguments (16
-frequencies, sigma = 2, r = 3, its default 8 trials), seed 0.  Each
+frequencies, sigma = 2, r = 3, its default 8 trials), seed 0, and the
+projections kernel one of its trials' `multiplier_variation` calls, on
+the (6, 2^18) masks of k = 12..17 as the tree's `verify_entropy` passes
+them (its `spectral.projections` where it has one, else the dense
+stack), with trial 0's fhat and a work stack held across calls.  Each
 kernel runs once untimed, then --repeats times; the script prints one
 JSON document with each kernel's median and quartiles in seconds, and ns
 per DP cell (rows * S(S-1)/2 cells), per FFT point, per term or per
@@ -75,6 +79,8 @@ PREFIX_ALPHAS, PREFIX_DEN, PREFIX_T_MAX = 64, 1 << 53, (1 << 13) - 1
 SEARCHES = ((4, 200, 2), (5, 100, 2))
 # (num_freqs, sigma, r, seed) of the spectrum workload's entropy op
 ENTROPY = (16, 2.0, 3.0, 0)
+# its admissible k: sigma^-k < tau/100 = 1/3200 and sigma^k <= M/2 = 2^17
+ENTROPY_KS = range(12, 18)
 
 
 def timings(fn, repeats: int, reset=None) -> list:
@@ -172,6 +178,26 @@ def _entropy(num_freqs, sigma, r, seed):
                     "sigma": sigma, "r": r, "seed": seed})
 
 
+def _projections(num_freqs, sigma, r, seed):
+    import numpy as np
+    from circlelab import spectral
+    from circlelab.verify import (_circular_distance,
+                                  _place_separated_frequencies)
+    M = num_freqs << 14
+    rng = np.random.default_rng(seed)
+    dmin = _circular_distance(_place_separated_frequencies(num_freqs, M, rng),
+                              M)
+    masks = np.stack([dmin <= sigma ** (-k) * M for k in ENTROPY_KS])
+    decimated = hasattr(spectral, "projections")
+    mults = spectral.projections(masks) if decimated else masks
+    fhat = np.fft.fft(spectral._complex_normal(rng, M))
+    work = np.empty(masks.shape, dtype=complex)
+    return (lambda: spectral.multiplier_variation(fhat, mults, r, work),
+            None, masks.size, "point",
+            {"kernel": "multiplier_variation", "S": len(masks), "M": M,
+             "r": r, "decimated": decimated})
+
+
 # name -> (setup, args): a setup imports what it times and returns (fn,
 # reset, work, unit, fields), or None where the tree has no such kernel
 KERNELS = {
@@ -184,6 +210,7 @@ KERNELS = {
     **{f"search-L{L}-{it}-{rs}": (_search, (L, it, rs))
        for L, it, rs in SEARCHES},
     "entropy": (_entropy, ENTROPY),
+    "projections": (_projections, ENTROPY),
 }
 
 

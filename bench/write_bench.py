@@ -28,8 +28,9 @@ side over the pairs (uncalibrated, so the wall time of each CLI
 subcommand); each side's ``src_lines``, the line count of its
 ``src/circlelab/*.py`` (as ``wc -l`` counts them); and, once per file,
 each side's ``tier1``: the wall time, exit status and summary line of one
-run of the tier-1 tests (ROADMAP.md's command) in its checkout, the
-parent's first, before any workload runs.
+run of the tier-1 tests (ROADMAP.md's command) in its checkout, with
+GIT_DIR set to this repository's, the parent's first, before any
+workload runs.
 
 An existing --out file is extended with workloads and seeds it does not
 hold yet, so they can be measured by separate invocations; one of other
@@ -111,10 +112,19 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def tier1(tree: str) -> dict:
     """One tier-1 run in `tree`: its wall seconds, exit status and
-    pytest's last output line."""
+    pytest's last output line.
+
+    The run's GIT_DIR is the repository this script runs from, where it
+    runs from one: `tree`, a `git archive` extraction, has no .git, and
+    the tests that extract a commit take it from there.
+    """
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")
            + (os.pathsep + path if path else "")}
+    git = subprocess.run(["git", "rev-parse", "--absolute-git-dir"],
+                         cwd=ROOT, capture_output=True, text=True)
+    if git.returncode == 0:
+        env["GIT_DIR"] = git.stdout.strip()
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
                           capture_output=True, text=True)

@@ -9,13 +9,13 @@ cross-checked to machine precision.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import IntPoly
 from .errors import LENGTH_BUDGET, ParameterError
-from .expsum import check_count, residue_counts
+from .expsum import _e_pos, check_count, residue_counts
 from .varnorm import check_dp_cells, check_r, variation_values
 
 
@@ -66,19 +66,69 @@ def average_multipliers(P: IntPoly, Ns: Sequence[int], M: int) -> np.ndarray:
     return m
 
 
-def multiplier_variation(fhat: np.ndarray, mults: np.ndarray, r: float,
+# the most points of Z/M that one projection's inverse FFT folds into a
+# twiddle: the decimation factor Q is gcd(M, DECIMATION)
+DECIMATION = 64
+
+
+class Projections(NamedTuple):
+    """An (S, M) stack of 0/1 frequency masks, kept on its support.
+
+    With Q = gcd(M, DECIMATION) and K = M/Q, the point x = x0 + Q m of
+    ifft(fhat * mask) is the length-K inverse FFT, at m, of the sums over
+    the mask's xi = rho mod K of fhat[xi] e(xi x0 / M) / Q.
+    """
+    shape: tuple           # (S, M)
+    Q: int
+    support: np.ndarray    # (U,) the union of the rows' supports
+    twiddles: np.ndarray   # (Q, U): e(xi x0 / M) / Q at xi = support
+    take: np.ndarray       # (E,) each term's place in twiddles' flat view
+    index: np.ndarray      # (E,) its place in the flat (S, Q, K) stack
+
+
+def projections(masks: np.ndarray) -> Projections:
+    """The `Projections` of an (S, M) boolean stack, for
+    `multiplier_variation`: a term for each row, x0 < Q and xi of the
+    row's support, added into x0 K + (xi mod K) of the row; terms that
+    meet there are added in increasing xi."""
+    S, M = masks.shape
+    Q = math.gcd(M, DECIMATION)
+    K = M // Q
+    rows, xi = np.nonzero(masks)
+    support, pos = np.unique(xi, return_inverse=True)
+    x0 = np.arange(Q)[:, None]
+    # exact integer phases (xi x0 mod M) / M, each rounded once
+    twiddles = _e_pos(x0 * support % M / M)
+    twiddles /= Q
+    take = (x0 * len(support) + pos).reshape(-1)
+    index = (x0 * K + (rows * M + xi % K)).reshape(-1)
+    return Projections((S, M), Q, support, twiddles, take, index)
+
+
+def multiplier_variation(fhat: np.ndarray, mults, r: float,
                          out: np.ndarray) -> float:
     """||V^r(ifft(fhat * mults[k]) : k < S)||_2 on Z/M, DP cells checked first.
 
-    `mults` is an (S, M) stack.  The products and one inverse FFT over all
-    rows run in `out`, an (S, M) complex array that may be `mults` itself,
-    and the DP reads it as it is.  `fhat * m`, never `m * fhat`: the two
-    can differ in the last bit.
+    `mults` is an (S, M) stack, or the `Projections` of a 0/1 one.  The
+    products, or the projections' scattered terms, and one inverse FFT
+    over all rows run in `out`, a C-ordered (S, M) complex array that may
+    be a dense `mults` itself.  A row's point x0 + Q m lands in column
+    x0 K + m (Q = 1 for a dense stack); the DP reads the columns as they
+    are, and the pointwise V^r and its norm do not depend on their order.
+    `fhat * m`, never `m * fhat`: the two can differ in the last bit.
     """
     S, M = mults.shape
     check_dp_cells(M, S, "the modulus or the number of multipliers")
-    np.multiply(fhat, mults, out=out)
-    np.fft.ifft(out, axis=1, out=out)
+    if isinstance(mults, Projections):
+        Q = mults.Q
+        out.fill(0)
+        terms = fhat[mults.support] * mults.twiddles
+        np.add.at(out.reshape(-1), mults.index, terms.reshape(-1)[mults.take])
+    else:
+        Q = 1
+        np.multiply(fhat, mults, out=out)
+    rows = out.reshape(S, Q, M // Q)
+    np.fft.ifft(rows, axis=-1, out=rows)
     return _pairwise_norm(variation_values(out.T, r))
 
 

@@ -292,18 +292,21 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
 
     Places num_freqs frequencies separated by >= M tau on Z/M, with
     tau = 1/(2 num_freqs), builds the nested sigma^-k neighbourhood
-    projections (admissible k obey sigma^-k < tau/100), and records
+    projections (admissible k obey sigma^-k < tau/100) once, as
+    `spectral.projections` of their masks, and records
     ||V^r(proj_k f)|| / ||f|| over random f against the
     (r/(r-2) log N)^2 / (sigma - 1) envelope.  Every parameter is checked
     before the first FFT.
 
-    The caller draws trial 0's f.  While it runs trial t's mask product,
-    inverse FFT and DP, one helper thread draws trial t+1's f, takes its
-    norm and transforms it in place; each helper is joined before the next
-    one starts, so the draws come from `rng` in the sequential order and
-    the report is bitwise that of one trial after another.
+    The caller draws trial 0's f.  While it runs trial t's projections
+    (scatter, decimated inverse FFT and DP), one helper thread draws
+    trial t+1's f, takes its norm and transforms it in place; each helper
+    is joined before the next one starts, so the draws come from `rng` in
+    the sequential order and the report is bitwise that of one trial
+    after another.
     """
-    from .spectral import _complex_normal, _pairwise_norm, multiplier_variation
+    from .spectral import (_complex_normal, _pairwise_norm,
+                           multiplier_variation, projections)
     from .varnorm import check_dp_cells
     if not (1 < sigma < math.inf and 2 < r < math.inf):
         raise ParameterError("need finite sigma > 1 and r > 2")
@@ -323,13 +326,13 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
             "resolution; lower sigma")
     # a range, so that a sigma near 1 is refused before any k is made
     ks = range(k_min, k_max + 1)
-    check_dp_cells(M, len(ks), "the number of frequencies")
+    check_dp_cells(M, len(ks), "the number of frequencies, or raise sigma")
     check_budget(LENGTH_BUDGET, M, f"modulus M={M} ({N} frequencies x "
                  f"{grid_factor})", "the number of frequencies")
 
     freqs = _place_separated_frequencies(N, M, rng)
     dmin = _circular_distance(freqs, M)
-    inds = np.stack([dmin <= sigma ** (-k) * M for k in ks])
+    proj = projections(np.stack([dmin <= sigma ** (-k) * M for k in ks]))
 
     def draw(slot):
         # a trial's (||f||, fhat), fhat made in f's own memory; an exception
@@ -340,7 +343,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
         except BaseException as exc:
             slot[0] = exc
 
-    work = np.empty(inds.shape, dtype=complex)
+    work = np.empty(proj.shape, dtype=complex)
     ratios = []
     slot = [None]
     draw(slot)
@@ -353,7 +356,7 @@ def verify_entropy(num_freqs: int, sigma: float, r: float, seed: int,
             helper = threading.Thread(target=draw, args=(slot,))
             helper.start()
         try:
-            ratios.append(multiplier_variation(fhat, inds, r, out=work)
+            ratios.append(multiplier_variation(fhat, proj, r, out=work)
                           / norm)
         finally:
             if helper is not None:

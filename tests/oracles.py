@@ -70,7 +70,7 @@ from circlelab.arith import ArcLabels, _arc_dtype
 from circlelab.expsum import (_PHASE_CHUNK, _esum, _phase_chunks,
                               residue_counts)
 from circlelab.spectral import (_complex_normal, _pairwise_norm,
-                                multiplier_variation)
+                                multiplier_variation, projections)
 from circlelab.varnorm import _best_power_sums, _dp_workspace, _power
 from circlelab.verify import (BoundFitReport, _circular_distance,
                               _place_separated_frequencies, _power_fit)
@@ -137,13 +137,13 @@ def sequential_entropy(num_freqs: int, sigma: float, r: float, seed: int,
     if k_max < k_min:
         raise ParameterError("no admissible k")
     dmin = _circular_distance(_place_separated_frequencies(N, M, rng), M)
-    inds = np.stack([dmin <= sigma ** (-k) * M
-                     for k in range(k_min, k_max + 1)])
-    work = np.empty(inds.shape, dtype=complex)
+    proj = projections(np.stack([dmin <= sigma ** (-k) * M
+                                 for k in range(k_min, k_max + 1)]))
+    work = np.empty(proj.shape, dtype=complex)
     ratios = []
     for _ in range(trials):
         f = _complex_normal(rng, M)
-        v = multiplier_variation(np.fft.fft(f), inds, r, out=work)
+        v = multiplier_variation(np.fft.fft(f), proj, r, out=work)
         ratios.append(v / _pairwise_norm(f))
     value = max(ratios)
     envelope = (r / (r - 2.0) * max(math.log(N), 1.0)) ** 2 / (sigma - 1.0)

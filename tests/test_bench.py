@@ -168,6 +168,27 @@ def test_tier1_runs_the_trees_tests_on_its_src(tmp_path):
     assert out["summary"].startswith("1 passed")
 
 
+def test_tier1_runs_on_the_repositorys_git_dir(tmp_path, monkeypatch):
+    # the tree, an extraction with no .git, finds the repository that
+    # write_bench runs from, as test_checkout_is_compiled needs
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    repo = tmp_path / "repo"
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    git_dir = subprocess.run(["git", "rev-parse", "--absolute-git-dir"],
+                             cwd=repo, check=True, capture_output=True,
+                             text=True).stdout.strip()
+    monkeypatch.setattr(write_bench, "ROOT", str(repo))
+    tree = tmp_path / "tree"
+    (tree / "tests").mkdir(parents=True)
+    (tree / "tests" / "test_git.py").write_text(
+        "import subprocess\n\n\ndef test_git_dir():\n"
+        "    out = subprocess.run(['git', 'rev-parse', '--absolute-git-dir'],"
+        "\n                         capture_output=True, text=True)\n"
+        f"    assert out.stdout.strip() == {git_dir!r}\n")
+    out = write_bench.tier1(str(tree))
+    assert out["summary"].startswith("1 passed")
+
+
 def test_run_once_keeps_each_ops_median_raw_wall(monkeypatch):
     # the last two stdout lines of perfbench/run.py: the detail line, with
     # each op's raw walls, and the result line
@@ -348,6 +369,16 @@ def test_entropy_kernel_runs_the_spectrum_op():
     assert {k: fields[k] for k in ("num_freqs", "sigma", "r", "seed")} == {
         "num_freqs": 16, "sigma": 2.0, "r": 3.0, "seed": 0}
     assert fields["kernel"] == "verify_entropy"
+
+
+def test_projections_kernel_is_one_entropy_trial():
+    # the spectrum op's six masks on M = 2^18, decimated, at r = 3
+    setup, args = kernels.KERNELS["projections"]
+    fn, reset, work, unit, fields = setup(*args)
+    assert reset is None and (work, unit) == (6 << 18, "point")
+    assert fields == {"kernel": "multiplier_variation", "S": 6,
+                      "M": 1 << 18, "r": 3.0, "decimated": True}
+    assert fn() > 0
 
 
 def test_checkout_is_compiled(tmp_path):

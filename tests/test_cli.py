@@ -221,6 +221,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"modulus M={257 << 14}" in err
 
+    def test_entropy_k_count_refusal_names_sigma(self, capsys):
+        # one frequency, 3715 admissible k: the k count depends on sigma
+        # and the grid factor alone, so fewer frequencies cannot help
+        assert main(["entropy", "--num-freqs", "1", "--sigma", "1.001"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "raise sigma" in err
+
     @pytest.mark.parametrize("argv,expect", [
         # ten scales fit the budgets; the last, N = 2^22 + 1, does not
         (["average", "--modulus", str(1 << 22), "--scales",

@@ -4,6 +4,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,7 +17,7 @@ from circlelab import spectral, verify
 from circlelab.arith import arc_labels
 from circlelab.errors import LENGTH_BUDGET
 from circlelab.spectral import (_complex_normal, _pairwise_norm,
-                                multiplier_variation)
+                                multiplier_variation, projections)
 from oracles import (annulus_label, assert_pin_moved, average_multiplier,
                      classify_arc, eval_poly, farey_level,
                      per_row_multiplier_variation, polynomial_average,
@@ -454,6 +455,101 @@ class TestMultiplierVariation:
         stack = np.zeros((23171, 1), complex)
         with pytest.raises(ResourceError):
             multiplier_variation(np.zeros(1, complex), stack, 2.0, stack)
+
+
+def neighbourhood_masks(M, rows, nested):
+    """An (S, M) bool stack: row s is the union of the circular
+    neighbourhoods {x : |x - c| <= radius on Z/M} of its (c, radius)
+    pairs, none for an empty row; `nested` keeps row 0's centres in every
+    row and halves their radii from row to row."""
+    if nested:
+        rows = [[(c, radius >> s) for c, radius in rows[0]]
+                for s in range(len(rows))]
+    x = np.arange(M)
+    masks = np.zeros((len(rows), M), dtype=bool)
+    for mask, row in zip(masks, rows):
+        for c, radius in row:
+            d = np.abs(x - c)
+            mask |= np.minimum(d, M - d) <= radius
+    return masks
+
+
+@st.composite
+def neighbourhood_stacks(draw):
+    """(M, rows, nested) for `neighbourhood_masks`: M = q k with q in 1,
+    2, 8, 64 and 128, so gcd(M, 64) runs from 1 (every odd M) to 64 and
+    K = M / gcd(M, 64) from 1 up; radii up to M/2, so that one
+    neighbourhood can hold several xi of one residue mod K."""
+    M = draw(st.sampled_from([1, 2, 8, 64, 128])) * draw(st.integers(1, 40))
+    pair = st.tuples(st.integers(0, M - 1), st.integers(0, M // 2))
+    rows = draw(st.lists(st.lists(pair, max_size=3), min_size=1,
+                         max_size=6))
+    return M, rows, draw(st.booleans())
+
+
+class TestProjections:
+    # |decimated - dense| at a point, over the largest |dense| of the
+    # stack, and the relative error of the norm, in units of eps (the
+    # largest seen over 3000 draws: 3.3 and 2.9)
+    POINT_EPS, NORM_EPS = 16, 8
+
+    @given(neighbourhood_stacks(), st.floats(1.0, 6.0),
+           st.integers(0, 2 ** 32 - 1))
+    # odd M (Q = 1), a neighbourhood across 0 and M - 1
+    @example((45, [[(44, 3)], [(0, 2), (20, 1)]], False), 3.0, 1)
+    # M = 64 * 5 (K = 5): xi = 0..20 meet four times on each residue,
+    # nested rows; then an empty row between two others
+    @example((320, [[(10, 10), (200, 4)], [], [(319, 6)]], True), 2.0, 2)
+    @example((320, [[(10, 10)], [], [(319, 6)]], False), 2.0, 3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_dense_stack(self, stack, r, seed):
+        M, rows, nested = stack
+        masks = neighbourhood_masks(M, rows, nested)
+        S = len(masks)
+        fhat = random_signal(M, seed)
+        dense = np.empty((S, M), dtype=complex)
+        want = multiplier_variation(fhat, masks, r, out=dense)
+        work = np.empty((S, M), dtype=complex)
+        got = multiplier_variation(fhat, projections(masks), r, out=work)
+        # column x0 K + m of the decimated stack holds the point x0 + Q m
+        Q = math.gcd(M, 64)
+        moved = dense.reshape(S, M // Q, Q).transpose(0, 2, 1).reshape(S, M)
+        eps = np.finfo(float).eps
+        assert (np.abs(work - moved).max()
+                <= self.POINT_EPS * eps * np.abs(dense).max())
+        assert abs(got - want) <= self.NORM_EPS * eps * want
+
+    def test_terms_and_twiddles(self):
+        # M = 3 * 64: Q = 64, K = 3; row 1 is empty
+        masks = np.zeros((3, 192), dtype=bool)
+        masks[0, [1, 4, 190]] = masks[2, [4, 100]] = True
+        proj = projections(masks)
+        assert proj.shape == (3, 192) and proj.Q == 64
+        assert proj.support.tolist() == [1, 4, 100, 190]
+        # e(xi x0 / 192) / 64 within about 2 ulps of the exact value
+        exact = [[complex(mpmath.expjpi(mpmath.mpf(2 * (x0 * xi % 192)) / 192))
+                  for xi in proj.support.tolist()] for x0 in range(64)]
+        assert np.abs(proj.twiddles * 64 - np.array(exact)).max() <= 5e-16
+        # x0 = 1: xi = 1, 4 and 190 land on 3 + (xi mod 3), 1 and 4 on
+        # the same point; row 2 starts at 2 * 192
+        assert proj.index.reshape(64, 5)[1].tolist() == [
+            4, 4, 4, 2 * 192 + 4, 2 * 192 + 4]
+        assert proj.take.reshape(64, 5)[1].tolist() == [
+            4 + 0, 4 + 1, 4 + 3, 4 + 1, 4 + 2]
+
+    def test_one_inverse_fft_of_length_k(self, monkeypatch):
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        masks = neighbourhood_masks(64 * 6, [[(5, 9)], [(5, 2)]], False)
+        multiplier_variation(random_signal(64 * 6, 0), projections(masks),
+                             3.0, np.empty((2, 64 * 6), dtype=complex))
+        assert calls == [(2, 64, 6)]
 
 
 class TestVariationExperiment:

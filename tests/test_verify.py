@@ -402,15 +402,16 @@ class TestEntropy:
 
     # (num_freqs, sigma, r, seed, trials, grid_factor), the report as
     # float.hex, and the pin it replaced where that moved: recorded when
-    # the norms were np.linalg.norm, whose BLAS dot sums in another order
+    # the masks were a dense stack, whose points the norm summed in grid
+    # order (the decimated transform puts x0 + Q m in column x0 K + m)
     PINNED = [
         ((2, 2.0, 3.0, 1, 3, 1 << 10),
          (["0x1.16bd15df396c7p-4"], "0x1.ef890a7066162p-8", "0x0.0p+0",
           "0x0.0p+0"), None),
         ((3, 1.5, 4.0, 2, 2, 1 << 11),
-         (["0x1.9f36e68c6d28dp-4"], "0x1.580517df5d59dp-7", "0x0.0p+0",
+         (["0x1.9f36e68c6d28cp-4"], "0x1.580517df5d59cp-7", "0x0.0p+0",
           "0x0.0p+0"),
-         (["0x1.9f36e68c6d289p-4"], "0x1.580517df5d59ap-7", "0x0.0p+0",
+         (["0x1.9f36e68c6d28dp-4"], "0x1.580517df5d59dp-7", "0x0.0p+0",
           "0x0.0p+0")),
     ]
 
