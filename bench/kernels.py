@@ -12,9 +12,10 @@ of standard complex Gaussians (seed 0), so no copy is made, and large
 calls split across the process's CPUs as they do in a run.  The chain-mode
 DP is `varnorm._best_power_sums` with a predecessor table on such an
 (S, rows) array, in one workspace held across calls, as the coefficient
-search runs it.  The inverse FFT is `multiplier_variation`'s batched
-in-place transform of a (6, 2^18) stack, restored from a copy outside the
-timed region.  The coefficient search's phase matrix is
+search runs it; the one-column chain is `varnorm._optimal_chain` on 1024
+such Gaussians at r = 2, as `variation --values` runs it.  The inverse
+FFT is `multiplier_variation`'s batched in-place transform of a (6, 2^18)
+stack, restored from a copy outside the timed region.  The coefficient search's phase matrix is
 `torus._independent_phase_matrix` at L = 5 and 8192 samples, seed 0; the
 Weyl prefixes are `est` part 2's call at n = 12, `weyl_sum_prefixes` of
 squares at 64 int64 alphas k / 2^53 (seed 0) to t_max = 2^13 - 1, every
@@ -30,8 +31,10 @@ kernel runs once untimed, then --repeats times; the script prints one
 JSON document with each kernel's median and quartiles in seconds, and ns
 per DP cell (rows * S(S-1)/2 cells), per FFT point, per term or per
 search run.  --src times another
-tree's package (its ``src`` directory); a kernel that tree does not have
-(the chain mode before it existed) is left out.  A --src, --parent or
+tree's package (its ``src`` directory); a kernel whose setup finds no
+such kernel in that tree is left out (every tree compared since chain
+mode has all of them; the projections kernel times a tree without
+decimated projections on its dense stack).  A --src, --parent or
 --change directory with no ``circlelab`` package in it (a checkout's root,
 say) is refused with one line and exit status 2 before any kernel runs.
 --kernel picks kernels by name (default: all).
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import inspect
 import json
 import os
 import platform
@@ -66,8 +68,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DP_SHAPES = ((8192, 4, 2.0), (8192, 5, 2.0), (1 << 18, 6, 3.0),
              (1 << 18, 12, 2.0), (16384, 16, 2.0), (256, 256, 2.0),
              (12288, 12, 2.0))
-# (rows, S, r) of the chain-mode DP: a search step at L = 5
-CHAIN_SHAPE = (8192, 5, 2.0)
+# (rows, S, r) of the chain-mode DP: search steps at L = 3 (counterexample
+# --L 3) and L = 5
+CHAIN_SHAPES = ((8192, 3, 2.0), (8192, 5, 2.0))
+# (S, r) of the one-column chain
+CHAIN_VALUES = (1024, 2.0)
 IFFT_SHAPE = (6, 1 << 18)
 # (L, samples, seed) of the search's phase matrix
 PHASE_MATRIX = (5, 8192, 0)
@@ -121,8 +126,6 @@ def _dp(rows, S, r):
 def _chain_dp(rows, S, r):
     import numpy as np
     from circlelab.varnorm import _best_power_sums, _dp_workspace
-    if "pred" not in inspect.signature(_best_power_sums).parameters:
-        return None
     v = _gaussians((S, rows))
     work = _dp_workspace(S, rows)
     pred = np.empty((S, rows), dtype=np.intp)
@@ -130,6 +133,13 @@ def _chain_dp(rows, S, r):
             rows * (S * (S - 1) // 2), "cell",
             {"kernel": "_best_power_sums chain mode", "rows": rows, "S": S,
              "r": r})
+
+
+def _chain(S, r):
+    from circlelab.varnorm import _optimal_chain
+    v = _gaussians(S)
+    return (lambda: _optimal_chain(v, r), None, S * (S - 1) // 2, "cell",
+            {"kernel": "_optimal_chain", "S": S, "r": r})
 
 
 def _ifft():
@@ -203,7 +213,9 @@ def _projections(num_freqs, sigma, r, seed):
 KERNELS = {
     **{f"dp-{rows}x{S}-r{r:g}": (_dp, (rows, S, r))
        for rows, S, r in DP_SHAPES},
-    "chain-dp-{}x{}-r{:g}".format(*CHAIN_SHAPE): (_chain_dp, CHAIN_SHAPE),
+    **{f"chain-dp-{rows}x{S}-r{r:g}": (_chain_dp, (rows, S, r))
+       for rows, S, r in CHAIN_SHAPES},
+    "chain-{}-r{:g}".format(*CHAIN_VALUES): (_chain, CHAIN_VALUES),
     "ifft-{}x{}".format(*IFFT_SHAPE): (_ifft, ()),
     "phase-matrix": (_phase_matrix, ()),
     "weyl-prefixes": (_prefixes, ()),

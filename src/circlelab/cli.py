@@ -316,8 +316,10 @@ def _run(args) -> dict:
                         "reassembly": {"lhs": rep.reassembly_lhs,
                                        "rhs": rep.reassembly_rhs}})
     elif args.command == "counterexample":
-        from .torus import build_sequences
+        from .torus import build_sequences, check_samples
         params = build_sequences(args.L, args.R)
+        # refused in a dry run too, as the run refuses them before its search
+        check_samples(params, args.sample_count)
         coupling, closure = params.identity_defects()
         entry = {"name": "counterexample_parameters",
                  "inputs": {"L": args.L, "R": args.R},
@@ -326,12 +328,8 @@ def _run(args) -> dict:
                            "closure_defects": list(closure)}}
         results.append(entry)
         if not args.dry_run:
-            from .torus import (check_samples, eta_error, eta_multipliers,
-                                search_coefficients)
-            # the sample count, the sample bits and the multipliers, whose
-            # tails must fit a regime, are refused before the coefficient
-            # search, not after it
-            check_samples(params, args.sample_count)
+            from .torus import eta_error, eta_multipliers, search_coefficients
+            # the multipliers' tails are refused before the search, not after
             W = eta_multipliers(params)
             coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
             sup, rms = eta_error(coeffs, params, args.sample_count,

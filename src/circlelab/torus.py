@@ -17,8 +17,8 @@ from .errors import (LENGTH_BUDGET, RUN_DP_CELL_BUDGET, SAMPLE_BIT_BUDGET,
                      ParameterError, check_budget)
 from .dyadic import check_tail_regime, fast_dyadic_quadratic_weyl
 from .expsum import _e_pos, check_count
-from .varnorm import (_best_power_sums, _dp_workspace, check_dp_cells,
-                      variation_values)
+from .varnorm import (_best_power_sums, _chain_slots, _dp_workspace,
+                      check_dp_cells, variation_values)
 
 # a start of the coefficient search stops once a power step raises its
 # objective by no more than this, relatively
@@ -230,23 +230,14 @@ def _chain_gradient(b, pred, p, z, d) -> np.ndarray:
     """The gradient of Phi^2 = mean V^2(S f)^2 in the real coefficients.
 
     b and pred are the chain-mode DP of the partial sums p = S f (L,
-    samples) of the coefficients times z.  A sample's chain ends at its
-    first slot at the max and follows pred to slot 0; t in its block
-    [i, j) gains 2 Re(conj(p_i - p_j) z_t), averaged over the samples, so
-    t = L - 1 gains 0.  d is an (L - 1, samples) complex buffer.  This is
-    `_optimal_chain`'s chain, which stops at a slot of power sum 0: a
-    slot s > 0 of power sum 0 has p_i = p_s for i < s, so a successor's
-    first maximal predecessor is never s (unless |p_s - p_i|^2 underflows).
+    samples) of the coefficients times z.  t in a block [i, j) of a
+    sample's `_chain_slots` chain gains 2 Re(conj(p_i - p_j) z_t),
+    averaged over the samples, so t = L - 1 gains 0; a block ending at a
+    slot of power sum 0 gains 0 (unless a |p_j - p_i|^2 underflows).  d
+    is an (L - 1, samples) complex buffer.
     """
     L, n = p.shape
-    end = (b < b[-1]).sum(axis=0)   # b rises along j
-    on = np.empty((L, n), dtype=bool)   # the slots of each sample's chain
-    on[0] = True
-    nxt = end.copy()
-    for j in range(L - 1, 0, -1):
-        np.equal(nxt, j, out=on[j])
-        # an arithmetic select: masked ones cost about 3 ns an element
-        nxt += on[j] * (pred[j] - j)
+    on = _chain_slots(b, pred)
     # d[t] = p at the last chain slot <= t minus p at the first one > t;
     # past the chain's end d is 0, as p_j = p_end there (b[j] = b[end])
     fill = p[0]

@@ -141,19 +141,24 @@ def _best_power_sums(v: np.ndarray, r: float, work,
 
     Chain mode: given an (S, cols) intp table `pred`, the kernel also
     writes pred[j, c], the first i < j whose candidate b[i, c] +
-    |f_j - f_i|^r is b[j, c] (row 0, which has no predecessor, gets 0).
-    The power sums are the default mode's bits.
+    |f_j - f_i|^r is b[j, c] (row 0 gets 0): j - 1 minus the largest
+    (j - 1 - i) [c_i == b_j] over i < j - 1, with no loop over i.
+    `_chain_slots` reads chains back from it.  The power sums are the
+    default mode's bits.
     """
     S, cols = v.shape
     n = max(S - 1, 0)
     b, diff, cand = (buf[:rows * cols].reshape(rows, cols)
                      for buf, rows in zip(work, (S, n, n)))
-    # r = 3's squares go to diff's memory, which a step no longer reads
-    # once its |.| is taken (a fourth buffer re-faulted in small calls)
-    sq = work[1].view(float)[:n * cols].reshape(n, cols)
+    # r = 3's squares and chain mode's weighted hits go to diff's memory,
+    # which a step no longer reads once its |.| is taken (a buffer of
+    # their own re-faulted in small calls)
+    sq, hit = (work[1].view(t)[:n * cols].reshape(n, cols)
+               for t in (float, np.intp))
     b[0] = 0.0
     if pred is not None:
-        pred[0] = 0
+        pred[:2] = 0
+        ramp = np.arange(S - 1)[:, None]
     with np.errstate(over="ignore"):
         for j in range(1, S):
             c = cand[:j]
@@ -161,34 +166,40 @@ def _best_power_sums(v: np.ndarray, r: float, work,
             _power(diff[:j], r, c, sq[:j])
             c += b[:j]
             c.max(axis=0, out=b[j])
-            if pred is not None:
-                # the least i at the max: a scan down from j - 1 moving to
-                # each i at it, selecting by arithmetic (a masked copy of
-                # random masks costs about 3 ns an element)
-                pred[j] = j - 1
-                for i in range(j - 2, -1, -1):
-                    pred[j] += (c[i] == b[j]) * (i - pred[j])
+            if pred is not None and j > 1:
+                np.equal(c[:j - 1], b[j], out=hit[:j - 1])
+                hit[:j - 1] *= ramp[j - 1:0:-1]
+                hit[:j - 1].max(axis=0, out=pred[j])
+    if pred is not None:
+        np.subtract(ramp, pred[1:], out=pred[1:])
     return b
 
 
-def _optimal_chain(values: Sequence[complex], r: float):
-    """Max over increasing chains of sum |f_j - f_i|^r, and one such chain.
+def _chain_slots(b: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """The (S, cols) mask of each column's chain in a chain-mode table:
+    it ends at the column's first slot at its max (b rises along j) and
+    follows pred back to slot 0."""
+    S, cols = b.shape
+    on = np.empty((S, cols), dtype=bool)
+    on[0] = True
+    nxt = (b < b[-1]).sum(axis=0)
+    for j in range(S - 1, 0, -1):
+        np.equal(nxt, j, out=on[j])
+        # an arithmetic select: masked ones cost about 3 ns an element
+        nxt += on[j] * (pred[j] - j)
+    return on
 
-    The chain ends at the first maximal slot and is read back from the
-    kernel's chain mode: each slot's first maximal predecessor, until a
-    slot whose best power sum is 0.
-    """
+
+def _optimal_chain(values: Sequence[complex], r: float):
+    """Max over increasing chains of sum |f_j - f_i|^r, and one such chain:
+    `_chain_slots`' chain from its last slot of power sum 0."""
     v = np.asarray(values, dtype=complex)
     check_dp_cells(1, len(v), "the number of values")
     pred = np.empty((len(v), 1), dtype=np.intp)
-    best = _best_power_sums(v[:, None], r, _dp_workspace(len(v), 1),
-                            pred)[:, 0]
-    end = j = int(np.argmax(best))
-    chain = [end]
-    while best[j] > 0:
-        j = int(pred[j, 0])
-        chain.append(j)
-    return float(best[end]), chain[::-1]
+    best = _best_power_sums(v[:, None], r, _dp_workspace(len(v), 1), pred)
+    chain = np.flatnonzero(_chain_slots(best, pred))
+    zeros = np.count_nonzero(best[chain, 0] == 0)   # a prefix: b rises
+    return float(best[-1, 0]), chain[zeros - 1:].tolist()
 
 
 def variation(seq: IndexedSeq, r: float) -> VariationResult:

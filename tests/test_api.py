@@ -1,8 +1,8 @@
 """Every name the package exports, and every member of an exported class,
 has a caller inside the package; the inverse FFT has one home, BLAS
-three, the arc classifier one, and the refusal of a size one; alphas
-stay integer numerators; no function keeps a memo; the runtime
-dependencies are the package's third-party imports."""
+three, the arc classifier one, the refusal of a size one, and the chain
+table one reader; alphas stay integer numerators; no function keeps a
+memo; the runtime dependencies are the package's third-party imports."""
 
 import ast
 import importlib
@@ -250,6 +250,20 @@ def test_one_power_rule():
     # same rule, so a second site would fork the DP's bits from theirs
     assert reference_sites("_power") == {"varnorm.<module>",
                                          "varnorm._best_power_sums"}
+
+
+def test_one_chain_reader():
+    # the predecessor table's format is varnorm's: the kernel writes it,
+    # `_chain_slots` walks it for `_optimal_chain` and the search's
+    # gradient, and no other function subscripts it
+    assert reference_sites("_chain_slots") == {
+        "varnorm.<module>", "varnorm._optimal_chain", "torus.<module>",
+        "torus._chain_gradient"}
+    indexed = {path.stem for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Subscript)
+               and getattr(node.value, "id", None) == "pred"}
+    assert indexed == {"varnorm"}
 
 
 def test_alphas_stay_integer_numerators():

@@ -40,6 +40,15 @@ class TestExamples:
         doc = json.loads(out)
         assert doc["results"][0]["value"] == pytest.approx(1.7320508075688772)
 
+    def test_variation_chain_starts_after_an_underflow(self, capsys):
+        # 0, -2^-360, 2^-308 at r = 3: |f_2 - f_1|^3 = 2^-1080 underflows,
+        # so the chain starts at index 2, where the power sum is last 0
+        code, out = run_cli(["variation", "--values", ",".join(
+            map(repr, [0.0, -2.0 ** -360, 2.0 ** -308])), "--r", "3"],
+            capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0]["optimal_subsequence"] == [2, 3]
+
     def test_short_variation_shows_its_blocks(self, capsys):
         # the blocks [2, 4] and [4, 8] share 4, so the flat chain repeats it
         argv = ["variation", "--values", "0,1,0,1,0", "--indices",
@@ -156,6 +165,18 @@ class TestExitCodes:
         code, _ = run_cli(["counterexample", "--L", "2", "--R", "60",
                            "--dry-run"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("argv,expect", [
+        (["--R", "47", "--sample-count", "0"], 2),
+        # 4096 points of R + 64 bits: over the sample-bit budget
+        (["--R", "300000"], 3)])
+    def test_dry_run_refuses_what_the_run_refuses(self, argv, expect,
+                                                   capsys):
+        assert main(["counterexample", "--L", "3", "--dry-run"] + argv) \
+            == expect
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_phase_term_budget(self, capsys):
         # refused before any phase is computed or any array allocated

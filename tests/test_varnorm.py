@@ -3,6 +3,7 @@
 import itertools
 import math
 import threading
+import time
 
 import mpmath
 import numpy as np
@@ -17,8 +18,8 @@ from circlelab import (IndexedSeq, ParameterError, ResourceError,
 from circlelab import spectral, varnorm
 from circlelab.errors import DP_CELL_BUDGET, RUN_DP_CELL_BUDGET, check_budget
 from circlelab.varnorm import (PAR_MIN_CELLS, _best_power_sums,
-                               _dp_workspace, _optimal_chain, _power,
-                               check_dp_cells)
+                               _chain_slots, _dp_workspace, _optimal_chain,
+                               _power, check_dp_cells)
 
 from oracles import recomputed_chain, recomputed_predecessors
 
@@ -381,6 +382,49 @@ class TestChainMode:
     def test_chains_match_the_recompute_loop(self, values, r):
         # small Gaussian integers: ties among candidates and chain ends
         assert _optimal_chain(values, r) == recomputed_chain(values, r)
+
+    @given(st.lists(st.tuples(st.complex_numbers(
+        max_magnitude=3, allow_nan=False, allow_infinity=False),
+        st.booleans(), st.integers(-400, 300)), min_size=1, max_size=10),
+        st.sampled_from(CHAIN_EXPONENTS))
+    @settings(max_examples=300, deadline=None)
+    def test_chains_match_the_recompute_loop_at_every_scale(self, draws, r):
+        # each value scaled by its own 2^k: powers that underflow to 0 or
+        # to subnormals beside normal ones; rounded values tie
+        values = [(complex(round(z.real), round(z.imag)) if rounded else z)
+                  * 2.0 ** k for z, rounded, k in draws]
+        assert _optimal_chain(values, r) == recomputed_chain(values, r)
+
+    def test_chain_starts_at_its_last_slot_of_power_sum_0(self):
+        # |f_1 - f_0|^3 = 2^-1080 underflows, so slots 0 and 1 have power
+        # sum 0 and slot 2's first maximal predecessor is 1: the table's
+        # chain walks on to slot 0, the returned one starts at slot 1
+        values = [0.0, -2.0 ** -360, 2.0 ** -308]
+        got = _optimal_chain(values, 3.0)
+        assert got == recomputed_chain(values, 3.0)
+        assert got[1] == [1, 2]
+        v = np.array(values, dtype=complex)[:, None]
+        pred = np.empty(v.shape, dtype=np.intp)
+        best = _best_power_sums(v, 3.0, _dp_workspace(3, 1), pred)
+        assert best[:, 0].tolist() == [0.0, 0.0, got[0]]
+        assert _chain_slots(best, pred)[:, 0].tolist() == [True] * 3
+
+    def test_one_column_costs_a_few_default_calls(self):
+        # a loop over rows made chain mode over 100x the default mode on
+        # one column of 512 values; the pick is a few ufunc calls a step
+        v = random_values((512, 1), 3)
+        work = _dp_workspace(512, 1)
+        pred = np.empty((512, 1), dtype=np.intp)
+
+        def fastest(*table):
+            runs = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                _best_power_sums(v, 2.0, work, *table)
+                runs.append(time.perf_counter() - t0)
+            return min(runs)
+
+        assert fastest(pred) <= 8 * fastest()
 
     @pytest.mark.parametrize("r", CHAIN_EXPONENTS)
     def test_ties_take_the_first_maximal_predecessor(self, r):
