@@ -25,19 +25,15 @@ the benchmark's ladder ops, seed 0; the entropy pipeline is
 frequencies, sigma = 2, r = 3, its default 8 trials), seed 0, and the
 projections kernel one of its trials' `multiplier_variation` calls, on
 the (6, 2^18) masks of k = 12..17 as the tree's `verify_entropy` passes
-them (its `spectral.projections` where it has one, else the dense
-stack), with trial 0's fhat and a work stack held across calls.  Each
-kernel runs once untimed, then --repeats times; the script prints one
-JSON document with each kernel's median and quartiles in seconds, and ns
-per DP cell (rows * S(S-1)/2 cells), per FFT point, per term or per
-search run.  --src times another
-tree's package (its ``src`` directory); a kernel whose setup finds no
-such kernel in that tree is left out (every tree compared since chain
-mode has all of them; the projections kernel times a tree without
-decimated projections on its dense stack).  A --src, --parent or
---change directory with no ``circlelab`` package in it (a checkout's root,
-say) is refused with one line and exit status 2 before any kernel runs.
---kernel picks kernels by name (default: all).
+them (`spectral.projections` of the masks), with trial 0's fhat and a
+work stack held across calls.  Each kernel runs once untimed, then
+--repeats times; the script prints one JSON document with each kernel's
+median and quartiles in seconds, and ns per DP cell (rows * S(S-1)/2
+cells), per FFT point, per term or per search run.  --src times another
+tree's package (its ``src`` directory), which must have every kernel.  A
+--src, --parent or --change directory with no ``circlelab`` package in
+it (a checkout's root, say) is refused with one line and exit status 2
+before any kernel runs.  --kernel picks kernels by name (default: all).
 
 With --parent and --change, each kernel is timed in fresh processes of
 this script, one per tree and pair, for --pairs alternating pairs (the
@@ -78,10 +74,10 @@ IFFT_SHAPE = (6, 1 << 18)
 PHASE_MATRIX = (5, 8192, 0)
 # est part 2's prefix call at n = 12: alphas, each k / 2^53, and t_max
 PREFIX_ALPHAS, PREFIX_DEN, PREFIX_T_MAX = 64, 1 << 53, (1 << 13) - 1
-# (L, iterations, restarts) of the ladder ops' searches: search-coeffs'
-# defaults at L = 4 (counterexample --L 3 runs the same counts), and
-# search-coeffs --L 5 --iterations 100
-SEARCHES = ((4, 200, 2), (5, 100, 2))
+# (L, iterations, restarts) of the ladder ops' searches: counterexample
+# --L 3's one start, search-coeffs' defaults at L = 4, and search-coeffs
+# --L 5 --iterations 100
+SEARCHES = ((3, 200, 0), (4, 200, 2), (5, 100, 2))
 # (num_freqs, sigma, r, seed) of the spectrum workload's entropy op
 ENTROPY = (16, 2.0, 3.0, 0)
 # its admissible k: sigma^-k < tau/100 = 1/3200 and sigma^k <= M/2 = 2^17
@@ -198,18 +194,17 @@ def _projections(num_freqs, sigma, r, seed):
     dmin = _circular_distance(_place_separated_frequencies(num_freqs, M, rng),
                               M)
     masks = np.stack([dmin <= sigma ** (-k) * M for k in ENTROPY_KS])
-    decimated = hasattr(spectral, "projections")
-    mults = spectral.projections(masks) if decimated else masks
+    mults = spectral.projections(masks)
     fhat = np.fft.fft(spectral._complex_normal(rng, M))
     work = np.empty(masks.shape, dtype=complex)
     return (lambda: spectral.multiplier_variation(fhat, mults, r, work),
             None, masks.size, "point",
             {"kernel": "multiplier_variation", "S": len(masks), "M": M,
-             "r": r, "decimated": decimated})
+             "r": r})
 
 
 # name -> (setup, args): a setup imports what it times and returns (fn,
-# reset, work, unit, fields), or None where the tree has no such kernel
+# reset, work, unit, fields)
 KERNELS = {
     **{f"dp-{rows}x{S}-r{r:g}": (_dp, (rows, S, r))
        for rows, S, r in DP_SHAPES},
@@ -238,24 +233,19 @@ def time_kernels(names, repeats: int) -> list:
     out = []
     for name in names:
         setup, args = KERNELS[name]
-        made = setup(*args)
-        if made is None:
-            continue
-        fn, reset, work, unit, fields = made
+        fn, reset, work, unit, fields = setup(*args)
         out.append({"name": name, **fields,
                     **summary(timings(fn, repeats, reset), work, unit)})
     return out
 
 
-def run_child(src: str, name: str, repeats: int):
-    """One kernel's entry from a fresh process timing `src`'s package, or
-    None where that tree has no such kernel."""
+def run_child(src: str, name: str, repeats: int) -> dict:
+    """One kernel's entry from a fresh process timing `src`'s package."""
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--src", src,
          "--kernel", name, "--repeats", str(repeats)],
         check=True, capture_output=True, text=True).stdout
-    entries = json.loads(out)["kernels"]
-    return entries[0] if entries else None
+    return json.loads(out)["kernels"][0]
 
 
 def compare_trees(srcs: dict, names, pairs: int, repeats: int) -> list:
@@ -265,29 +255,22 @@ def compare_trees(srcs: dict, names, pairs: int, repeats: int) -> list:
     out = []
     for name in names:
         runs = {"parent": [], "change": []}
-        fields = {"name": name}
         for i in range(pairs):
             order = ("parent", "change") if i % 2 == 0 else \
                 ("change", "parent")
             pair = {side: run_child(srcs[side], name, repeats)
                     for side in order}
             for side, entry in pair.items():
-                if entry is not None:
-                    runs[side].append(entry["median_s"])
-                    fields = {k: v for k, v in entry.items()
-                              if not k.endswith("_s")
-                              and not k.startswith("ns_per_")}
+                runs[side].append(entry["median_s"])
             print(f"{name} pair {i + 1}/{pairs}: " + ", ".join(
                 f"{side} {pair[side]['median_s']:.6f} s"
-                for side in ("parent", "change")
-                if pair[side] is not None), file=sys.stderr, flush=True)
-        entry = {**fields, **{side: run_summary(v)
-                              for side, v in runs.items() if v}}
-        if all(len(v) == pairs for v in runs.values()):
-            entry["pairs_change_better"] = sum(
-                c < p for p, c in zip(runs["parent"], runs["change"]))
-            entry["pairs"] = pairs
-        out.append(entry)
+                for side in ("parent", "change")), file=sys.stderr, flush=True)
+        out.append({**{k: v for k, v in pair["change"].items()
+                       if not k.endswith("_s") and not k.startswith("ns_per_")},
+                    **{side: run_summary(v) for side, v in runs.items()},
+                    "pairs_change_better": sum(
+                        c < p for p, c in zip(runs["parent"], runs["change"])),
+                    "pairs": pairs})
     return out
 
 

@@ -331,7 +331,7 @@ def _run(args) -> dict:
             from .torus import eta_error, eta_multipliers, search_coefficients
             # the multipliers' tails are refused before the search, not after
             W = eta_multipliers(params)
-            coeffs, obj = search_coefficients(args.L, 200, 2, args.seed)
+            coeffs, obj = search_coefficients(args.L, 200, 0, args.seed)
             sup, rms = eta_error(coeffs, params, args.sample_count,
                                  args.seed, W)
             results.append({"name": "counterexample_eta",

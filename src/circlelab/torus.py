@@ -206,9 +206,8 @@ def _independent_phase_matrix(L: int, sample_count: int,
                               seed: int) -> np.ndarray:
     """(L, samples) per-frequency phase rows, stable in L for fixed seed.
 
-    Row i only depends on (seed, i), so embedding an optimal
-    coefficient vector into a longer ladder reuses identical samples and
-    the optimizer's objective is exactly monotone in L.
+    Row i depends only on (seed, i): the rows keep their recorded bits,
+    and searches at L and L + 1 share their first L rows.
     """
     rows = [np.random.default_rng([seed, i]).random(sample_count)
             for i in range(L)]
@@ -280,13 +279,10 @@ def _power_ascent(a: np.ndarray, z: np.ndarray, steps: int, bufs):
 
 
 def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
-                        sample_count: int = 8192,
-                        init: Optional[Sequence[float]] = None):
+                        sample_count: int = 8192):
     """Maximize ||V^2(S_m f)||_2 over unit-norm real coefficient vectors.
 
-    `_power_ascent` from `init` (made non-negative, zero-padded and
-    normalized; one with no weight off the last rung has Phi = 0 and is
-    replaced), else from the uniform vector, then from `restarts` random
+    `_power_ascent` from the uniform vector, then from `restarts` random
     starts of the generator of (seed, 999), each for at most `iterations`
     steps.  Returns the best iterate and its objective.  All steps share
     the phases, one DP workspace, one predecessor table and one buffer.
@@ -299,26 +295,17 @@ def search_coefficients(L: int, iterations: int, restarts: int, seed: int,
                 "the sample count")
     check_dp_cells(sample_count, L, "L")
     # every start is evaluated once and then once per iteration at most
-    # (an init takes the uniform start's place, so it counts one too many)
     check_budget(RUN_DP_CELL_BUDGET,
-                 (restarts + 1 + (init is not None)) * (iterations + 1)
+                 (restarts + 1) * (iterations + 1)
                  * sample_count * (L * (L - 1) // 2),
                  "the coefficient search", "the restarts or the iterations")
-    first = np.ones(L)
-    if init is not None:
-        if len(init) > L:
-            raise ParameterError("init longer than L")
-        padded = np.zeros(L)
-        padded[:len(init)] = np.abs(np.asarray(init, dtype=float))
-        if padded[:-1].any():
-            first = padded
     z = _independent_phase_matrix(L, sample_count, seed)
     rng = np.random.default_rng([seed, 999])
     bufs = (_dp_workspace(L, sample_count),
             np.empty((L, sample_count), dtype=np.intp), np.empty_like(z),
             np.empty((L - 1, sample_count), dtype=complex))
     best_a, best_phi = None, -math.inf
-    for start in [first] + [rng.random(L) for _ in range(restarts)]:
+    for start in [np.ones(L)] + [rng.random(L) for _ in range(restarts)]:
         history, a = _power_ascent(start / math.hypot(*start), z,
                                    iterations, bufs)
         if max(history) > best_phi:

@@ -224,9 +224,13 @@ def test_11_construction_identities():
 
 
 def test_12_construction_trend():
+    # cold searches at L = 2..5; L = 3's coefficients drive the R-ladder
+    found = [search_coefficients(L, iterations=300, restarts=2, seed=12)
+             for L in (2, 3, 4, 5)]
+
     # eta sup non-increasing along an admissible three-rung R-ladder, L = 3
     rungs = (29, 37, 45)
-    coeffs, _ = search_coefficients(3, iterations=300, restarts=2, seed=12)
+    coeffs = found[1][0]
     sups = []
     for R in rungs:
         params = build_sequences(3, R)
@@ -234,15 +238,10 @@ def test_12_construction_trend():
         sups.append(sup)
     eta_ok = all(b <= a + 1e-9 for a, b in zip(sups, sups[1:]))
 
-    # search objective non-decreasing in L (warm-started), L = 2..5
-    prev_coeffs, prev_val = search_coefficients(2, 300, 2, 12)
-    l2_ok = abs(prev_val - 1.0) <= 0.01
-    mono_ok = True
-    for L in (3, 4, 5):
-        cs, val = search_coefficients(L, 300, 2, 12, init=prev_coeffs)
-        if val < prev_val - 1e-12:
-            mono_ok = False
-        prev_coeffs, prev_val = cs, val
-    report(12, "construction-trend", eta_ok and l2_ok and mono_ok,
+    # search objective rising strictly in L, L = 2..5
+    objs = [obj for _, obj in found]
+    l2_ok = abs(objs[0] - 1.0) <= 0.01
+    rise_ok = all(b > a for a, b in zip(objs, objs[1:]))
+    report(12, "construction-trend", eta_ok and l2_ok and rise_ok,
            f"eta sups={['%.4f' % s for s in sups]} "
-           f"L=2 optimum ok={l2_ok} monotone ok={mono_ok}")
+           f"L=2 optimum ok={l2_ok} cold rise ok={rise_ok}")

@@ -319,17 +319,6 @@ def test_kernel_pairs_alternate_and_count_wins(monkeypatch):
     assert "ns_per_cell" not in out and "q1_s" not in out
 
 
-def test_kernel_one_side_lacks(monkeypatch):
-    # a kernel only the change has keeps the change's runs and no count
-    monkeypatch.setattr(kernels, "run_child", lambda src, name, repeats:
-                        None if src == "parent" else
-                        {"name": name, "median_s": 1.0})
-    (out,) = kernels.compare_trees({"parent": "parent", "change": "change"},
-                                   ["chain-dp-8192x5-r2"], 2, 3)
-    assert "parent" not in out and out["change"]["values"] == [1.0, 1.0]
-    assert "pairs_change_better" not in out
-
-
 @pytest.mark.parametrize("flags", [["--src", "."], ["--parent", ".",
                                                     "--change", "src"],
                                     ["--parent", "src", "--change", "."]])
@@ -352,8 +341,8 @@ def test_a_checkout_root_is_refused_before_any_child(flags, monkeypatch,
 def test_every_kernel_is_named_and_set_up():
     # the search, chain-mode and entropy kernels beside the DP shapes, each
     # set up from this tree (nothing is timed here)
-    assert {"chain-dp-8192x5-r2", "search-L4-200-2", "search-L5-100-2",
-            "entropy"} <= set(kernels.KERNELS)
+    assert {"chain-dp-8192x5-r2", "search-L3-200-0", "search-L4-200-2",
+            "search-L5-100-2", "entropy"} <= set(kernels.KERNELS)
     for name, (setup, args) in kernels.KERNELS.items():
         if name.startswith(("chain", "search", "entropy")):
             fn, reset, work, unit, fields = setup(*args)
@@ -377,7 +366,7 @@ def test_projections_kernel_is_one_entropy_trial():
     fn, reset, work, unit, fields = setup(*args)
     assert reset is None and (work, unit) == (6 << 18, "point")
     assert fields == {"kernel": "multiplier_variation", "S": 6,
-                      "M": 1 << 18, "r": 3.0, "decimated": True}
+                      "M": 1 << 18, "r": 3.0}
     assert fn() > 0
 
 

@@ -394,12 +394,26 @@ class TestSearch:
         assert val >= best - 0.02
         assert val <= best + 0.05
 
-    def test_monotone_in_L_with_warm_start(self):
-        prev_coeffs, prev_val = search_coefficients(2, 150, 2, 0)
-        for L in [3, 4, 5]:
-            coeffs, val = search_coefficients(L, 150, 2, 0, init=prev_coeffs)
-            assert val >= prev_val - 1e-12
-            prev_coeffs, prev_val = coeffs, val
+    def test_cold_searches_rise_in_L(self):
+        # the rows at L + 1 extend those at L, and each search starts cold:
+        # 1.0, 1.14733, 1.23736, 1.29733 and 1.34301 at L = 2..6
+        vals = [search_coefficients(L, 200, 0, 0)[1] for L in range(2, 7)]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12, 12345])
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_L3_known_answer(self, seed, restarts):
+        # a_3 = 0 and a chain's power sum is a sum of squared block sums,
+        # so Phi^2 = a_1^2 + a_2^2 + 2 a_1 a_2 c_n with c_n the sample mean
+        # of max(0, Re(z_1 conj z_2)): maximal at (1, 1, 0)/sqrt 2, where
+        # Phi = sqrt(1 + c_n)
+        z = _independent_phase_matrix(3, 8192, seed)
+        c_n = np.mean(np.maximum(0.0, (z[0] * z[1].conj()).real))
+        want = math.sqrt(1.0 + c_n)
+        (a1, a2, a3), val = search_coefficients(3, 200, restarts, seed)
+        assert abs(a1 - a2) <= 2 * math.ulp(a1)
+        assert a3 == 0.0
+        assert abs(val - want) <= 2 * math.ulp(want)
 
     def test_deterministic(self):
         a = search_coefficients(2, 50, 1, 7)
@@ -531,44 +545,24 @@ class TestSearch:
         with pytest.raises(ParameterError):
             search_coefficients(1, 10, 1, 0)
 
-    def test_init_longer_than_L_rejected(self):
-        with pytest.raises(ParameterError, match="init longer than L"):
-            search_coefficients(2, 0, 0, 0, sample_count=64,
-                                init=[1.0, 0.5, 0.25])
-
-    @pytest.mark.parametrize("init", [[0.0, 0.0], [0.0, 0.0, 2.0]])
-    def test_zero_init_starts_uniform(self, init, monkeypatch):
-        # an init with no weight off the last rung has Phi = 0 and no
-        # gradient: the uniform vector starts in its place
-        calls = recorded_ascents(monkeypatch)
-        search_coefficients(3, 0, 1, 0, sample_count=64, init=init)
-        starts = [start for start, _, _ in calls]
-        assert_bitwise_equal(starts[0], np.full(3, 1 / math.sqrt(3)))
-        rand = np.random.default_rng([0, 999]).random(3)
-        assert_bitwise_equal(starts[1], rand / math.hypot(*rand))
-        assert len(starts) == 2
-
-    def test_init_is_the_first_start(self, monkeypatch):
-        calls = recorded_ascents(monkeypatch)
-        search_coefficients(4, 0, 0, 0, sample_count=64, init=[-3.0, 4.0])
-        (start, _, _), = calls
-        assert_bitwise_equal(start, np.array([0.6, 0.8, 0.0, 0.0]))
-
-    @pytest.mark.parametrize("L,iterations,restarts,init,over", [
-        # counterexample's search: 3 starts x 201 evaluations
-        (30, 200, 2, None, True),
-        (5, 200, 2, None, False),
+    @pytest.mark.parametrize("L,iterations,restarts,over", [
+        # 3 starts x 201 evaluations at L = 30
+        (30, 200, 2, True),
+        (5, 200, 2, False),
         # search-coeffs' defaults: 603 x 8192 x 210 cells at L = 21 fit
         # the run budget, 603 x 8192 x 231 at L = 22 do not
-        (21, 200, 2, None, False),
-        (22, 200, 2, None, True),
+        (21, 200, 2, False),
+        (22, 200, 2, True),
+        # counterexample's search, one start: 201 x 8192 x 630 cells at
+        # L = 36 fit, past L = 25, the most the sample-bit budget admits
+        (36, 200, 0, False),
+        (37, 200, 0, True),
         # L = 2: 8192 cells an evaluation, 2^17 evaluations in the budget;
-        # a warm start is one more start
-        (2, 65536, 0, None, False),
-        (2, 65536, 0, [1.0], True),
+        # a second start is 2 x 65537
+        (2, 65536, 0, False),
+        (2, 65536, 1, True),
     ])
-    def test_run_budget_before_phases(self, L, iterations, restarts, init,
-                                      over):
+    def test_run_budget_before_phases(self, L, iterations, restarts, over):
         class Reached(Exception):
             pass
 
@@ -577,7 +571,7 @@ class TestSearch:
 
         with mock.patch("circlelab.torus._independent_phase_matrix", reached):
             with pytest.raises(ResourceError if over else Reached):
-                search_coefficients(L, iterations, restarts, 0, init=init)
+                search_coefficients(L, iterations, restarts, 0)
 
     @pytest.mark.parametrize("iterations,restarts", [(-1, 1), (10, -1)])
     def test_negative_counts_rejected(self, iterations, restarts):
